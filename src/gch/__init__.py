@@ -41,11 +41,9 @@ from .dynamics import (
     SIMULATION_FORMS,
     RhsForm,
     form_residual,
-    momentum_from_velocity,
     momentum_rhs,
     rhs,
     sqrt3_residual_field,
-    velocity_from_momentum,
 )
 from .errors import BlowUpError, ConfigError, GchError
 from .fields import make_initial, random_compact_field, random_smooth_field
@@ -57,7 +55,6 @@ from .grid import (
     interpolate_onto,
     load_initial_condition,
     lp_norm,
-    make_grid,
     read_initial_condition,
     sample,
 )

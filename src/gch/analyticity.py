@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, derivative
+from .grid import Field
 from .helmholtz import p2_apply
 from .integrate import Trajectory
 
@@ -71,7 +71,7 @@ def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
     checks.
     """
     grid = f.grid
-    c = np.fft.rfft(f.values) / grid.n
+    c = grid.rfft(f.values) / grid.n
     amp = np.abs(c)
     peak = float(np.max(amp))
     if peak > 0.0:
@@ -80,14 +80,12 @@ def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
     mult = np.full(grid.n // 2 + 1, 2.0)
     mult[0] = 1.0
     mult[-1] = 1.0
-    power = mult * np.abs(c) ** 2 * (1.0 + grid.k_rfft**2) * (2.0 * grid.half_width)
+    power = mult * np.abs(c) ** 2 * grid.helm * (2.0 * grid.half_width)
     out = np.empty(k_top + 1)
     out[0] = np.sqrt(np.sum(power))
-    power_k = power.copy()
-    power_k[-1] = 0.0
-    k2 = grid.k_rfft**2
+    power_k = grid.drop_nyquist(power.copy())
     for k in range(1, k_top + 1):
-        power_k = power_k * k2
+        power_k = power_k * grid.k2
         out[k] = np.sqrt(np.sum(power_k))
     return out
 
@@ -224,7 +222,7 @@ def radius_estimate(f: Field, floor: float = SPECTRUM_FLOOR) -> RadiusFit:
     any exponential, for which sigma is only a lower bound.
     """
     grid = f.grid
-    c = np.abs(np.fft.rfft(f.values)) / grid.n
+    c = np.abs(grid.rfft(f.values)) / grid.n
     usable = c > floor
     usable[:SKIP_MODES] = False
 

@@ -8,6 +8,7 @@ verify-weights, selftest.  Exit codes: 0 success, 1 diagnostics failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,14 +50,9 @@ def _execute(cfg, out_dir) -> int:
     return summary.exit_code
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args, force_run=())
-    return _execute(cfg, args.out)
-
-
-def _cmd_persistence(args) -> int:
-    cfg = _load_config(args, force_run=("persistence",))
-    return _execute(cfg, args.out)
+def _cmd_forced_run(run, args) -> int:
+    """A subcommand that runs the configuration with its diagnostics set to ``run``."""
+    return _execute(_load_config(args, force_run=run), args.out)
 
 
 def _cmd_asymptotics(args) -> int:
@@ -67,11 +63,6 @@ def _cmd_asymptotics(args) -> int:
         cfg.variant = args.variant
     if args.psi_literal:
         cfg.psi_literal = True
-    return _execute(cfg, args.out)
-
-
-def _cmd_analyticity(args) -> int:
-    cfg = _load_config(args, force_run=("analyticity",))
     return _execute(cfg, args.out)
 
 
@@ -111,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-        ("simulate", _cmd_simulate, "run the simulation and dump snapshots"),
-        ("persistence", _cmd_persistence, "weighted-norm growth ledger"),
-        ("analyticity", _cmd_analyticity, "analyticity-radius tracking"),
+    for name, run, doc in (
+        ("simulate", (), "run the simulation and dump snapshots"),
+        ("persistence", ("persistence",), "weighted-norm growth ledger"),
+        ("analyticity", ("analyticity",), "analyticity-radius tracking"),
     ):
         p = sub.add_parser(name, help=doc)
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=functools.partial(_cmd_forced_run, run))
 
     p = sub.add_parser("asymptotics", help="tail-profile extraction")
     _add_common(p)

@@ -72,54 +72,27 @@ class ExperimentConfig:
 
     def to_text(self) -> str:
         """Canonical serialization; parse_config(to_text()) reproduces self."""
-
-        def fmt(value):
-            if value is None:
-                return "none"
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, float) and np.isinf(value):
-                return "inf"
-            if isinstance(value, (tuple, list)):
-                return ",".join(fmt(item) for item in value)
-            if isinstance(value, RhsForm):
-                return value.value
-            return repr(value) if isinstance(value, float) else str(value)
-
-        lines = [
-            "[grid]",
-            f"n = {fmt(self.n)}",
-            f"L = {fmt(self.L)}",
-            "[time]",
-            f"T = {fmt(self.T)}",
-            f"snapshot_stride = {fmt(self.snapshot_stride)}",
-            f"dt = {fmt(self.dt)}",
-            "[initial]",
-            f"kind = {fmt(self.kind)}",
-            f"amplitude = {fmt(self.amplitude)}",
-            f"width = {fmt(self.width)}",
-            f"center = {fmt(self.center)}",
-            f"path = {fmt(self.path)}",
-            "[dynamics]",
-            f"form = {fmt(self.form)}",
-            f"dealias = {fmt(self.dealias)}",
-            "[weights]",
-            f"phi = {fmt(self.phi)}",
-            f"v = {fmt(self.v)}",
-            f"p = {fmt(self.p)}",
-            f"N = {fmt(self.N)}",
-            "[diagnostics]",
-            f"run = {fmt(self.run) if self.run else 'none'}",
-            f"window = {fmt(self.window)}",
-            f"d = {fmt(self.d)}",
-            f"variant = {fmt(self.variant)}",
-            f"t_star = {fmt(self.t_star)}",
-            f"psi_literal = {fmt(self.psi_literal)}",
-            "[output]",
-            f"dir = {fmt(self.out_dir)}",
-            f"seed = {fmt(self.seed)}",
-        ]
+        lines, section = [], None
+        for (sec, key), (attr, _) in _SCHEMA.items():
+            if sec != section:
+                lines.append(f"[{sec}]")
+                section = sec
+            lines.append(f"{key} = {_format(getattr(self, attr))}")
         return "\n".join(lines) + "\n"
+
+
+def _format(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value == np.inf:
+        return "inf"
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format(item) for item in value) if value else "none"
+    if isinstance(value, RhsForm):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -228,6 +201,13 @@ _SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _validate(cfg: ExperimentConfig, errors: list) -> None:
+    for (_, key), (attr, _) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        items = value if isinstance(value, tuple) else (value,)
+        if attr == "p" and value == np.inf:
+            continue
+        if any(isinstance(x, float) and not np.isfinite(x) for x in items):
+            errors.append(f"{key} must be finite, got {value}")
     if cfg.n < 16 or (cfg.n & (cfg.n - 1)) != 0:
         errors.append(f"n must be a power of two >= 16, got {cfg.n}")
     if cfg.L <= 0:
@@ -238,6 +218,8 @@ def _validate(cfg: ExperimentConfig, errors: list) -> None:
         errors.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
     if cfg.dt is not None and cfg.dt <= 0:
         errors.append(f"dt must be positive, got {cfg.dt}")
+    if cfg.width <= 0:
+        errors.append(f"width must be positive, got {cfg.width}")
     if cfg.kind == "file" and cfg.path is None:
         errors.append("initial kind 'file' requires a path")
     if not (np.isinf(cfg.p) or cfg.p >= 1):
@@ -246,8 +228,8 @@ def _validate(cfg: ExperimentConfig, errors: list) -> None:
         errors.append(f"N must be positive, got {cfg.N}")
     if cfg.d <= 0.5:
         errors.append(f"d must exceed 1/2, got {cfg.d}")
-    if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
-        errors.append(f"window must satisfy x_lo < x_hi, got {cfg.window}")
+    if cfg.window is not None and not 0.2 * cfg.L < cfg.window[0] < cfg.window[1] < 0.8 * cfg.L:
+        errors.append(f"window must satisfy 0.2 L < x_lo < x_hi < 0.8 L, got {cfg.window}")
     if cfg.t_star is not None and not (0 < cfg.t_star <= cfg.T):
         errors.append(f"t_star must lie in (0, T], got {cfg.t_star}")
 

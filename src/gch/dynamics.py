@@ -22,10 +22,13 @@ square and applying the same identity leaves the field
 
 so it is kept as a diagnostic only and never offered for simulation.
 
-All quadratic products are dealiased with the 2/3 rule: inputs and output
-are truncated to |mode| < n/3, which makes products of truncated fields
-exact truncations of the true products and preserves the algebraic
-equivalences on the grid.
+All quadratic products are dealiased with the 2/3 rule, using the keep-mask
+|mode| < n/3 and the d_x, G* and G_x* multipliers of the ``Grid`` operator
+table.  Within one evaluation each product operand is truncated once and
+each product's output once; with truncated operands that single output
+truncation is the exact 2/3 rule (Orszag 1971), so products of truncated
+fields are exact truncations of the true products and the algebraic
+equivalences hold on the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import enum
 import numpy as np
 
 from .grid import Field, Grid, derivative, lp_norm
-from .helmholtz import helmholtz_forward, helmholtz_inverse
+from .helmholtz import helmholtz_inverse
 
 __all__ = [
     "RhsForm",
@@ -43,8 +46,6 @@ __all__ = [
     "rhs",
     "form_residual",
     "momentum_rhs",
-    "momentum_from_velocity",
-    "velocity_from_momentum",
     "sqrt3_residual_field",
 ]
 
@@ -64,54 +65,35 @@ class RhsForm(enum.Enum):
 #: Forms accepted by the time integrator; SQRT3 is diagnostic-only.
 SIMULATION_FORMS = (RhsForm.PRIMITIVE, RhsForm.FORM_A, RhsForm.FORM_B, RhsForm.MOMENTUM)
 
-_MASK_CACHE: dict = {}
-
-
-def _dealias_mask(grid: Grid):
-    mask = _MASK_CACHE.get(grid)
-    if mask is None:
-        modes = np.arange(grid.n // 2 + 1)
-        mask = modes < grid.n / 3.0
-        _MASK_CACHE[grid] = mask
-    return mask
-
-
-def _lowpass(vals, grid: Grid):
-    spec = np.fft.rfft(vals)
-    spec[~_dealias_mask(grid)] = 0.0
-    return np.fft.irfft(spec, n=grid.n)
-
 
 class _Work:
-    """Array-level helpers bound to one grid, with per-term finiteness checks."""
+    """One RHS evaluation on one grid: finiteness checks and dealiased products.
+
+    With dealiasing on, each product operand goes through :meth:`trunc`
+    once and :meth:`prod` truncates only the product; both are no-ops
+    without dealiasing.
+    """
 
     def __init__(self, grid: Grid, dealias: bool):
         self.grid = grid
         self.dealias = dealias
 
-    def prod(self, a, b, name):
+    def trunc(self, vals, spec=None):
+        """2/3-rule truncation of ``vals``; ``spec`` is its rfft when already known."""
+        if not self.dealias:
+            return vals
+        grid = self.grid
         # overflow surfaces as the named non-finite error, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.dealias:
-                out = _lowpass(_lowpass(a, self.grid) * _lowpass(b, self.grid), self.grid)
-            else:
-                out = a * b
+            if spec is None:
+                spec = grid.rfft(vals)
+            return grid.irfft(grid.truncate_hat(spec))
+
+    def prod(self, a, b, name):
+        """Product of two operands already passed through :meth:`trunc`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.trunc(a * b)
         return self.check(out, name)
-
-    def dx(self, vals, order=1):
-        spec = np.fft.rfft(vals) * (1j * self.grid.k_rfft) ** order
-        if order % 2 == 1:
-            spec[-1] = 0.0
-        return np.fft.irfft(spec, n=self.grid.n)
-
-    def ginv(self, vals):
-        spec = np.fft.rfft(vals) / (1.0 + self.grid.k_rfft**2)
-        return np.fft.irfft(spec, n=self.grid.n)
-
-    def gx(self, vals):
-        spec = np.fft.rfft(vals) * (1j * self.grid.k_rfft) / (1.0 + self.grid.k_rfft**2)
-        spec[-1] = 0.0
-        return np.fft.irfft(spec, n=self.grid.n)
 
     @staticmethod
     def check(vals, name):
@@ -120,54 +102,60 @@ class _Work:
         return vals
 
 
+def _momentum_tendency(w: _Work, v, v_hat, ux, m, m_hat):
+    """m_t from u, u_x and m, given the rffts of u and of m."""
+    grid = w.grid
+    mx = w.check(grid.irfft(grid.diff_hat(m_hat)), "m_x")
+    vt, uxt, mt, mxt = w.trunc(v, v_hat), w.trunc(ux), w.trunc(m, m_hat), w.trunc(mx)
+    s = w.trunc(v + ux)
+    m_t = (
+        2.0 * w.prod(mt, mt, "m^2")
+        + 8.0 * w.prod(uxt, mt, "u_x*m")
+        - 4.0 * w.prod(vt, mt, "u*m")
+        + 4.0 * w.prod(vt, mxt, "u*m_x")
+        - 2.0 * w.prod(uxt, mxt, "u_x*m_x")
+        + 2.0 * w.prod(s, s, "(u+u_x)^2")
+    )
+    return w.check(m_t, "m_t")
+
+
 def rhs(u: Field, form: RhsForm, dealias: bool = True) -> Field:
     """Evaluate the time derivative of u for the selected formulation."""
     form = RhsForm(form)
     grid = u.grid
     w = _Work(grid, dealias)
     v = w.check(u.values, "u")
-    ux = w.check(w.dx(v), "u_x")
+    v_hat = grid.rfft(v)
+    ux = w.check(grid.irfft(grid.diff_hat(v_hat)), "u_x")
 
     if form is RhsForm.PRIMITIVE:
-        sq = w.prod(2.0 * v - ux, 2.0 * v - ux, "(2u-u_x)^2")
-        out = w.ginv(2.0 * w.dx(sq) + w.dx(sq, 2))
-    elif form is RhsForm.FORM_A:
-        uux = w.prod(v, ux, "u*u_x")
-        ux2 = w.prod(ux, ux, "u_x^2")
-        u2 = w.prod(v, v, "u^2")
-        out = 4.0 * uux + w.ginv(w.dx(2.0 * ux2 + 6.0 * u2) + w.dx(ux2, 2))
-    elif form is RhsForm.FORM_B:
-        uux = w.prod(v, ux, "u*u_x")
-        ux2 = w.prod(ux, ux, "u_x^2")
-        u2 = w.prod(v, v, "u^2")
-        out = 4.0 * uux - ux2 + w.ginv(w.dx(2.0 * ux2 + 6.0 * u2) + ux2)
+        a = w.trunc(2.0 * v - ux)
+        sq_hat = grid.rfft(w.prod(a, a, "(2u-u_x)^2"))
+        out = grid.g_star(
+            2.0 * grid.irfft(grid.diff_hat(sq_hat)) + grid.irfft(grid.diff_hat(sq_hat, 2))
+        )
     elif form is RhsForm.MOMENTUM:
-        m = w.check(helmholtz_forward(u).values, "m")
-        mx = w.check(w.dx(m), "m_x")
-        mt = (
-            2.0 * w.prod(m, m, "m^2")
-            + 8.0 * w.prod(ux, m, "u_x*m")
-            - 4.0 * w.prod(v, m, "u*m")
-            + 4.0 * w.prod(v, mx, "u*m_x")
-            - 2.0 * w.prod(ux, mx, "u_x*m_x")
-            + 2.0 * w.prod(v + ux, v + ux, "(u+u_x)^2")
-        )
-        out = w.ginv(w.check(mt, "m_t"))
-    elif form is RhsForm.SQRT3:
-        uux = w.prod(v, ux, "u*u_x")
-        ux2 = w.prod(ux, ux, "u_x^2")
-        u2 = w.prod(v, v, "u^2")
-        q = _SQRT2 * ux + _SQRT6 * v
-        q2 = w.prod(q, q, "(sqrt2*u_x+sqrt6*u)^2")
-        out = (
-            4.0 * uux
-            - ux2
-            + _SQRT3 * u2
-            - w.ginv(ux2 - _SQRT3 * u2)
-            + w.gx(q2)
-        )
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown form {form}")
+        m = w.check(grid.irfft(v_hat * grid.helm), "m")
+        out = grid.g_star(_momentum_tendency(w, v, v_hat, ux, m, grid.rfft(m)))
+    else:
+        vt, uxt = w.trunc(v, v_hat), w.trunc(ux)
+        uux = w.prod(vt, uxt, "u*u_x")
+        ux2 = w.prod(uxt, uxt, "u_x^2")
+        u2 = w.prod(vt, vt, "u^2")
+        if form is RhsForm.FORM_A:
+            out = 4.0 * uux + grid.g_star(grid.diff(2.0 * ux2 + 6.0 * u2) + grid.diff(ux2, 2))
+        elif form is RhsForm.FORM_B:
+            out = 4.0 * uux - ux2 + grid.g_star(grid.diff(2.0 * ux2 + 6.0 * u2) + ux2)
+        else:  # SQRT3
+            q = w.trunc(_SQRT2 * ux + _SQRT6 * v)
+            q2 = w.prod(q, q, "(sqrt2*u_x+sqrt6*u)^2")
+            out = (
+                4.0 * uux
+                - ux2
+                + _SQRT3 * u2
+                - grid.g_star(ux2 - _SQRT3 * u2)
+                + grid.p2(q2)
+            )
 
     return Field(grid, w.check(out, f"rhs[{form.value}]"))
 
@@ -186,28 +174,11 @@ def momentum_rhs(m: Field, dealias: bool = True) -> Field:
     grid = m.grid
     w = _Work(grid, dealias)
     mv = w.check(m.values, "m")
-    uv = w.check(helmholtz_inverse(m).values, "u")
-    ux = w.check(w.dx(uv), "u_x")
-    mx = w.check(w.dx(mv), "m_x")
-    mt = (
-        2.0 * w.prod(mv, mv, "m^2")
-        + 8.0 * w.prod(ux, mv, "u_x*m")
-        - 4.0 * w.prod(uv, mv, "u*m")
-        + 4.0 * w.prod(uv, mx, "u*m_x")
-        - 2.0 * w.prod(ux, mx, "u_x*m_x")
-        + 2.0 * w.prod(uv + ux, uv + ux, "(u+u_x)^2")
-    )
-    return Field(grid, w.check(mt, "m_t"))
-
-
-def momentum_from_velocity(u: Field) -> Field:
-    """m = u - u_xx via the forward Helmholtz multiplier."""
-    return helmholtz_forward(u)
-
-
-def velocity_from_momentum(m: Field) -> Field:
-    """u = G*m via the inverse Helmholtz multiplier."""
-    return helmholtz_inverse(m)
+    m_hat = grid.rfft(mv)
+    uv = w.check(grid.irfft(grid.g_star_hat(m_hat)), "u")
+    u_hat = grid.rfft(uv)
+    ux = w.check(grid.irfft(grid.diff_hat(u_hat)), "u_x")
+    return Field(grid, _momentum_tendency(w, uv, u_hat, ux, mv, m_hat))
 
 
 def sqrt3_residual_field(u: Field, convolve=None) -> Field:

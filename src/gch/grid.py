@@ -2,7 +2,9 @@
 
 Everything downstream operates on ``Field`` values living on a ``Grid``:
 right-hand sides, convolution operators, weighted norms and diagnostics all
-reduce to array work on these two types.  The domain is the periodic box
+reduce to array work on these two types.  The ``Grid`` also owns the
+Fourier operator table, so every FFT and every spectral multiplier of the
+package is taken here.  The domain is the periodic box
 [-L, L); decaying data is assumed small at the seam, and callers that care
 record the boundary magnitude explicitly.
 """
@@ -14,7 +16,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "make_grid",
     "sample",
     "derivative",
     "lp_norm",
@@ -30,15 +31,25 @@ def _is_power_of_two(n: int) -> bool:
 
 
 class Grid:
-    """Uniform periodic mesh on [-L, L) with its wavenumber table.
+    """Uniform periodic mesh on [-L, L) with its Fourier operator table.
 
     Nodes are x_j = -L + j*dx with dx = 2L/n and n a power of two.
     Wavenumbers follow FFT ordering, k = (pi/L)*m for signed mode index m;
     the Nyquist mode is stored with the negative sign and treated as its own
     negative.  ``k_rfft`` holds the one-sided table used with real FFTs.
+
+    The operator table is the package's one spectral core, built once per
+    grid from ``k_rfft``: ``k2`` = k^2, ``helm`` = 1 + k^2 (the symbol of
+    1 - d_xx), ``ik_pow[order - 1]`` = (ik)^order for orders 1-3, and the
+    2/3-rule ``keep`` mask |m| < n/3.  The ``*_hat`` helpers apply d_x^order,
+    G* = (1 - d_xx)^{-1} and the truncation to a one-sided spectrum;
+    ``diff``, ``g_star`` and ``p2`` apply d_x^order, G* and P2 = d_x G* to
+    samples.  Odd orders of d_x, and P2, zero the Nyquist mode
+    (:meth:`drop_nyquist`), which has no well-defined odd derivative on the
+    grid.
     """
 
-    __slots__ = ("n", "half_width", "dx", "x", "k", "k_rfft")
+    __slots__ = ("n", "half_width", "dx", "x", "k", "k_rfft", "k2", "helm", "ik_pow", "keep")
 
     def __init__(self, n: int, half_width: float):
         if int(n) != n:
@@ -55,11 +66,56 @@ class Grid:
         x = -half_width + self.dx * np.arange(n)
         k = (np.pi / half_width) * np.fft.fftfreq(n, d=1.0 / n)
         k_rfft = (np.pi / half_width) * np.arange(n // 2 + 1)
-        for arr in (x, k, k_rfft):
+        k2 = k_rfft**2
+        helm = 1.0 + k2
+        ik = 1j * k_rfft
+        ik_pow = (ik, ik**2, ik**3)
+        keep = np.arange(n // 2 + 1) < n / 3.0
+        for arr in (x, k, k_rfft, k2, helm, keep) + ik_pow:
             arr.setflags(write=False)
         self.x = x
         self.k = k
         self.k_rfft = k_rfft
+        self.k2 = k2
+        self.helm = helm
+        self.ik_pow = ik_pow
+        self.keep = keep
+
+    def rfft(self, values):
+        """One-sided FFT of real samples; with :meth:`irfft`, the package's only FFT calls."""
+        return np.fft.rfft(values)
+
+    def irfft(self, spec):
+        return np.fft.irfft(spec, n=self.n)
+
+    @staticmethod
+    def drop_nyquist(spec):
+        """Zero the Nyquist entry of a one-sided array in place and return it."""
+        spec[-1] = 0.0
+        return spec
+
+    def diff_hat(self, spec, order: int = 1):
+        """Multiply by (ik)^order; odd orders drop the Nyquist mode."""
+        out = spec * self.ik_pow[order - 1]
+        return self.drop_nyquist(out) if order % 2 == 1 else out
+
+    def g_star_hat(self, spec):
+        """Divide by 1 + k^2."""
+        return spec / self.helm
+
+    def truncate_hat(self, spec):
+        """The 2/3 rule: a copy with every mode |m| >= n/3 set to zero."""
+        return np.where(self.keep, spec, 0.0)
+
+    def diff(self, values, order: int = 1):
+        return self.irfft(self.diff_hat(self.rfft(values), order))
+
+    def g_star(self, values):
+        return self.irfft(self.g_star_hat(self.rfft(values)))
+
+    def p2(self, values):
+        """P2 = d_x G*: multiply by ik, then divide by 1 + k^2; drops the Nyquist mode."""
+        return self.irfft(self.drop_nyquist(self.rfft(values) * self.ik_pow[0] / self.helm))
 
     @property
     def L(self) -> float:
@@ -142,11 +198,6 @@ class Field:
         return f"Field({self.grid!r}, max|.|={np.max(np.abs(self.values)):.3e})"
 
 
-def make_grid(n: int, half_width: float) -> Grid:
-    """Build a uniform periodic grid with ``n`` nodes on [-L, L)."""
-    return Grid(n, half_width)
-
-
 def sample(grid: Grid, f) -> Field:
     """Sample a scalar function at the grid nodes.
 
@@ -173,12 +224,7 @@ def derivative(field: Field, order: int = 1) -> Field:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    grid = field.grid
-    spec = np.fft.rfft(field.values)
-    spec = spec * (1j * grid.k_rfft) ** order
-    if order % 2 == 1:
-        spec[-1] = 0.0
-    return Field(grid, np.fft.irfft(spec, n=grid.n))
+    return Field(field.grid, field.grid.diff(field.values, order))
 
 
 def lp_norm(field: Field, p: float) -> float:

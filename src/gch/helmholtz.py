@@ -26,16 +26,13 @@ __all__ = [
 
 def helmholtz_inverse(f: Field) -> Field:
     """Apply (1 - d_xx)^{-1} as the Fourier multiplier 1/(1+k^2)."""
-    grid = f.grid
-    spec = np.fft.rfft(f.values) / (1.0 + grid.k_rfft**2)
-    return Field(grid, np.fft.irfft(spec, n=grid.n))
+    return Field(f.grid, f.grid.g_star(f.values))
 
 
 def helmholtz_forward(f: Field) -> Field:
     """Apply (1 - d_xx) as the Fourier multiplier 1+k^2."""
     grid = f.grid
-    spec = np.fft.rfft(f.values) * (1.0 + grid.k_rfft**2)
-    return Field(grid, np.fft.irfft(spec, n=grid.n))
+    return Field(grid, grid.irfft(grid.rfft(f.values) * grid.helm))
 
 
 def p2_apply(f: Field) -> Field:
@@ -44,10 +41,7 @@ def p2_apply(f: Field) -> Field:
     The Nyquist mode is zeroed, consistent with the odd-order spectral
     derivative, so that p2_apply == derivative(helmholtz_inverse(.), 1).
     """
-    grid = f.grid
-    spec = np.fft.rfft(f.values) * (1j * grid.k_rfft) / (1.0 + grid.k_rfft**2)
-    spec[-1] = 0.0
-    return Field(grid, np.fft.irfft(spec, n=grid.n))
+    return Field(f.grid, f.grid.p2(f.values))
 
 
 def periodized_green(offsets, half_width: float):

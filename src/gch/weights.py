@@ -121,7 +121,7 @@ def weighted_young_check(f1: Field, f2: Field, phi, v, p: float, C0: float) -> f
     if f1.grid != f2.grid:
         raise ValueError("fields must live on the same grid")
     grid = f1.grid
-    conv = np.fft.irfft(np.fft.rfft(f1.values) * np.fft.rfft(f2.values), n=grid.n) * grid.dx
+    conv = grid.irfft(grid.rfft(f1.values) * grid.rfft(f2.values)) * grid.dx
     # the array origin sits at x = -L, so the circular convolution comes
     # back shifted by half a period
     conv = np.roll(conv, -(grid.n // 2))

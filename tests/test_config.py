@@ -76,6 +76,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown variant"):
             parse_config(MINIMAL + "\n[diagnostics]\nvariant = thm99\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL.replace("L = 40", "L = nan"), "L must be finite"),
+            (MINIMAL.replace("L = 40", "L = inf"), "L must be finite"),
+            (MINIMAL.replace("T = 0.5", "T = inf"), "T must be finite"),
+            (MINIMAL.replace("T = 0.5", "T = nan"), "T must be finite"),
+            (MINIMAL.replace("amplitude = 0.05", "amplitude = nan"), "amplitude must be finite"),
+            (MINIMAL + "\n[initial]\ncenter = -inf\n", "center must be finite"),
+            (MINIMAL + "\n[initial]\nwidth = 0\n", "width must be positive"),
+            (MINIMAL + "\n[diagnostics]\nd = nan\n", "d must be finite"),
+            (MINIMAL + "\n[weights]\nN = nan\n", "N must be finite"),
+            (MINIMAL + "\n[weights]\np = -inf\n", "p must be finite"),
+            (MINIMAL + "\n[weights]\nphi = nan,0,2,0\n", "phi must be finite"),
+            (MINIMAL + "\n[diagnostics]\nwindow = 4,20\n", "window must satisfy"),
+            (MINIMAL + "\n[diagnostics]\nwindow = 10,35\n", "window must satisfy"),
+        ],
+        ids=[
+            "L_nan", "L_inf", "T_inf", "T_nan", "amplitude_nan", "center_inf", "width_zero",
+            "d_nan", "N_nan", "p_minus_inf", "phi_nan", "window_low", "window_high",
+        ],
+    )
+    def test_nonfinite_and_out_of_range_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_line_numbers_in_messages(self):
         text = "[grid]\nn = banana\n"
         with pytest.raises(ConfigError, match="line 2: grid.n"):

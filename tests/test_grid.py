@@ -9,7 +9,6 @@ from gch import (
     interpolate_onto,
     load_initial_condition,
     lp_norm,
-    make_grid,
     read_initial_condition,
     sample,
 )
@@ -17,23 +16,23 @@ from gch import (
 
 class TestMakeGrid:
     def test_spacing(self):
-        g = make_grid(16, 8.0)
+        g = Grid(16, 8.0)
         assert g.dx == 1.0
         assert g.x[0] == -8.0
 
     def test_spacing_large(self):
-        g = make_grid(1024, 40.0)
+        g = Grid(1024, 40.0)
         assert g.dx == pytest.approx(0.078125, abs=0)
 
     @pytest.mark.parametrize("n", [17, 1000, 12, 0, -16])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError, match="power of two"):
-            make_grid(n, 8.0)
+            Grid(n, 8.0)
 
     @pytest.mark.parametrize("L", [0.0, -1.0, np.nan])
     def test_rejects_bad_half_width(self, L):
         with pytest.raises(ValueError):
-            make_grid(64, L)
+            Grid(64, L)
 
     def test_nodes_equispaced_increasing(self, grid1024):
         dx = np.diff(grid1024.x)

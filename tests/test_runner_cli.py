@@ -146,6 +146,23 @@ class TestCli:
         assert code == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("L = 30", "L = nan"),
+            ("T = 0.12", "T = inf"),
+            ("amplitude = 0.05", "amplitude = 0.05\nwidth = 0"),
+            ("[output]", "window = 2,20\n[output]"),
+        ],
+        ids=["L_nan", "T_inf", "width_zero", "window_outside"],
+    )
+    def test_bad_value_exit_two(self, tmp_path, capsys, old, new):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(FAST.replace(old, new))
+        code = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
