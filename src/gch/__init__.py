@@ -41,6 +41,7 @@ from .dynamics import (
     SIMULATION_FORMS,
     RhsForm,
     form_residual,
+    max_form_residual,
     momentum_rhs,
     rhs,
     sqrt3_residual_field,

@@ -45,6 +45,7 @@ __all__ = [
     "SIMULATION_FORMS",
     "rhs",
     "form_residual",
+    "max_form_residual",
     "momentum_rhs",
     "sqrt3_residual_field",
 ]
@@ -163,6 +164,14 @@ def rhs(u: Field, form: RhsForm, dealias: bool = True) -> Field:
 def form_residual(u: Field, f1: RhsForm, f2: RhsForm, dealias: bool = True) -> float:
     """Sup-norm distance between two formulations evaluated on the same field."""
     return lp_norm(rhs(u, f1, dealias) - rhs(u, f2, dealias), np.inf)
+
+
+def max_form_residual(u: Field, forms=SIMULATION_FORMS, dealias: bool = True) -> float:
+    """Largest :func:`form_residual` over all pairs of ``forms``, evaluating each form once."""
+    outs = [rhs(u, form, dealias) for form in forms]
+    return max(
+        lp_norm(a - b, np.inf) for i, a in enumerate(outs) for b in outs[i + 1 :]
+    )
 
 
 def momentum_rhs(m: Field, dealias: bool = True) -> Field:

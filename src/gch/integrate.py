@@ -4,6 +4,21 @@ Classical four-stage Runge-Kutta with a fixed step chosen from a CFL-style
 bound on the transport coefficients 4u and 2u_x.  The step is re-examined
 every 100 steps and may only shrink, never grow, so reruns with identical
 inputs are bit-identical.
+
+:func:`simulate` keeps the state in Fourier space, as the rfft ``uh`` of
+u, and evaluates each stage in the primitive form
+
+    k = post * rfft(irfft(pre * uh)**2),
+    pre = keep * (2 - ik),    post = keep * (2ik + (ik)^2) / (1 + k^2),
+
+with the multipliers taken once per run from the ``Grid`` operator table:
+one FFT pair per stage.  The operand (2 - d_x)u is truncated by ``pre``
+and the square by ``post``, which with a truncated operand is the exact
+2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
+same semi-discretisation and the cheapest one drives the integrator; the
+``form`` argument is validated and recorded, but selects nothing.  The
+physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the
+reference path.
 """
 
 from __future__ import annotations
@@ -13,7 +28,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import SIMULATION_FORMS, RhsForm, rhs
+# rhs is not called here; it stays importable as the physical-space reference RHS
+from .dynamics import SIMULATION_FORMS, RhsForm, rhs  # noqa: F401
 from .errors import BlowUpError
 from .grid import Field, Grid, lp_norm, derivative
 
@@ -22,6 +38,8 @@ __all__ = [
     "rk4_step",
     "estimate_dt",
     "simulate",
+    "spectral_operators",
+    "spectral_rhs",
     "snapshots_to_csv",
     "write_checkpoint",
     "read_checkpoint",
@@ -98,22 +116,32 @@ def _boundary_magnitude(u: Field) -> float:
     return float(max(abs(u.values[0]), abs(u.values[-1])))
 
 
-def _stage(index: int, deriv, y: Field) -> Field:
+def _require_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _stage(index: int, deriv, y):
     k = deriv(y)
-    if not np.all(np.isfinite(k.values)):
+    if not np.all(np.isfinite(k.values if isinstance(k, Field) else k)):
         raise FloatingPointError(f"non-finite RK4 stage {index}")
     return k
 
 
+def _rk4(y, dt: float, deriv):
+    """The RK4 update of a ``Field`` or of a coefficient array."""
+    k1 = _stage(1, deriv, y)
+    k2 = _stage(2, deriv, y + (0.5 * dt) * k1)
+    k3 = _stage(3, deriv, y + (0.5 * dt) * k2)
+    k4 = _stage(4, deriv, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_step(u: Field, dt: float, deriv) -> Field:
     """One classical RK4 update; raises on a non-finite stage."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = _stage(1, deriv, u)
-    k2 = _stage(2, deriv, u + (0.5 * dt) * k1)
-    k3 = _stage(3, deriv, u + (0.5 * dt) * k2)
-    k4 = _stage(4, deriv, u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(u, _require_positive("dt", dt), deriv)
 
 
 def estimate_dt(u: Field) -> float:
@@ -126,6 +154,40 @@ def estimate_dt(u: Field) -> float:
     return float(min(CFL_NUMBER * u.grid.dx / max(1.0, speed), DT_MAX))
 
 
+def spectral_operators(grid: Grid, dealias: bool):
+    """The multipliers ``(pre, post)`` of :func:`spectral_rhs` on this grid.
+
+    ``keep`` is the 2/3 mask, or all-true without dealiasing.  As everywhere
+    in the package, the odd factor d_x drops the Nyquist mode, so ``pre``
+    is 2 there (before ``keep``) and ``post`` is zero.
+    """
+    ik = grid.ik_pow[0]
+    keep = grid.keep if dealias else np.ones_like(grid.keep)
+    pre = np.where(keep, 2.0 - grid.drop_nyquist(ik.copy()), 0.0)
+    post = grid.drop_nyquist(np.where(keep, (2.0 * ik + grid.ik_pow[1]) / grid.helm, 0.0))
+    return pre, post
+
+
+def spectral_rhs(uh, grid: Grid, pre, post):
+    """u_t in Fourier space: ``post * rfft(irfft(pre * uh)**2)``, one FFT pair."""
+    # overflow surfaces as the named non-finite stage, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = grid.irfft(pre * uh)
+        return post * grid.rfft(a * a)
+
+
+def _h1_weights(grid: Grid):
+    """Parseval weights: ``sum(w * |uh|^2)`` is ||u||_{H^1}^2 as :func:`h1_norm` takes it.
+
+    Interior rfft modes stand for +-m and count twice; the Nyquist mode
+    counts once and has no derivative part.
+    """
+    w = 2.0 * grid.helm
+    w[0] = 1.0
+    w[-1] = 1.0
+    return w * (grid.dx / grid.n)
+
+
 def simulate(
     u0: Field,
     T: float,
@@ -136,48 +198,62 @@ def simulate(
 ) -> Trajectory:
     """Integrate from u0 to time T, recording every ``snapshot_stride`` steps.
 
+    The state is the rfft of u and each RK4 stage is one
+    :func:`spectral_rhs` call; ``form`` must be a simulation form and is
+    recorded in the trajectory, but every form gives the same dynamics.
     The step size comes from :func:`estimate_dt` unless ``dt`` is given
     explicitly; either way the last step is shortened to land exactly on T.
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
-    a factor of 1000 over the initial datum.
+    a factor of 1000 over the initial datum.  ``metadata["h1_drift"]``
+    holds |H1(t) - H1(0)| / H1(0) per snapshot, from the coefficients.
     """
     form = RhsForm(form)
     if form not in SIMULATION_FORMS:
         raise ValueError(f"form {form.value!r} is diagnostic-only and cannot be simulated")
-    if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    T = _require_positive("T", T)
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
 
-    deriv = lambda v: rhs(v, form, dealias)
-    dt_nominal = float(dt) if dt is not None else estimate_dt(u0)
-    if dt_nominal <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt_nominal}")
+    grid = u0.grid
+    pre, post = spectral_operators(grid, dealias)
+    deriv = lambda vh: spectral_rhs(vh, grid, pre, post)
+    dt_nominal = _require_positive("dt", dt) if dt is not None else estimate_dt(u0)
     dt_initial = dt_nominal
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
+    h1_weights = _h1_weights(grid)
 
+    def h1(vh) -> float:
+        return float(np.sqrt(np.sum(h1_weights * (vh.real**2 + vh.imag**2))))
+
+    uh = grid.rfft(u0.values)
+    h1_0 = h1(uh)
     times = [0.0]
     snaps = [u0]
     boundary = [_boundary_magnitude(u0)]
-    u, t, step = u0, 0.0, 0
+    drift = [0.0]
+    values, t, step = u0.values, 0.0, 0
     while t < T - 1e-12 * T:
         if dt is None and step > 0 and step % 100 == 0:
-            dt_nominal = min(dt_nominal, estimate_dt(u))
+            dt_nominal = min(dt_nominal, estimate_dt(Field(grid, values)))
         step_dt = min(dt_nominal, T - t)
-        u = rk4_step(u, step_dt, deriv)
+        uh = _rk4(uh, step_dt, deriv)
         t = min(t + step_dt, T)
         step += 1
-        peak = lp_norm(u, np.inf)
+        values = grid.irfft(uh)
+        peak = float(np.max(np.abs(values)))
         if peak > guard:
             raise BlowUpError(t, step, peak, guard)
         if step % snapshot_stride == 0 or t >= T - 1e-12 * T:
+            u = Field(grid, values)
             times.append(t)
             snaps.append(u)
             boundary.append(_boundary_magnitude(u))
+            gap = abs(h1(uh) - h1_0)
+            drift.append(gap / h1_0 if h1_0 > 0.0 else gap)
 
     return Trajectory(
-        grid=u0.grid,
+        grid=grid,
         times=np.asarray(times),
         snapshots=tuple(snaps),
         form=form,
@@ -186,7 +262,12 @@ def simulate(
         n_steps=step,
         dealias=dealias,
         boundary_magnitudes=np.asarray(boundary),
-        metadata={"T": T, "snapshot_stride": snapshot_stride, "dt_override": dt},
+        metadata={
+            "T": T,
+            "snapshot_stride": snapshot_stride,
+            "dt_override": dt,
+            "h1_drift": np.asarray(drift),
+        },
     )
 
 

@@ -9,6 +9,7 @@ from gch import (
     helmholtz_forward,
     helmholtz_inverse,
     lp_norm,
+    max_form_residual,
     momentum_rhs,
     rhs,
     rk4_step,
@@ -57,6 +58,26 @@ class TestFormEquivalence:
             for f1, f2 in ALL_PAIRS:
                 tol = 1e-8 if RhsForm.MOMENTUM in (f1, f2) else 1e-9
                 assert form_residual(u, f1, f2) <= tol
+
+    def test_max_form_residual_is_the_pairwise_max(self, grid1024):
+        for u in smooth_field_family(grid1024, 3, seed=101):
+            pairwise = max(form_residual(u, f1, f2) for f1, f2 in ALL_PAIRS)
+            assert max_form_residual(u, SIMULATION_FORMS) == pairwise
+
+    def test_max_form_residual_evaluates_each_form_once(self, grid1024, monkeypatch):
+        import gch.dynamics as dynamics_mod
+
+        calls = []
+        true_rhs = dynamics_mod.rhs
+
+        def counted(u, form, dealias=True):
+            calls.append(RhsForm(form))
+            return true_rhs(u, form, dealias)
+
+        monkeypatch.setattr(dynamics_mod, "rhs", counted)
+        u = sample(grid1024, lambda x: 0.1 / np.cosh(x) ** 2)
+        max_form_residual(u, SIMULATION_FORMS)
+        assert calls == list(SIMULATION_FORMS)
 
     def test_zero_residual(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))

@@ -6,8 +6,10 @@ import pytest
 from gch import (
     BlowUpError,
     Field,
+    Grid,
     Trajectory,
     estimate_dt,
+    h1_norm,
     lp_norm,
     read_checkpoint,
     rhs,
@@ -17,7 +19,7 @@ from gch import (
     snapshots_to_csv,
     write_checkpoint,
 )
-from gch.dynamics import RhsForm
+from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.integrate import DT_MAX
 
 
@@ -117,15 +119,35 @@ class TestSimulate:
             simulate(sech2_small, 0.1, RhsForm.SQRT3)
 
     def test_blow_up_guard(self, grid1024, monkeypatch):
-        # wire a forced exponential growth through simulate's rhs hook
+        # wire a forced exponential growth through simulate's spectral-stage hook
         import gch.integrate as integrate_mod
 
         monkeypatch.setattr(
-            integrate_mod, "rhs", lambda v, form, dealias=True: 100.0 * v
+            integrate_mod, "spectral_rhs", lambda uh, grid, pre, post: 100.0 * uh
         )
         u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
         with pytest.raises(BlowUpError, match="possible blow-up"):
             simulate(u, 1.0, RhsForm.FORM_B, dt=0.01)
+
+    def test_nonfinite_stage_named(self, grid1024, monkeypatch):
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(
+            integrate_mod, "spectral_rhs", lambda uh, grid, pre, post: np.nan * uh
+        )
+        u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
+        with pytest.raises(FloatingPointError, match="non-finite RK4 stage 1"):
+            simulate(u, 0.1, RhsForm.FORM_B)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, sech2_small, T):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            simulate(sech2_small, T, RhsForm.FORM_B)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+    def test_rejects_bad_step(self, sech2_small, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simulate(sech2_small, 0.1, RhsForm.FORM_B, dt=dt)
 
     def test_step_shrinks_but_never_grows(self, grid1024, monkeypatch):
         import gch.integrate as integrate_mod
@@ -165,6 +187,14 @@ class TestSimulate:
         order = np.log2(e1 / e2)
         assert 3.8 <= order <= 4.2
 
+    def test_form_is_recorded_not_used(self, sech2_small):
+        runs = [
+            simulate(sech2_small, 0.1, form, snapshot_stride=10**6) for form in SIMULATION_FORMS
+        ]
+        for form, traj in zip(SIMULATION_FORMS, runs):
+            assert traj.form is form
+            np.testing.assert_array_equal(traj.final.values, runs[0].final.values)
+
     def test_time_reversal(self, sech2_small):
         traj = simulate(sech2_small, 0.2, RhsForm.FORM_B, snapshot_stride=10**6)
         back = traj.final
@@ -172,6 +202,64 @@ class TestSimulate:
         for _ in range(traj.n_steps):
             back = rk4_step(back, traj.dt_initial, deriv)
         assert lp_norm(back - sech2_small, np.inf) <= 1e-6
+
+
+# simulate steps the rfft of u; the physical-space RK4 is the reference
+
+
+@pytest.mark.parametrize(
+    "form, dealias",
+    [(form, True) for form in SIMULATION_FORMS] + [(RhsForm.PRIMITIVE, False)],
+    ids=lambda v: getattr(v, "value", str(v)),
+)
+def test_spectral_matches_physical_rk4(form, dealias):
+    grid = Grid(1024, 40.0)
+    u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
+    dt = 0.01
+    traj = simulate(u0, 0.2, form, snapshot_stride=1, dt=dt, dealias=dealias)
+    assert traj.n_steps == 20
+    u = u0
+    for step in range(1, 21):
+        u = rk4_step(u, dt, lambda v: rhs(v, form, dealias))
+        gap = lp_norm(traj.snapshots[step] - u, np.inf)
+        assert gap <= 1e-15, (step, gap)
+
+
+def test_fft_pairs_per_step(monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(Grid, name)
+
+        def counted(self, arr, _original=original):
+            calls.append(1)
+            return _original(self, arr)
+
+        monkeypatch.setattr(Grid, name, counted)
+    grid = Grid(1024, 40.0)
+    u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
+    traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=5)
+    assert traj.n_steps > 0
+    assert len(calls) <= 10 * traj.n_steps
+
+
+def test_h1_drift_on_showcase_pulse():
+    grid = Grid(4096, 40.0)
+    u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
+    traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=1)
+    drift = traj.metadata["h1_drift"]
+    assert drift.shape == (len(traj),)
+    assert drift[0] == 0.0
+    assert np.all(drift < 1e-12)
+    # Parseval agrees with the physical-space norm
+    h1_0 = h1_norm(traj.u0)
+    direct = abs(h1_norm(traj.final) - h1_0) / h1_0
+    assert abs(drift[-1] - direct) <= 1e-14
+
+
+def test_h1_drift_zero_data(grid1024):
+    z = Field(grid1024, np.zeros(grid1024.n))
+    traj = simulate(z, 0.05, RhsForm.FORM_B)
+    assert np.all(traj.metadata["h1_drift"] == 0.0)
 
 
 class TestTrajectory:
