@@ -166,9 +166,9 @@ def form_residual(u: Field, f1: RhsForm, f2: RhsForm, dealias: bool = True) -> f
     return lp_norm(rhs(u, f1, dealias) - rhs(u, f2, dealias), np.inf)
 
 
-def max_form_residual(u: Field, forms=SIMULATION_FORMS, dealias: bool = True) -> float:
-    """Largest :func:`form_residual` over all pairs of ``forms``, evaluating each form once."""
-    outs = [rhs(u, form, dealias) for form in forms]
+def max_form_residual(u: Field, dealias: bool = True) -> float:
+    """Largest :func:`form_residual` over all pairs of simulation forms, evaluating each once."""
+    outs = [rhs(u, form, dealias) for form in SIMULATION_FORMS]
     return max(
         lp_norm(a - b, np.inf) for i, a in enumerate(outs) for b in outs[i + 1 :]
     )

@@ -16,9 +16,11 @@ one FFT pair per stage.  The operand (2 - d_x)u is truncated by ``pre``
 and the square by ``post``, which with a truncated operand is the exact
 2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
 same semi-discretisation and the cheapest one drives the integrator; the
-``form`` argument is validated and recorded, but selects nothing.  The
-physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the
-reference path.
+``form`` argument is validated and recorded, but selects nothing.  Without
+dealiasing the forms alias differently and are different
+semi-discretisations; ``simulate`` then integrates the aliased primitive
+form, whatever ``form`` says.  The physical-space :func:`rk4_step` with
+:func:`gch.dynamics.rhs` stays as the reference path.
 """
 
 from __future__ import annotations
@@ -158,13 +160,14 @@ def spectral_operators(grid: Grid, dealias: bool):
     """The multipliers ``(pre, post)`` of :func:`spectral_rhs` on this grid.
 
     ``keep`` is the 2/3 mask, or all-true without dealiasing.  As everywhere
-    in the package, the odd factor d_x drops the Nyquist mode, so ``pre``
-    is 2 there (before ``keep``) and ``post`` is zero.
+    in the package, only the odd factor d_x drops the Nyquist mode, so
+    before ``keep`` the Nyquist entry of ``pre`` is 2 and that of ``post``
+    is (ik)^2 / (1 + k^2), exactly as in the physical-space primitive form.
     """
-    ik = grid.ik_pow[0]
+    ik = grid.drop_nyquist(grid.ik_pow[0].copy())
     keep = grid.keep if dealias else np.ones_like(grid.keep)
-    pre = np.where(keep, 2.0 - grid.drop_nyquist(ik.copy()), 0.0)
-    post = grid.drop_nyquist(np.where(keep, (2.0 * ik + grid.ik_pow[1]) / grid.helm, 0.0))
+    pre = np.where(keep, 2.0 - ik, 0.0)
+    post = np.where(keep, (2.0 * ik + grid.ik_pow[1]) / grid.helm, 0.0)
     return pre, post
 
 
@@ -201,6 +204,8 @@ def simulate(
     The state is the rfft of u and each RK4 stage is one
     :func:`spectral_rhs` call; ``form`` must be a simulation form and is
     recorded in the trajectory, but every form gives the same dynamics.
+    With ``dealias=False`` the dynamics are those of the aliased primitive
+    form, whatever ``form`` says.
     The step size comes from :func:`estimate_dt` unless ``dt`` is given
     explicitly; either way the last step is shortened to land exactly on T.
     Aborts with :class:`BlowUpError` if the sup norm grows by more than

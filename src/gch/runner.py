@@ -264,9 +264,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             f"boundary magnitude {boundary_max:.3e} exceeds {BOUNDARY_TOLERANCE:g}"
         )
     else:
-        headline["max_form_residual"] = max_form_residual(
-            traj.final, SIMULATION_FORMS, cfg.dealias
-        )
+        headline["max_form_residual"] = max_form_residual(traj.final, cfg.dealias)
 
         stages = {
             "persistence": _run_persistence,
@@ -316,7 +314,7 @@ def _selftest_convolution(entries):
 def _selftest_forms(entries):
     grid = Grid(1024, 40.0)
     fields = smooth_field_family(grid, 5, seed=20250)
-    worst = max(max_form_residual(u, SIMULATION_FORMS) for u in fields)
+    worst = max(max_form_residual(u) for u in fields)
     entries.append(
         ("equivalent-form residual matrix", worst <= 1e-8, f"max residual {worst:.3e} (tol 1e-08)")
     )

@@ -62,7 +62,7 @@ class TestFormEquivalence:
     def test_max_form_residual_is_the_pairwise_max(self, grid1024):
         for u in smooth_field_family(grid1024, 3, seed=101):
             pairwise = max(form_residual(u, f1, f2) for f1, f2 in ALL_PAIRS)
-            assert max_form_residual(u, SIMULATION_FORMS) == pairwise
+            assert max_form_residual(u) == pairwise
 
     def test_max_form_residual_evaluates_each_form_once(self, grid1024, monkeypatch):
         import gch.dynamics as dynamics_mod
@@ -76,7 +76,7 @@ class TestFormEquivalence:
 
         monkeypatch.setattr(dynamics_mod, "rhs", counted)
         u = sample(grid1024, lambda x: 0.1 / np.cosh(x) ** 2)
-        max_form_residual(u, SIMULATION_FORMS)
+        max_form_residual(u)
         assert calls == list(SIMULATION_FORMS)
 
     def test_zero_residual(self, grid1024):

@@ -225,6 +225,21 @@ def test_spectral_matches_physical_rk4(form, dealias):
         assert gap <= 1e-15, (step, gap)
 
 
+def test_spectral_matches_physical_rk4_at_nyquist():
+    # without dealiasing the Nyquist mode survives and d_xx acts on it
+    grid = Grid(1024, 40.0)
+    sign = (-1.0) ** np.arange(grid.n)
+    u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2 + 0.01 * sign / np.cosh(x / 4))
+    dt = 0.01
+    traj = simulate(u0, 0.1, RhsForm.PRIMITIVE, snapshot_stride=1, dt=dt, dealias=False)
+    u = u0
+    for step in range(1, traj.n_steps + 1):
+        u = rk4_step(u, dt, lambda v: rhs(v, RhsForm.PRIMITIVE, False))
+        gap = lp_norm(traj.snapshots[step] - u, np.inf)
+        assert gap <= 1e-15, (step, gap)
+    assert abs(grid.rfft(traj.final.values)[-1]) > 1e-3
+
+
 def test_fft_pairs_per_step(monkeypatch):
     calls = []
     for name in ("rfft", "irfft"):
