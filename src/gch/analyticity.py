@@ -161,10 +161,7 @@ def operator_bound_report(
     k_top = params.k_max
     ladder = _h1_ladder(f, k_top + 1)
 
-    ks = np.arange(k_top + 1)
-    factorials = np.array([math.factorial(k) for k in ks], dtype=float)
-    shift_terms = s_prime**ks * (ks + 1.0) ** 2 * ladder[1:] / factorials
-    shift_lhs = float(np.max(shift_terms))
+    shift_lhs = float(np.max(_majorant_terms(ladder[1:], s_prime)))
     norm_s = float(np.max(_majorant_terms(ladder[:-1], s)))
     shift_rhs = norm_s / (s - s_prime)
 

@@ -17,6 +17,10 @@ and the bracketing argument require; ``psi_literal=True`` reproduces the
 e^{+y} moment instead for comparison.  The sign with which the tails are
 shed, and their exact leading coefficients (whose u_x^2 weighting differs
 from the headline moments), are in :func:`emitted_tail_amplitudes`.
+
+Every time integral is one running trapezoid over the stored snapshots:
+row i holds the integral over [0, t_i], so the whole amplitude series
+costs one pass, and :func:`extract_profile` builds each source once.
 """
 
 from __future__ import annotations
@@ -66,35 +70,51 @@ def _source_values(u: Field, variant: SourceVariant) -> np.ndarray:
     return (np.sqrt(2.0) * ux + np.sqrt(6.0) * u.values) ** 2
 
 
+def _resolve_index(traj: Trajectory, t_index: int) -> int:
+    """The snapshot index counted from the start; t = 0 has no time average."""
+    if t_index < 0:
+        t_index += len(traj)
+    if t_index == 0:
+        raise ValueError("profile undefined at t=0; use the initial-data formula")
+    return t_index
+
+
+def _running_integral(traj: Trajectory, stop: int, integrand) -> np.ndarray:
+    """Row i is the trapezoid integral of integrand(u) over [0, t_i], for i < stop.
+
+    Rows add up in ``np.trapezoid``'s order, so they equal its results bit for
+    bit; the integral overwrites the integrand stack to keep memory at its level.
+    """
+    y = np.stack([integrand(u) for u in traj.snapshots[:stop]])
+    steps = np.diff(traj.times[:stop])[:, None] * (y[1:] + y[:-1]) / 2.0
+    y[0] = 0.0
+    np.cumsum(steps, axis=0, out=y[1:])
+    return y
+
+
+def _time_average(traj: Trajectory, integral: np.ndarray, i: int, variant: SourceVariant) -> Field:
+    """The source h at snapshot i from row i of its running integral."""
+    mean = integral[i] / traj.times[i]
+    return Field(traj.grid, mean if variant is SourceVariant.MEAN else np.sqrt(mean))
+
+
 def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) -> Field:
     """Time-averaged source field h at the given snapshot index.
 
     MEAN takes the plain time average of 6u^2 + 2u_x^2; RMS takes the root
     mean square of sqrt2 u_x + sqrt6 u.  Time quadrature is the trapezoid
     rule over the stored snapshots, so the snapshot stride controls the
-    quadrature error.
+    quadrature error; h is one row of the running trapezoid.
     """
     variant = SourceVariant(variant)
-    if t_index < 0:
-        t_index += len(traj)
-    if t_index == 0:
-        raise ValueError("profile undefined at t=0; use the initial-data formula")
+    t_index = _resolve_index(traj, t_index)
     if t_index + 1 < MIN_SNAPSHOTS:
         raise ValueError(
             f"need at least {MIN_SNAPSHOTS} snapshots up to the profile time, "
             f"got {t_index + 1}"
         )
-    t = traj.times[t_index]
-    ts = traj.times[: t_index + 1]
-    sources = np.stack(
-        [_source_values(u, variant) for u in traj.snapshots[: t_index + 1]]
-    )
-    integral = np.trapezoid(sources, x=ts, axis=0)
-    if variant is SourceVariant.MEAN:
-        h = integral / t
-    else:
-        h = np.sqrt(integral / t)
-    return Field(traj.grid, h)
+    integral = _running_integral(traj, t_index + 1, lambda u: _source_values(u, variant))
+    return _time_average(traj, integral, t_index, variant)
 
 
 def _exp_moment(h: Field, sign: float) -> float:
@@ -135,10 +155,7 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
     written, i.e. sqrt of the integral rather than integral of the sqrt.
     """
     variant = SourceVariant(variant)
-    src = Field(u0.grid, _source_values(u0, variant))
-    _check_boundary_decay(src)
-    plus = _exp_moment(src, +1.0)
-    minus = plus if psi_literal else _exp_moment(src, -1.0)
+    plus, minus = tail_amplitudes(Field(u0.grid, _source_values(u0, variant)), variant, psi_literal)
     if variant is SourceVariant.RMS:
         # 0.5 [int e^{y} q^2]^{1/2}: the moment above already carries the 0.5
         return float(np.sqrt(2.0 * plus) / 2.0), float(np.sqrt(2.0 * minus) / 2.0)
@@ -146,15 +163,14 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
 
 
 def amplitude_series(traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: bool = False):
-    """Amplitudes at every admissible snapshot time; returns (times, amp+, amp-)."""
-    times, plus, minus = [], [], []
-    for i in range(MIN_SNAPSHOTS - 1, len(traj)):
-        h = averaged_source(traj, i, variant)
-        a_r, a_l = tail_amplitudes(h, variant, psi_literal)
-        times.append(traj.times[i])
-        plus.append(a_r)
-        minus.append(a_l)
-    return np.asarray(times), np.asarray(plus), np.asarray(minus)
+    """Amplitudes at every admissible snapshot time, in one pass; returns (times, amp+, amp-)."""
+    variant = SourceVariant(variant)
+    integral = _running_integral(traj, len(traj), lambda u: _source_values(u, variant))
+    amps = np.array([
+        tail_amplitudes(_time_average(traj, integral, i, variant), variant, psi_literal)
+        for i in range(MIN_SNAPSHOTS - 1, len(traj))
+    ]).reshape(-1, 2)
+    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *amps.T
 
 
 @dataclass
@@ -191,8 +207,12 @@ def tail_ratio(
     Amp_-.  The window must sit inside (0.2 L, 0.8 L); a signal below the
     floor raises, since the ratio would be pure roundoff.
     """
-    if t_index < 0:
-        t_index += len(traj)
+    h = averaged_source(traj, t_index, variant)
+    return _tail_ratio(traj, t_index, window, side, h, variant)
+
+
+def _tail_ratio(traj, t_index, window, side, h, variant) -> TailRatio:
+    """:func:`tail_ratio` against the amplitudes of a source h already built."""
     x_lo, x_hi = float(window[0]), float(window[1])
     L = traj.grid.half_width
     if not (0.2 * L < x_lo < x_hi < 0.8 * L):
@@ -215,7 +235,6 @@ def tail_ratio(
         raise ValueError("tail signal below floor")
     ratios = sign * factor * du_w / t
 
-    h = averaged_source(traj, t_index, variant)
     amp_right, amp_left = tail_amplitudes(h, variant)
     amp = amp_right if side == "right" else amp_left
     median = float(np.median(ratios))
@@ -241,18 +260,10 @@ def emitted_tail_amplitudes(traj: Trajectory, t_index: int) -> tuple[float, floa
     the same exponential order.  Returns (right_coefficient,
     left_coefficient) as the signed coefficients of e^{-x} t and e^{+x} t.
     """
-    if t_index < 0:
-        t_index += len(traj)
-    if t_index == 0:
-        raise ValueError("profile undefined at t=0; use the initial-data formula")
+    t_index = _resolve_index(traj, t_index)
     t = traj.times[t_index]
-    ts = traj.times[: t_index + 1]
-    u2 = np.stack([s.values**2 for s in traj.snapshots[: t_index + 1]])
-    ux2 = np.stack(
-        [derivative(s, 1).values ** 2 for s in traj.snapshots[: t_index + 1]]
-    )
-    avg_u2 = np.trapezoid(u2, x=ts, axis=0) / t
-    avg_ux2 = np.trapezoid(ux2, x=ts, axis=0) / t
+    avg_u2 = _running_integral(traj, t_index + 1, lambda s: s.values**2)[-1] / t
+    avg_ux2 = _running_integral(traj, t_index + 1, lambda s: derivative(s, 1).values ** 2)[-1] / t
     dx = traj.grid.dx
     ex = np.exp(traj.grid.x)
     right = -0.5 * float(np.sum(ex * (6.0 * avg_u2 + avg_ux2)) * dx)
@@ -323,7 +334,11 @@ def fit_log_slope(xs, tails, d: float) -> LogRateFit:
 
 def log_remainder_rate(traj: Trajectory, t_index: int, d: float, window) -> LogRateFit:
     """Fit the tail-integral log rate of the averaged source over a window."""
-    h = averaged_source(traj, t_index, SourceVariant.MEAN)
+    return _log_remainder_rate(averaged_source(traj, t_index, SourceVariant.MEAN), d, window)
+
+
+def _log_remainder_rate(h: Field, d: float, window) -> LogRateFit:
+    """:func:`log_remainder_rate` on a MEAN source h already built."""
     x = h.grid.x
     x_lo, x_hi = float(window[0]), float(window[1])
     mask = (x >= x_lo) & (x <= x_hi)
@@ -358,10 +373,8 @@ def extract_profile(
     variant=SourceVariant.MEAN,
     psi_literal: bool = False,
 ) -> AsymptoticProfile:
-    """Assemble source, amplitudes, both tail ratios, and the log-rate fit."""
+    """Assemble source, amplitudes, both tail ratios, and the log-rate fit (always on MEAN)."""
     variant = SourceVariant(variant)
-    if t_index < 0:
-        t_index += len(traj)
     h = averaged_source(traj, t_index, variant)
     amp_right, amp_left = tail_amplitudes(h, variant, psi_literal)
     return AsymptoticProfile(
@@ -370,9 +383,11 @@ def extract_profile(
         amp_right=amp_right,
         amp_left=amp_left,
         window=(float(window[0]), float(window[1])),
-        ratio_right=tail_ratio(traj, t_index, window, "right", variant),
-        ratio_left=tail_ratio(traj, t_index, window, "left", variant),
+        ratio_right=_tail_ratio(traj, t_index, window, "right", h, variant),
+        ratio_left=_tail_ratio(traj, t_index, window, "left", h, variant),
         d=d,
         variant=variant,
-        log_fit=log_remainder_rate(traj, t_index, d, window),
+        log_fit=_log_remainder_rate(
+            h if variant is SourceVariant.MEAN else averaged_source(traj, t_index), d, window
+        ),
     )

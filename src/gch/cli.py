@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import parse_config_file
+from .config import _parse_float, _parse_float_tuple, parse_config_file
 from .errors import ConfigError
 from .runner import run_experiment, selftest
 from .weights import WeightSpec, admissibility_report
@@ -29,15 +28,11 @@ EXIT_NUMERICAL = 3
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment configuration file")
     parser.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-    parser.add_argument("--seed", type=int, default=None, help="override [output] seed")
 
 
-def _load_config(args, force_run=None):
+def _load_config(args, run):
     cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if force_run is not None:
-        cfg.run = force_run
+    cfg.run = run
     return cfg
 
 
@@ -52,11 +47,11 @@ def _execute(cfg, out_dir) -> int:
 
 def _cmd_forced_run(run, args) -> int:
     """A subcommand that runs the configuration with its diagnostics set to ``run``."""
-    return _execute(_load_config(args, force_run=run), args.out)
+    return _execute(_load_config(args, run), args.out)
 
 
 def _cmd_asymptotics(args) -> int:
-    cfg = _load_config(args, force_run=("asymptotics",))
+    cfg = _load_config(args, ("asymptotics",))
     if args.t is not None:
         cfg.t_star = args.t
     if args.variant is not None:
@@ -67,18 +62,22 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_verify_weights(args) -> int:
-    def parse_spec(text):
-        parts = [float(p) for p in text.split(",")]
-        if len(parts) != 4:
-            raise ConfigError([f"weight spec needs 4 comma-separated numbers, got {text!r}"])
-        return WeightSpec(*parts)
-
-    phi = parse_spec(args.phi)
-    v = parse_spec(args.v) if args.v is not None else phi
-    p = np.inf if args.p.lower() in ("inf", "infinity") else float(args.p)
-    report = admissibility_report(
-        phi, v, sample_count=args.samples, domain_bound=args.bound, p=p
-    )
+    # every ValueError here comes from the flags: parsing them, or the
+    # report's own checks of --samples and --bound
+    try:
+        phi = _parse_float_tuple(4)(args.phi)
+        v = _parse_float_tuple(4)(args.v) if args.v is not None else phi
+        if not all(map(math.isfinite, phi + v)):
+            raise ValueError("--phi and --v must be finite")
+        p = _parse_float(args.p)
+        if not p >= 1:
+            raise ValueError(f"p must lie in [1, inf], got {args.p}")
+        report = admissibility_report(
+            WeightSpec(*phi), WeightSpec(*v), sample_count=args.samples,
+            domain_bound=args.bound, p=p,
+        )
+    except ValueError as exc:
+        raise ConfigError([f"verify-weights: {exc}"]) from None
     text = json.dumps(report.as_dict(), sort_keys=True, indent=2)
     print(text)
     if args.out is not None:
@@ -142,9 +141,6 @@ def main(argv=None) -> int:
         code = args.fn(args)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
-        code = EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     return code
 

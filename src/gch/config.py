@@ -46,7 +46,6 @@ class ExperimentConfig:
     dealias: bool = True
     # [weights]
     phi: tuple = (0.0, 0.0, 2.0, 0.0)
-    v: tuple | None = None
     p: float = np.inf
     N: float | None = None
     # [diagnostics]
@@ -165,10 +164,6 @@ def _parse_variant(text):
     return text
 
 
-def _parse_str(text):
-    return text
-
-
 # (section, key) -> (attribute, parser)
 _SCHEMA = {
     ("grid", "n"): ("n", int),
@@ -180,11 +175,10 @@ _SCHEMA = {
     ("initial", "amplitude"): ("amplitude", _parse_float),
     ("initial", "width"): ("width", _parse_float),
     ("initial", "center"): ("center", _parse_float),
-    ("initial", "path"): ("path", _parse_optional(_parse_str)),
+    ("initial", "path"): ("path", _parse_optional(str)),
     ("dynamics", "form"): ("form", _parse_form),
     ("dynamics", "dealias"): ("dealias", _parse_bool),
     ("weights", "phi"): ("phi", _parse_float_tuple(4)),
-    ("weights", "v"): ("v", _parse_optional(_parse_float_tuple(4))),
     ("weights", "p"): ("p", _parse_float),
     ("weights", "N"): ("N", _parse_optional(_parse_float)),
     ("diagnostics", "run"): ("run", _parse_run_list),
@@ -193,7 +187,7 @@ _SCHEMA = {
     ("diagnostics", "variant"): ("variant", _parse_variant),
     ("diagnostics", "t_star"): ("t_star", _parse_optional(_parse_float)),
     ("diagnostics", "psi_literal"): ("psi_literal", _parse_bool),
-    ("output", "dir"): ("out_dir", _parse_str),
+    ("output", "dir"): ("out_dir", str),
     ("output", "seed"): ("seed", int),
 }
 
@@ -283,5 +277,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read configuration {path}: {exc}"]) from None
+    return parse_config(text)

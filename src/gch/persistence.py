@@ -41,18 +41,21 @@ __all__ = [
 ]
 
 
-def _triple_sup(u: Field) -> float:
-    return (
-        lp_norm(u, np.inf)
-        + lp_norm(derivative(u, 1), np.inf)
-        + lp_norm(derivative(u, 2), np.inf)
-    )
+def _triple(u: Field) -> tuple:
+    """(u, u_x, u_xx), both derivatives taken from one forward FFT of u."""
+    grid = u.grid
+    spec = grid.rfft(u.values)
+    return (u,) + tuple(Field(grid, grid.irfft(grid.diff_hat(spec, k))) for k in (1, 2))
+
+
+def _triple_sup(triple) -> float:
+    return sum(lp_norm(f, np.inf) for f in triple)
 
 
 def sup_norm_total(traj: Trajectory) -> float:
     """Max over snapshots of ||u||_inf + ||u_x||_inf + ||u_xx||_inf."""
     _require_valid(traj)
-    return float(max(_triple_sup(u) for u in traj.snapshots))
+    return float(max(_triple_sup(_triple(u)) for u in traj.snapshots))
 
 
 def _require_valid(traj: Trajectory) -> None:
@@ -103,15 +106,12 @@ def persistence_ledger(
         raise ValueError(f"truncation level must be positive, got {N}")
     w_vals = weight_on_grid(truncate_weight(phi, N), traj.grid)
 
-    W = np.array(
-        [
-            weighted_lp_norm(u, w_vals, p)
-            + weighted_lp_norm(derivative(u, 1), w_vals, p)
-            + weighted_lp_norm(derivative(u, 2), w_vals, p)
-            for u in traj.snapshots
-        ]
-    )
-    M = sup_norm_total(traj)
+    # each snapshot is differentiated once, for both W and M
+    W, sups = [], []
+    for triple in map(_triple, traj.snapshots):
+        W.append(sum(weighted_lp_norm(f, w_vals, p) for f in triple))
+        sups.append(_triple_sup(triple))
+    W, M = np.array(W), float(max(sups))
 
     if W[0] == 0.0:
         return PersistenceLedger(

@@ -226,10 +226,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     chash = config_hash(cfg)
 
     grid = Grid(cfg.n, cfg.L)
-    u0 = make_initial(
-        grid, cfg.kind, amplitude=cfg.amplitude, width=cfg.width,
-        center=cfg.center, path=cfg.path,
-    )
+    try:
+        u0 = make_initial(
+            grid, cfg.kind, amplitude=cfg.amplitude, width=cfg.width,
+            center=cfg.center, path=cfg.path,
+        )
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"initial condition: {exc}"]) from None
 
     flags = {"boundary_clean": True, "no_blow_up": True, "diagnostics_ok": True}
     headline: dict = {}

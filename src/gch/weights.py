@@ -208,17 +208,6 @@ def _log_derivative_bound(spec: WeightSpec, xs: np.ndarray) -> float:
     return float(np.max(ratios))
 
 
-def _kernel_l1(spec: WeightSpec, bound: float) -> float:
-    val, _ = quad(
-        lambda t: eval_weight(spec, t) * np.exp(-abs(t)),
-        -bound,
-        bound,
-        points=[0.0],
-        limit=200,
-    )
-    return float(val)
-
-
 def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:
     if np.isinf(p):
         xs = np.linspace(-bound, bound, 20001)
@@ -267,8 +256,8 @@ def admissibility_report(
     deriv_abscissae = np.concatenate(([0.0], xs))
     A = _log_derivative_bound(phi, deriv_abscissae)
 
-    kernel_integral = _kernel_l1(v, domain_bound)
-    kernel_integral_doubled = _kernel_l1(v, 2.0 * domain_bound)
+    kernel_integral = _kernel_lp(v, domain_bound, 1.0)
+    kernel_integral_doubled = _kernel_lp(v, 2.0 * domain_bound, 1.0)
     l1_stable = (
         abs(kernel_integral_doubled - kernel_integral)
         < 1e-6 * max(abs(kernel_integral), 1e-300)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gch import (
+    AsymptoticProfile,
     Field,
     Grid,
     SourceVariant,
@@ -22,6 +25,7 @@ from gch import (
     tail_amplitudes,
     tail_ratio,
 )
+from gch.asymptotics import MIN_SNAPSHOTS
 from gch.dynamics import RhsForm
 
 
@@ -251,3 +255,111 @@ class TestExtractProfile:
         assert prof.ratio_right.rel_deviation <= 0.25
         assert prof.ratio_left.rel_deviation <= 0.25
         assert prof.variant is SourceVariant.MEAN
+
+
+def _same(a, b) -> bool:
+    """Field-for-field equality, exact to the bit; nan equals nan."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, Field):
+        return a.grid == b.grid and np.array_equal(a.values, b.values)
+    if isinstance(a, (np.ndarray, float, tuple)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def growing_gaussian():
+    # decays fast enough for the RMS moments, which a simulated run never
+    # does: its emitted e^{-|x|} tails make sqrt(u^2) e^{|x|} flat
+    g = Grid(1024, 10.0)
+    u0 = 0.05 * np.exp(-(g.x**2) / 2)
+    ts = np.linspace(0.0, 0.5, 11)
+    return Trajectory.from_snapshots(ts, [Field(g, (1 + t) * u0) for t in ts])
+
+
+# (trajectory fixture, window, variant, psi_literal)
+CASES = [
+    pytest.param(name, window, variant, psi, id=f"{name}-{variant.value}{'-psi' * psi}")
+    for name, window, variant, psi in [
+        ("showcase", (10, 20), SourceVariant.MEAN, False),
+        ("showcase", (10, 20), SourceVariant.MEAN, True),
+        ("growing_gaussian", (3, 6), SourceVariant.MEAN, False),
+        ("growing_gaussian", (3, 6), SourceVariant.RMS, False),
+        ("growing_gaussian", (3, 6), SourceVariant.RMS, True),
+    ]
+]
+
+
+class TestOnePass:
+    """The running trapezoid and the shared sources change no number."""
+
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_averaged_source_is_the_trapezoid(self, showcase, variant):
+        u = [s.values for s in showcase.snapshots]
+        ux = [derivative(s, 1).values for s in showcase.snapshots]
+        if variant is SourceVariant.MEAN:
+            src = np.stack([6.0 * a**2 + 2.0 * b**2 for a, b in zip(u, ux)])
+        else:
+            src = np.stack([(np.sqrt(2.0) * b + np.sqrt(6.0) * a) ** 2 for a, b in zip(u, ux)])
+        for i in range(MIN_SNAPSHOTS - 1, len(showcase)):
+            t = showcase.times[i]
+            mean = np.trapezoid(src[: i + 1], x=showcase.times[: i + 1], axis=0) / t
+            expected = mean if variant is SourceVariant.MEAN else np.sqrt(mean)
+            assert np.array_equal(averaged_source(showcase, i, variant).values, expected), i
+
+    @pytest.mark.parametrize("name, window, variant, psi_literal", CASES)
+    def test_amplitude_series_is_the_per_index_loop(
+        self, request, name, window, variant, psi_literal
+    ):
+        traj = request.getfixturevalue(name)
+        times, plus, minus = amplitude_series(traj, variant, psi_literal)
+        indices = range(MIN_SNAPSHOTS - 1, len(traj))
+        amps = [
+            tail_amplitudes(averaged_source(traj, i, variant), variant, psi_literal)
+            for i in indices
+        ]
+        assert len(amps) > 1
+        assert np.array_equal(times, traj.times[MIN_SNAPSHOTS - 1 :])
+        assert np.array_equal(plus, [a for a, _ in amps])
+        assert np.array_equal(minus, [b for _, b in amps])
+
+    def test_amplitude_series_too_few_snapshots(self, sech2_small):
+        traj = Trajectory.from_snapshots(np.linspace(0, 1, MIN_SNAPSHOTS - 1), [sech2_small] * 7)
+        for arr in amplitude_series(traj):
+            assert arr.shape == (0,) and arr.dtype == float
+
+    @pytest.mark.parametrize("name, window, variant, psi_literal", CASES)
+    def test_extract_profile_is_the_public_composition(
+        self, request, name, window, variant, psi_literal
+    ):
+        traj = request.getfixturevalue(name)
+        idx = len(traj) - 2
+        h = averaged_source(traj, idx, variant)
+        amp_right, amp_left = tail_amplitudes(h, variant, psi_literal)
+        expected = AsymptoticProfile(
+            t=float(traj.times[idx]),
+            h=h,
+            amp_right=amp_right,
+            amp_left=amp_left,
+            window=tuple(map(float, window)),
+            ratio_right=tail_ratio(traj, idx, window, "right", variant),
+            ratio_left=tail_ratio(traj, idx, window, "left", variant),
+            d=1.5,
+            variant=variant,
+            log_fit=log_remainder_rate(traj, idx, 1.5, window),
+        )
+        profile = extract_profile(traj, idx - len(traj), window, 1.5, variant, psi_literal)
+        assert _same(profile, expected)
+
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_amplitude_series_fft_calls(self, growing_gaussian, fft_calls, variant):
+        amplitude_series(growing_gaussian, variant)
+        assert len(fft_calls) <= 2 * len(growing_gaussian)
+
+    @pytest.mark.parametrize("variant, sources", [(SourceVariant.MEAN, 1), (SourceVariant.RMS, 2)])
+    def test_extract_profile_fft_calls(self, growing_gaussian, fft_calls, variant, sources):
+        extract_profile(growing_gaussian, len(growing_gaussian) - 1, (3, 6), variant=variant)
+        assert len(fft_calls) <= 2 * sources * len(growing_gaussian)

@@ -114,7 +114,7 @@ class TestRoundTrip:
             MINIMAL
             + "\n[time]\nsnapshot_stride = 4\ndt = 0.005\n"
             + "[dynamics]\nform = momentum\ndealias = false\n"
-            + "[weights]\nphi = 0,0,2,0\nv = 0,0,1,0\np = 2\nN = 100\n"
+            + "[weights]\nphi = 0,0,2,0\np = 2\nN = 100\n"
             + "[diagnostics]\nrun = persistence,analyticity\nwindow = 11,19\nd = 1.5\n"
             + "variant = thm43\nt_star = 0.25\npsi_literal = true\n"
             + "[output]\ndir = results\nseed = 99\n"

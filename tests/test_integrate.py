@@ -240,21 +240,12 @@ def test_spectral_matches_physical_rk4_at_nyquist():
     assert abs(grid.rfft(traj.final.values)[-1]) > 1e-3
 
 
-def test_fft_pairs_per_step(monkeypatch):
-    calls = []
-    for name in ("rfft", "irfft"):
-        original = getattr(Grid, name)
-
-        def counted(self, arr, _original=original):
-            calls.append(1)
-            return _original(self, arr)
-
-        monkeypatch.setattr(Grid, name, counted)
+def test_fft_pairs_per_step(fft_calls):
     grid = Grid(1024, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
     traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=5)
     assert traj.n_steps > 0
-    assert len(calls) <= 10 * traj.n_steps
+    assert len(fft_calls) <= 10 * traj.n_steps
 
 
 def test_h1_drift_on_showcase_pulse():

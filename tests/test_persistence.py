@@ -6,14 +6,19 @@ from gch import (
     Grid,
     Trajectory,
     WeightSpec,
+    derivative,
     eval_weight,
+    lp_norm,
     persistence_ledger,
     sample,
     simulate,
     sup_norm_total,
+    truncate_weight,
     two_tier_persistence_check,
+    weighted_lp_norm,
 )
 from gch.dynamics import RhsForm
+from gch.weights import weight_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +156,29 @@ class TestTwoTier:
         assert rep.ledger_primary.degenerate and rep.ledger_root.degenerate
         assert np.all(rep.source_plain == 0.0)
         assert np.all(rep.source_differentiated == 0.0)
+
+
+class TestOnePass:
+    """Each snapshot is differentiated once, for both W and M."""
+
+    def test_matches_separate_derivatives(self, run_T1):
+        phi = WeightSpec(0, 0, 2, 0)
+        led = persistence_ledger(run_T1, phi, 2.0)
+        w = weight_on_grid(truncate_weight(phi, led.N_used), run_T1.grid)
+        triples = [(u, derivative(u, 1), derivative(u, 2)) for u in run_T1.snapshots]
+        W = [
+            weighted_lp_norm(u, w, 2.0)
+            + weighted_lp_norm(ux, w, 2.0)
+            + weighted_lp_norm(uxx, w, 2.0)
+            for u, ux, uxx in triples
+        ]
+        M = max(
+            lp_norm(u, np.inf) + lp_norm(ux, np.inf) + lp_norm(uxx, np.inf)
+            for u, ux, uxx in triples
+        )
+        assert np.array_equal(led.W, W)
+        assert led.M == M == sup_norm_total(run_T1)
+
+    def test_fft_calls_per_snapshot(self, run_T1, fft_calls):
+        persistence_ledger(run_T1, WeightSpec(0, 0, 2, 0), np.inf)
+        assert len(fft_calls) <= 4 * len(run_T1)

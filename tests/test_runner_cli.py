@@ -166,6 +166,39 @@ class TestCli:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "phi_not_numbers",
+            "phi_not_finite",
+            "p_not_a_number",
+            "p_below_one",
+            "samples_zero",
+            "bound_negative",
+            "config_is_a_directory",
+            "initial_file_not_numeric",
+        ],
+    )
+    def test_bad_cli_input_exit_two(self, tmp_path, capsys, case):
+        weights = ["verify-weights", "--phi", "0,0,1,0"]
+        ic_file = tmp_path / "ic.txt"
+        ic_file.write_text("x value\n-40 0\n40 0\n")
+        cfg_file = tmp_path / "file.cfg"
+        cfg_file.write_text(FAST.replace("kind = sech2", f"kind = file\npath = {ic_file}"))
+        argv = {
+            "phi_not_numbers": ["verify-weights", "--phi", "a,b,c,d"],
+            "phi_not_finite": ["verify-weights", "--phi", "nan,0,1,0"],
+            "p_not_a_number": weights + ["--p", "foo"],
+            "p_below_one": weights + ["--p", "0.5"],
+            "samples_zero": weights + ["--samples", "0"],
+            "bound_negative": weights + ["--bound", "-1"],
+            "config_is_a_directory": ["simulate", "--config", str(tmp_path)],
+            "initial_file_not_numeric": ["simulate", "--config", str(cfg_file),
+                                         "--out", str(tmp_path / "o")],
+        }[case]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_asymptotics_subcommand(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(FAST)
