@@ -17,7 +17,7 @@ grid = Grid(1024, 40.0)
 u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
 print(f"dt from the transport bound: {estimate_dt(u0):.4g}")
 
-traj = simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=5)
+traj = simulate(u0, 0.5, snapshot_stride=5)
 print(f"steps: {traj.n_steps}, snapshots: {len(traj)}, valid: {traj.valid}")
 print(f"max boundary magnitude: {np.max(traj.boundary_magnitudes):.2e}")
 print(f"max H^1 drift:          {np.max(traj.metadata['h1_drift']):.2e}")
@@ -27,16 +27,16 @@ for t, snap in zip(traj.times, traj.snapshots):
     j = np.argmin(np.abs(grid.x - 10.0))
     print(f"  {t:5.2f}   {lp_norm(snap, np.inf):.6f}   {snap.values[j]:+.3e}")
 
-half = simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=10**6, dt=traj.dt_initial / 2)
+half = simulate(u0, 0.5, snapshot_stride=10**6, dt=traj.dt_initial / 2)
 print(f"\nhalf-step rerun shift:      {lp_norm(half.final - traj.final, np.inf):.2e}")
-fixed = simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=10**6, dt=0.01)
+fixed = simulate(u0, 0.5, snapshot_stride=10**6, dt=0.01)
 other = u0
 for _ in range(50):
     other = rk4_step(other, 0.01, lambda v: rhs(v, RhsForm.FORM_A))
 print(f"physical form_a shift:      {lp_norm(other - fixed.final, np.inf):.2e}")
 
 finals = [
-    simulate(u0, 0.8, RhsForm.FORM_B, snapshot_stride=10**6, dt=0.1 / 2**i).final
+    simulate(u0, 0.8, snapshot_stride=10**6, dt=0.1 / 2**i).final
     for i in range(3)
 ]
 e1 = lp_norm(finals[0] - finals[1], np.inf)

@@ -22,13 +22,12 @@ from gch import (
     simulate,
     two_tier_persistence_check,
 )
-from gch.dynamics import RhsForm
 
 print("power and exponential-log weights, T = 1")
 for n in (4096, 8192):
     grid = Grid(n, 48.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-    traj = simulate(u0, 1.0, RhsForm.FORM_B, snapshot_stride=5)
+    traj = simulate(u0, 1.0, snapshot_stride=5)
     for spec in (WeightSpec(0, 0, 2, 0), WeightSpec(0.5, 1, 0.5, 1)):
         led = persistence_ledger(traj, spec, np.inf)
         print(
@@ -39,7 +38,7 @@ for n in (4096, 8192):
 print("\nledger for phi = (1+|x|)^2, with the fitted envelope next to W:")
 grid = Grid(4096, 48.0)
 u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-traj = simulate(u0, 1.0, RhsForm.FORM_B, snapshot_stride=10)
+traj = simulate(u0, 1.0, snapshot_stride=10)
 led = persistence_ledger(traj, WeightSpec(0, 0, 2, 0), np.inf)
 for t, w, b in zip(led.times, led.W, led.bound()):
     marker = "  <- binding" if b > 0 and abs(w - b) < 1e-12 * b else ""
@@ -48,7 +47,7 @@ for t, w, b in zip(led.times, led.W, led.bound()):
 print("\ntwo-tier check for the fast-growing weight e^{|x|} (T = 0.5):")
 grid = Grid(2048, 30.0)
 u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-traj = simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=5)
+traj = simulate(u0, 0.5, snapshot_stride=5)
 rep = two_tier_persistence_check(traj, WeightSpec(1, 1, 0, 0), np.inf)
 print(f"  hypothesis (v e^-|x| in L^p) satisfied: {rep.condition_ok}")
 print(

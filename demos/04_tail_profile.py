@@ -27,11 +27,10 @@ from gch import (
     tail_amplitudes,
     tail_ratio,
 )
-from gch.dynamics import RhsForm
 
 grid = Grid(4096, 40.0)
 u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=1)
+traj = simulate(u0, 0.25, snapshot_stride=1)
 idx = len(traj) - 1
 
 h = averaged_source(traj, idx)

@@ -22,7 +22,6 @@ from gch import (
     sample,
     simulate,
 )
-from gch.dynamics import RhsForm
 
 grid = Grid(1024, 40.0)
 
@@ -36,7 +35,7 @@ fit_g = radius_estimate(gauss)
 print(f"gaussian: sigma = {fit_g.sigma:.4f}  flagged: {fit_g.note}")
 
 u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=2)
+traj = simulate(u0, 0.25, snapshot_stride=2)
 series = radius_track(traj)
 print("\nradius along the flow (u0 = 0.05 sech^2):")
 for t, s, r in zip(series.times, series.sigma, series.residual):

@@ -33,6 +33,7 @@ from .asymptotics import (
     fit_log_slope,
     initial_tail_amplitudes,
     log_remainder_rate,
+    source_integral,
     tail_amplitudes,
     tail_ratio,
 )

@@ -20,7 +20,7 @@ from the headline moments), are in :func:`emitted_tail_amplitudes`.
 
 Every time integral is one running trapezoid over the stored snapshots:
 row i holds the integral over [0, t_i], so the whole amplitude series
-costs one pass, and :func:`extract_profile` builds each source once.
+costs one pass, and :func:`source_integral` lets a run build each source once.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "LogRateFit",
     "AsymptoticProfile",
     "averaged_source",
+    "source_integral",
     "tail_amplitudes",
     "initial_tail_amplitudes",
     "amplitude_series",
@@ -59,6 +60,13 @@ TAIL_SIGNAL_FLOOR = 1e-14
 
 
 class SourceVariant(enum.Enum):
+    """MEAN (``thm41``) or RMS (``thm43``) time-averaged source.
+
+    RMS decays only like |u|, so every RMS profile of a simulated run is degenerate:
+    e^{L} h(+-L) stays far above BOUNDARY_INTEGRAND_TOL (1.1e2 at L = 40, where
+    h(+-L) is at roundoff, ~1e-16, and 3.3e-3 at L = 30).
+    """
+
     MEAN = "mean"
     RMS = "rms"
 
@@ -94,6 +102,10 @@ def _running_integral(traj: Trajectory, stop: int, integrand) -> np.ndarray:
 
 def _time_average(traj: Trajectory, integral: np.ndarray, i: int, variant: SourceVariant) -> Field:
     """The source h at snapshot i from row i of its running integral."""
+    if i + 1 < MIN_SNAPSHOTS:
+        raise ValueError(
+            f"need at least {MIN_SNAPSHOTS} snapshots up to the profile time, got {i + 1}"
+        )
     mean = integral[i] / traj.times[i]
     return Field(traj.grid, mean if variant is SourceVariant.MEAN else np.sqrt(mean))
 
@@ -108,13 +120,14 @@ def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) 
     """
     variant = SourceVariant(variant)
     t_index = _resolve_index(traj, t_index)
-    if t_index + 1 < MIN_SNAPSHOTS:
-        raise ValueError(
-            f"need at least {MIN_SNAPSHOTS} snapshots up to the profile time, "
-            f"got {t_index + 1}"
-        )
     integral = _running_integral(traj, t_index + 1, lambda u: _source_values(u, variant))
     return _time_average(traj, integral, t_index, variant)
+
+
+def source_integral(traj: Trajectory, variant=SourceVariant.MEAN) -> np.ndarray:
+    """The source's running integral at every snapshot; row i is :func:`averaged_source`'s."""
+    variant = SourceVariant(variant)
+    return _running_integral(traj, len(traj), lambda u: _source_values(u, variant))
 
 
 def _exp_moment(h: Field, sign: float) -> float:
@@ -162,10 +175,15 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
     return plus, minus
 
 
-def amplitude_series(traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: bool = False):
-    """Amplitudes at every admissible snapshot time, in one pass; returns (times, amp+, amp-)."""
+def amplitude_series(
+    traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: bool = False, integral=None
+):
+    """Amplitudes at every admissible snapshot time, in one pass; returns (times, amp+, amp-).
+
+    ``integral`` is the variant's :func:`source_integral`, built here if not given.
+    """
     variant = SourceVariant(variant)
-    integral = _running_integral(traj, len(traj), lambda u: _source_values(u, variant))
+    integral = source_integral(traj, variant) if integral is None else integral
     amps = np.array([
         tail_amplitudes(_time_average(traj, integral, i, variant), variant, psi_literal)
         for i in range(MIN_SNAPSHOTS - 1, len(traj))
@@ -372,10 +390,17 @@ def extract_profile(
     d: float = 1.0,
     variant=SourceVariant.MEAN,
     psi_literal: bool = False,
+    integral=None,
 ) -> AsymptoticProfile:
-    """Assemble source, amplitudes, both tail ratios, and the log-rate fit (always on MEAN)."""
+    """Assemble source, amplitudes, both tail ratios, and the log-rate fit (always on MEAN).
+
+    ``integral`` is the variant's :func:`source_integral`, built here up to t_index if not given.
+    """
     variant = SourceVariant(variant)
-    h = averaged_source(traj, t_index, variant)
+    if integral is None:
+        h = averaged_source(traj, t_index, variant)
+    else:
+        h = _time_average(traj, integral, _resolve_index(traj, t_index), variant)
     amp_right, amp_left = tail_amplitudes(h, variant, psi_literal)
     return AsymptoticProfile(
         t=float(traj.times[t_index]),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import SourceVariant
-from .dynamics import RhsForm
+from .dynamics import SIMULATION_FORMS, RhsForm
 from .errors import ConfigError
 from .fields import INITIAL_KINDS
 
@@ -42,7 +42,6 @@ class ExperimentConfig:
     center: float = 0.0
     path: str | None = None
     # [dynamics]
-    form: RhsForm = RhsForm.FORM_B
     dealias: bool = True
     # [weights]
     phi: tuple = (0.0, 0.0, 2.0, 0.0)
@@ -57,7 +56,6 @@ class ExperimentConfig:
     psi_literal: bool = False
     # [output]
     out_dir: str = "out"
-    seed: int = 0
 
     @property
     def source_variant(self) -> SourceVariant:
@@ -72,7 +70,7 @@ class ExperimentConfig:
     def to_text(self) -> str:
         """Canonical serialization; parse_config(to_text()) reproduces self."""
         lines, section = [], None
-        for (sec, key), (attr, _) in _SCHEMA.items():
+        for (sec, key), (attr, _) in _STORED.items():
             if sec != section:
                 lines.append(f"[{sec}]")
                 section = sec
@@ -89,8 +87,6 @@ def _format(value) -> str:
         return "inf"
     if isinstance(value, (tuple, list)):
         return ",".join(_format(item) for item in value) if value else "none"
-    if isinstance(value, RhsForm):
-        return value.value
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -146,10 +142,13 @@ def _parse_run_list(text):
 
 def _parse_form(text):
     try:
-        return RhsForm(text.lower())
+        form = RhsForm(text.lower())
     except ValueError:
         names = ", ".join(form.value for form in RhsForm)
         raise ValueError(f"unknown form {text!r}; choose from {names}") from None
+    if form not in SIMULATION_FORMS:
+        raise ValueError(f"form {form.value!r} is diagnostic-only and cannot be simulated")
+    return form
 
 
 def _parse_kind(text):
@@ -164,7 +163,8 @@ def _parse_variant(text):
     return text
 
 
-# (section, key) -> (attribute, parser)
+# (section, key) -> (attribute, parser).  Attribute None: a key no run reads, still
+# accepted and checked so that older files parse, but not stored
 _SCHEMA = {
     ("grid", "n"): ("n", int),
     ("grid", "L"): ("L", _parse_float),
@@ -176,7 +176,7 @@ _SCHEMA = {
     ("initial", "width"): ("width", _parse_float),
     ("initial", "center"): ("center", _parse_float),
     ("initial", "path"): ("path", _parse_optional(str)),
-    ("dynamics", "form"): ("form", _parse_form),
+    ("dynamics", "form"): (None, _parse_form),
     ("dynamics", "dealias"): ("dealias", _parse_bool),
     ("weights", "phi"): ("phi", _parse_float_tuple(4)),
     ("weights", "p"): ("p", _parse_float),
@@ -188,14 +188,15 @@ _SCHEMA = {
     ("diagnostics", "t_star"): ("t_star", _parse_optional(_parse_float)),
     ("diagnostics", "psi_literal"): ("psi_literal", _parse_bool),
     ("output", "dir"): ("out_dir", str),
-    ("output", "seed"): ("seed", int),
+    ("output", "seed"): (None, int),
 }
 
+_STORED = {key: entry for key, entry in _SCHEMA.items() if entry[0] is not None}
 _SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _validate(cfg: ExperimentConfig, errors: list) -> None:
-    for (_, key), (attr, _) in _SCHEMA.items():
+    for (_, key), (attr, _) in _STORED.items():
         value = getattr(cfg, attr)
         items = value if isinstance(value, tuple) else (value,)
         if attr == "p" and value == np.inf:
@@ -266,9 +267,12 @@ def parse_config(text: str) -> ExperimentConfig:
         seen[(section, key)] = lineno
         attr, parser = _SCHEMA[(section, key)]
         try:
-            setattr(cfg, attr, parser(value))
+            value = parser(value)
         except (ValueError, TypeError) as exc:
             errors.append(f"line {lineno}: {section}.{key}: {exc}")
+            continue
+        if attr is not None:
+            setattr(cfg, attr, value)
 
     _validate(cfg, errors)
     if errors:

@@ -15,12 +15,11 @@ with the multipliers taken once per run from the ``Grid`` operator table:
 one FFT pair per stage.  The operand (2 - d_x)u is truncated by ``pre``
 and the square by ``post``, which with a truncated operand is the exact
 2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
-same semi-discretisation and the cheapest one drives the integrator; the
-``form`` argument is validated and recorded, but selects nothing.  Without
-dealiasing the forms alias differently and are different
+same semi-discretisation and the cheapest one drives the integrator.
+Without dealiasing the forms alias differently and are different
 semi-discretisations; ``simulate`` then integrates the aliased primitive
-form, whatever ``form`` says.  The physical-space :func:`rk4_step` with
-:func:`gch.dynamics.rhs` stays as the reference path.
+form.  The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs`
+stays as the reference path.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-# rhs is not called here; it stays importable as the physical-space reference RHS
-from .dynamics import SIMULATION_FORMS, RhsForm, rhs  # noqa: F401
+# rhs is not called here; perfbench's tracer wraps gch.integrate.rhs, so it stays importable
+from .dynamics import rhs  # noqa: F401
 from .errors import BlowUpError
 from .grid import Field, Grid, lp_norm, derivative
 
@@ -62,11 +61,9 @@ class Trajectory:
     grid: Grid
     times: np.ndarray
     snapshots: tuple
-    form: RhsForm
     dt_initial: float
     dt_final: float
     n_steps: int
-    dealias: bool
     boundary_magnitudes: np.ndarray
     metadata: dict = dc_field(default_factory=dict)
 
@@ -93,24 +90,19 @@ class Trajectory:
         return bool(np.all(self.boundary_magnitudes <= BOUNDARY_TOLERANCE))
 
     @classmethod
-    def from_snapshots(cls, times, snapshots, form: RhsForm = RhsForm.FORM_B) -> "Trajectory":
+    def from_snapshots(cls, times, snapshots) -> "Trajectory":
         """Wrap precomputed snapshots (frozen fields, synthetic data) as a trajectory."""
         snapshots = tuple(snapshots)
         if not snapshots:
             raise ValueError("need at least one snapshot")
-        grid = snapshots[0].grid
-        times = np.asarray(times, dtype=float)
         return cls(
-            grid=grid,
-            times=times,
+            grid=snapshots[0].grid,
+            times=np.asarray(times, dtype=float),
             snapshots=snapshots,
-            form=form,
             dt_initial=np.nan,
             dt_final=np.nan,
             n_steps=0,
-            dealias=True,
             boundary_magnitudes=np.asarray([_boundary_magnitude(u) for u in snapshots]),
-            metadata={"synthetic": True},
         )
 
 
@@ -194,7 +186,6 @@ def _h1_weights(grid: Grid):
 def simulate(
     u0: Field,
     T: float,
-    form: RhsForm = RhsForm.FORM_B,
     snapshot_stride: int = 1,
     dt: float | None = None,
     dealias: bool = True,
@@ -202,19 +193,14 @@ def simulate(
     """Integrate from u0 to time T, recording every ``snapshot_stride`` steps.
 
     The state is the rfft of u and each RK4 stage is one
-    :func:`spectral_rhs` call; ``form`` must be a simulation form and is
-    recorded in the trajectory, but every form gives the same dynamics.
-    With ``dealias=False`` the dynamics are those of the aliased primitive
-    form, whatever ``form`` says.
+    :func:`spectral_rhs` call, the dealiased primitive form; with
+    ``dealias=False`` the dynamics are those of the aliased primitive form.
     The step size comes from :func:`estimate_dt` unless ``dt`` is given
     explicitly; either way the last step is shortened to land exactly on T.
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
     a factor of 1000 over the initial datum.  ``metadata["h1_drift"]``
     holds |H1(t) - H1(0)| / H1(0) per snapshot, from the coefficients.
     """
-    form = RhsForm(form)
-    if form not in SIMULATION_FORMS:
-        raise ValueError(f"form {form.value!r} is diagnostic-only and cannot be simulated")
     T = _require_positive("T", T)
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
@@ -261,18 +247,11 @@ def simulate(
         grid=grid,
         times=np.asarray(times),
         snapshots=tuple(snaps),
-        form=form,
         dt_initial=dt_initial,
         dt_final=dt_nominal,
         n_steps=step,
-        dealias=dealias,
         boundary_magnitudes=np.asarray(boundary),
-        metadata={
-            "T": T,
-            "snapshot_stride": snapshot_stride,
-            "dt_override": dt,
-            "h1_drift": np.asarray(drift),
-        },
+        metadata={"h1_drift": np.asarray(drift)},
     )
 
 
@@ -305,6 +284,8 @@ def read_checkpoint(path):
     """Read a binary state dump; returns (t, Field)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated header ({len(header)} of {_HEADER.size} bytes)")
         magic, n, L, t = _HEADER.unpack(header)
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")

@@ -18,15 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .analyticity import MajorantParams, majorant_norm_argmax, operator_bound_report, radius_track
-from .asymptotics import MIN_SNAPSHOTS, amplitude_series, extract_profile
+from .asymptotics import MIN_SNAPSHOTS, amplitude_series, extract_profile, source_integral
 from .config import ExperimentConfig, config_hash
-from .dynamics import (
-    SIMULATION_FORMS,
-    RhsForm,
-    form_residual,
-    max_form_residual,
-    sqrt3_residual_field,
-)
+from .dynamics import RhsForm, form_residual, max_form_residual, sqrt3_residual_field
 from .errors import BlowUpError, ConfigError
 from .fields import compact_pair_family, make_initial, smooth_field_family
 from .grid import Grid, lp_norm, sample
@@ -138,9 +132,11 @@ def _run_asymptotics(traj, cfg, out, chash, headline):
     idx = _profile_index(traj, cfg.t_star)
     payload: dict = {"t": float(traj.times[idx]), "variant": cfg.variant, "d": cfg.d}
     artifacts = {}
+    integral = source_integral(traj, cfg.source_variant)
     try:
         profile = extract_profile(
-            traj, idx, window, d=cfg.d, variant=cfg.source_variant, psi_literal=cfg.psi_literal
+            traj, idx, window, d=cfg.d, variant=cfg.source_variant,
+            psi_literal=cfg.psi_literal, integral=integral,
         )
     except ValueError as exc:
         payload.update({"degenerate": True, "reason": str(exc)})
@@ -157,7 +153,7 @@ def _run_asymptotics(traj, cfg, out, chash, headline):
     _write_csv(out / "tail_ratio.csv", chash, "x,r,Phi,deviation", rows)
     artifacts["tail_ratio_csv"] = "tail_ratio.csv"
 
-    times, plus, minus = amplitude_series(traj, cfg.source_variant, cfg.psi_literal)
+    times, plus, minus = amplitude_series(traj, cfg.source_variant, cfg.psi_literal, integral)
     payload.update(
         {
             "degenerate": False,
@@ -217,10 +213,6 @@ def _run_analyticity(traj, cfg, out, chash, headline):
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     """Simulate and run the selected diagnostics, writing artifacts to disk."""
     start = time.perf_counter()
-    if cfg.form not in SIMULATION_FORMS:
-        raise ConfigError(
-            [f"form {cfg.form.value!r} is diagnostic-only and cannot be simulated"]
-        )
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -240,8 +232,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
 
     try:
         traj = simulate(
-            u0, cfg.T, cfg.form, snapshot_stride=cfg.snapshot_stride,
-            dt=cfg.dt, dealias=cfg.dealias,
+            u0, cfg.T, snapshot_stride=cfg.snapshot_stride, dt=cfg.dt, dealias=cfg.dealias
         )
     except BlowUpError as exc:
         flags["no_blow_up"] = False
@@ -338,10 +329,7 @@ def _selftest_rk4(entries):
     grid = Grid(1024, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
     T, dt = 0.8, 0.1
-    finals = [
-        simulate(u0, T, RhsForm.FORM_B, snapshot_stride=10**6, dt=dt / 2**i).final
-        for i in range(3)
-    ]
+    finals = [simulate(u0, T, snapshot_stride=10**6, dt=dt / 2**i).final for i in range(3)]
     e1 = lp_norm(finals[0] - finals[1], np.inf)
     e2 = lp_norm(finals[1] - finals[2], np.inf)
     order = np.log2(e1 / e2)

@@ -62,7 +62,7 @@ def field_set(grid1024):
 def showcase_run():
     g = Grid(4096, 40.0)
     u0 = sample(g, lambda x: 0.05 / np.cosh(x) ** 2)
-    return simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=1)
+    return simulate(u0, 0.25, snapshot_stride=1)
 
 
 def test_c01_formulation_equivalence(field_set):
@@ -124,7 +124,7 @@ def test_c03_operator_identities(grid1024, field_set):
 def test_c04_integrator_order(grid1024):
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
     finals = [
-        simulate(u0, 0.8, RhsForm.FORM_B, snapshot_stride=10**6, dt=0.1 / 2**i).final
+        simulate(u0, 0.8, snapshot_stride=10**6, dt=0.1 / 2**i).final
         for i in range(3)
     ]
     e1 = lp_norm(finals[0] - finals[1], np.inf)
@@ -140,7 +140,7 @@ def test_c05_persistence_growth():
     for n in (4096, 8192):
         g = Grid(n, 48.0)
         u0 = sample(g, lambda x: 0.05 / np.cosh(x) ** 2)
-        traj = simulate(u0, 1.0, RhsForm.FORM_B, snapshot_stride=5)
+        traj = simulate(u0, 1.0, snapshot_stride=5)
         for spec in (WeightSpec(0, 0, 2, 0), WeightSpec(0.5, 1, 0.5, 1)):
             ledgers[(n, spec)] = persistence_ledger(traj, spec, np.inf)
 
@@ -166,7 +166,7 @@ def test_c06_two_tier_fast_weights():
 
     g = Grid(2048, 30.0)
     u0 = sample(g, lambda x: 0.05 / np.cosh(x) ** 2)
-    traj = simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=5)
+    traj = simulate(u0, 0.5, snapshot_stride=5)
     rep = two_tier_persistence_check(traj, phi, np.inf)
     finite = rep.bounded
     report(
@@ -268,7 +268,7 @@ def test_c11_analyticity(grid1024):
     sech_ok = abs(sigma_sech - np.pi / 2) <= 0.05 * np.pi / 2
 
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
-    traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=2)
+    traj = simulate(u0, 0.25, snapshot_stride=2)
     series = radius_track(traj)
     track_ok = bool(
         np.all(series.valid) and np.nanmin(series.sigma) >= 0.5 * series.sigma[0]

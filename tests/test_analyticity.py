@@ -15,7 +15,6 @@ from gch import (
     sample,
     simulate,
 )
-from gch.dynamics import RhsForm
 from gch.fields import smooth_field_family
 
 SCALES = (0.2, 0.4, 0.6, 0.8)
@@ -129,7 +128,7 @@ class TestRadiusEstimate:
 @pytest.fixture(scope="module")
 def run(grid1024):
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
-    return simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=2)
+    return simulate(u0, 0.25, snapshot_stride=2)
 
 
 class TestRadiusTrack:
@@ -152,7 +151,7 @@ class TestRadiusTrack:
     def test_grid_refinement_stable(self, run):
         g2 = Grid(2048, 40.0)
         u0 = sample(g2, lambda x: 0.05 / np.cosh(x) ** 2)
-        run2 = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=2)
+        run2 = simulate(u0, 0.25, snapshot_stride=2)
         s1 = radius_track(run).sigma[-1]
         s2 = radius_track(run2).sigma[-1]
         assert abs(s2 - s1) / s1 < 0.02

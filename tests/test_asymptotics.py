@@ -22,18 +22,18 @@ from gch import (
     lp_norm,
     sample,
     simulate,
+    source_integral,
     tail_amplitudes,
     tail_ratio,
 )
 from gch.asymptotics import MIN_SNAPSHOTS
-from gch.dynamics import RhsForm
 
 
 @pytest.fixture(scope="module")
 def showcase():
     g = Grid(4096, 40.0)
     u0 = sample(g, lambda x: 0.05 / np.cosh(x) ** 2)
-    return simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=1)
+    return simulate(u0, 0.25, snapshot_stride=1)
 
 
 class TestAveragedSource:
@@ -158,8 +158,8 @@ class TestTailRatio:
 
     def test_linear_in_time(self, grid4096):
         u0 = sample(grid4096, lambda x: 0.05 / np.cosh(x) ** 2)
-        t1 = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=1)
-        t2 = simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=1)
+        t1 = simulate(u0, 0.25, snapshot_stride=1)
+        t2 = simulate(u0, 0.5, snapshot_stride=1)
         r1 = tail_ratio(t1, len(t1) - 1, (10, 20)).median
         r2 = tail_ratio(t2, len(t2) - 1, (10, 20)).median
         assert abs(r2 - r1) / abs(r1) < 0.10
@@ -316,6 +316,8 @@ class TestOnePass:
     ):
         traj = request.getfixturevalue(name)
         times, plus, minus = amplitude_series(traj, variant, psi_literal)
+        shared = amplitude_series(traj, variant, psi_literal, source_integral(traj, variant))
+        assert all(np.array_equal(a, b) for a, b in zip(shared, (times, plus, minus)))
         indices = range(MIN_SNAPSHOTS - 1, len(traj))
         amps = [
             tail_amplitudes(averaged_source(traj, i, variant), variant, psi_literal)
@@ -353,6 +355,9 @@ class TestOnePass:
         )
         profile = extract_profile(traj, idx - len(traj), window, 1.5, variant, psi_literal)
         assert _same(profile, expected)
+        integral = source_integral(traj, variant)
+        shared = extract_profile(traj, idx, window, 1.5, variant, psi_literal, integral)
+        assert _same(shared, expected)
 
     @pytest.mark.parametrize("variant", list(SourceVariant))
     def test_amplitude_series_fft_calls(self, growing_gaussian, fft_calls, variant):

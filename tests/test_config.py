@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gch import ConfigError, config_hash, parse_config
-from gch.dynamics import RhsForm
+from gch import ConfigError, ExperimentConfig, config_hash, parse_config
 
 MINIMAL = """
 [grid]
@@ -23,7 +24,6 @@ class TestParseConfig:
         assert cfg.L == 40.0
         assert cfg.T == 0.5
         assert cfg.amplitude == 0.05
-        assert cfg.form is RhsForm.FORM_B
         assert cfg.snapshot_stride == 1
         assert cfg.dt is None
         assert np.isinf(cfg.p)
@@ -58,9 +58,9 @@ class TestParseConfig:
         assert "4 comma-separated" in message
 
     def test_comments_and_blank_lines(self):
-        text = "# header\n" + MINIMAL + "\n[output]\nseed = 7  # trailing\n"
+        text = "# header\n" + MINIMAL + "\n[output]\ndir = results  # trailing\n"
         cfg = parse_config(text)
-        assert cfg.seed == 7
+        assert cfg.out_dir == "results"
 
     def test_inf_and_tuples(self):
         text = MINIMAL + "\n[weights]\np = inf\nphi = 0.5,1,0.5,1\n"
@@ -68,9 +68,27 @@ class TestParseConfig:
         assert np.isinf(cfg.p)
         assert cfg.phi == (0.5, 1.0, 0.5, 1.0)
 
-    def test_sqrt3_parses_but_is_flagged_downstream(self):
-        cfg = parse_config(MINIMAL + "\n[dynamics]\nform = sqrt3\n")
-        assert cfg.form is RhsForm.SQRT3
+    def test_retired_keys_accepted_and_ignored(self):
+        # form and seed select nothing; older files that set them still parse
+        old = parse_config(MINIMAL + "\n[dynamics]\nform = momentum\n[output]\nseed = 7\n")
+        assert old == parse_config(MINIMAL)
+        assert config_hash(old) == config_hash(parse_config(MINIMAL))
+        assert "form" not in old.to_text() and "seed" not in old.to_text()
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert not names & {"form", "seed"}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[dynamics]\nform = sqrt3", "diagnostic-only"),
+            ("[dynamics]\nform = form_c", "unknown form"),
+            ("[output]\nseed = one", "output.seed"),
+        ],
+        ids=["form_sqrt3", "form_unknown", "seed_not_int"],
+    )
+    def test_retired_keys_still_validated(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + "\n" + line + "\n")
 
     def test_bad_variant(self):
         with pytest.raises(ConfigError, match="unknown variant"):

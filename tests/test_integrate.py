@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import io
 
 import numpy as np
@@ -85,13 +87,13 @@ class TestEstimateDt:
 class TestSimulate:
     def test_zero_data_stays_zero(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
-        traj = simulate(z, 0.1, RhsForm.FORM_B, snapshot_stride=2)
+        traj = simulate(z, 0.1, snapshot_stride=2)
         for snap in traj.snapshots:
             assert lp_norm(snap, np.inf) == 0.0
         assert traj.valid
 
     def test_small_run_clean(self, sech2_small):
-        traj = simulate(sech2_small, 0.5, RhsForm.FORM_B, snapshot_stride=4)
+        traj = simulate(sech2_small, 0.5, snapshot_stride=4)
         assert np.isfinite(lp_norm(traj.final, np.inf))
         assert np.max(traj.boundary_magnitudes) <= 1e-8
         assert traj.valid
@@ -100,23 +102,9 @@ class TestSimulate:
         assert traj.times[-1] == pytest.approx(0.5, rel=1e-12)
 
     def test_half_dt_agreement(self, sech2_small):
-        a = simulate(sech2_small, 0.5, RhsForm.FORM_B, snapshot_stride=10**6)
-        b = simulate(
-            sech2_small, 0.5, RhsForm.FORM_B, snapshot_stride=10**6, dt=a.dt_initial / 2
-        )
+        a = simulate(sech2_small, 0.5, snapshot_stride=10**6)
+        b = simulate(sech2_small, 0.5, snapshot_stride=10**6, dt=a.dt_initial / 2)
         assert lp_norm(a.final - b.final, np.inf) <= 1e-8
-
-    def test_forms_agree_at_horizon(self, sech2_small):
-        finals = {
-            form: simulate(sech2_small, 0.5, form, snapshot_stride=10**6).final
-            for form in (RhsForm.FORM_A, RhsForm.FORM_B)
-        }
-        diff = lp_norm(finals[RhsForm.FORM_A] - finals[RhsForm.FORM_B], np.inf)
-        assert diff <= 1e-7
-
-    def test_sqrt3_rejected(self, sech2_small):
-        with pytest.raises(ValueError, match="diagnostic-only"):
-            simulate(sech2_small, 0.1, RhsForm.SQRT3)
 
     def test_blow_up_guard(self, grid1024, monkeypatch):
         # wire a forced exponential growth through simulate's spectral-stage hook
@@ -127,7 +115,7 @@ class TestSimulate:
         )
         u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
         with pytest.raises(BlowUpError, match="possible blow-up"):
-            simulate(u, 1.0, RhsForm.FORM_B, dt=0.01)
+            simulate(u, 1.0, dt=0.01)
 
     def test_nonfinite_stage_named(self, grid1024, monkeypatch):
         import gch.integrate as integrate_mod
@@ -137,17 +125,17 @@ class TestSimulate:
         )
         u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
         with pytest.raises(FloatingPointError, match="non-finite RK4 stage 1"):
-            simulate(u, 0.1, RhsForm.FORM_B)
+            simulate(u, 0.1)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_horizon(self, sech2_small, T):
         with pytest.raises(ValueError, match="T must be positive and finite"):
-            simulate(sech2_small, T, RhsForm.FORM_B)
+            simulate(sech2_small, T)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
     def test_rejects_bad_step(self, sech2_small, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            simulate(sech2_small, 0.1, RhsForm.FORM_B, dt=dt)
+            simulate(sech2_small, 0.1, dt=dt)
 
     def test_step_shrinks_but_never_grows(self, grid1024, monkeypatch):
         import gch.integrate as integrate_mod
@@ -156,7 +144,7 @@ class TestSimulate:
         estimates = iter([1e-3] + [5e-3] * 50)
         monkeypatch.setattr(integrate_mod, "estimate_dt", lambda u: next(estimates))
         z = Field(grid1024, np.zeros(grid1024.n))
-        traj = simulate(z, 0.25, RhsForm.FORM_B, snapshot_stride=10**6)
+        traj = simulate(z, 0.25, snapshot_stride=10**6)
         assert traj.dt_initial == 1e-3
         assert traj.dt_final == 1e-3
 
@@ -166,20 +154,20 @@ class TestSimulate:
         estimates = iter([1e-3] + [5e-4] * 50)
         monkeypatch.setattr(integrate_mod, "estimate_dt", lambda u: next(estimates))
         z = Field(grid1024, np.zeros(grid1024.n))
-        traj = simulate(z, 0.25, RhsForm.FORM_B, snapshot_stride=10**6)
+        traj = simulate(z, 0.25, snapshot_stride=10**6)
         assert traj.dt_initial == 1e-3
         assert traj.dt_final == 5e-4
 
     def test_determinism(self, sech2_small):
-        a = simulate(sech2_small, 0.3, RhsForm.FORM_B, snapshot_stride=3)
-        b = simulate(sech2_small, 0.3, RhsForm.FORM_B, snapshot_stride=3)
+        a = simulate(sech2_small, 0.3, snapshot_stride=3)
+        b = simulate(sech2_small, 0.3, snapshot_stride=3)
         assert len(a) == len(b)
         for sa, sb in zip(a.snapshots, b.snapshots):
             np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_convergence_order(self, sech2_small):
         finals = [
-            simulate(sech2_small, 0.8, RhsForm.FORM_B, snapshot_stride=10**6, dt=0.1 / 2**i).final
+            simulate(sech2_small, 0.8, snapshot_stride=10**6, dt=0.1 / 2**i).final
             for i in range(3)
         ]
         e1 = lp_norm(finals[0] - finals[1], np.inf)
@@ -187,16 +175,8 @@ class TestSimulate:
         order = np.log2(e1 / e2)
         assert 3.8 <= order <= 4.2
 
-    def test_form_is_recorded_not_used(self, sech2_small):
-        runs = [
-            simulate(sech2_small, 0.1, form, snapshot_stride=10**6) for form in SIMULATION_FORMS
-        ]
-        for form, traj in zip(SIMULATION_FORMS, runs):
-            assert traj.form is form
-            np.testing.assert_array_equal(traj.final.values, runs[0].final.values)
-
     def test_time_reversal(self, sech2_small):
-        traj = simulate(sech2_small, 0.2, RhsForm.FORM_B, snapshot_stride=10**6)
+        traj = simulate(sech2_small, 0.2, snapshot_stride=10**6)
         back = traj.final
         deriv = lambda v: -1.0 * rhs(v, RhsForm.FORM_B)
         for _ in range(traj.n_steps):
@@ -216,7 +196,7 @@ def test_spectral_matches_physical_rk4(form, dealias):
     grid = Grid(1024, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
     dt = 0.01
-    traj = simulate(u0, 0.2, form, snapshot_stride=1, dt=dt, dealias=dealias)
+    traj = simulate(u0, 0.2, snapshot_stride=1, dt=dt, dealias=dealias)
     assert traj.n_steps == 20
     u = u0
     for step in range(1, 21):
@@ -231,7 +211,7 @@ def test_spectral_matches_physical_rk4_at_nyquist():
     sign = (-1.0) ** np.arange(grid.n)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2 + 0.01 * sign / np.cosh(x / 4))
     dt = 0.01
-    traj = simulate(u0, 0.1, RhsForm.PRIMITIVE, snapshot_stride=1, dt=dt, dealias=False)
+    traj = simulate(u0, 0.1, snapshot_stride=1, dt=dt, dealias=False)
     u = u0
     for step in range(1, traj.n_steps + 1):
         u = rk4_step(u, dt, lambda v: rhs(v, RhsForm.PRIMITIVE, False))
@@ -243,7 +223,7 @@ def test_spectral_matches_physical_rk4_at_nyquist():
 def test_fft_pairs_per_step(fft_calls):
     grid = Grid(1024, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-    traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=5)
+    traj = simulate(u0, 0.25, snapshot_stride=5)
     assert traj.n_steps > 0
     assert len(fft_calls) <= 10 * traj.n_steps
 
@@ -251,7 +231,7 @@ def test_fft_pairs_per_step(fft_calls):
 def test_h1_drift_on_showcase_pulse():
     grid = Grid(4096, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
-    traj = simulate(u0, 0.25, RhsForm.FORM_B, snapshot_stride=1)
+    traj = simulate(u0, 0.25, snapshot_stride=1)
     drift = traj.metadata["h1_drift"]
     assert drift.shape == (len(traj),)
     assert drift[0] == 0.0
@@ -262,13 +242,30 @@ def test_h1_drift_on_showcase_pulse():
     assert abs(drift[-1] - direct) <= 1e-14
 
 
+def test_h1_drift_shrinks_like_dt4():
+    # RK4 breaks the exact H^1 invariant only through its own O(dt^4) error
+    grid = Grid(1024, 40.0)
+    u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
+    drift = [
+        simulate(u0, 1.0, snapshot_stride=10**6, dt=dt).metadata["h1_drift"][-1]
+        for dt in (0.04, 0.02, 0.01)
+    ]
+    orders = np.log2(np.divide(drift[:-1], drift[1:]))
+    assert np.all((3.8 <= orders) & (orders <= 4.6)), orders
+
+
 def test_h1_drift_zero_data(grid1024):
     z = Field(grid1024, np.zeros(grid1024.n))
-    traj = simulate(z, 0.05, RhsForm.FORM_B)
+    traj = simulate(z, 0.05)
     assert np.all(traj.metadata["h1_drift"] == 0.0)
 
 
 class TestTrajectory:
+    def test_no_form_state(self):
+        params = list(inspect.signature(simulate).parameters)
+        assert params == ["u0", "T", "snapshot_stride", "dt", "dealias"]
+        assert not {f.name for f in dataclasses.fields(Trajectory)} & {"form", "dealias"}
+
     def test_from_snapshots_validation(self, sech):
         with pytest.raises(ValueError, match="increase strictly"):
             Trajectory.from_snapshots([0.0, 0.0], [sech, sech])
@@ -278,7 +275,7 @@ class TestTrajectory:
 
 class TestArtifacts:
     def test_snapshot_csv(self, sech2_small):
-        traj = simulate(sech2_small, 0.05, RhsForm.FORM_B, snapshot_stride=10**6)
+        traj = simulate(sech2_small, 0.05, snapshot_stride=10**6)
         buf = io.StringIO()
         snapshots_to_csv(traj, buf, config_hash="deadbeef0123")
         lines = buf.getvalue().splitlines()
@@ -308,6 +305,13 @@ class TestArtifacts:
         assert np.frombuffer(raw[8:16], "<f8")[0] == 40.0
         assert np.frombuffer(raw[16:24], "<f8")[0] == 1.5
         assert len(raw) == 24 + 8 * 1024
+
+    @pytest.mark.parametrize("size", [0, 5, 23])
+    def test_checkpoint_truncated_header(self, tmp_path, size):
+        path = tmp_path / "short.bin"
+        path.write_bytes((b"GCH1" + b"\0" * 20)[:size])
+        with pytest.raises(ValueError, match="truncated header"):
+            read_checkpoint(path)
 
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

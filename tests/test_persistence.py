@@ -17,14 +17,13 @@ from gch import (
     two_tier_persistence_check,
     weighted_lp_norm,
 )
-from gch.dynamics import RhsForm
 from gch.weights import weight_on_grid
 
 
 @pytest.fixture(scope="module")
 def run_T1(grid1024):
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
-    return simulate(u0, 1.0, RhsForm.FORM_B, snapshot_stride=5)
+    return simulate(u0, 1.0, snapshot_stride=5)
 
 
 class TestSupNormTotal:
@@ -113,7 +112,7 @@ class TestPersistenceLedger:
 def run_exp():
     g = Grid(2048, 30.0)
     u0 = sample(g, lambda x: 0.05 / np.cosh(x) ** 2)
-    return simulate(u0, 0.5, RhsForm.FORM_B, snapshot_stride=5)
+    return simulate(u0, 0.5, snapshot_stride=5)
 
 
 class TestTwoTier:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gch import ConfigError, parse_config, run_experiment
+from gch import ConfigError, Grid, config_hash, parse_config, run_experiment, sample, simulate
 from gch.cli import main
 
 FAST = """
@@ -97,10 +97,32 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / "asymptotics.json").read_text())
         assert payload["degenerate"] is True
 
-    def test_sqrt3_rejected_before_simulation(self, tmp_path):
-        cfg = parse_config(FAST + "\n[dynamics]\nform = sqrt3\n")
+    def test_thm43_always_degenerate_on_simulated_runs(self, tmp_path):
+        # the RMS source decays only like |u|: e^{L} h(+-L) stays far above
+        # the boundary-integrand tolerance, so the profile is refused, cleanly
+        cfg = parse_config(FAST.replace("[output]", "variant = thm43\n[output]"))
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert summary.exit_code == 0
+        payload = json.loads((tmp_path / "asymptotics.json").read_text())
+        assert payload["degenerate"] is True
+        assert "boundary integrand" in payload["reason"]
+
+    def test_asymptotics_stage_builds_its_source_once(self, tmp_path, fft_calls):
+        from gch.runner import _run_asymptotics
+
+        cfg = parse_config(FAST)
+        u0 = sample(Grid(cfg.n, cfg.L), lambda x: cfg.amplitude / np.cosh(x) ** 2)
+        traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride)
+        fft_calls.clear()
+        headline = {}
+        _run_asymptotics(traj, cfg, tmp_path, config_hash(cfg), headline)
+        assert headline["Phi"] > 0
+        # the MEAN source costs one FFT pair per snapshot, for the whole stage
+        assert len(fft_calls) <= 2 * len(traj)
+
+    def test_sqrt3_rejected_before_simulation(self):
         with pytest.raises(ConfigError, match="diagnostic-only"):
-            run_experiment(cfg, out_dir=tmp_path)
+            parse_config(FAST + "\n[dynamics]\nform = sqrt3\n")
 
     def test_boundary_violation_aborts_diagnostics(self, tmp_path):
         bad = FAST.replace("kind = sech2", "kind = gaussian").replace(
@@ -153,8 +175,9 @@ class TestCli:
             ("T = 0.12", "T = inf"),
             ("amplitude = 0.05", "amplitude = 0.05\nwidth = 0"),
             ("[output]", "window = 2,20\n[output]"),
+            ("[output]", "[dynamics]\nform = sqrt3\n[output]"),
         ],
-        ids=["L_nan", "T_inf", "width_zero", "window_outside"],
+        ids=["L_nan", "T_inf", "width_zero", "window_outside", "form_sqrt3"],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, old, new):
         cfg_file = tmp_path / "bad.cfg"
