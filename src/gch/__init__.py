@@ -1,9 +1,11 @@
 """Pseudospectral solver and diagnostics for a generalized Camassa-Holm equation.
 
 The evolution u_t - u_txx = d_x(2 + d_x)[(2 - d_x)u]^2 is integrated on a
-periodic box wide enough that decaying data never sees the seam, using
-interchangeable nonlocal right-hand-side formulations, dealiased products,
-and classical RK4.  The diagnostics layer measures what the analysis
+periodic box wide enough that decaying data never sees the seam, by
+classical RK4 on one semi-discretisation: the primitive nonlocal form with
+2/3-dealiased products, stepped in Fourier space.  The equivalent nonlocal
+rewritings of :mod:`gch.dynamics` agree with it to roundoff and serve as
+physical-space references.  The diagnostics layer measures what the analysis
 predicts: weighted norms grow at most exponentially, spatial decay of the
 data persists under the flow, the solution sheds exponential tails with
 computable amplitudes, and the spatial analyticity radius stays positive.

@@ -63,8 +63,9 @@ class MajorantParams:
 def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
     """||d^k f||_{H^1} for k = 0..k_top, via Parseval on the one-sided spectrum.
 
-    The Nyquist mode is dropped from every derivative (k >= 1), matching
-    repeated application of the odd-order spectral derivative.  Modes below
+    The Nyquist mode is dropped from every derivative, matching repeated
+    application of the odd-order spectral derivative, so at k = 0 it keeps
+    only its L^2 part, as in :func:`gch.grid.h1_norm`.  Modes below
     the relative noise floor are excluded: k-fold differentiation scales
     roundoff by k_max^k, which would otherwise swamp the genuine terms of
     an analytic field from k ~ 15 on and defeat truncation-convergence
@@ -76,11 +77,7 @@ def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
     peak = float(np.max(amp))
     if peak > 0.0:
         c = np.where(amp > SPECTRUM_FLOOR * peak, c, 0.0)
-    # one-sided Parseval: interior modes count twice
-    mult = np.full(grid.n // 2 + 1, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
-    power = mult * np.abs(c) ** 2 * grid.helm * (2.0 * grid.half_width)
+    power = np.abs(c) ** 2 * grid.h1_weight * (2.0 * grid.half_width)
     out = np.empty(k_top + 1)
     out[0] = np.sqrt(np.sum(power))
     power_k = grid.drop_nyquist(power.copy())
@@ -209,18 +206,18 @@ class RadiusFit:
         return None
 
 
-def radius_estimate(f: Field, floor: float = SPECTRUM_FLOOR) -> RadiusFit:
+def radius_estimate(f: Field) -> RadiusFit:
     """Analyticity-radius estimate from the Fourier-coefficient decay.
 
     Least-squares slope of -log|c_k| against k over the largest contiguous
-    band of modes above the noise floor, excluding the lowest SKIP_MODES
+    band of modes above SPECTRUM_FLOOR, excluding the lowest SKIP_MODES
     modes.  ``residual`` is the unexplained variance 1 - R^2 of the linear
     fit; values above RESIDUAL_FLAG mark a spectrum decaying faster than
     any exponential, for which sigma is only a lower bound.
     """
     grid = f.grid
     c = np.abs(grid.rfft(f.values)) / grid.n
-    usable = c > floor
+    usable = c > SPECTRUM_FLOOR
     usable[:SKIP_MODES] = False
 
     best_start, best_len = 0, 0
@@ -269,14 +266,13 @@ class RadiusSeries:
         return len(self.times)
 
 
-def radius_track(traj: Trajectory, floor: float = SPECTRUM_FLOOR) -> RadiusSeries:
+def radius_track(traj: Trajectory) -> RadiusSeries:
     """Radius estimate per snapshot; failures invalidate single entries.
 
     The initial snapshot must admit an estimate (analytic initial data);
     later failures are recorded as invalid entries rather than aborting the
     series.
     """
-    radius_estimate(traj.u0, floor)  # analytic initial data required
     n = len(traj)
     sigma = np.full(n, np.nan)
     residual = np.full(n, np.nan)
@@ -285,8 +281,10 @@ def radius_track(traj: Trajectory, floor: float = SPECTRUM_FLOOR) -> RadiusSerie
     valid = np.zeros(n, dtype=bool)
     for i, u in enumerate(traj.snapshots):
         try:
-            fit = radius_estimate(u, floor)
+            fit = radius_estimate(u)
         except ValueError:
+            if i == 0:
+                raise  # analytic initial data required
             continue
         sigma[i] = fit.sigma
         residual[i] = fit.residual

@@ -146,14 +146,13 @@ def _check_boundary_decay(h: Field) -> None:
         )
 
 
-def tail_amplitudes(h: Field, variant=SourceVariant.MEAN, psi_literal: bool = False):
+def tail_amplitudes(h: Field, psi_literal: bool = False):
     """Amplitudes (Amp_+, Amp_-) as exponential moments of the source.
 
     Amp_+ = 0.5 int e^{y} h dy and Amp_- = 0.5 int e^{-y} h dy by the
     rectangle rule; ``psi_literal`` makes the left amplitude use e^{+y} as
     well, collapsing it onto Amp_+.
     """
-    SourceVariant(variant)
     _check_boundary_decay(h)
     amp_right = _exp_moment(h, +1.0)
     amp_left = amp_right if psi_literal else _exp_moment(h, -1.0)
@@ -168,7 +167,7 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
     written, i.e. sqrt of the integral rather than integral of the sqrt.
     """
     variant = SourceVariant(variant)
-    plus, minus = tail_amplitudes(Field(u0.grid, _source_values(u0, variant)), variant, psi_literal)
+    plus, minus = tail_amplitudes(Field(u0.grid, _source_values(u0, variant)), psi_literal)
     if variant is SourceVariant.RMS:
         # 0.5 [int e^{y} q^2]^{1/2}: the moment above already carries the 0.5
         return float(np.sqrt(2.0 * plus) / 2.0), float(np.sqrt(2.0 * minus) / 2.0)
@@ -185,7 +184,7 @@ def amplitude_series(
     variant = SourceVariant(variant)
     integral = source_integral(traj, variant) if integral is None else integral
     amps = np.array([
-        tail_amplitudes(_time_average(traj, integral, i, variant), variant, psi_literal)
+        tail_amplitudes(_time_average(traj, integral, i, variant), psi_literal)
         for i in range(MIN_SNAPSHOTS - 1, len(traj))
     ]).reshape(-1, 2)
     return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *amps.T
@@ -226,10 +225,10 @@ def tail_ratio(
     floor raises, since the ratio would be pure roundoff.
     """
     h = averaged_source(traj, t_index, variant)
-    return _tail_ratio(traj, t_index, window, side, h, variant)
+    return _tail_ratio(traj, t_index, window, side, h)
 
 
-def _tail_ratio(traj, t_index, window, side, h, variant) -> TailRatio:
+def _tail_ratio(traj, t_index, window, side, h) -> TailRatio:
     """:func:`tail_ratio` against the amplitudes of a source h already built."""
     x_lo, x_hi = float(window[0]), float(window[1])
     L = traj.grid.half_width
@@ -253,7 +252,7 @@ def _tail_ratio(traj, t_index, window, side, h, variant) -> TailRatio:
         raise ValueError("tail signal below floor")
     ratios = sign * factor * du_w / t
 
-    amp_right, amp_left = tail_amplitudes(h, variant)
+    amp_right, amp_left = tail_amplitudes(h)
     amp = amp_right if side == "right" else amp_left
     median = float(np.median(ratios))
     rel = abs(abs(median) - amp) / abs(amp) if amp != 0.0 else np.inf
@@ -401,15 +400,15 @@ def extract_profile(
         h = averaged_source(traj, t_index, variant)
     else:
         h = _time_average(traj, integral, _resolve_index(traj, t_index), variant)
-    amp_right, amp_left = tail_amplitudes(h, variant, psi_literal)
+    amp_right, amp_left = tail_amplitudes(h, psi_literal)
     return AsymptoticProfile(
         t=float(traj.times[t_index]),
         h=h,
         amp_right=amp_right,
         amp_left=amp_left,
         window=(float(window[0]), float(window[1])),
-        ratio_right=_tail_ratio(traj, t_index, window, "right", h, variant),
-        ratio_left=_tail_ratio(traj, t_index, window, "left", h, variant),
+        ratio_right=_tail_ratio(traj, t_index, window, "right", h),
+        ratio_left=_tail_ratio(traj, t_index, window, "left", h),
         d=d,
         variant=variant,
         log_fit=_log_remainder_rate(

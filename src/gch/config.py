@@ -41,8 +41,6 @@ class ExperimentConfig:
     width: float = 1.0
     center: float = 0.0
     path: str | None = None
-    # [dynamics]
-    dealias: bool = True
     # [weights]
     phi: tuple = (0.0, 0.0, 2.0, 0.0)
     p: float = np.inf
@@ -151,6 +149,12 @@ def _parse_form(text):
     return form
 
 
+def _parse_dealias(text):
+    if not _parse_bool(text):
+        raise ValueError("dealiasing is no longer optional; products are always 2/3-truncated")
+    return True
+
+
 def _parse_kind(text):
     if text not in INITIAL_KINDS:
         raise ValueError(f"unknown initial kind {text!r}; choose from {INITIAL_KINDS}")
@@ -177,7 +181,7 @@ _SCHEMA = {
     ("initial", "center"): ("center", _parse_float),
     ("initial", "path"): ("path", _parse_optional(str)),
     ("dynamics", "form"): (None, _parse_form),
-    ("dynamics", "dealias"): ("dealias", _parse_bool),
+    ("dynamics", "dealias"): (None, _parse_dealias),
     ("weights", "phi"): ("phi", _parse_float_tuple(4)),
     ("weights", "p"): ("p", _parse_float),
     ("weights", "N"): ("N", _parse_optional(_parse_float)),

@@ -28,7 +28,9 @@ table.  Within one evaluation each product operand is truncated once and
 each product's output once; with truncated operands that single output
 truncation is the exact 2/3 rule (Orszag 1971), so products of truncated
 fields are exact truncations of the true products and the algebraic
-equivalences hold on the grid.
+equivalences hold on the grid.  :func:`gch.integrate.simulate` steps that
+one semi-discretisation in Fourier space; the forms here are its
+physical-space references and a run's residual check.
 """
 
 from __future__ import annotations
@@ -70,19 +72,15 @@ SIMULATION_FORMS = (RhsForm.PRIMITIVE, RhsForm.FORM_A, RhsForm.FORM_B, RhsForm.M
 class _Work:
     """One RHS evaluation on one grid: finiteness checks and dealiased products.
 
-    With dealiasing on, each product operand goes through :meth:`trunc`
-    once and :meth:`prod` truncates only the product; both are no-ops
-    without dealiasing.
+    Each product operand goes through :meth:`trunc` once and :meth:`prod`
+    truncates only the product.
     """
 
-    def __init__(self, grid: Grid, dealias: bool):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.dealias = dealias
 
     def trunc(self, vals, spec=None):
         """2/3-rule truncation of ``vals``; ``spec`` is its rfft when already known."""
-        if not self.dealias:
-            return vals
         grid = self.grid
         # overflow surfaces as the named non-finite error, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -120,11 +118,11 @@ def _momentum_tendency(w: _Work, v, v_hat, ux, m, m_hat):
     return w.check(m_t, "m_t")
 
 
-def rhs(u: Field, form: RhsForm, dealias: bool = True) -> Field:
+def rhs(u: Field, form: RhsForm) -> Field:
     """Evaluate the time derivative of u for the selected formulation."""
     form = RhsForm(form)
     grid = u.grid
-    w = _Work(grid, dealias)
+    w = _Work(grid)
     v = w.check(u.values, "u")
     v_hat = grid.rfft(v)
     ux = w.check(grid.irfft(grid.diff_hat(v_hat)), "u_x")
@@ -161,27 +159,27 @@ def rhs(u: Field, form: RhsForm, dealias: bool = True) -> Field:
     return Field(grid, w.check(out, f"rhs[{form.value}]"))
 
 
-def form_residual(u: Field, f1: RhsForm, f2: RhsForm, dealias: bool = True) -> float:
+def form_residual(u: Field, f1: RhsForm, f2: RhsForm) -> float:
     """Sup-norm distance between two formulations evaluated on the same field."""
-    return lp_norm(rhs(u, f1, dealias) - rhs(u, f2, dealias), np.inf)
+    return lp_norm(rhs(u, f1) - rhs(u, f2), np.inf)
 
 
-def max_form_residual(u: Field, dealias: bool = True) -> float:
+def max_form_residual(u: Field) -> float:
     """Largest :func:`form_residual` over all pairs of simulation forms, evaluating each once."""
-    outs = [rhs(u, form, dealias) for form in SIMULATION_FORMS]
+    outs = [rhs(u, form) for form in SIMULATION_FORMS]
     return max(
         lp_norm(a - b, np.inf) for i, a in enumerate(outs) for b in outs[i + 1 :]
     )
 
 
-def momentum_rhs(m: Field, dealias: bool = True) -> Field:
+def momentum_rhs(m: Field) -> Field:
     """Time derivative of the momentum density m = u - u_xx.
 
     Self-contained in m: the velocity is recovered as u = G*m and m_x is
     differentiated spectrally from m itself.
     """
     grid = m.grid
-    w = _Work(grid, dealias)
+    w = _Work(grid)
     mv = w.check(m.values, "m")
     m_hat = grid.rfft(mv)
     uv = w.check(grid.irfft(grid.g_star_hat(m_hat)), "u")
@@ -199,7 +197,7 @@ def sqrt3_residual_field(u: Field, convolve=None) -> Field:
 
     ``convolve`` selects the realization of G* (defaults to the spectral
     multiplier; pass ``green_convolve_direct`` for the quadrature oracle).
-    Products here are plain pointwise squares, independent of dealiasing.
+    Products here are plain, untruncated pointwise squares.
     """
     if convolve is None:
         convolve = helmholtz_inverse

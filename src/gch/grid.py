@@ -40,8 +40,11 @@ class Grid:
 
     The operator table is the package's one spectral core, built once per
     grid from ``k_rfft``: ``k2`` = k^2, ``helm`` = 1 + k^2 (the symbol of
-    1 - d_xx), ``ik_pow[order - 1]`` = (ik)^order for orders 1-3, and the
-    2/3-rule ``keep`` mask |m| < n/3.  The ``*_hat`` helpers apply d_x^order,
+    1 - d_xx), ``ik_pow[order - 1]`` = (ik)^order for orders 1-3, the
+    2/3-rule ``keep`` mask |m| < n/3, and ``h1_weight``, the one-sided
+    Parseval weights of ||f||_{H^1}^2: 2 (1 + k^2) for interior modes, which
+    stand for +-m, 1 for the mean and 1 for the Nyquist mode, which has no
+    derivative part.  The ``*_hat`` helpers apply d_x^order,
     G* = (1 - d_xx)^{-1} and the truncation to a one-sided spectrum;
     ``diff``, ``g_star`` and ``p2`` apply d_x^order, G* and P2 = d_x G* to
     samples.  Odd orders of d_x, and P2, zero the Nyquist mode
@@ -49,7 +52,9 @@ class Grid:
     grid.
     """
 
-    __slots__ = ("n", "half_width", "dx", "x", "k", "k_rfft", "k2", "helm", "ik_pow", "keep")
+    __slots__ = (
+        "n", "half_width", "dx", "x", "k", "k_rfft", "k2", "helm", "ik_pow", "keep", "h1_weight",
+    )
 
     def __init__(self, n: int, half_width: float):
         if int(n) != n:
@@ -71,7 +76,10 @@ class Grid:
         ik = 1j * k_rfft
         ik_pow = (ik, ik**2, ik**3)
         keep = np.arange(n // 2 + 1) < n / 3.0
-        for arr in (x, k, k_rfft, k2, helm, keep) + ik_pow:
+        h1_weight = 2.0 * helm
+        h1_weight[0] = 1.0
+        h1_weight[-1] = 1.0
+        for arr in (x, k, k_rfft, k2, helm, keep, h1_weight) + ik_pow:
             arr.setflags(write=False)
         self.x = x
         self.k = k
@@ -80,6 +88,7 @@ class Grid:
         self.helm = helm
         self.ik_pow = ik_pow
         self.keep = keep
+        self.h1_weight = h1_weight
 
     def rfft(self, values):
         """One-sided FFT of real samples; with :meth:`irfft`, the package's only FFT calls."""
@@ -139,17 +148,16 @@ class Field:
     """Real-valued samples of a function on a :class:`Grid`.
 
     Fields are immutable; arithmetic requires both operands to live on the
-    same grid.  Non-finite samples are rejected unless the field is
-    explicitly flagged as a failed diagnostic via ``allow_nonfinite``.
+    same grid.  Non-finite samples are rejected.
     """
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values, allow_nonfinite: bool = False):
+    def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
             raise ValueError(f"values must have shape ({grid.n},), got {values.shape}")
-        if not allow_nonfinite and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite samples")
         values = values.copy()
         values.setflags(write=False)

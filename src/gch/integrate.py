@@ -16,10 +16,8 @@ one FFT pair per stage.  The operand (2 - d_x)u is truncated by ``pre``
 and the square by ``post``, which with a truncated operand is the exact
 2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
 same semi-discretisation and the cheapest one drives the integrator.
-Without dealiasing the forms alias differently and are different
-semi-discretisations; ``simulate`` then integrates the aliased primitive
-form.  The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs`
-stays as the reference path.
+The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as
+the reference path.
 """
 
 from __future__ import annotations
@@ -148,18 +146,15 @@ def estimate_dt(u: Field) -> float:
     return float(min(CFL_NUMBER * u.grid.dx / max(1.0, speed), DT_MAX))
 
 
-def spectral_operators(grid: Grid, dealias: bool):
+def spectral_operators(grid: Grid):
     """The multipliers ``(pre, post)`` of :func:`spectral_rhs` on this grid.
 
-    ``keep`` is the 2/3 mask, or all-true without dealiasing.  As everywhere
-    in the package, only the odd factor d_x drops the Nyquist mode, so
-    before ``keep`` the Nyquist entry of ``pre`` is 2 and that of ``post``
-    is (ik)^2 / (1 + k^2), exactly as in the physical-space primitive form.
+    Both are zero outside the 2/3 mask ``keep``, which excludes the Nyquist
+    mode.
     """
-    ik = grid.drop_nyquist(grid.ik_pow[0].copy())
-    keep = grid.keep if dealias else np.ones_like(grid.keep)
-    pre = np.where(keep, 2.0 - ik, 0.0)
-    post = np.where(keep, (2.0 * ik + grid.ik_pow[1]) / grid.helm, 0.0)
+    ik = grid.ik_pow[0]
+    pre = np.where(grid.keep, 2.0 - ik, 0.0)
+    post = np.where(grid.keep, (2.0 * ik + grid.ik_pow[1]) / grid.helm, 0.0)
     return pre, post
 
 
@@ -171,30 +166,16 @@ def spectral_rhs(uh, grid: Grid, pre, post):
         return post * grid.rfft(a * a)
 
 
-def _h1_weights(grid: Grid):
-    """Parseval weights: ``sum(w * |uh|^2)`` is ||u||_{H^1}^2 as :func:`h1_norm` takes it.
-
-    Interior rfft modes stand for +-m and count twice; the Nyquist mode
-    counts once and has no derivative part.
-    """
-    w = 2.0 * grid.helm
-    w[0] = 1.0
-    w[-1] = 1.0
-    return w * (grid.dx / grid.n)
-
-
 def simulate(
     u0: Field,
     T: float,
     snapshot_stride: int = 1,
     dt: float | None = None,
-    dealias: bool = True,
 ) -> Trajectory:
     """Integrate from u0 to time T, recording every ``snapshot_stride`` steps.
 
     The state is the rfft of u and each RK4 stage is one
-    :func:`spectral_rhs` call, the dealiased primitive form; with
-    ``dealias=False`` the dynamics are those of the aliased primitive form.
+    :func:`spectral_rhs` call, the dealiased primitive form.
     The step size comes from :func:`estimate_dt` unless ``dt`` is given
     explicitly; either way the last step is shortened to land exactly on T.
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
@@ -206,13 +187,14 @@ def simulate(
         raise ValueError("snapshot_stride must be >= 1")
 
     grid = u0.grid
-    pre, post = spectral_operators(grid, dealias)
+    pre, post = spectral_operators(grid)
     deriv = lambda vh: spectral_rhs(vh, grid, pre, post)
     dt_nominal = _require_positive("dt", dt) if dt is not None else estimate_dt(u0)
     dt_initial = dt_nominal
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
-    h1_weights = _h1_weights(grid)
+    # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
+    h1_weights = grid.h1_weight * (grid.dx / grid.n)
 
     def h1(vh) -> float:
         return float(np.sqrt(np.sum(h1_weights * (vh.real**2 + vh.imag**2))))

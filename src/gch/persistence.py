@@ -119,10 +119,13 @@ def persistence_ledger(
             weight=phi, degenerate=True,
         )
 
-    slopes = np.log(W[1:] / W[0]) / (M * traj.times[1:])
-    i_max = int(np.argmax(slopes))
-    C_fit = float(max(0.0, slopes[i_max]))
-    binding = i_max + 1 if slopes[i_max] > 0.0 else None
+    # a lone snapshot has no growth to fit
+    C_fit, binding = 0.0, None
+    if len(W) > 1:
+        slopes = np.log(W[1:] / W[0]) / (M * traj.times[1:])
+        i_max = int(np.argmax(slopes))
+        C_fit = float(max(0.0, slopes[i_max]))
+        binding = i_max + 1 if slopes[i_max] > 0.0 else None
     return PersistenceLedger(
         times=traj.times, W=W, M=M, C_fit=C_fit, N_used=N, p=p,
         weight=phi, binding_index=binding,

@@ -231,9 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     artifacts: dict = {}
 
     try:
-        traj = simulate(
-            u0, cfg.T, snapshot_stride=cfg.snapshot_stride, dt=cfg.dt, dealias=cfg.dealias
-        )
+        traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride, dt=cfg.dt)
     except BlowUpError as exc:
         flags["no_blow_up"] = False
         flags["diagnostics_ok"] = False
@@ -258,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             f"boundary magnitude {boundary_max:.3e} exceeds {BOUNDARY_TOLERANCE:g}"
         )
     else:
-        headline["max_form_residual"] = max_form_residual(traj.final, cfg.dealias)
+        headline["max_form_residual"] = max_form_residual(traj.final)
 
         stages = {
             "persistence": _run_persistence,

@@ -195,17 +195,13 @@ def _halton_pairs(count: int, bound: float) -> np.ndarray:
 
 def _log_derivative_bound(spec: WeightSpec, xs: np.ndarray) -> float:
     """max |w'(x)| / w(x) by central differences, one-sided at the origin."""
-    ratios = []
-    for x in xs:
-        h = 1e-6 * max(1.0, abs(x))
-        if abs(x) < h:
-            num = (eval_weight(spec, h) - eval_weight(spec, 0.0)) / h
-            den = eval_weight(spec, 0.0)
-        else:
-            num = (eval_weight(spec, x + h) - eval_weight(spec, x - h)) / (2.0 * h)
-            den = eval_weight(spec, x)
-        ratios.append(abs(num) / den)
-    return float(np.max(ratios))
+    h = 1e-6 * np.maximum(1.0, np.abs(xs))
+    w0 = eval_weight(spec, 0.0)
+    one_sided = np.abs((eval_weight(spec, h) - w0) / h) / w0
+    central = np.abs(
+        (eval_weight(spec, xs + h) - eval_weight(spec, xs - h)) / (2.0 * h)
+    ) / eval_weight(spec, xs)
+    return float(np.max(np.where(np.abs(xs) < h, one_sided, central)))
 
 
 def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:

@@ -15,6 +15,7 @@ from gch import (
     sample,
     simulate,
 )
+from gch.analyticity import _h1_ladder
 from gch.fields import smooth_field_family
 
 SCALES = (0.2, 0.4, 0.6, 0.8)
@@ -42,6 +43,13 @@ class TestMajorantNorm:
         assert majorant_norm(f, MajorantParams(0.5, 1)) == pytest.approx(
             h1_norm(f), rel=1e-12
         )
+
+    def test_k0_term_is_h1_with_nyquist_content(self):
+        # the Nyquist mode has no derivative part in h1_norm, so none in the ladder
+        grid = Grid(64, 10.0)
+        wave = 0.01 * (-1.0) ** np.arange(grid.n)
+        f = Field(grid, sample(grid, lambda x: 1.0 / np.cosh(x) ** 2).values + wave)
+        assert _h1_ladder(f, 0)[0] == pytest.approx(h1_norm(f), rel=1e-13)
 
     def test_single_mode_sup_at_zero(self, grid1024):
         # each derivative multiplies the H^1 norm by pi/L < 1, so the term
@@ -161,3 +169,17 @@ class TestRadiusTrack:
         traj = Trajectory.from_snapshots([0.0], [z])
         with pytest.raises(ValueError, match="too narrow"):
             radius_track(traj)
+
+    def test_one_estimate_per_snapshot(self, run, monkeypatch):
+        import gch.analyticity as analyticity_mod
+
+        calls = []
+        true_estimate = analyticity_mod.radius_estimate
+
+        def counted(f):
+            calls.append(f)
+            return true_estimate(f)
+
+        monkeypatch.setattr(analyticity_mod, "radius_estimate", counted)
+        radius_track(run)
+        assert len(calls) == len(run)

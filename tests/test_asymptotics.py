@@ -320,7 +320,7 @@ class TestOnePass:
         assert all(np.array_equal(a, b) for a, b in zip(shared, (times, plus, minus)))
         indices = range(MIN_SNAPSHOTS - 1, len(traj))
         amps = [
-            tail_amplitudes(averaged_source(traj, i, variant), variant, psi_literal)
+            tail_amplitudes(averaged_source(traj, i, variant), psi_literal)
             for i in indices
         ]
         assert len(amps) > 1
@@ -340,7 +340,7 @@ class TestOnePass:
         traj = request.getfixturevalue(name)
         idx = len(traj) - 2
         h = averaged_source(traj, idx, variant)
-        amp_right, amp_left = tail_amplitudes(h, variant, psi_literal)
+        amp_right, amp_left = tail_amplitudes(h, psi_literal)
         expected = AsymptoticProfile(
             t=float(traj.times[idx]),
             h=h,

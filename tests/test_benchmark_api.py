@@ -7,6 +7,7 @@ the benchmark calls would only show up as failed benchmark runs.
 
 import importlib
 import re
+import string
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import gch
+from gch.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -28,6 +30,31 @@ import workloads  # noqa: E402
 def test_benchmark_configs_parse(tmp_path, workload, seed):
     cfg = gch.parse_config_file(workloads.write_config(workload, seed, tmp_path))
     assert cfg.kind == "sech2"
+
+
+TEMPLATES = sorted((PERFBENCH / "configs").glob("*.cfg"))
+
+
+def _nominal(template: Path) -> str:
+    return string.Template(template.read_text(encoding="utf-8")).substitute(
+        {key: repr(value) for key, value in workloads.NOMINAL.items()}
+    )
+
+
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda p: p.stem)
+def test_every_config_template_parses(template):
+    cfg = gch.parse_config(_nominal(template))
+    assert cfg.amplitude == workloads.NOMINAL["amplitude"]
+
+
+def test_aliased_products_exit_two(tmp_path, capsys):
+    text = _nominal(PERFBENCH / "configs" / "showcase.cfg")
+    assert "dealias = true" in text
+    cfg_file = tmp_path / "aliased.cfg"
+    cfg_file.write_text(text.replace("dealias = true", "dealias = false"), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+    assert "no longer optional" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_runner_names_exist():

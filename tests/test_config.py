@@ -77,6 +77,18 @@ class TestParseConfig:
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert not names & {"form", "seed"}
 
+    def test_dealias_true_accepted_and_ignored(self):
+        # products are always 2/3-truncated; files that say so still parse
+        old = parse_config(MINIMAL + "\n[dynamics]\ndealias = true\n")
+        assert old == parse_config(MINIMAL)
+        assert config_hash(old) == config_hash(parse_config(MINIMAL))
+        assert "dealias" not in old.to_text()
+        assert "dealias" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_dealias_false_rejected(self):
+        with pytest.raises(ConfigError, match="dynamics.dealias: dealiasing is no longer optional"):
+            parse_config(MINIMAL + "\n[dynamics]\ndealias = false\n")
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -131,7 +143,7 @@ class TestRoundTrip:
         text = (
             MINIMAL
             + "\n[time]\nsnapshot_stride = 4\ndt = 0.005\n"
-            + "[dynamics]\nform = momentum\ndealias = false\n"
+            + "[dynamics]\nform = momentum\n"
             + "[weights]\nphi = 0,0,2,0\np = 2\nN = 100\n"
             + "[diagnostics]\nrun = persistence,analyticity\nwindow = 11,19\nd = 1.5\n"
             + "variant = thm43\nt_star = 0.25\npsi_literal = true\n"

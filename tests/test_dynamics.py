@@ -70,9 +70,9 @@ class TestFormEquivalence:
         calls = []
         true_rhs = dynamics_mod.rhs
 
-        def counted(u, form, dealias=True):
+        def counted(u, form):
             calls.append(RhsForm(form))
-            return true_rhs(u, form, dealias)
+            return true_rhs(u, form)
 
         monkeypatch.setattr(dynamics_mod, "rhs", counted)
         u = sample(grid1024, lambda x: 0.1 / np.cosh(x) ** 2)

@@ -53,7 +53,6 @@ class TestField:
         vals[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             Field(grid1024, vals)
-        Field(grid1024, vals, allow_nonfinite=True)  # explicit opt-out
 
     def test_grid_mismatch(self, grid1024):
         other = Grid(1024, 20.0)

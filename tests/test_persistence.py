@@ -58,6 +58,15 @@ class TestPersistenceLedger:
         assert led.C_fit == 0.0
         assert not led.degenerate
 
+    def test_single_snapshot(self, sech2_small):
+        traj = Trajectory.from_snapshots([0.0], [sech2_small])
+        led = persistence_ledger(traj, WeightSpec(0, 0, 2, 0), np.inf)
+        assert led.C_fit == 0.0
+        assert led.binding_index is None
+        assert not led.degenerate
+        assert led.W.shape == (1,)
+        assert np.array_equal(led.bound(), led.W)
+
     def test_zero_trajectory_degenerate(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
         traj = Trajectory.from_snapshots([0.0, 0.1], [z, z])

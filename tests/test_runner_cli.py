@@ -321,8 +321,8 @@ class TestSelftestFaultInjection:
 
         true_rhs = dynamics_mod.rhs
 
-        def corrupted(u, form, dealias=True):
-            out = true_rhs(u, form, dealias)
+        def corrupted(u, form):
+            out = true_rhs(u, form)
             if RhsForm(form) is RhsForm.FORM_B:
                 from gch import Field, derivative
 
