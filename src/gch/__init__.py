@@ -50,7 +50,7 @@ from .dynamics import (
     sqrt3_residual_field,
 )
 from .errors import BlowUpError, ConfigError, GchError
-from .fields import make_initial, random_compact_field, random_smooth_field
+from .fields import make_initial
 from .grid import (
     Field,
     Grid,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import _parse_float, _parse_float_tuple, parse_config_file
 from .errors import ConfigError
-from .runner import run_experiment, selftest
+from .runner import _jsonable, run_experiment, selftest
 from .weights import WeightSpec, admissibility_report
 
 EXIT_OK = 0
@@ -78,7 +78,10 @@ def _cmd_verify_weights(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError([f"verify-weights: {exc}"]) from None
-    text = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+    # strict JSON, as in the run summaries: a weight that underflows to 0 makes
+    # C0 and A NaN (0/0), written as null
+    payload = {key: _jsonable(value) for key, value in report.as_dict().items()}
+    text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.out is not None:
         out = Path(args.out)

@@ -12,8 +12,6 @@ __all__ = [
     "gaussian_profile",
     "make_initial",
     "INITIAL_KINDS",
-    "random_smooth_field",
-    "random_compact_field",
     "smooth_field_family",
     "compact_pair_family",
 ]
@@ -54,7 +52,7 @@ def make_initial(grid: Grid, kind: str, amplitude: float = 0.05,
     raise ValueError(f"unknown initial-condition kind {kind!r}; choose from {INITIAL_KINDS}")
 
 
-def random_smooth_field(
+def _random_smooth_field(
     grid: Grid,
     rng: np.random.Generator,
     amplitude: float = 0.2,
@@ -77,7 +75,7 @@ def random_smooth_field(
     return Field(grid, vals)
 
 
-def random_compact_field(
+def _random_compact_field(
     grid: Grid,
     rng: np.random.Generator,
     amplitude: float = 1.0,
@@ -106,13 +104,13 @@ def random_compact_field(
 def smooth_field_family(grid: Grid, count: int, seed: int, **kwargs) -> list:
     """Deterministic family of smooth decaying fields for sweep tests."""
     rng = np.random.default_rng(seed)
-    return [random_smooth_field(grid, rng, **kwargs) for _ in range(count)]
+    return [_random_smooth_field(grid, rng, **kwargs) for _ in range(count)]
 
 
 def compact_pair_family(grid: Grid, count: int, seed: int, **kwargs) -> list:
     """Deterministic family of compactly supported field pairs."""
     rng = np.random.default_rng(seed)
     return [
-        (random_compact_field(grid, rng, **kwargs), random_compact_field(grid, rng, **kwargs))
+        (_random_compact_field(grid, rng, **kwargs), _random_compact_field(grid, rng, **kwargs))
         for _ in range(count)
     ]

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import qmc
 
 from .grid import Field, Grid, lp_norm
 
@@ -186,10 +184,26 @@ class AdmissibilityReport:
         }
 
 
+def _radical_inverse(count: int, base: int) -> np.ndarray:
+    """The first ``count`` points of the van der Corput sequence in ``base``.
+
+    Index i maps to its base-``base`` digits mirrored about the radix point;
+    the digits are summed lowest first, so the values match the unscrambled
+    Halton sequence of ``scipy.stats.qmc`` bit for bit.
+    """
+    idx = np.arange(count)
+    out = np.zeros(count)
+    scale = 1.0 / base
+    while np.any(idx):
+        idx, digit = np.divmod(idx, base)
+        out += digit * scale
+        scale /= base
+    return out
+
+
 def _halton_pairs(count: int, bound: float) -> np.ndarray:
-    """Deterministic low-discrepancy sample of [-bound, bound]^2."""
-    sampler = qmc.Halton(d=2, scramble=False)
-    pts = sampler.random(count)
+    """Deterministic low-discrepancy sample of [-bound, bound]^2 (Halton, bases 2 and 3)."""
+    pts = np.column_stack((_radical_inverse(count, 2), _radical_inverse(count, 3)))
     return (2.0 * pts - 1.0) * bound
 
 
@@ -198,9 +212,11 @@ def _log_derivative_bound(spec: WeightSpec, xs: np.ndarray) -> float:
     h = 1e-6 * np.maximum(1.0, np.abs(xs))
     w0 = eval_weight(spec, 0.0)
     one_sided = np.abs((eval_weight(spec, h) - w0) / h) / w0
-    central = np.abs(
-        (eval_weight(spec, xs + h) - eval_weight(spec, xs - h)) / (2.0 * h)
-    ) / eval_weight(spec, xs)
+    # a weight that underflows to 0 gives 0/0 = NaN: no finite bound was measured
+    with np.errstate(divide="ignore", invalid="ignore"):
+        central = np.abs(
+            (eval_weight(spec, xs + h) - eval_weight(spec, xs - h)) / (2.0 * h)
+        ) / eval_weight(spec, xs)
     return float(np.max(np.where(np.abs(xs) < h, one_sided, central)))
 
 
@@ -208,6 +224,8 @@ def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:
     if np.isinf(p):
         xs = np.linspace(-bound, bound, 20001)
         return float(np.max(eval_weight(spec, xs) * np.exp(-np.abs(xs))))
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda t: (eval_weight(spec, t) * np.exp(-abs(t))) ** p,
         -bound,
@@ -241,12 +259,12 @@ def admissibility_report(
     pairs = _halton_pairs(sample_count, domain_bound)
     xs, ys = pairs[:, 0], pairs[:, 1]
 
-    phi_sum = eval_weight(phi, xs + ys)
-    ratio_c0 = phi_sum / (eval_weight(v, xs) * eval_weight(phi, ys))
+    # weights that underflow to 0 make these ratios x/0 or 0/0; the inf or NaN
+    # they leave in C0 fails the "moderate" check below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio_c0 = eval_weight(phi, xs + ys) / (eval_weight(v, xs) * eval_weight(phi, ys))
+        submult = eval_weight(v, xs + ys) / (eval_weight(v, xs) * eval_weight(v, ys))
     C0 = float(np.max(ratio_c0))
-
-    v_sum = eval_weight(v, xs + ys)
-    submult = v_sum / (eval_weight(v, xs) * eval_weight(v, ys))
     submult_max_violation = float(max(0.0, np.max(submult) - 1.0))
 
     deriv_abscissae = np.concatenate(([0.0], xs))

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gch import ConfigError, ExperimentConfig, config_hash, parse_config
 
@@ -159,3 +161,78 @@ class TestRoundTrip:
         b = parse_config(MINIMAL.replace("T = 0.5", "T = 0.25"))
         assert config_hash(a) != config_hash(b)
         assert len(config_hash(a)) == 12
+
+
+def _floats(lo, hi, **bounds):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _optional(values):
+    return st.one_of(st.just("none"), values)
+
+
+# what a hand-written value can hold: no '#', no surrounding blanks, no line breaks
+_TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=16)
+_PATHS = _TOKEN.filter(lambda s: s not in ("none", "auto"))
+# (section, key) -> text of a valid value; window and t_star depend on L and T,
+# so config_texts draws them last
+_VALUES = {
+    ("grid", "n"): st.integers(4, 20).map(lambda k: str(2**k)),
+    ("grid", "L"): _floats(1e-3, 1e6).map(repr),
+    ("time", "T"): _floats(1e-6, 1e3).map(repr),
+    ("time", "snapshot_stride"): st.integers(1, 10**6).map(str),
+    ("time", "dt"): _optional(_floats(0.0, 1.0, exclude_min=True).map(repr)),
+    ("initial", "kind"): st.sampled_from(["zero", "sech", "sech2", "gaussian", "file"]),
+    ("initial", "amplitude"): _floats(-1e3, 1e3).map(repr),
+    ("initial", "width"): _floats(0.0, 1e3, exclude_min=True).map(repr),
+    ("initial", "center"): _floats(-1e3, 1e3).map(repr),
+    ("initial", "path"): _optional(_PATHS),
+    ("dynamics", "form"): st.sampled_from(["primitive", "form_a", "form_b", "momentum"]),
+    ("dynamics", "dealias"): st.sampled_from(["true", "yes", "on", "1"]),
+    ("weights", "phi"): st.lists(_floats(-1e3, 1e3), min_size=4, max_size=4).map(
+        lambda xs: ",".join(map(repr, xs))
+    ),
+    ("weights", "p"): st.one_of(st.sampled_from(["inf", "Infinity"]), _floats(1.0, 1e6).map(repr)),
+    ("weights", "N"): _optional(_floats(0.0, 1e300, exclude_min=True).map(repr)),
+    ("diagnostics", "run"): _optional(
+        st.lists(st.sampled_from(["persistence", "asymptotics", "analyticity"]), min_size=1)
+        .map(",".join)
+    ),
+    ("diagnostics", "d"): _floats(0.5, 1e3, exclude_min=True).map(repr),
+    ("diagnostics", "variant"): st.sampled_from(["thm41", "thm43"]),
+    ("diagnostics", "psi_literal"): st.sampled_from(["true", "False", "yes", "no", "on", "0"]),
+    ("output", "dir"): _TOKEN,
+    ("output", "seed"): st.integers(-(2**63), 2**63).map(str),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Valid configuration texts: a random subset of keys, in random order."""
+    keys = draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True))
+    values = {key: draw(_VALUES[key]) for key in keys}
+    path = ("initial", "path")
+    if values.get(("initial", "kind")) == "file" and values.get(path, "none") == "none":
+        values[path] = draw(_PATHS)
+    L = float(values.get(("grid", "L"), "40"))
+    T = float(values.get(("time", "T"), "0.5"))
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(_floats(0.2 * L, 0.8 * L, exclude_min=True,
+                                              exclude_max=True), min_size=2, max_size=2)))
+        if lo < hi:
+            values[("diagnostics", "window")] = f"{lo!r},{hi!r}"
+    if draw(st.booleans()):
+        values[("diagnostics", "t_star")] = repr(draw(_floats(0.0, T, exclude_min=True)))
+    return "".join(f"[{sec}]\n{key} = {text}\n" for (sec, key), text in values.items())
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(config_texts())
+    def test_canonical_text_reproduces_config_and_hash(self, text):
+        cfg = parse_config(text)
+        canonical = cfg.to_text()
+        again = parse_config(canonical)
+        assert again == cfg
+        assert again.to_text() == canonical
+        assert config_hash(again) == config_hash(cfg)

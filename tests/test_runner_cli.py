@@ -252,6 +252,20 @@ class TestCli:
         assert payload["admissible"] is True
         assert abs(payload["kernel_integral"] - 4.0) < 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_weights_strict_json_when_weights_underflow(self, tmp_path, capsys):
+        # e^{-x^2} underflows to 0 on [-40, 40], so C0 and A are 0/0
+        out = tmp_path / "weights"
+        assert main(["verify-weights", "--phi=-1,2,0,0", "--bound", "40", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        for text in (capsys.readouterr().out, (out / "admissibility.json").read_text()):
+            payload = json.loads(text, parse_constant=reject)
+            assert payload["C0"] is None and payload["A"] is None
+            assert payload["admissible"] is False
+
     def test_persistence_subcommand(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(FAST)

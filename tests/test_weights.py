@@ -13,6 +13,7 @@ from gch import (
     weighted_young_check,
 )
 from gch.fields import compact_pair_family
+from gch.weights import _halton_pairs
 
 
 class TestEvalWeight:
@@ -61,6 +62,17 @@ class TestTruncateWeight:
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             truncate_weight(WeightSpec(0, 0, 1, 0), 0.0)
+
+
+class TestHaltonPairs:
+    @pytest.mark.parametrize("count", [1000, 2048, 4097, 10000])
+    def test_matches_scipy_halton_bit_for_bit(self, count):
+        # scipy is only the oracle here: gch itself never imports it for sampling
+        from scipy.stats import qmc
+
+        bound = 20.0
+        expected = (2.0 * qmc.Halton(d=2, scramble=False).random(count) - 1.0) * bound
+        np.testing.assert_array_equal(_halton_pairs(count, bound), expected)
 
 
 class TestAdmissibilityReport:
