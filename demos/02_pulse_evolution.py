@@ -20,7 +20,7 @@ print(f"dt from the transport bound: {estimate_dt(u0):.4g}")
 traj = simulate(u0, 0.5, snapshot_stride=5)
 print(f"steps: {traj.n_steps}, snapshots: {len(traj)}, valid: {traj.valid}")
 print(f"max boundary magnitude: {np.max(traj.boundary_magnitudes):.2e}")
-print(f"max H^1 drift:          {np.max(traj.metadata['h1_drift']):.2e}")
+print(f"max H^1 drift:          {np.max(traj.h1_drift):.2e}")
 
 print("\n   t        max|u|      u(x=10)")
 for t, snap in zip(traj.times, traj.snapshots):

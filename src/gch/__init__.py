@@ -66,7 +66,6 @@ from .helmholtz import (
     green_convolve_direct,
     helmholtz_forward,
     helmholtz_inverse,
-    kernel_mass,
     p2_apply,
     periodized_green,
 )
@@ -83,7 +82,6 @@ from .persistence import (
     PersistenceLedger,
     TwoTierReport,
     persistence_ledger,
-    sup_norm_total,
     two_tier_persistence_check,
 )
 from .runner import RunSummary, run_experiment, selftest

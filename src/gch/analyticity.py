@@ -96,11 +96,6 @@ def _majorant_terms(ladder: np.ndarray, s: float) -> np.ndarray:
     return terms
 
 
-def majorant_norm(f: Field, params: MajorantParams = MajorantParams()) -> float:
-    """Truncated majorant norm: max over k <= K of s^k (k+1)^2 ||d^k f||_{H^1} / k!."""
-    return float(np.max(_majorant_terms(_h1_ladder(f, params.k_max), params.s)))
-
-
 def majorant_norm_argmax(f: Field, params: MajorantParams = MajorantParams()):
     """Truncated majorant norm together with the order attaining the sup.
 
@@ -112,13 +107,15 @@ def majorant_norm_argmax(f: Field, params: MajorantParams = MajorantParams()):
     return float(terms[k]), k
 
 
+def majorant_norm(f: Field, params: MajorantParams = MajorantParams()) -> float:
+    """Truncated majorant norm: max over k <= K of s^k (k+1)^2 ||d^k f||_{H^1} / k!."""
+    return majorant_norm_argmax(f, params)[0]
+
+
 @dataclass
 class OperatorBoundReport:
     """Measured slacks of the shift and smoothing bounds plus the algebra constant."""
 
-    s: float
-    s_prime: float
-    params: MajorantParams
     shift_lhs: float
     shift_rhs: float
     smooth_lhs: float
@@ -143,19 +140,17 @@ class OperatorBoundReport:
         return abs(self.c_algebra_doubled - self.c_algebra) / self.c_algebra
 
 
-def operator_bound_report(
-    f: Field, s: float, s_prime: float, params: MajorantParams = MajorantParams()
-) -> OperatorBoundReport:
+def operator_bound_report(f: Field, s: float, s_prime: float) -> OperatorBoundReport:
     """Check the scale-of-spaces operator bounds on a concrete field.
 
     Measures both sides of ||d_x f||_{s'} <= ||f||_s/(s-s') and
-    ||P2 f||_s <= ||f||_s at the given truncation, plus the algebra
+    ||P2 f||_s <= ||f||_s at the default truncation K, plus the algebra
     constant C = |||f^2|||_s / |||f|||_s^2 at K and 2K (capped at 30) to
     confirm the truncation has converged.
     """
     if not (0.0 < s_prime < s <= 1.0):
         raise ValueError(f"need 0 < s' < s <= 1, got s'={s_prime}, s={s}")
-    k_top = params.k_max
+    k_top = MajorantParams().k_max
     ladder = _h1_ladder(f, k_top + 1)
 
     shift_lhs = float(np.max(_majorant_terms(ladder[1:], s_prime)))
@@ -177,9 +172,6 @@ def operator_bound_report(
     )
 
     return OperatorBoundReport(
-        s=s,
-        s_prime=s_prime,
-        params=params,
         shift_lhs=shift_lhs,
         shift_rhs=shift_rhs,
         smooth_lhs=smooth_lhs,
@@ -194,8 +186,6 @@ class RadiusFit:
     """Exponential decay rate of the Fourier coefficients of one field."""
 
     sigma: float
-    band: tuple
-    n_modes: int
     residual: float
     super_exponential: bool
 
@@ -244,8 +234,6 @@ def radius_estimate(f: Field) -> RadiusFit:
     residual = ss_res / ss_tot if ss_tot > 0.0 else 0.0
     return RadiusFit(
         sigma=float(slope),
-        band=(best_start, best_start + best_len - 1),
-        n_modes=best_len,
         residual=residual,
         super_exponential=residual > RESIDUAL_FLAG,
     )
@@ -258,8 +246,6 @@ class RadiusSeries:
     times: np.ndarray
     sigma: np.ndarray
     residual: np.ndarray
-    band_lo: np.ndarray
-    band_hi: np.ndarray
     valid: np.ndarray
 
     def __len__(self) -> int:
@@ -276,8 +262,6 @@ def radius_track(traj: Trajectory) -> RadiusSeries:
     n = len(traj)
     sigma = np.full(n, np.nan)
     residual = np.full(n, np.nan)
-    band_lo = np.zeros(n, dtype=int)
-    band_hi = np.zeros(n, dtype=int)
     valid = np.zeros(n, dtype=bool)
     for i, u in enumerate(traj.snapshots):
         try:
@@ -288,9 +272,5 @@ def radius_track(traj: Trajectory) -> RadiusSeries:
             continue
         sigma[i] = fit.sigma
         residual[i] = fit.residual
-        band_lo[i], band_hi[i] = fit.band
         valid[i] = True
-    return RadiusSeries(
-        times=traj.times, sigma=sigma, residual=residual,
-        band_lo=band_lo, band_hi=band_hi, valid=valid,
-    )
+    return RadiusSeries(times=traj.times, sigma=sigma, residual=residual, valid=valid)

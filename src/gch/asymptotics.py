@@ -208,7 +208,6 @@ class TailRatio:
     amplitude: float
     rel_deviation: float
     orientation: int
-    side: str
 
 
 def tail_ratio(
@@ -258,7 +257,7 @@ def _tail_ratio(traj, t_index, window, side, h) -> TailRatio:
     rel = abs(abs(median) - amp) / abs(amp) if amp != 0.0 else np.inf
     return TailRatio(
         xs=x[mask], ratios=ratios, median=median, amplitude=amp,
-        rel_deviation=rel, orientation=int(np.sign(median)), side=side,
+        rel_deviation=rel, orientation=int(np.sign(median)),
     )
 
 

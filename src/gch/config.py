@@ -66,13 +66,23 @@ class ExperimentConfig:
         return (0.25 * self.L, 0.5 * self.L)
 
     def to_text(self) -> str:
-        """Canonical serialization; parse_config(to_text()) reproduces self."""
+        """Canonical serialization; parse_config(to_text()) reproduces self.
+
+        A string that would not read back raises ValueError: one holding '#'
+        or a line break, with surrounding blanks, or parsed as another value.
+        """
         lines, section = [], None
-        for (sec, key), (attr, _) in _STORED.items():
+        for (sec, key), (attr, parser) in _STORED.items():
             if sec != section:
                 lines.append(f"[{sec}]")
                 section = sec
-            lines.append(f"{key} = {_format(getattr(self, attr))}")
+            value = getattr(self, attr)
+            text = _format(value)
+            # parse_config reads one line, cut at '#' and stripped of blanks
+            whole = len(text.splitlines()) <= 1 and text.split("#", 1)[0].strip() == text
+            if isinstance(value, str) and not (whole and parser(text) == value):
+                raise ValueError(f"{sec}.{key} = {value!r} cannot be read back from config text")
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GchError", "ConfigError", "BlowUpError"]
+
 
 class GchError(Exception):
     """Base class for package-specific failures."""

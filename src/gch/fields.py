@@ -52,46 +52,33 @@ def make_initial(grid: Grid, kind: str, amplitude: float = 0.05,
     raise ValueError(f"unknown initial-condition kind {kind!r}; choose from {INITIAL_KINDS}")
 
 
-def _random_smooth_field(
-    grid: Grid,
-    rng: np.random.Generator,
-    amplitude: float = 0.2,
-    n_bumps: int = 3,
-    center_range: float = 8.0,
-    width_range=(1.0, 3.0),
-) -> Field:
-    """Sum of Gaussian bumps with random centers, widths and signed amplitudes.
+def _random_smooth_field(grid: Grid, rng: np.random.Generator) -> Field:
+    """Three Gaussian bumps with random centers, widths and signed amplitudes.
 
     Bumps stay well inside the box so the samples decay below roundoff at
     the seam; widths of at least one length unit keep the spectrum far from
     the dealiasing band on the working grids.
     """
     vals = np.zeros(grid.n)
-    for _ in range(n_bumps):
-        a = amplitude * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
-        c = rng.uniform(-center_range, center_range)
-        w = rng.uniform(*width_range)
+    for _ in range(3):
+        a = 0.2 * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+        c = rng.uniform(-8.0, 8.0)
+        w = rng.uniform(1.0, 3.0)
         vals += a * np.exp(-(((grid.x - c) / w) ** 2))
     return Field(grid, vals)
 
 
-def _random_compact_field(
-    grid: Grid,
-    rng: np.random.Generator,
-    amplitude: float = 1.0,
-    support: float = 10.0,
-    n_bumps: int = 2,
-) -> Field:
-    """Smooth bumps that vanish identically outside [-support, support].
+def _random_compact_field(grid: Grid, rng: np.random.Generator) -> Field:
+    """Two smooth bumps that vanish identically outside [-10, 10].
 
     Built from the standard mollifier exp(-1/(1-t^2)); exact compact
     support keeps periodized convolutions free of wrap-around.
     """
     vals = np.zeros(grid.n)
-    for _ in range(n_bumps):
-        a = amplitude * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
-        half = rng.uniform(0.3, 0.45) * support
-        c = rng.uniform(-(support - half), support - half)
+    for _ in range(2):
+        a = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+        half = rng.uniform(0.3, 0.45) * 10.0
+        c = rng.uniform(-(10.0 - half), 10.0 - half)
         t = (grid.x - c) / half
         inside = np.abs(t) < 1.0
         bump = np.zeros(grid.n)
@@ -101,16 +88,16 @@ def _random_compact_field(
     return Field(grid, vals)
 
 
-def smooth_field_family(grid: Grid, count: int, seed: int, **kwargs) -> list:
+def smooth_field_family(grid: Grid, count: int, seed: int) -> list:
     """Deterministic family of smooth decaying fields for sweep tests."""
     rng = np.random.default_rng(seed)
-    return [_random_smooth_field(grid, rng, **kwargs) for _ in range(count)]
+    return [_random_smooth_field(grid, rng) for _ in range(count)]
 
 
-def compact_pair_family(grid: Grid, count: int, seed: int, **kwargs) -> list:
+def compact_pair_family(grid: Grid, count: int, seed: int) -> list:
     """Deterministic family of compactly supported field pairs."""
     rng = np.random.default_rng(seed)
     return [
-        (_random_compact_field(grid, rng, **kwargs), _random_compact_field(grid, rng, **kwargs))
+        (_random_compact_field(grid, rng), _random_compact_field(grid, rng))
         for _ in range(count)
     ]

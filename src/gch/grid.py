@@ -34,9 +34,8 @@ class Grid:
     """Uniform periodic mesh on [-L, L) with its Fourier operator table.
 
     Nodes are x_j = -L + j*dx with dx = 2L/n and n a power of two.
-    Wavenumbers follow FFT ordering, k = (pi/L)*m for signed mode index m;
-    the Nyquist mode is stored with the negative sign and treated as its own
-    negative.  ``k_rfft`` holds the one-sided table used with real FFTs.
+    ``k_rfft`` holds the one-sided wavenumbers k = (pi/L)*m, m = 0..n/2,
+    used with real FFTs; the Nyquist mode m = n/2 is its own negative.
 
     The operator table is the package's one spectral core, built once per
     grid from ``k_rfft``: ``k2`` = k^2, ``helm`` = 1 + k^2 (the symbol of
@@ -53,7 +52,7 @@ class Grid:
     """
 
     __slots__ = (
-        "n", "half_width", "dx", "x", "k", "k_rfft", "k2", "helm", "ik_pow", "keep", "h1_weight",
+        "n", "half_width", "dx", "x", "k_rfft", "k2", "helm", "ik_pow", "keep", "h1_weight",
     )
 
     def __init__(self, n: int, half_width: float):
@@ -69,7 +68,6 @@ class Grid:
         self.half_width = half_width
         self.dx = 2.0 * half_width / n
         x = -half_width + self.dx * np.arange(n)
-        k = (np.pi / half_width) * np.fft.fftfreq(n, d=1.0 / n)
         k_rfft = (np.pi / half_width) * np.arange(n // 2 + 1)
         k2 = k_rfft**2
         helm = 1.0 + k2
@@ -79,10 +77,9 @@ class Grid:
         h1_weight = 2.0 * helm
         h1_weight[0] = 1.0
         h1_weight[-1] = 1.0
-        for arr in (x, k, k_rfft, k2, helm, keep, h1_weight) + ik_pow:
+        for arr in (x, k_rfft, k2, helm, keep, h1_weight) + ik_pow:
             arr.setflags(write=False)
         self.x = x
-        self.k = k
         self.k_rfft = k_rfft
         self.k2 = k2
         self.helm = helm
@@ -125,10 +122,6 @@ class Grid:
     def p2(self, values):
         """P2 = d_x G*: multiply by ik, then divide by 1 + k^2; drops the Nyquist mode."""
         return self.irfft(self.drop_nyquist(self.rfft(values) * self.ik_pow[0] / self.helm))
-
-    @property
-    def L(self) -> float:
-        return self.half_width
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field
 
 __all__ = [
     "helmholtz_inverse",
     "helmholtz_forward",
     "p2_apply",
     "periodized_green",
-    "kernel_mass",
     "green_convolve_direct",
 ]
 
@@ -55,19 +54,6 @@ def periodized_green(offsets, half_width: float):
     d = np.mod(np.asarray(offsets, dtype=float) + L, 2.0 * L) - L
     a = np.abs(d)
     return (np.exp(-a) + np.exp(a - 2.0 * L)) / (2.0 * (1.0 - np.exp(-2.0 * L)))
-
-
-def kernel_mass(grid: Grid) -> float:
-    """Integral of G_per over one period, by corrected node quadrature.
-
-    The kernel has a kink at 0 (a grid node), so the plain rectangle sum
-    carries an O(dx^2) Euler-Maclaurin defect; the first two kink
-    corrections bring the result to ~dx^6 of the exact value 1.
-    """
-    g = periodized_green(grid.x, grid.half_width)
-    dx = grid.dx
-    # kink jumps of G_per at 0: [G'] = -1, [G'''] = -1
-    return float(np.sum(g) * dx - dx**2 / 12.0 + dx**4 / 720.0)
 
 
 def green_convolve_direct(f: Field) -> Field:

@@ -23,7 +23,7 @@ the reference path.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class Trajectory:
     dt_final: float
     n_steps: int
     boundary_magnitudes: np.ndarray
-    metadata: dict = dc_field(default_factory=dict)
+    h1_drift: np.ndarray | None = None  # per snapshot from simulate; None if wrapped
 
     def __post_init__(self):
         if len(self.snapshots) != len(self.times):
@@ -179,7 +179,7 @@ def simulate(
     The step size comes from :func:`estimate_dt` unless ``dt`` is given
     explicitly; either way the last step is shortened to land exactly on T.
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
-    a factor of 1000 over the initial datum.  ``metadata["h1_drift"]``
+    a factor of 1000 over the initial datum.  ``h1_drift``
     holds |H1(t) - H1(0)| / H1(0) per snapshot, from the coefficients.
     """
     T = _require_positive("T", T)
@@ -233,14 +233,13 @@ def simulate(
         dt_final=dt_nominal,
         n_steps=step,
         boundary_magnitudes=np.asarray(boundary),
-        metadata={"h1_drift": np.asarray(drift)},
+        h1_drift=np.asarray(drift),
     )
 
 
-def snapshots_to_csv(traj: Trajectory, stream, config_hash: str | None = None) -> None:
-    """Write the trajectory in long format with columns t,x,u."""
-    if config_hash is not None:
-        stream.write(f"# config-hash: {config_hash}\n")
+def snapshots_to_csv(traj: Trajectory, stream, config_hash: str) -> None:
+    """Write the trajectory in long format with columns t,x,u, under a config-hash line."""
+    stream.write(f"# config-hash: {config_hash}\n")
     stream.write("t,x,u\n")
     for t, snap in zip(traj.times, traj.snapshots):
         ts = repr(float(t))

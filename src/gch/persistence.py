@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, derivative, lp_norm
+from .grid import Field, lp_norm
 from .integrate import Trajectory
 from .weights import (
     WeightSpec,
@@ -34,7 +34,6 @@ from .weights import (
 __all__ = [
     "PersistenceLedger",
     "TwoTierReport",
-    "sup_norm_total",
     "persistence_ledger",
     "two_tier_persistence_check",
     "default_truncation_level",
@@ -50,12 +49,6 @@ def _triple(u: Field) -> tuple:
 
 def _triple_sup(triple) -> float:
     return sum(lp_norm(f, np.inf) for f in triple)
-
-
-def sup_norm_total(traj: Trajectory) -> float:
-    """Max over snapshots of ||u||_inf + ||u_x||_inf + ||u_xx||_inf."""
-    _require_valid(traj)
-    return float(max(_triple_sup(_triple(u)) for u in traj.snapshots))
 
 
 def _require_valid(traj: Trajectory) -> None:
@@ -163,38 +156,28 @@ def _weighted_l1_sources(traj: Trajectory, w_vals: np.ndarray):
     source_plain carries (2 u_x^2 + 6 u^2) + d_x(u_x^2); the differentiated
     variant carries d_x(2 u_x^2 + 6 u^2) + u_x^2.
     """
+    grid = traj.grid
     plain, diffed = [], []
     for u in traj.snapshots:
-        ux = derivative(u, 1)
         u2 = u.values**2
-        ux2 = ux.values**2
+        ux2 = grid.diff(u.values) ** 2
         base = 2.0 * ux2 + 6.0 * u2
-        dx_ux2 = derivative(Field(traj.grid, ux2), 1).values
-        dx_base = derivative(Field(traj.grid, base), 1).values
-        plain.append(lp_norm(Field(traj.grid, (base + dx_ux2) * w_vals), 1.0))
-        diffed.append(lp_norm(Field(traj.grid, (dx_base + ux2) * w_vals), 1.0))
+        plain.append(lp_norm(Field(grid, (base + grid.diff(ux2)) * w_vals), 1.0))
+        diffed.append(lp_norm(Field(grid, (grid.diff(base) + ux2) * w_vals), 1.0))
     return np.asarray(plain), np.asarray(diffed)
 
 
-def two_tier_persistence_check(
-    traj: Trajectory,
-    phi: WeightSpec,
-    p: float,
-    v: WeightSpec | None = None,
-    domain_bound: float = 20.0,
-    N: float | None = None,
-) -> TwoTierReport:
+def two_tier_persistence_check(traj: Trajectory, phi: WeightSpec, p: float) -> TwoTierReport:
     """Check boundedness of both the (phi, p) and (sqrt(phi), 2) ledgers.
 
     Applies to weights too fast-growing for the plain estimate: the kernel
     L^1 condition may fail as long as v e^{-|x|} stays in L^p, which is
     verified through :func:`admissibility_report` before any norms are
-    computed.  ``v`` defaults to phi itself, the natural comparison for a
-    sub-multiplicative weight.
+    computed.  The comparison weight v is phi itself, the natural choice
+    for a sub-multiplicative weight, and both ledgers truncate at their
+    default level.
     """
-    if v is None:
-        v = phi
-    report = admissibility_report(phi, v, domain_bound=domain_bound, p=p)
+    report = admissibility_report(phi, phi, p=p)
     if not report.passes["kernel_lp"]:
         return TwoTierReport(
             condition_ok=False,
@@ -203,9 +186,8 @@ def two_tier_persistence_check(
             ledger_root=None,
         )
 
-    ledger_primary = persistence_ledger(traj, phi, p, N=N)
-    root_N = None if N is None else float(np.sqrt(N))
-    ledger_root = persistence_ledger(traj, phi.sqrt(), 2.0, N=root_N)
+    ledger_primary = persistence_ledger(traj, phi, p)
+    ledger_root = persistence_ledger(traj, phi.sqrt(), 2.0)
 
     N_used = ledger_primary.N_used
     w_vals = weight_on_grid(truncate_weight(phi, N_used), traj.grid)
@@ -215,8 +197,8 @@ def two_tier_persistence_check(
     # squared L^2 bounds control these L^1 series.
     rate = 2.0 * (0.0 if ledger_root.degenerate else ledger_root.C_fit) * ledger_root.M
     growth = np.exp(rate * traj.times)
-    env_plain = float(np.max(source_plain / growth)) if len(traj.times) else 0.0
-    env_diffed = float(np.max(source_diffed / growth)) if len(traj.times) else 0.0
+    env_plain = float(np.max(source_plain / growth))
+    env_diffed = float(np.max(source_diffed / growth))
 
     return TwoTierReport(
         condition_ok=True,

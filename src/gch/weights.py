@@ -16,7 +16,7 @@ samples and therefore lower bounds of the true constants.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class WeightSpec:
     b: float
     c: float
     d: float
-
-    @property
-    def submultiplicative_family(self) -> bool:
-        """True in the regime a, c, d >= 0 and 0 <= b <= 1 where the family is sub-multiplicative."""
-        return self.a >= 0 and self.c >= 0 and self.d >= 0 and 0 <= self.b <= 1
 
     def sqrt(self) -> "WeightSpec":
         """The pointwise square root, again a member of the family."""
@@ -164,24 +159,11 @@ class AdmissibilityReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "phi": str(self.phi),
-            "v": str(self.v),
-            "p": "inf" if np.isinf(self.p) else self.p,
-            "domain_bound": self.domain_bound,
-            "sample_count": self.sample_count,
-            "C0": self.C0,
-            "A": self.A,
-            "submult_max_violation": self.submult_max_violation,
-            "kernel_integral": self.kernel_integral,
-            "kernel_integral_doubled": self.kernel_integral_doubled,
-            "kernel_lp_norm": self.kernel_lp_norm,
-            "kernel_lp_norm_doubled": self.kernel_lp_norm_doubled,
-            "inf_v": self.inf_v,
-            "passes": dict(self.passes),
-            "admissible": self.admissible,
-            "notes": list(self.notes),
-        }
+        """Every field plus the verdict, with the weights as strings."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(phi=str(self.phi), v=str(self.v), notes=list(self.notes))
+        out.update(passes=dict(self.passes), admissible=self.admissible)
+        return out
 
 
 def _radical_inverse(count: int, base: int) -> np.ndarray:
@@ -265,7 +247,9 @@ def admissibility_report(
         ratio_c0 = eval_weight(phi, xs + ys) / (eval_weight(v, xs) * eval_weight(phi, ys))
         submult = eval_weight(v, xs + ys) / (eval_weight(v, xs) * eval_weight(v, ys))
     C0 = float(np.max(ratio_c0))
-    submult_max_violation = float(max(0.0, np.max(submult) - 1.0))
+    # a 0/0 ratio leaves NaN, which max(0, .) would turn into a pass; it fails as inf
+    worst_submult = float(np.max(submult))
+    submult_max_violation = np.inf if np.isnan(worst_submult) else max(0.0, worst_submult - 1.0)
 
     deriv_abscissae = np.concatenate(([0.0], xs))
     A = _log_derivative_bound(phi, deriv_abscissae)

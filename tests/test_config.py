@@ -236,3 +236,34 @@ class TestRoundTripProperty:
         assert again == cfg
         assert again.to_text() == canonical
         assert config_hash(again) == config_hash(cfg)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        config_texts(),
+        st.text(st.one_of(st.characters(), st.sampled_from("# \t\r\n\x0b\x1c\x85 "))),
+        st.one_of(st.text(), st.sampled_from(["none", "NONE", "auto", "", "ok/path"])),
+    )
+    def test_any_string_round_trips_or_raises(self, text, out_dir, path):
+        # configs built in code may hold any string; to_text must not lose one silently
+        cfg = dataclasses.replace(parse_config(text), out_dir=out_dir, path=path)
+        try:
+            canonical = cfg.to_text()
+        except ValueError:
+            return
+        again = parse_config(canonical)
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("out_dir", "runs/#1"), ("out_dir", "a\nb"), ("out_dir", " out"),
+         ("out_dir", "out\t"), ("path", "none"), ("path", "")],
+    )
+    def test_unreadable_string_raises(self, field, value):
+        cfg = dataclasses.replace(parse_config(MINIMAL), **{field: value})
+        with pytest.raises(ValueError, match="cannot be read back"):
+            cfg.to_text()
+
+    def test_plain_strings_still_written(self):
+        cfg = dataclasses.replace(parse_config(MINIMAL), out_dir="runs/1 a=b", path="NONE.txt")
+        assert parse_config(cfg.to_text()) == cfg

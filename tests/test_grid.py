@@ -39,13 +39,6 @@ class TestMakeGrid:
         assert np.all(dx > 0)
         np.testing.assert_allclose(dx, grid1024.dx, rtol=1e-14)
 
-    def test_wavenumber_symmetry(self, grid1024):
-        k = grid1024.k
-        # every represented k has its negative; Nyquist is its own mirror
-        nyq = np.pi / 40.0 * (grid1024.n // 2)
-        others = k[np.abs(np.abs(k) - nyq) > 1e-12]
-        assert set(np.round(others, 10)) == set(np.round(-others, 10))
-
 
 class TestField:
     def test_rejects_nonfinite(self, grid1024):

@@ -9,7 +9,6 @@ from gch import (
     green_convolve_direct,
     helmholtz_forward,
     helmholtz_inverse,
-    kernel_mass,
     lp_norm,
     p2_apply,
     periodized_green,
@@ -24,9 +23,6 @@ class TestKernel:
         assert np.all(g > 0)
         # even under x -> -x (node 0 is its own mirror)
         np.testing.assert_allclose(g[1:], g[1:][::-1], rtol=1e-14)
-
-    def test_unit_mass(self, grid1024):
-        assert kernel_mass(grid1024) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_line_kernel_inside(self):
         # for L = 40 the image corrections are ~e^{-80}

@@ -1,4 +1,4 @@
-"""``import gch`` and a full run never load scipy.
+"""``import gch`` and a full run never load scipy; every export resolves.
 
 scipy is imported on demand only by the finite-p kernel quadrature in
 ``gch.weights`` and by file initial conditions in ``gch.grid``.  Each case
@@ -6,6 +6,8 @@ runs in a fresh interpreter, so modules loaded by other tests cannot hide
 a regression.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -42,3 +44,30 @@ def test_no_scipy_in_sys_modules(case, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+PACKAGE = ROOT / "src" / "gch"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "cli"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_exists(name):
+    module = importlib.import_module(f"gch.{name}")
+    assert module.__all__, f"gch.{name} declares no __all__"
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_imports_only_exported_names():
+    # a name deleted from a module must leave both its __all__ and gch/__init__
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports and all(node.level == 1 for node in imports)
+    unexported = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if not alias.name.startswith("_")
+        and alias.name not in importlib.import_module(f"gch.{node.module}").__all__
+    ]
+    assert unexported == []

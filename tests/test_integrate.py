@@ -214,7 +214,7 @@ def test_h1_drift_on_showcase_pulse():
     grid = Grid(4096, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
     traj = simulate(u0, 0.25, snapshot_stride=1)
-    drift = traj.metadata["h1_drift"]
+    drift = traj.h1_drift
     assert drift.shape == (len(traj),)
     assert drift[0] == 0.0
     assert np.all(drift < 1e-12)
@@ -229,7 +229,7 @@ def test_h1_drift_shrinks_like_dt4():
     grid = Grid(1024, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
     drift = [
-        simulate(u0, 1.0, snapshot_stride=10**6, dt=dt).metadata["h1_drift"][-1]
+        simulate(u0, 1.0, snapshot_stride=10**6, dt=dt).h1_drift[-1]
         for dt in (0.04, 0.02, 0.01)
     ]
     orders = np.log2(np.divide(drift[:-1], drift[1:]))
@@ -239,7 +239,7 @@ def test_h1_drift_shrinks_like_dt4():
 def test_h1_drift_zero_data(grid1024):
     z = Field(grid1024, np.zeros(grid1024.n))
     traj = simulate(z, 0.05)
-    assert np.all(traj.metadata["h1_drift"] == 0.0)
+    assert np.all(traj.h1_drift == 0.0)
 
 
 class TestTrajectory:

@@ -12,7 +12,6 @@ from gch import (
     persistence_ledger,
     sample,
     simulate,
-    sup_norm_total,
     truncate_weight,
     two_tier_persistence_check,
     weighted_lp_norm,
@@ -26,11 +25,16 @@ def run_T1(grid1024):
     return simulate(u0, 1.0, snapshot_stride=5)
 
 
+def ledger_sup(traj):
+    """Max over snapshots of ||u||_inf + ||u_x||_inf + ||u_xx||_inf, as the ledger's M."""
+    return persistence_ledger(traj, WeightSpec(0, 0, 0, 0), np.inf).M
+
+
 class TestSupNormTotal:
     def test_zero(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
         traj = Trajectory.from_snapshots([0.0], [z])
-        assert sup_norm_total(traj) == 0.0
+        assert ledger_sup(traj) == 0.0
 
     def test_sech_triple(self, sech):
         # 1 + max|sech'| + max|sech''| = 1 + 1/2 + 1; confirmed against a
@@ -42,13 +46,13 @@ class TestSupNormTotal:
         oracle = np.max(np.abs(s)) + np.max(np.abs(d1)) + np.max(np.abs(d2))
         assert oracle == pytest.approx(2.5, abs=1e-4)
         traj = Trajectory.from_snapshots([0.0], [sech])
-        assert sup_norm_total(traj) == pytest.approx(2.5, abs=1e-3)
+        assert ledger_sup(traj) == pytest.approx(2.5, abs=1e-3)
 
     def test_order_invariant(self, run_T1):
         shuffled = Trajectory.from_snapshots(
             run_T1.times, run_T1.snapshots[::-1][::-1]
         )
-        assert sup_norm_total(shuffled) == sup_norm_total(run_T1)
+        assert ledger_sup(shuffled) == ledger_sup(run_T1)
 
 
 class TestPersistenceLedger:
@@ -148,10 +152,8 @@ class TestTwoTier:
         assert rep.condition_ok and rep.bounded
 
     def test_hypothesis_violation_reported(self, run_exp):
-        # a super-exponential comparison weight fails v e^{-|x|} in L^p
-        rep = two_tier_persistence_check(
-            run_exp, WeightSpec(1, 1, 0, 0), 2.0, v=WeightSpec(2, 1, 0, 0)
-        )
+        # v = phi = e^{2|x|} leaves v e^{-|x|} = e^{|x|}, which is not in L^2
+        rep = two_tier_persistence_check(run_exp, WeightSpec(2, 1, 0, 0), 2.0)
         assert not rep.condition_ok
         assert "not satisfied" in rep.reason
         assert rep.ledger_primary is None
@@ -185,7 +187,7 @@ class TestOnePass:
             for u, ux, uxx in triples
         )
         assert np.array_equal(led.W, W)
-        assert led.M == M == sup_norm_total(run_T1)
+        assert led.M == M
 
     def test_fft_calls_per_snapshot(self, run_T1, fft_calls):
         persistence_ledger(run_T1, WeightSpec(0, 0, 2, 0), np.inf)

@@ -265,6 +265,8 @@ class TestCli:
             payload = json.loads(text, parse_constant=reject)
             assert payload["C0"] is None and payload["A"] is None
             assert payload["admissible"] is False
+            assert payload["submult_max_violation"] == "inf"
+            assert payload["passes"]["submultiplicative"] is False
 
     def test_persistence_subcommand(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

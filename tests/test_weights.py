@@ -104,11 +104,6 @@ class TestAdmissibilityReport:
         assert rep.passes["kernel_lp"]
         assert rep.kernel_lp_norm == pytest.approx(1.0, rel=1e-9)
 
-    def test_submultiplicative_family_flag(self):
-        assert WeightSpec(1, 0.5, 2, 1).submultiplicative_family
-        assert not WeightSpec(-1, 0.5, 2, 1).submultiplicative_family
-        assert not WeightSpec(1, 1.5, 2, 1).submultiplicative_family
-
     @pytest.mark.parametrize(
         "phi,v",
         [
@@ -167,6 +162,14 @@ class TestSubmultiplicativity:
     def test_family_regime(self, spec):
         rep = admissibility_report(spec, spec)
         assert rep.submult_max_violation <= 1e-12
+
+    def test_unmeasurable_ratio_fails(self):
+        # e^{-x^2} underflows to 0 on [-40, 40]: 0/0 ratios measure nothing,
+        # and v(x+y)/(v(x)v(y)) = e^{-2xy} is unbounded anyway
+        spec = WeightSpec(-1, 2, 0, 0)
+        rep = admissibility_report(spec, spec, domain_bound=40.0)
+        assert rep.submult_max_violation == np.inf
+        assert not rep.passes["submultiplicative"]
 
 
 class TestWeightedNorm:
