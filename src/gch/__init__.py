@@ -73,10 +73,12 @@ from .integrate import (
     Trajectory,
     estimate_dt,
     read_checkpoint,
+    read_snapshots,
     rk4_step,
     simulate,
     snapshots_to_csv,
     write_checkpoint,
+    write_snapshots,
 )
 from .persistence import (
     PersistenceLedger,

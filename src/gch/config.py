@@ -20,7 +20,13 @@ from .dynamics import SIMULATION_FORMS, RhsForm
 from .errors import ConfigError
 from .fields import INITIAL_KINDS
 
-__all__ = ["ExperimentConfig", "parse_config", "parse_config_file", "config_hash"]
+__all__ = [
+    "ExperimentConfig",
+    "parse_config",
+    "parse_config_file",
+    "config_hash",
+    "validate_config",
+]
 
 DIAGNOSTIC_NAMES = ("persistence", "asymptotics", "analyticity")
 VARIANT_NAMES = {"thm41": SourceVariant.MEAN, "thm43": SourceVariant.RMS}
@@ -95,7 +101,7 @@ def _format(value) -> str:
         return "inf"
     if isinstance(value, (tuple, list)):
         return ",".join(_format(item) for item in value) if value else "none"
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -241,6 +247,20 @@ def _validate(cfg: ExperimentConfig, errors: list) -> None:
         errors.append(f"window must satisfy 0.2 L < x_lo < x_hi < 0.8 L, got {cfg.window}")
     if cfg.t_star is not None and not (0 < cfg.t_star <= cfg.T):
         errors.append(f"t_star must lie in (0, T], got {cfg.t_star}")
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError for values that ``parse_config`` would reject.
+
+    For a config built in code: it is checked through its canonical text, so
+    it meets every check ``parse_config`` makes, types and names included,
+    and :func:`config_hash` afterwards keys a text that reads back.
+    """
+    try:
+        text = cfg.to_text()
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
+    parse_config(text)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -22,6 +22,7 @@ the reference path.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ __all__ = [
     "snapshots_to_csv",
     "write_checkpoint",
     "read_checkpoint",
+    "write_snapshots",
+    "read_snapshots",
     "BOUNDARY_TOLERANCE",
 ]
 
@@ -248,7 +251,9 @@ def snapshots_to_csv(traj: Trajectory, stream, config_hash: str) -> None:
 
 
 _CHECKPOINT_MAGIC = b"GCH1"
+_SNAPSHOTS_MAGIC = b"GCHS"
 _HEADER = struct.Struct("<4sIdd")  # magic, n (uint32), L, t -- little-endian
+_SNAPSHOTS_COUNT = struct.Struct("<I12s")  # K (uint32), ASCII config hash
 
 
 def write_checkpoint(path, u: Field, t: float) -> None:
@@ -261,17 +266,85 @@ def write_checkpoint(path, u: Field, t: float) -> None:
         fh.write(u.values.astype("<f8").tobytes())
 
 
+def write_snapshots(path, traj: Trajectory, config_hash: str) -> None:
+    """Binary trajectory dump, the checkpoint layout extended to K snapshots.
+
+    Magic "GCHS", uint32 n, float64 L, float64 t (the last time), uint32 K,
+    the 12 ASCII bytes of the config hash, K float64 times, then the K x n
+    float64 samples row by row.  All fields little-endian.
+    ``snapshots_to_csv(read_snapshots(path)[1], fh, config_hash)`` gives the
+    ``t,x,u`` text of the trajectory.
+    """
+    tag = config_hash.encode("ascii")
+    if len(tag) != 12:
+        raise ValueError(f"config hash must be 12 ASCII characters, got {config_hash!r}")
+    grid = traj.grid
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_SNAPSHOTS_MAGIC, grid.n, grid.half_width, float(traj.times[-1])))
+        fh.write(_SNAPSHOTS_COUNT.pack(len(traj), tag))
+        fh.write(np.asarray(traj.times, dtype="<f8").tobytes())
+        # row by row: a stacked K x n copy would double the peak memory of the dump
+        for snap in traj.snapshots:
+            fh.write(snap.values.astype("<f8", copy=False).tobytes())
+
+
+def _read_fixed(fh, path, layout: struct.Struct) -> tuple:
+    raw = fh.read(layout.size)
+    if len(raw) != layout.size:
+        raise ValueError(f"{path}: truncated header ({len(raw)} of {layout.size} bytes)")
+    return layout.unpack(raw)
+
+
+def _read_header(fh, path, magic: bytes) -> tuple:
+    """``(n, L, t)`` from the shared header, after checking the magic."""
+    found, n, L, t = _read_fixed(fh, path, _HEADER)
+    if found != magic:
+        raise ValueError(f"{path}: bad magic {found!r}")
+    return n, L, t
+
+
 def read_checkpoint(path):
     """Read a binary state dump; returns (t, Field)."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header ({len(header)} of {_HEADER.size} bytes)")
-        magic, n, L, t = _HEADER.unpack(header)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+        n, L, t = _read_header(fh, path, _CHECKPOINT_MAGIC)
         raw = fh.read(8 * n)
     values = np.frombuffer(raw, dtype="<f8")
     if values.size != n:
         raise ValueError(f"{path}: truncated state (expected {n} samples, got {values.size})")
     return t, Field(Grid(n, L), values.astype(float))
+
+
+def read_snapshots(path):
+    """Read a :func:`write_snapshots` dump; returns (config_hash, Trajectory).
+
+    The trajectory holds the times and samples only, as
+    :meth:`Trajectory.from_snapshots` builds it.  Raises ``ValueError``
+    naming the path when the file is not such a dump or its size, count,
+    times or samples disagree with its header.
+    """
+    with open(path, "rb") as fh:
+        n, L, t = _read_header(fh, path, _SNAPSHOTS_MAGIC)
+        count, tag = _read_fixed(fh, path, _SNAPSHOTS_COUNT)
+        # sizes are checked before reading, so a corrupt header cannot ask
+        # for an arbitrarily large buffer
+        expected = 8 * count * (n + 1)
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count == 0 or have > expected:
+            raise ValueError(
+                f"{path}: {count} snapshots of {n} samples need {expected} bytes "
+                f"after the header, found {have}"
+            )
+        if have < expected:
+            raise ValueError(f"{path}: truncated block ({have} of {expected} bytes)")
+        raw = fh.read(expected)
+    data = np.frombuffer(raw, dtype="<f8")
+    times, block = data[:count].astype(float), data[count:].reshape(count, n)
+    try:
+        config_hash = tag.decode("ascii")
+        if times[-1] != t:
+            raise ValueError(f"last time {float(times[-1])!r} differs from the header's {t!r}")
+        grid = Grid(n, L)
+        traj = Trajectory.from_snapshots(times, (Field(grid, row) for row in block))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return config_hash, traj

@@ -68,6 +68,37 @@ def test_patched_module_functions_exist():
     assert callable(importlib.import_module("gch.asymptotics").averaged_source)
 
 
+class _RecordingTracer:
+    """Stands in for perfbench's Tracer: records what ``layers.install`` wraps."""
+
+    def __init__(self):
+        self.wrapped = []
+
+    def wrap(self, module, attr, **_):
+        self.wrapped.append((module, attr))
+
+    def count_ffts(self, module, attr):
+        pass
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # spans.Tracer.wrap looks each name up with getattr, so a missing one
+    # makes every traced run (--trace 1) raise AttributeError
+    tracer = _RecordingTracer()
+    layers.install(tracer, gch)
+    wrapped = {
+        f"{module.__name__}.{attr}": getattr(module, attr, None) for module, attr in tracer.wrapped
+    }
+    runner_calls = {f"gch.runner.{name}" for name in layers.RUNNER_CALLS + ("simulate",)}
+    assert set(wrapped) == runner_calls | {
+        "gch.integrate.rhs",
+        "gch.asymptotics.averaged_source",
+        "gch.run_experiment",
+        "gch.selftest",
+    }
+    assert [name for name, fn in sorted(wrapped.items()) if not callable(fn)] == []
+
+
 def test_every_gch_attribute_the_benchmark_names_exists():
     source = "".join(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))
     names = set(re.findall(r"\bgch\.([A-Za-z_]\w*)", source))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gch import ConfigError, ExperimentConfig, config_hash, parse_config
+from gch.config import validate_config
 
 MINIMAL = """
 [grid]
@@ -155,6 +156,14 @@ class TestRoundTrip:
         again = parse_config(cfg.to_text())
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    def test_numpy_floats_written_as_plain_numbers(self):
+        base = parse_config(MINIMAL)
+        cfg = dataclasses.replace(base, T=np.float64(0.25), phi=(np.float64(1.5),) * 4)
+        validate_config(cfg)
+        text = cfg.to_text()
+        assert "T = 0.25\n" in text and "phi = 1.5,1.5,1.5,1.5\n" in text
+        assert config_hash(parse_config(text)) == config_hash(cfg)
 
     def test_hash_sensitive_to_values(self):
         a = parse_config(MINIMAL)

@@ -1,9 +1,14 @@
 import dataclasses
 import inspect
 import io
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gch import (
     BlowUpError,
@@ -14,12 +19,14 @@ from gch import (
     h1_norm,
     lp_norm,
     read_checkpoint,
+    read_snapshots,
     rhs,
     rk4_step,
     sample,
     simulate,
     snapshots_to_csv,
     write_checkpoint,
+    write_snapshots,
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.integrate import DT_MAX
@@ -300,3 +307,127 @@ class TestArtifacts:
         path.write_bytes(b"NOPE" + b"\0" * 40)
         with pytest.raises(ValueError, match="bad magic"):
             read_checkpoint(path)
+
+
+def _small_trajectory(n=16, times=(0.0, 0.25, 0.5)):
+    grid = Grid(n, 2.0)
+    snaps = [Field(grid, np.arange(n) + 100.0 * i) for i in range(len(times))]
+    return Trajectory.from_snapshots(times, snaps)
+
+
+def _put(offset, fmt, value):
+    """An edit that overwrites the bytes at ``offset`` with ``value`` packed as ``fmt``."""
+
+    def edit(raw):
+        return raw[:offset] + struct.pack(fmt, value) + raw[offset + struct.calcsize(fmt):]
+
+    return edit
+
+
+class TestSnapshotDump:
+    def test_layout(self, tmp_path):
+        # GCHS header as GCH1 (t is the last time), uint32 K, 12-byte hash,
+        # K f64 times, then the K x n f64 samples row by row
+        path = tmp_path / "snapshots.bin"
+        traj = _small_trajectory()
+        write_snapshots(path, traj, "c5aaa2da2f94")
+        raw = path.read_bytes()
+        assert raw[:4] == b"GCHS"
+        assert int.from_bytes(raw[4:8], "little") == 16
+        assert np.frombuffer(raw[8:24], "<f8").tolist() == [2.0, 0.5]
+        assert int.from_bytes(raw[24:28], "little") == 3
+        assert raw[28:40] == b"c5aaa2da2f94"
+        assert np.frombuffer(raw[40:64], "<f8").tolist() == [0.0, 0.25, 0.5]
+        block = np.frombuffer(raw[64:], "<f8").reshape(3, 16)
+        np.testing.assert_array_equal(block, np.stack([u.values for u in traj.snapshots]))
+
+    def test_csv_conversion_loses_nothing(self, tmp_path, sech2_small):
+        traj = simulate(sech2_small, 0.05)
+        path = tmp_path / "snapshots.bin"
+        write_snapshots(path, traj, "deadbeef0123")
+        chash, back = read_snapshots(path)
+        assert chash == "deadbeef0123"
+        original, converted = io.StringIO(), io.StringIO()
+        snapshots_to_csv(traj, original, chash)
+        snapshots_to_csv(back, converted, chash)
+        assert converted.getvalue() == original.getvalue()
+
+    def test_readers_reject_each_others_files(self, tmp_path, sech2_small):
+        snaps, state = tmp_path / "snapshots.bin", tmp_path / "state.bin"
+        write_snapshots(snaps, Trajectory.from_snapshots([0.0], [sech2_small]), "deadbeef0123")
+        write_checkpoint(state, sech2_small, 0.0)
+        with pytest.raises(ValueError, match="bad magic b'GCHS'"):
+            read_checkpoint(snaps)
+        with pytest.raises(ValueError, match="bad magic b'GCH1'"):
+            read_snapshots(state)
+
+    @pytest.mark.parametrize("bad", ["deadbeef", "deadbeef01234", "deadbeef012\u00e9"])
+    def test_hash_must_be_twelve_ascii_characters(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            write_snapshots(tmp_path / "s.bin", _small_trajectory(), bad)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda raw: raw[:20], "truncated header \\(20 of 24", id="cut_in_header"),
+            pytest.param(lambda raw: raw[:34], "truncated header \\(10 of 16", id="cut_in_count"),
+            pytest.param(lambda raw: b"NOPE" + raw[4:], "bad magic b'NOPE'", id="bad_magic"),
+            pytest.param(_put(24, "<I", 0), "0 snapshots of 16 samples need 0 bytes",
+                         id="count_zero"),
+            pytest.param(_put(24, "<I", 2), "need 272 bytes after the header, found 408",
+                         id="count_too_small"),
+            pytest.param(lambda raw: raw + bytes(8), "need 408 bytes after the header, found 416",
+                         id="trailing_bytes"),
+            pytest.param(_put(24, "<I", 4), "truncated block \\(408 of 544", id="count_too_large"),
+            pytest.param(lambda raw: raw[:-8], "truncated block \\(400 of 408", id="block_cut"),
+            pytest.param(_put(4, "<I", 2**31), "truncated block", id="n_too_large"),
+            pytest.param(_put(16, "<d", 0.75), "last time 0.5 differs from the header's 0.75",
+                         id="last_time_mismatch"),
+            pytest.param(_put(48, "<d", 0.0), "increase strictly", id="times_not_increasing"),
+            pytest.param(_put(104, "<d", np.nan), "non-finite", id="non_finite_sample"),
+            pytest.param(_put(30, "B", 0xFF), "codec can't decode", id="hash_not_ascii"),
+        ],
+    )
+    def test_corrupt_file_names_the_path(self, tmp_path, edit, message):
+        # the file is 64 bytes of header and times, then 3 x 16 samples
+        path = tmp_path / "snapshots.bin"
+        write_snapshots(path, _small_trajectory(), "deadbeef0123")
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*" + message):
+            read_snapshots(path)
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.sampled_from([16, 32, 64, 128]))
+    L = draw(st.floats(1e-3, 1e6, allow_nan=False))
+    steps = draw(st.lists(st.floats(1e-6, 10.0), min_size=0, max_size=5))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    block = draw(hnp.arrays(np.float64, (times.size, n), elements=finite))
+    grid = Grid(n, L)
+    return Trajectory.from_snapshots(times, [Field(grid, row) for row in block])
+
+
+class TestDumpRoundTripProperty:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(trajectories(), st.text("0123456789abcdef", min_size=12, max_size=12))
+    def test_snapshots_and_state_read_back_exactly(self, tmp_path_factory, traj, chash):
+        folder = tmp_path_factory.mktemp("dump", numbered=True)
+        snaps, state = folder / "snapshots.bin", folder / "state_final.bin"
+        write_snapshots(snaps, traj, chash)
+        write_checkpoint(state, traj.final, float(traj.times[-1]))
+
+        back_hash, back = read_snapshots(snaps)
+        assert back_hash == chash
+        assert back.grid == traj.grid
+        assert back.times.tobytes() == traj.times.tobytes()
+        for a, b in zip(back.snapshots, traj.snapshots, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+        t, final = read_checkpoint(state)
+        assert t == traj.times[-1]
+        assert final.grid == traj.grid
+        assert final.values.tobytes() == traj.final.values.tobytes()

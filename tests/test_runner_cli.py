@@ -1,10 +1,20 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gch import ConfigError, Grid, config_hash, parse_config, run_experiment, sample, simulate
+from gch import (
+    ConfigError,
+    ExperimentConfig,
+    Grid,
+    config_hash,
+    parse_config,
+    run_experiment,
+    sample,
+    simulate,
+)
 from gch.cli import main
 
 FAST = """
@@ -55,7 +65,7 @@ class TestRunExperiment:
         out, summary = fast_summary
         for name in (
             "summary.json",
-            "snapshots.csv",
+            "snapshots.bin",
             "state_final.bin",
             "persistence.csv",
             "persistence.json",
@@ -120,6 +130,25 @@ class TestRunExperiment:
         # the MEAN source costs one FFT pair per snapshot, for the whole stage
         assert len(fft_calls) <= 2 * len(traj)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n": 100, "T": 0.01}, "power of two"),
+            ({"kind": "blob"}, "unknown initial kind 'blob'"),
+            ({"variant": "thm99"}, "unknown variant 'thm99'"),
+            ({"run": ("persistence", "tails")}, "unknown diagnostic 'tails'"),
+            ({"out_dir": "runs/#1"}, "cannot be read back"),
+            ({"n": 1024.0}, "grid.n: invalid literal for int()"),
+            ({"phi": (0.0, 0.0, 2.0)}, "expected 4 comma-separated numbers"),
+        ],
+        ids=["n_not_power_of_two", "kind", "variant", "run", "out_dir_comment", "n_float",
+             "phi_short"],
+    )
+    def test_config_built_in_code_is_validated(self, tmp_path, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(ExperimentConfig(**changes), out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_sqrt3_rejected_before_simulation(self):
         with pytest.raises(ConfigError, match="diagnostic-only"):
             parse_config(FAST + "\n[dynamics]\nform = sqrt3\n")
@@ -140,7 +169,7 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=b)
         for name in (
             "summary.json",
-            "snapshots.csv",
+            "snapshots.bin",
             "persistence.csv",
             "persistence.json",
             "tail_ratio.csv",
@@ -158,7 +187,7 @@ class TestCli:
         cfg_file.write_text(FAST)
         code = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
         assert code == 0
-        assert (tmp_path / "o" / "snapshots.csv").exists()
+        assert (tmp_path / "o" / "snapshots.bin").exists()
         assert "wall time" in capsys.readouterr().out
 
     def test_config_error_exit_two(self, tmp_path, capsys):
@@ -324,7 +353,7 @@ class TestCrossProcessStability:
             outs.append(out)
         a, b = outs
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
-        assert (a / "snapshots.csv").read_bytes() == (b / "snapshots.csv").read_bytes()
+        assert (a / "snapshots.bin").read_bytes() == (b / "snapshots.bin").read_bytes()
 
 
 class TestSelftestFaultInjection:
