@@ -29,7 +29,7 @@ from gch import (
     write_snapshots,
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
-from gch.integrate import DT_MAX
+from gch.integrate import DT_MAX, STEP_SAFETY
 
 
 class TestRk4Step:
@@ -125,6 +125,19 @@ class TestSimulate:
             simulate(u, 1.0, dt=0.01)
 
     def test_nonfinite_stage_named(self, grid1024, monkeypatch):
+        # every stage, the first one the default step is read from included,
+        # is one _spectral_stage call
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(
+            integrate_mod, "_spectral_stage",
+            lambda uh, grid, pre, post: (np.nan * uh, grid.irfft(uh)),
+        )
+        u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
+        with pytest.raises(FloatingPointError, match="non-finite RK4 stage 1"):
+            simulate(u, 0.1)
+
+    def test_nonfinite_stage_named_explicit_dt(self, grid1024, monkeypatch):
         import gch.integrate as integrate_mod
 
         monkeypatch.setattr(
@@ -132,7 +145,7 @@ class TestSimulate:
         )
         u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
         with pytest.raises(FloatingPointError, match="non-finite RK4 stage 1"):
-            simulate(u, 0.1)
+            simulate(u, 0.1, dt=0.01)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_horizon(self, sech2_small, T):
@@ -144,26 +157,22 @@ class TestSimulate:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             simulate(sech2_small, 0.1, dt=dt)
 
-    def test_step_shrinks_but_never_grows(self, grid1024, monkeypatch):
-        import gch.integrate as integrate_mod
+    @pytest.mark.parametrize("stride", [1.5, 2.0, np.float64(2.0), True, False, 0, -3, "2"])
+    def test_rejects_non_integer_stride(self, sech2_small, stride):
+        with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
+            simulate(sech2_small, 0.05, snapshot_stride=stride)
 
-        # pretend the CFL bound relaxes mid-run: the step must stay put
-        estimates = iter([1e-3] + [5e-3] * 50)
-        monkeypatch.setattr(integrate_mod, "estimate_dt", lambda u: next(estimates))
-        z = Field(grid1024, np.zeros(grid1024.n))
-        traj = simulate(z, 0.25, snapshot_stride=10**6)
-        assert traj.dt_initial == 1e-3
-        assert traj.dt_final == 1e-3
+    def test_stride_past_the_horizon(self, sech2_small):
+        # stride x estimate_dt overflows a float; the run keeps T only
+        traj = simulate(sech2_small, 0.05, snapshot_stride=10**400)
+        assert traj.times.tolist() == [0.0, 0.05]
+        assert traj.n_steps == 5
 
-    def test_step_shrinks_when_bound_tightens(self, grid1024, monkeypatch):
-        import gch.integrate as integrate_mod
-
-        estimates = iter([1e-3] + [5e-4] * 50)
-        monkeypatch.setattr(integrate_mod, "estimate_dt", lambda u: next(estimates))
-        z = Field(grid1024, np.zeros(grid1024.n))
-        traj = simulate(z, 0.25, snapshot_stride=10**6)
-        assert traj.dt_initial == 1e-3
-        assert traj.dt_final == 5e-4
+    def test_numpy_integer_stride(self, sech2_small):
+        a = simulate(sech2_small, 0.1, snapshot_stride=np.int64(3))
+        b = simulate(sech2_small, 0.1, snapshot_stride=3)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.final.values.tobytes() == b.final.values.tobytes()
 
     def test_determinism(self, sech2_small):
         a = simulate(sech2_small, 0.3, snapshot_stride=3)
@@ -217,6 +226,95 @@ def test_fft_pairs_per_step(fft_calls):
     assert len(fft_calls) <= 10 * traj.n_steps
 
 
+def _golden_pulse():
+    return sample(Grid(1024, 30.0), lambda x: 0.05 / np.cosh(x) ** 2), 0.12
+
+
+def _showcase_pulse():
+    return sample(Grid(4096, 40.0), lambda x: 0.05 / np.cosh(x) ** 2), 0.25
+
+
+def _stability_bound(grid, uh):
+    """STEP_SAFETY * 2 sqrt(2) / (B ||w||_inf), rebuilt from the grid's wavenumbers."""
+    k = np.where(grid.keep, grid.k_rfft, 0.0)
+    pre = np.sqrt(4.0 + k**2) * grid.keep
+    post = k * np.sqrt(4.0 + k**2) / (1.0 + k**2)
+    w = grid.irfft(np.where(grid.keep, (2.0 - 1j * grid.k_rfft) * uh, 0.0))
+    B = 2.0 * np.max(pre) * np.max(post)
+    return STEP_SAFETY * 2.0 * np.sqrt(2.0) / (B * np.max(np.abs(w)))
+
+
+class TestStepRule:
+    """The default step comes from the stage's stability bound; snapshots from a fixed clock."""
+
+    @pytest.mark.parametrize("pulse", [_golden_pulse, _showcase_pulse])
+    def test_stride_one_takes_the_clock_steps(self, pulse):
+        # small data: the bound allows more than the clock, so a stride-1
+        # run steps exactly as a run at the explicit clock step does
+        u0, T = pulse()
+        a = simulate(u0, T, 1)
+        b = simulate(u0, T, 1, dt=estimate_dt(u0))
+        assert a.n_steps == b.n_steps == len(a) - 1
+        assert a.times.tobytes() == b.times.tobytes()
+        for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+            assert sa.values.tobytes() == sb.values.tobytes()
+        assert a.h1_drift.tobytes() == b.h1_drift.tobytes()
+
+    # 0.5 dx = 5/2048 < DT_MAX / 2, so a snapshot interval of 8 clock units
+    # holds 4 steps of at most DT_MAX where the old rule took 8
+    STRIDE, T = 8, 0.5
+
+    @pytest.fixture
+    def fine(self):
+        u0 = sample(Grid(2048, 10.0), lambda x: 0.05 / np.cosh(x) ** 2)
+        assert 0.5 * u0.grid.dx < DT_MAX / 2
+        return u0
+
+    def test_snapshot_times_are_clock_multiples(self, fine):
+        traj = simulate(fine, self.T, self.STRIDE)
+        clock = self.STRIDE * estimate_dt(fine)
+        expected = [0.0]
+        while expected[-1] < self.T:
+            expected.append(min(expected[-1] + clock, self.T))
+        assert traj.times.tolist() == expected
+        steps = sum(int(np.ceil(gap / DT_MAX - 1e-9)) for gap in np.diff(traj.times))
+        assert traj.n_steps == steps == 52
+        assert traj.dt_initial == traj.dt_final == DT_MAX
+        assert np.max(traj.h1_drift) < 1e-12
+
+    def test_step_count_pinned_by_fft_calls(self, fine, fft_calls):
+        # rfft(u0) and estimate_dt's derivative, then four stages and the
+        # snapshot irfft per step
+        traj = simulate(fine, self.T, self.STRIDE)
+        assert len(fft_calls) == 3 + 9 * traj.n_steps == 3 + 9 * 52
+
+    def test_large_data_steps_at_the_bound(self, grid4096, monkeypatch):
+        import gch.integrate as integrate_mod
+
+        steps = []
+        original = integrate_mod._rk4
+
+        def spy(y, dt, deriv, k1=None):
+            steps.append((dt, _stability_bound(grid4096, y)))
+            return original(y, dt, deriv, k1)
+
+        monkeypatch.setattr(integrate_mod, "_rk4", spy)
+        u0 = sample(grid4096, lambda x: 0.5 / np.cosh(x) ** 2)
+        T = 0.25
+        traj = simulate(u0, T, snapshot_stride=10**6)
+        h, bound = np.array(steps).T
+        assert np.all(bound < DT_MAX)
+        # no step exceeds the bound (the last may overshoot by the 1e-12 T landing slack)
+        assert np.all(h <= bound + 1e-12 * T)
+        # every step before the landing one is the bound itself, re-checked each step
+        np.testing.assert_allclose(h[:-1], bound[:-1], rtol=1e-12, atol=0.0)
+        assert np.ptp(bound) > 0.0
+        assert traj.n_steps == len(steps)
+        assert traj.dt_initial == pytest.approx(bound[0], rel=1e-12)
+        assert traj.times.tolist() == [0.0, T]
+        assert lp_norm(traj.final, np.inf) < 2.0 * lp_norm(u0, np.inf)
+
+
 def test_h1_drift_on_showcase_pulse():
     grid = Grid(4096, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
@@ -260,6 +358,15 @@ class TestTrajectory:
             Trajectory.from_snapshots([0.0, 0.0], [sech, sech])
         with pytest.raises(ValueError, match="start at 0"):
             Trajectory.from_snapshots([1.0], [sech])
+
+
+def _put(offset, fmt, value):
+    """An edit that overwrites the bytes at ``offset`` with ``value`` packed as ``fmt``."""
+
+    def edit(raw):
+        return raw[:offset] + struct.pack(fmt, value) + raw[offset + struct.calcsize(fmt):]
+
+    return edit
 
 
 class TestArtifacts:
@@ -309,19 +416,36 @@ class TestArtifacts:
             read_checkpoint(path)
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda raw: raw + bytes(16), "16 samples need 128 bytes after the header, "
+                         "found 144", id="trailing_bytes"),
+            pytest.param(lambda raw: raw[:-8], "truncated state \\(expected 16 samples, got 15",
+                         id="state_cut"),
+            pytest.param(lambda raw: raw[:4] + struct.pack("<I", 0) + raw[8:24],
+                         "n must be a power of two >= 16, got 0", id="n_zero"),
+            pytest.param(_put(8, "<d", np.nan), "half_width must be positive and finite",
+                         id="L_nan"),
+            pytest.param(_put(48, "<d", np.inf), "non-finite", id="non_finite_sample"),
+        ],
+    )
+    def test_corrupt_checkpoint_names_the_path(self, tmp_path, edit, message):
+        # 24 bytes of header, then 16 samples; the bytes written stay as they were
+        path = tmp_path / "state_final.bin"
+        u = Field(Grid(16, 2.0), np.arange(16.0))
+        write_checkpoint(path, u, 0.5)
+        raw = path.read_bytes()
+        assert raw == struct.pack("<4sIdd", b"GCH1", 16, 2.0, 0.5) + u.values.astype("<f8").tobytes()
+        path.write_bytes(edit(raw))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*" + message):
+            read_checkpoint(path)
+
+
 def _small_trajectory(n=16, times=(0.0, 0.25, 0.5)):
     grid = Grid(n, 2.0)
     snaps = [Field(grid, np.arange(n) + 100.0 * i) for i in range(len(times))]
     return Trajectory.from_snapshots(times, snaps)
-
-
-def _put(offset, fmt, value):
-    """An edit that overwrites the bytes at ``offset`` with ``value`` packed as ``fmt``."""
-
-    def edit(raw):
-        return raw[:offset] + struct.pack(fmt, value) + raw[offset + struct.calcsize(fmt):]
-
-    return edit
 
 
 class TestSnapshotDump:
