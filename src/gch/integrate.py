@@ -13,13 +13,26 @@ u, and evaluates each stage in the primitive form
     k = post * rfft(irfft(pre * uh)**2),
     pre = keep * (2 - ik),    post = keep * (2ik + (ik)^2) / (1 + k^2),
 
-with the multipliers taken once per run from the ``Grid`` operator table:
+with the multipliers taken from the ``Grid`` operator table once per compute grid:
 one FFT pair per stage.  The operand (2 - d_x)u is truncated by ``pre``
 and the square by ``post``, which with a truncated operand is the exact
 2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
 same semi-discretisation and the cheapest one drives the integrator.
 The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as
 the reference path.
+
+The stages run on a compute grid ``Grid(m, L)``, the smallest power of two
+``16 <= m <= n`` whose 2/3 band holds the spectrum: every coefficient at or
+above mode ``2m/9``, the top third of the kept band, is at most
+``BAND_FLOOR * max|uh|``.  An analytic solution's coefficients decay like
+``exp(-sigma |k|)``, so the modes a step needs are set by the analyticity
+radius, not by ``n`` (Sulem, Sulem & Frisch, J. Comput. Phys. 50:138,
+1983, read the radius off the same edge); above the edge sits the
+roundoff plateau.  The rule is re-checked from ``uh`` before every step and
+``m`` only doubles.  The state stays the rfft on ``n``: only its first
+``m/2 + 1`` modes are stepped, the rest are carried unchanged, and every
+snapshot is taken on ``n``.  A run that needs ``m = n`` throughout steps
+exactly as on the full grid.
 """
 
 from __future__ import annotations
@@ -63,6 +76,10 @@ STEP_SAFETY = 0.5
 BLOWUP_FACTOR = 1e3
 #: A run is marked valid only while max(|u(-L)|, |u(L-dx)|) stays below this.
 BOUNDARY_TOLERANCE = 1e-8
+#: Relative size below which a coefficient counts as outside the spectrum
+#: when the compute grid is chosen: well above the ~1e-17 roundoff plateau
+#: of the rfft and well below the 1e-13 that ``radius_estimate`` reads.
+BAND_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -77,6 +94,7 @@ class Trajectory:
     n_steps: int
     boundary_magnitudes: np.ndarray
     h1_drift: np.ndarray | None = None  # per snapshot from simulate; None if wrapped
+    compute_n: np.ndarray | None = None  # compute-grid size per snapshot; None if wrapped
 
     def __post_init__(self):
         if len(self.snapshots) != len(self.times):
@@ -189,6 +207,39 @@ def spectral_rhs(uh, grid: Grid, pre, post):
     return _spectral_stage(uh, grid, pre, post)[0]
 
 
+def _compute_size(uh, m: int, n: int) -> int:
+    """The smallest power of two in ``[m, n]`` whose 2/3 band holds ``uh``.
+
+    The band holds it when every coefficient at or above mode ``2 m' / 9``
+    is at most ``BAND_FLOOR * max|uh|``; with no coefficient above the
+    floor (zero data) that is ``m`` itself.
+    """
+    if m == n:
+        return m
+    a = np.abs(uh)
+    above = np.flatnonzero(a > BAND_FLOOR * np.max(a))
+    while m < n and above.size and 9 * above[-1] >= 2 * m:
+        m *= 2
+    return m
+
+
+def _compute_operators(grid: Grid, m: int):
+    """``(Grid(m, L), pre, post, reach)`` acting on the first ``m/2 + 1`` modes of an n-grid rfft.
+
+    The n-grid coefficients are ``n/m`` times those of the m-grid samples,
+    so the exact power-of-two factors ``m/n`` and ``n/m`` are folded into
+    ``pre`` and ``post``; ``Grid(m, L).k_rfft`` is the first ``m/2 + 1``
+    wavenumbers of ``grid`` bit for bit.  ``reach`` is the stability
+    bound's numerator over ``B = 2 max|pre| max|post|``, which the folded
+    factors leave unchanged: ``B`` is the compute grid's.
+    """
+    comp = grid if m == grid.n else Grid(m, grid.half_width)
+    pre, post = spectral_operators(comp)
+    pre, post = pre * (m / grid.n), post * (grid.n / m)
+    B = 2.0 * np.max(np.abs(pre)) * np.max(np.abs(post))
+    return comp, pre, post, float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B)
+
+
 def _require_stride(stride) -> int:
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
@@ -223,6 +274,16 @@ def simulate(
     With an explicit ``dt`` every step is ``dt``, the last one shortened to
     land on T, and a snapshot is kept every ``snapshot_stride`` steps.
 
+    Either way the stages run on the compute grid of the module docstring:
+    before every step ``m`` becomes the smallest power of two, no smaller
+    than before and at most ``n``, at which every coefficient of ``uh`` at
+    or above mode ``2m/9`` is at most ``BAND_FLOOR * max|uh|``.  The rule
+    reads ``uh`` and costs no FFT.  ``B`` is taken on that grid, because
+    its semi-discretisation is the one being stepped, and so is the blow-up
+    guard's per-step irfft; the irfft on ``n`` runs only when a snapshot
+    lands.  ``compute_n`` holds the ``m`` that produced each snapshot, the
+    first one's ``m`` for ``u0``.
+
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
     a factor of 1000 over the initial datum.  ``h1_drift``
     holds |H1(t) - H1(0)| / H1(0) per snapshot, from the coefficients.
@@ -233,14 +294,11 @@ def simulate(
         dt = _require_positive("dt", dt)
 
     grid = u0.grid
-    pre, post = spectral_operators(grid)
-    deriv = lambda vh: spectral_rhs(vh, grid, pre, post)
+    n = grid.n
     if dt is None:
         unit = estimate_dt(u0)
         # a stride past T / unit keeps only T; the product could overflow a float
         clock = stride * unit if stride < T / unit else np.inf
-        B = 2.0 * np.max(np.abs(pre)) * np.max(np.abs(post))
-        reach = float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B)
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
     # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
@@ -249,16 +307,28 @@ def simulate(
     def h1(vh) -> float:
         return float(np.sqrt(np.sum(h1_weights * (vh.real**2 + vh.imag**2))))
 
+    def deriv(vh):
+        # the operators of the current compute grid, rebound when m doubles
+        return spectral_rhs(vh, comp, pre, post)
+
     uh = grid.rfft(u0.values)
     h1_0 = h1(uh)
+    m = _compute_size(uh, 16, n)
+    comp, pre, post, reach = _compute_operators(grid, m)
     times = [0.0]
     snaps = [u0]
     boundary = [_boundary_magnitude(u0)]
     drift = [0.0]
+    sizes = [m]
     t, t_snap, step = 0.0, 0.0, 0
     while t < T - 1e-12 * T:
+        grown = _compute_size(uh, m, n)
+        if grown != m:
+            m = grown
+            comp, pre, post, reach = _compute_operators(grid, m)
+        band = slice(0, m // 2 + 1)
         if dt is None:
-            k1, w = _spectral_stage(uh, grid, pre, post)
+            k1, w = _spectral_stage(uh[band], comp, pre, post)
             k1 = _checked(1, k1)
             peak_w = float(np.max(np.abs(w)))
             bound = min(reach / peak_w, DT_MAX) if peak_w > 0.0 else DT_MAX
@@ -274,10 +344,11 @@ def simulate(
             lands = (step + 1) % stride == 0 or t_next >= T - 1e-12 * T
         if step == 0:
             dt_initial = bound
-        uh = _rk4(uh, h, deriv, k1)
+        uh[band] = _rk4(uh[band], h, deriv, k1)
         t = t_next
         step += 1
-        values = grid.irfft(uh)
+        # one irfft per step: on n when a snapshot lands, else on the compute grid
+        values = grid.irfft(uh) if lands else comp.irfft(uh[band] * (m / n))
         peak = float(np.max(np.abs(values)))
         if peak > guard:
             raise BlowUpError(t, step, peak, guard)
@@ -289,6 +360,7 @@ def simulate(
             boundary.append(_boundary_magnitude(u))
             gap = abs(h1(uh) - h1_0)
             drift.append(gap / h1_0 if h1_0 > 0.0 else gap)
+            sizes.append(m)
 
     return Trajectory(
         grid=grid,
@@ -299,6 +371,7 @@ def simulate(
         n_steps=step,
         boundary_magnitudes=np.asarray(boundary),
         h1_drift=np.asarray(drift),
+        compute_n=np.asarray(sizes),
     )
 
 

@@ -29,7 +29,7 @@ from gch import (
     write_snapshots,
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
-from gch.integrate import DT_MAX, STEP_SAFETY
+from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY
 
 
 class TestRk4Step:
@@ -295,7 +295,9 @@ class TestStepRule:
         original = integrate_mod._rk4
 
         def spy(y, dt, deriv, k1=None):
-            steps.append((dt, _stability_bound(grid4096, y)))
+            # y is the compute band of the n-grid rfft; m/n rescales it to the m-grid's
+            m = 2 * (len(y) - 1)
+            steps.append((dt, _stability_bound(Grid(m, 40.0), y * (m / grid4096.n))))
             return original(y, dt, deriv, k1)
 
         monkeypatch.setattr(integrate_mod, "_rk4", spy)
@@ -313,6 +315,114 @@ class TestStepRule:
         assert traj.dt_initial == pytest.approx(bound[0], rel=1e-12)
         assert traj.times.tolist() == [0.0, T]
         assert lp_norm(traj.final, np.inf) < 2.0 * lp_norm(u0, np.inf)
+
+
+def _long_pulse():
+    return sample(Grid(16384, 40.0), lambda x: 0.05 / np.cosh(x) ** 2), 1.0
+
+
+def _holds(y, m):
+    """Every coefficient of the band ``y`` at or above mode 2m/9 is at most the floor."""
+    a = np.abs(y)
+    return bool(np.all(a[-(-2 * m // 9):] <= BAND_FLOOR * np.max(a)))
+
+
+class TestComputeGrid:
+    """Stages run on the smallest power-of-two grid whose 2/3 band holds the spectrum."""
+
+    @pytest.fixture
+    def full_grid(self, monkeypatch):
+        """Run ``simulate`` with every coefficient counted, which forces m = n."""
+        import gch.integrate as integrate_mod
+
+        def run(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(integrate_mod, "BAND_FLOOR", 0.0)
+                return simulate(*args)
+
+        return run
+
+    @pytest.fixture
+    def bands(self, monkeypatch):
+        """The band each RK4 step is taken on, as the ``_rk4`` state."""
+        import gch.integrate as integrate_mod
+
+        seen = []
+        original = integrate_mod._rk4
+
+        def spy(y, dt, deriv, k1=None):
+            seen.append(y.copy())
+            return original(y, dt, deriv, k1)
+
+        monkeypatch.setattr(integrate_mod, "_rk4", spy)
+        return seen
+
+    def test_long_pulse_matches_the_full_grid(self, full_grid):
+        u0, T = _long_pulse()
+        a = simulate(u0, T, 32)
+        b = full_grid(u0, T, 32)
+        assert a.compute_n[0] < u0.grid.n
+        assert b.compute_n.tolist() == [u0.grid.n] * len(b)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.n_steps == b.n_steps == 103
+        gap = max(
+            lp_norm(sa - sb, np.inf) for sa, sb in zip(a.snapshots, b.snapshots, strict=True)
+        )
+        assert gap <= 1e-15
+
+    def test_every_step_holds_its_spectrum(self, bands, fft_calls):
+        u0, T = _long_pulse()
+        n = u0.grid.n
+        traj = simulate(u0, T, 32)
+        # the rule reads uh: 3 FFTs per run and 9 per step, as on the full grid
+        assert len(fft_calls) == 3 + 9 * traj.n_steps == 930
+        sizes = traj.compute_n
+        assert sizes.shape == (len(traj),)
+        assert np.all(np.diff(sizes) >= 0)
+        assert all(16 <= m <= n and m & (m - 1) == 0 for m in sizes.tolist())
+        steps = [2 * (len(y) - 1) for y in bands]
+        assert len(steps) == traj.n_steps
+        assert steps[0] == sizes[0] and steps[-1] == sizes[-1]
+        assert np.all(np.diff(steps) >= 0) and set(steps) == set(sizes.tolist())
+        for i, (y, m) in enumerate(zip(bands, steps)):
+            assert _holds(y, m), (i, m)
+            if i == 0 or m != steps[i - 1]:
+                # m is the smallest size that holds: half of it does not
+                assert not _holds(y[: m // 4 + 1], m // 2), (i, m)
+
+    def test_golden_pulse_stays_on_the_full_grid(self, full_grid):
+        u0, T = _golden_pulse()
+        a = simulate(u0, T, 1)
+        b = full_grid(u0, T, 1)
+        assert a.compute_n.tolist() == [u0.grid.n] * len(a)
+        assert a.times.tobytes() == b.times.tobytes()
+        for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+            assert sa.values.tobytes() == sb.values.tobytes()
+        assert a.h1_drift.tobytes() == b.h1_drift.tobytes()
+
+    def test_zero_data_runs_at_the_smallest_grid(self, grid1024, bands):
+        z = Field(grid1024, np.zeros(grid1024.n))
+        traj = simulate(z, 0.05, snapshot_stride=2)
+        assert traj.compute_n.tolist() == [16] * len(traj)
+        assert {len(y) for y in bands} == {9}
+        assert all(lp_norm(snap, np.inf) == 0.0 for snap in traj.snapshots)
+
+    @pytest.mark.parametrize("dt", [None, 0.005])
+    def test_content_at_the_band_edge_runs_at_n(self, grid1024, dt):
+        j = grid1024.n // 3
+        u0 = sample(
+            grid1024,
+            lambda x: 0.01 / np.cosh(x) ** 2 + 1e-6 * np.cos(np.pi * j * x / grid1024.half_width),
+        )
+        traj = simulate(u0, 0.02, dt=dt)
+        assert traj.compute_n.tolist() == [grid1024.n] * len(traj)
+
+    def test_wrapped_trajectories_have_no_compute_n(self, tmp_path, sech2_small):
+        traj = simulate(sech2_small, 0.05)
+        assert traj.compute_n is not None
+        write_snapshots(tmp_path / "s.bin", traj, "0123456789ab")
+        assert read_snapshots(tmp_path / "s.bin")[1].compute_n is None
+        assert Trajectory.from_snapshots(traj.times, traj.snapshots).compute_n is None
 
 
 def test_h1_drift_on_showcase_pulse():
