@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, Grid
 from .helmholtz import p2_apply
 from .integrate import Trajectory
 
@@ -33,6 +33,7 @@ __all__ = [
     "OperatorBoundReport",
     "majorant_norm",
     "majorant_norm_argmax",
+    "majorant_track",
     "operator_bound_report",
     "radius_estimate",
     "radius_track",
@@ -60,8 +61,8 @@ class MajorantParams:
             raise ValueError(f"truncation order must lie in [1, 30], got {self.k_max}")
 
 
-def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
-    """||d^k f||_{H^1} for k = 0..k_top, via Parseval on the one-sided spectrum.
+def _spectral_h1_ladder(grid: Grid, spec: np.ndarray, k_top: int) -> np.ndarray:
+    """||d^k f||_{H^1}, k = 0..k_top, by Parseval, for each row of ``spec`` (rffts on ``grid``).
 
     The Nyquist mode is dropped from every derivative, matching repeated
     application of the odd-order spectral derivative, so at k = 0 it keeps
@@ -71,24 +72,25 @@ def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
     an analytic field from k ~ 15 on and defeat truncation-convergence
     checks.
     """
-    grid = f.grid
-    c = grid.rfft(f.values) / grid.n
-    amp = np.abs(c)
-    peak = float(np.max(amp))
-    if peak > 0.0:
-        c = np.where(amp > SPECTRUM_FLOOR * peak, c, 0.0)
-    power = np.abs(c) ** 2 * grid.h1_weight * (2.0 * grid.half_width)
-    out = np.empty(k_top + 1)
-    out[0] = np.sqrt(np.sum(power))
-    power_k = grid.drop_nyquist(power.copy())
+    power = np.abs(spec / grid.n)
+    # modes at or below the row's floor count as zero; a zero row stays zero
+    power[power <= SPECTRUM_FLOOR * np.max(power, axis=-1, keepdims=True)] = 0.0
+    power = power**2 * grid.h1_weight * (2.0 * grid.half_width)
+    out = np.empty(spec.shape[:-1] + (k_top + 1,))
+    out[..., 0] = np.sqrt(np.sum(power, axis=-1))
+    grid.drop_nyquist(power)
     for k in range(1, k_top + 1):
-        power_k = power_k * grid.k2
-        out[k] = np.sqrt(np.sum(power_k))
+        power *= grid.k2
+        out[..., k] = np.sqrt(np.sum(power, axis=-1))
     return out
 
 
+def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
+    return _spectral_h1_ladder(f.grid, f.grid.rfft(f.values), k_top)
+
+
 def _majorant_terms(ladder: np.ndarray, s: float) -> np.ndarray:
-    ks = np.arange(ladder.size)
+    ks = np.arange(ladder.shape[-1])
     factorials = np.array([math.factorial(k) for k in ks], dtype=float)
     terms = s**ks * (ks + 1.0) ** 2 * ladder / factorials
     if not np.all(np.isfinite(terms)):
@@ -205,20 +207,24 @@ def radius_estimate(f: Field) -> RadiusFit:
     fit; values above RESIDUAL_FLAG mark a spectrum decaying faster than
     any exponential, for which sigma is only a lower bound.
     """
-    grid = f.grid
-    c = np.abs(grid.rfft(f.values)) / grid.n
+    return _radius_fit(f.grid, f.grid.rfft(f.values))
+
+
+def _longest_run(mask: np.ndarray) -> tuple[int, int]:
+    """``(start, length)`` of the first longest run of True in ``mask``; ``(0, 0)`` if none."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    # a run of length 0 at 0 comes first: it stands in when there is no run
+    starts, lengths = np.append(0, edges[::2]), np.append(0, edges[1::2] - edges[::2])
+    best = int(np.argmax(lengths))
+    return int(starts[best]), int(lengths[best])
+
+
+def _radius_fit(grid: Grid, spec: np.ndarray) -> RadiusFit:
+    """:func:`radius_estimate` of the field whose rfft on ``grid`` is ``spec``."""
+    c = np.abs(spec) / grid.n
     usable = c > SPECTRUM_FLOOR
     usable[:SKIP_MODES] = False
-
-    best_start, best_len = 0, 0
-    run_start = None
-    for i, ok in enumerate(np.append(usable, False)):
-        if ok and run_start is None:
-            run_start = i
-        elif not ok and run_start is not None:
-            if i - run_start > best_len:
-                best_start, best_len = run_start, i - run_start
-            run_start = None
+    best_start, best_len = _longest_run(usable)
     if best_len < 10:
         raise ValueError(
             f"spectrum too narrow: only {best_len} usable modes above the floor"
@@ -259,18 +265,22 @@ def radius_track(traj: Trajectory) -> RadiusSeries:
     later failures are recorded as invalid entries rather than aborting the
     series.
     """
-    n = len(traj)
-    sigma = np.full(n, np.nan)
-    residual = np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
-    for i, u in enumerate(traj.snapshots):
+    sigma, residual = np.full(len(traj), np.nan), np.full(len(traj), np.nan)
+    valid = np.zeros(len(traj), dtype=bool)
+    for i, spec in enumerate(traj.spectrum):
         try:
-            fit = radius_estimate(u)
+            fit = _radius_fit(traj.grid, spec)
         except ValueError:
             if i == 0:
                 raise  # analytic initial data required
             continue
-        sigma[i] = fit.sigma
-        residual[i] = fit.residual
-        valid[i] = True
+        sigma[i], residual[i], valid[i] = fit.sigma, fit.residual, True
     return RadiusSeries(times=traj.times, sigma=sigma, residual=residual, valid=valid)
+
+
+def majorant_track(traj: Trajectory, params: MajorantParams = MajorantParams()):
+    """:func:`majorant_norm_argmax` of every snapshot, as two arrays."""
+    blocks = [traj.spectrum[rows] for rows in traj.row_blocks()]
+    ladder = np.concatenate([_spectral_h1_ladder(traj.grid, b, params.k_max) for b in blocks])
+    terms = _majorant_terms(ladder, params.s)
+    return np.max(terms, axis=-1), np.argmax(terms, axis=-1)

@@ -71,11 +71,10 @@ class SourceVariant(enum.Enum):
     RMS = "rms"
 
 
-def _source_values(u: Field, variant: SourceVariant) -> np.ndarray:
-    ux = derivative(u, 1).values
+def _source_values(u: np.ndarray, ux: np.ndarray, variant: SourceVariant) -> np.ndarray:
     if variant is SourceVariant.MEAN:
-        return 6.0 * u.values**2 + 2.0 * ux**2
-    return (np.sqrt(2.0) * ux + np.sqrt(6.0) * u.values) ** 2
+        return 6.0 * u**2 + 2.0 * ux**2
+    return (np.sqrt(2.0) * ux + np.sqrt(6.0) * u) ** 2
 
 
 def _resolve_index(traj: Trajectory, t_index: int) -> int:
@@ -88,15 +87,19 @@ def _resolve_index(traj: Trajectory, t_index: int) -> int:
 
 
 def _running_integral(traj: Trajectory, stop: int, integrand) -> np.ndarray:
-    """Row i is the trapezoid integral of integrand(u) over [0, t_i], for i < stop.
+    """Row i is the trapezoid integral of ``integrand(u, u_x)`` over [0, t_i], for i < stop.
 
-    Rows add up in ``np.trapezoid``'s order, so they equal its results bit for
-    bit; the integral overwrites the integrand stack to keep memory at its level.
+    The integrand is taken a row block at a time, u_x from the spectrum.  Rows add up in
+    ``np.trapezoid``'s order, so they equal its results bit for bit.
     """
-    y = np.stack([integrand(u) for u in traj.snapshots[:stop]])
-    steps = np.diff(traj.times[:stop])[:, None] * (y[1:] + y[:-1]) / 2.0
+    grid, y = traj.grid, np.empty((stop, traj.grid.n))
+    for rows in traj.row_blocks(stop):
+        y[rows] = integrand(traj.values[rows], grid.irfft(grid.diff_hat(traj.spectrum[rows])))
+    dt = np.diff(traj.times[:stop])
+    for i in range(stop - 1, 0, -1):  # downwards: row i - 1 still holds the integrand
+        y[i] = dt[i - 1] * (y[i] + y[i - 1]) / 2.0
     y[0] = 0.0
-    np.cumsum(steps, axis=0, out=y[1:])
+    np.cumsum(y[1:], axis=0, out=y[1:])
     return y
 
 
@@ -120,14 +123,14 @@ def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) 
     """
     variant = SourceVariant(variant)
     t_index = _resolve_index(traj, t_index)
-    integral = _running_integral(traj, t_index + 1, lambda u: _source_values(u, variant))
+    integral = _running_integral(traj, t_index + 1, lambda u, ux: _source_values(u, ux, variant))
     return _time_average(traj, integral, t_index, variant)
 
 
 def source_integral(traj: Trajectory, variant=SourceVariant.MEAN) -> np.ndarray:
     """The source's running integral at every snapshot; row i is :func:`averaged_source`'s."""
     variant = SourceVariant(variant)
-    return _running_integral(traj, len(traj), lambda u: _source_values(u, variant))
+    return _running_integral(traj, len(traj), lambda u, ux: _source_values(u, ux, variant))
 
 
 def _exp_moment(h: Field, sign: float) -> float:
@@ -167,7 +170,8 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
     written, i.e. sqrt of the integral rather than integral of the sqrt.
     """
     variant = SourceVariant(variant)
-    plus, minus = tail_amplitudes(Field(u0.grid, _source_values(u0, variant)), psi_literal)
+    source = _source_values(u0.values, derivative(u0, 1).values, variant)
+    plus, minus = tail_amplitudes(Field(u0.grid, source), psi_literal)
     if variant is SourceVariant.RMS:
         # 0.5 [int e^{y} q^2]^{1/2}: the moment above already carries the 0.5
         return float(np.sqrt(2.0 * plus) / 2.0), float(np.sqrt(2.0 * minus) / 2.0)
@@ -234,7 +238,7 @@ def _tail_ratio(traj, t_index, window, side, h) -> TailRatio:
     if not (0.2 * L < x_lo < x_hi < 0.8 * L):
         raise ValueError(f"window [{x_lo}, {x_hi}] must sit inside (0.2 L, 0.8 L)")
     t = traj.times[t_index]
-    du = traj.snapshots[t_index].values - traj.u0.values
+    du = traj.values[t_index] - traj.values[0]
     x = traj.grid.x
     if side == "right":
         mask = (x >= x_lo) & (x <= x_hi)
@@ -278,8 +282,8 @@ def emitted_tail_amplitudes(traj: Trajectory, t_index: int) -> tuple[float, floa
     """
     t_index = _resolve_index(traj, t_index)
     t = traj.times[t_index]
-    avg_u2 = _running_integral(traj, t_index + 1, lambda s: s.values**2)[-1] / t
-    avg_ux2 = _running_integral(traj, t_index + 1, lambda s: derivative(s, 1).values ** 2)[-1] / t
+    avg_u2 = _running_integral(traj, t_index + 1, lambda u, ux: u**2)[-1] / t
+    avg_ux2 = _running_integral(traj, t_index + 1, lambda u, ux: ux**2)[-1] / t
     dx = traj.grid.dx
     ex = np.exp(traj.grid.x)
     right = -0.5 * float(np.sum(ex * (6.0 * avg_u2 + avg_ux2)) * dx)

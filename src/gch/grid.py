@@ -19,6 +19,7 @@ __all__ = [
     "sample",
     "derivative",
     "lp_norm",
+    "lp_norms",
     "h1_norm",
     "interpolate_onto",
     "read_initial_condition",
@@ -88,7 +89,7 @@ class Grid:
         self.h1_weight = h1_weight
 
     def rfft(self, values):
-        """One-sided FFT of real samples; with :meth:`irfft`, the package's only FFT calls."""
+        """One-sided FFT of real samples, row by row; with :meth:`irfft`, the only FFT calls."""
         return np.fft.rfft(values)
 
     def irfft(self, spec):
@@ -96,8 +97,8 @@ class Grid:
 
     @staticmethod
     def drop_nyquist(spec):
-        """Zero the Nyquist entry of a one-sided array in place and return it."""
-        spec[-1] = 0.0
+        """Zero the Nyquist entry of a one-sided array, or of each row of a block, in place."""
+        spec[..., -1] = 0.0
         return spec
 
     def diff_hat(self, spec, order: int = 1):
@@ -230,12 +231,17 @@ def derivative(field: Field, order: int = 1) -> Field:
 
 def lp_norm(field: Field, p: float) -> float:
     """L^p norm on the periodic box; rectangle rule for finite p, grid max for p=inf."""
+    return float(lp_norms(field.values, field.grid.dx, p))
+
+
+def lp_norms(values, dx: float, p: float):
+    """:func:`lp_norm` of each row of ``values``, samples ``dx`` apart."""
     if not (np.isinf(p) or p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
-    a = np.abs(field.values)
+    a = np.abs(values)
     if np.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a**p) * field.grid.dx) ** (1.0 / p))
+        return np.max(a, axis=-1)
+    return (np.sum(a**p, axis=-1) * dx) ** (1.0 / p)
 
 
 def h1_norm(field: Field) -> float:

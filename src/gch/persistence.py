@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, lp_norm
+from .grid import lp_norms
 from .integrate import Trajectory
 from .weights import (
     WeightSpec,
@@ -28,7 +28,6 @@ from .weights import (
     eval_weight,
     truncate_weight,
     weight_on_grid,
-    weighted_lp_norm,
 )
 
 __all__ = [
@@ -38,17 +37,6 @@ __all__ = [
     "two_tier_persistence_check",
     "default_truncation_level",
 ]
-
-
-def _triple(u: Field) -> tuple:
-    """(u, u_x, u_xx), both derivatives taken from one forward FFT of u."""
-    grid = u.grid
-    spec = grid.rfft(u.values)
-    return (u,) + tuple(Field(grid, grid.irfft(grid.diff_hat(spec, k))) for k in (1, 2))
-
-
-def _triple_sup(triple) -> float:
-    return sum(lp_norm(f, np.inf) for f in triple)
 
 
 def _require_valid(traj: Trajectory) -> None:
@@ -97,14 +85,17 @@ def persistence_ledger(
         N = default_truncation_level(phi, traj)
     if N <= 0:
         raise ValueError(f"truncation level must be positive, got {N}")
-    w_vals = weight_on_grid(truncate_weight(phi, N), traj.grid)
+    grid = traj.grid
+    w_vals = weight_on_grid(truncate_weight(phi, N), grid)
 
-    # each snapshot is differentiated once, for both W and M
-    W, sups = [], []
-    for triple in map(_triple, traj.snapshots):
-        W.append(sum(weighted_lp_norm(f, w_vals, p) for f in triple))
-        sups.append(_triple_sup(triple))
-    W, M = np.array(W), float(max(sups))
+    # u, u_x and u_xx a row block at a time, the derivatives from the one spectrum
+    sups, W = np.zeros(len(traj)), np.zeros(len(traj))
+    for rows in traj.row_blocks():
+        spec = traj.spectrum[rows]
+        for f in (traj.values[rows], *(grid.irfft(grid.diff_hat(spec, k)) for k in (1, 2))):
+            sups[rows] += lp_norms(f, grid.dx, np.inf)
+            W[rows] += lp_norms(f * w_vals, grid.dx, p)
+    M = float(np.max(sups))
 
     if W[0] == 0.0:
         return PersistenceLedger(
@@ -157,14 +148,14 @@ def _weighted_l1_sources(traj: Trajectory, w_vals: np.ndarray):
     variant carries d_x(2 u_x^2 + 6 u^2) + u_x^2.
     """
     grid = traj.grid
-    plain, diffed = [], []
-    for u in traj.snapshots:
-        u2 = u.values**2
-        ux2 = grid.diff(u.values) ** 2
+    plain, diffed = np.empty(len(traj)), np.empty(len(traj))
+    for rows in traj.row_blocks():
+        u2 = traj.values[rows] ** 2
+        ux2 = grid.irfft(grid.diff_hat(traj.spectrum[rows], 1)) ** 2
         base = 2.0 * ux2 + 6.0 * u2
-        plain.append(lp_norm(Field(grid, (base + grid.diff(ux2)) * w_vals), 1.0))
-        diffed.append(lp_norm(Field(grid, (grid.diff(base) + ux2) * w_vals), 1.0))
-    return np.asarray(plain), np.asarray(diffed)
+        plain[rows] = lp_norms((base + grid.diff(ux2)) * w_vals, grid.dx, 1.0)
+        diffed[rows] = lp_norms((grid.diff(base) + ux2) * w_vals, grid.dx, 1.0)
+    return plain, diffed
 
 
 def two_tier_persistence_check(traj: Trajectory, phi: WeightSpec, p: float) -> TwoTierReport:

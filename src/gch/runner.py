@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyticity import MajorantParams, majorant_norm_argmax, operator_bound_report, radius_track
+from .analyticity import MajorantParams, majorant_track, operator_bound_report, radius_track
 from .asymptotics import MIN_SNAPSHOTS, amplitude_series, extract_profile, source_integral
 from .config import ExperimentConfig, config_hash, validate_config
 from .dynamics import RhsForm, form_residual, max_form_residual, sqrt3_residual_field
@@ -28,8 +28,8 @@ from .grid import Grid, lp_norm, sample
 from .helmholtz import green_convolve_direct, helmholtz_inverse
 from .integrate import BOUNDARY_TOLERANCE, Trajectory, simulate, write_checkpoint, write_snapshots
 
-# snapshots_to_csv is not called here; perfbench's tracer wraps gch.runner.snapshots_to_csv,
-# so it stays importable
+# not called here; perfbench's tracer wraps them in gch.runner, so they stay importable
+from .analyticity import majorant_norm_argmax  # noqa: F401
 from .integrate import snapshots_to_csv  # noqa: F401
 from .persistence import persistence_ledger
 from .weights import WeightSpec, admissibility_report, weighted_young_check
@@ -191,7 +191,7 @@ def _run_analyticity(traj, cfg, out, chash, headline):
         return {"analyticity_json": "analyticity.json"}
 
     params = MajorantParams()
-    argmax = [majorant_norm_argmax(u, params)[1] for u in traj.snapshots]
+    _, argmax = majorant_track(traj, params)
     rows = (
         (float(t), float(s), float(r), int(k))
         for t, s, r, k in zip(series.times, series.sigma, series.residual, argmax)

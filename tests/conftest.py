@@ -26,13 +26,13 @@ def sech2_small(grid1024):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A list that gains one entry per ``Grid.rfft`` or ``Grid.irfft`` call."""
+    """A list that gains one entry per ``Grid.rfft`` or ``Grid.irfft`` call: its name."""
     calls = []
     for name in ("rfft", "irfft"):
         original = getattr(Grid, name)
 
-        def counted(self, arr, _original=original):
-            calls.append(1)
+        def counted(self, arr, _original=original, _name=name):
+            calls.append(_name)
             return _original(self, arr)
 
         monkeypatch.setattr(Grid, name, counted)

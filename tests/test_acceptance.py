@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances are pinned here and never loosened at runtime.
 """
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -337,3 +338,22 @@ def test_c12_reproducibility(tmp_path):
         f"selftest deterministic pass: {selftest_ok}; summaries byte-stable: "
         f"{stable}; frozen golden matches: {golden_ok}",
     )
+
+
+def test_golden_artifact_hashes(tmp_path):
+    """Every file ``run_experiment`` writes for the golden config, by sha256.
+
+    ``GCH_REGEN_GOLDEN=1`` rewrites ``golden/artifacts.sha256``, as it does
+    the golden summary.
+    """
+    run_experiment(parse_config(GOLDEN_CONFIG), out_dir=tmp_path)
+    lines = [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(tmp_path.iterdir())
+    ]
+    golden = GOLDEN_DIR / "artifacts.sha256"
+    if os.environ.get("GCH_REGEN_GOLDEN"):
+        golden.write_text("".join(lines), encoding="utf-8")
+    expected = golden.read_text(encoding="utf-8").splitlines(keepends=True)
+    changed = sorted(set(lines) ^ set(expected))
+    assert not changed, f"artifacts differ from the golden hashes: {changed}"

@@ -15,7 +15,7 @@ from gch import (
     sample,
     simulate,
 )
-from gch.analyticity import _h1_ladder
+from gch.analyticity import _h1_ladder, _longest_run, majorant_track
 from gch.fields import smooth_field_family
 
 SCALES = (0.2, 0.4, 0.6, 0.8)
@@ -133,6 +133,41 @@ class TestRadiusEstimate:
             radius_estimate(f)
 
 
+def _longest_run_loop(mask):
+    """Reference: a scan over every mode in which the first longest run wins."""
+    best_start, best_len = 0, 0
+    run_start = None
+    for i, ok in enumerate(np.append(mask, False)):
+        if ok and run_start is None:
+            run_start = i
+        elif not ok and run_start is not None:
+            if i - run_start > best_len:
+                best_start, best_len = run_start, i - run_start
+            run_start = None
+    return best_start, best_len
+
+
+_MASKS = {
+    "none_usable": [0] * 12,
+    "all_usable": [1] * 12,
+    "tie_first_wins": [1, 1, 0, 1, 1, 0, 0, 1, 1],
+    "tie_after_short": [0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0],
+    "run_touches_the_end": [0, 1, 1, 0, 1, 1, 1],
+    "run_touches_the_start": [1, 1, 1, 0, 1, 0],
+    "single_mode": [0, 0, 1, 0],
+    "empty": [],
+}
+_MASKS.update(
+    (f"random_{seed}", list(np.random.default_rng(seed).random(64) < 0.7)) for seed in range(4)
+)
+
+
+@pytest.mark.parametrize("mask", list(_MASKS.values()), ids=list(_MASKS))
+def test_longest_run_matches_the_loop(mask):
+    mask = np.asarray(mask, dtype=bool)
+    assert _longest_run(mask) == _longest_run_loop(mask)
+
+
 @pytest.fixture(scope="module")
 def run(grid1024):
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
@@ -174,12 +209,37 @@ class TestRadiusTrack:
         import gch.analyticity as analyticity_mod
 
         calls = []
-        true_estimate = analyticity_mod.radius_estimate
+        true_fit = analyticity_mod._radius_fit
 
-        def counted(f):
-            calls.append(f)
-            return true_estimate(f)
+        def counted(grid, spec):
+            calls.append(spec)
+            return true_fit(grid, spec)
 
-        monkeypatch.setattr(analyticity_mod, "radius_estimate", counted)
+        monkeypatch.setattr(analyticity_mod, "_radius_fit", counted)
         radius_track(run)
         assert len(calls) == len(run)
+
+    def test_track_is_the_per_snapshot_estimate(self, run):
+        series = radius_track(run)
+        fits = [radius_estimate(u) for u in run.snapshots]
+        assert np.array_equal(series.sigma, [f.sigma for f in fits])
+        assert np.array_equal(series.residual, [f.residual for f in fits])
+
+
+class TestMajorantTrack:
+    @pytest.mark.parametrize("params", [MajorantParams(), MajorantParams(0.3, 20)])
+    def test_track_is_the_per_snapshot_norm(self, run, params):
+        norm, argmax = majorant_track(run, params)
+        pairs = [majorant_norm_argmax(u, params) for u in run.snapshots]
+        assert np.array_equal(norm, [v for v, _ in pairs])
+        assert np.array_equal(argmax, [k for _, k in pairs])
+
+    def test_ladders_of_a_block_are_the_ladders_of_its_rows(self, run):
+        from gch.analyticity import _spectral_h1_ladder
+
+        # a zero row keeps its zeros: its floor masks nothing
+        spec = np.vstack([run.spectrum, np.zeros_like(run.spectrum[:1])])
+        block = _spectral_h1_ladder(run.grid, spec, 14)
+        rows = np.stack([_spectral_h1_ladder(run.grid, row, 14) for row in spec])
+        assert np.array_equal(block, rows)
+        assert np.all(block[-1] == 0.0)

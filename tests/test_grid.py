@@ -57,6 +57,27 @@ class TestField:
             sech.values[0] = 1.0
 
 
+class TestBlocks:
+    """FFTs and spectral derivatives act row by row on a K x n block, bit for bit."""
+
+    def test_block_equals_its_rows(self, grid1024):
+        grid = grid1024
+        block = np.random.default_rng(7).standard_normal((5, grid.n))
+        spec = grid.rfft(block)
+        assert np.array_equal(spec, np.stack([grid.rfft(row) for row in block]))
+        assert np.array_equal(grid.irfft(spec), np.stack([grid.irfft(row) for row in spec]))
+        for order in (1, 2, 3):
+            rows = np.stack([grid.diff_hat(row, order) for row in spec])
+            assert np.array_equal(grid.diff_hat(spec, order), rows), order
+        assert np.array_equal(grid.p2(block), np.stack([grid.p2(row) for row in block]))
+
+    def test_drop_nyquist_keeps_the_last_row(self, grid1024):
+        spec = np.ones((3, grid1024.n // 2 + 1), dtype=complex)
+        grid1024.drop_nyquist(spec)
+        assert np.all(spec[:, -1] == 0.0)
+        assert np.all(spec[:, :-1] == 1.0)
+
+
 class TestSample:
     def test_zero(self, grid1024):
         f = sample(grid1024, lambda x: 0.0 * x)

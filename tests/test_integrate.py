@@ -469,6 +469,68 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="start at 0"):
             Trajectory.from_snapshots([1.0], [sech])
 
+    @pytest.fixture(scope="class")
+    def traj(self, sech2_small):
+        return simulate(sech2_small, 0.1)
+
+    def test_values_are_one_read_only_block(self, traj):
+        assert traj.values.shape == (len(traj), traj.grid.n)
+        assert traj.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            traj.values[0, 0] = 1.0
+
+    def test_block_is_read_only_but_the_callers_array_is_not(self, sech):
+        block = np.stack([sech.values, 2.0 * sech.values])
+        traj = dataclasses.replace(
+            Trajectory.from_snapshots([0.0, 1.0], [sech, sech]), values=block
+        )
+        assert block.flags.writeable and not traj.values.flags.writeable
+        assert np.array_equal(traj.values, block)
+
+    def test_spectrum_is_the_cached_rfft_of_every_row(self, traj):
+        spec = traj.spectrum
+        assert spec is traj.spectrum
+        assert not spec.flags.writeable
+        assert np.array_equal(spec, np.stack([traj.grid.rfft(row) for row in traj.values]))
+
+    def test_fields_are_the_rows(self, traj):
+        assert all(np.array_equal(u.values, row) for u, row in zip(traj.snapshots, traj.values))
+        assert len(traj.snapshots) == len(traj)
+        assert np.array_equal(traj.u0.values, traj.values[0])
+        assert np.array_equal(traj.final.values, traj.values[-1])
+
+    def test_boundary_magnitudes_per_row(self, traj):
+        expected = [max(abs(u.values[0]), abs(u.values[-1])) for u in traj.snapshots]
+        assert np.array_equal(traj.boundary_magnitudes, expected)
+        wrapped = Trajectory.from_snapshots(traj.times, traj.snapshots)
+        assert np.array_equal(wrapped.boundary_magnitudes, expected)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            pytest.param(np.zeros((3, 1024)), "must be \\(2, 1024\\)", id="too_many_rows"),
+            pytest.param(np.zeros((2, 512)), "must be \\(2, 1024\\)", id="wrong_n"),
+            pytest.param(np.zeros(1024), "must be", id="one_dimensional"),
+            pytest.param(np.full((2, 1024), np.nan), "non-finite", id="nan"),
+        ],
+    )
+    def test_rejects_a_bad_block(self, sech, values, message):
+        traj = Trajectory.from_snapshots([0.0, 1.0], [sech, sech])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(traj, values=values)
+
+    @pytest.mark.parametrize("budget", [1, 16 * 513, 3 * 16 * 513 + 5, 2**18])
+    def test_row_blocks_cover_the_rows_in_order(self, traj, monkeypatch, budget):
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", budget)
+        per_block = max(1, budget // (16 * 513))
+        for stop in (None, 1, len(traj)):
+            blocks = traj.row_blocks(stop)
+            rows = [i for b in blocks for i in range(b.start, b.stop)]
+            assert rows == list(range(len(traj) if stop is None else stop))
+            assert all(b.stop - b.start <= per_block for b in blocks)
+
 
 def _put(offset, fmt, value):
     """An edit that overwrites the bytes at ``offset`` with ``value`` packed as ``fmt``."""

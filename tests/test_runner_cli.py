@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,14 @@ from gch import (
     ConfigError,
     ExperimentConfig,
     Grid,
+    WeightSpec,
     config_hash,
+    emitted_tail_amplitudes,
     parse_config,
     run_experiment,
     sample,
     simulate,
+    two_tier_persistence_check,
 )
 from gch.cli import main
 
@@ -354,6 +359,99 @@ class TestCrossProcessStability:
         a, b = outs
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
         assert (a / "snapshots.bin").read_bytes() == (b / "snapshots.bin").read_bytes()
+
+
+# the history benchmark workload's run: every step kept at n = 4096 to T = 1, 104 snapshots
+HISTORY = """
+[grid]
+n = 4096
+L = 40
+[time]
+T = 1
+snapshot_stride = 1
+[initial]
+kind = sech2
+amplitude = 0.05
+[weights]
+phi = 0.5,1,0.5,1
+p = inf
+[diagnostics]
+run = persistence,asymptotics,analyticity
+window = 10,20
+"""
+
+
+def _trajectory(cfg, T=None):
+    u0 = sample(Grid(cfg.n, cfg.L), lambda x: cfg.amplitude / np.cosh(x) ** 2)
+    return simulate(u0, cfg.T if T is None else T, snapshot_stride=cfg.snapshot_stride)
+
+
+def _run_stages(traj, cfg, out):
+    """The three diagnostic stages of ``run_experiment`` on one trajectory; the headline."""
+    from gch.runner import _run_analyticity, _run_asymptotics, _run_persistence
+
+    out.mkdir(parents=True)
+    headline = {}
+    for stage in (_run_persistence, _run_asymptotics, _run_analyticity):
+        stage(traj, cfg, out, config_hash(cfg), headline)
+    return headline
+
+
+class TestOneSpectrum:
+    """The stages share the trajectory's one spectrum and take temporaries a row block at a time."""
+
+    def test_fft_calls_do_not_grow_with_the_snapshots(self, tmp_path, fft_calls):
+        cfg = parse_config(FAST)
+        counts = []
+        for T, K in ((0.08, 9), (0.29, 30)):
+            traj = _trajectory(cfg, T)
+            assert len(traj) == K
+            fft_calls.clear()
+            headline = _run_stages(traj, cfg, tmp_path / str(K))
+            assert not any(key.endswith("_error") for key in headline)
+            counts.append(Counter(fft_calls))
+            # u_x and u_xx for the ledger, u_x for the source: per row block, not per snapshot
+            assert counts[-1]["irfft"] == 3 * len(traj.row_blocks())
+        assert counts[0] == counts[1]
+        assert counts[0]["rfft"] == 1
+
+    def test_traced_peak_on_a_history_run(self, tmp_path):
+        cfg = parse_config(HISTORY)
+        traj = _trajectory(cfg)
+        K, n = traj.values.shape
+        assert K == 104
+        tracemalloc.start()
+        try:
+            headline = _run_stages(traj, cfg, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(key.endswith("_error") for key in headline)
+        # values, spectrum and two K x n temporaries, with 10 % to spare
+        assert peak <= 1.1 * 4 * K * n * 8
+
+    def test_row_blocks_change_no_number(self, tmp_path, monkeypatch):
+        import gch.integrate as integrate_mod
+
+        cfg = parse_config(FAST)
+        phi = WeightSpec(1, 1, 0, 0)
+        results = []
+        for name, budget in (("whole", integrate_mod.ROW_BLOCK_BYTES), ("rows", 1)):
+            monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", budget)
+            traj = _trajectory(cfg, 0.29)
+            _run_stages(traj, cfg, tmp_path / name)
+            rep = two_tier_persistence_check(traj, phi, np.inf)
+            results.append((
+                len(traj.row_blocks()),
+                {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()},
+                (rep.source_plain, rep.source_differentiated, rep.ledger_root.W),
+                emitted_tail_amplitudes(traj, -1),
+            ))
+        (blocks_whole, files_whole, *rest_whole), (blocks_rows, files_rows, *rest_rows) = results
+        assert (blocks_whole, blocks_rows) == (1, 30)
+        assert files_whole == files_rows and len(files_whole) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(rest_whole[0], rest_rows[0]))
+        assert rest_whole[1] == rest_rows[1]
 
 
 class TestSelftestFaultInjection:
