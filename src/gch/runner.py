@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyticity import MajorantParams, majorant_track, operator_bound_report, radius_track
+from .analyticity import (
+    MajorantParams,
+    _operator_bounds,
+    _operator_ladders,
+    majorant_track,
+    radius_track,
+)
 from .asymptotics import MIN_SNAPSHOTS, amplitude_series, extract_profile, source_integral
 from .config import ExperimentConfig, config_hash, validate_config
 from .dynamics import RhsForm, form_residual, max_form_residual, sqrt3_residual_field
@@ -29,10 +35,11 @@ from .helmholtz import green_convolve_direct, helmholtz_inverse
 from .integrate import BOUNDARY_TOLERANCE, Trajectory, simulate, write_checkpoint, write_snapshots
 
 # not called here; perfbench's tracer wraps them in gch.runner, so they stay importable
-from .analyticity import majorant_norm_argmax  # noqa: F401
+from .analyticity import majorant_norm_argmax, operator_bound_report  # noqa: F401
 from .integrate import snapshots_to_csv  # noqa: F401
 from .persistence import persistence_ledger
-from .weights import WeightSpec, admissibility_report, weighted_young_check
+from .weights import WeightSpec, _young_slacks, admissibility_report, weight_on_grid
+from .weights import weighted_young_check  # noqa: F401
 
 __all__ = ["RunSummary", "run_experiment", "selftest", "SelftestReport"]
 
@@ -346,11 +353,10 @@ def _selftest_young(entries):
     spec = WeightSpec(0.0, 0.0, 1.0, 0.0)
     report = admissibility_report(spec, spec, sample_count=2048, domain_bound=20.0)
     pairs = compact_pair_family(grid, 50, seed=777)
-    slack = min(
-        weighted_young_check(f1, f2, spec, spec, p, report.C0)
-        for f1, f2 in pairs
-        for p in (1.0, 2.0, np.inf)
-    )
+    f1, f2 = (np.array([pair[i].values for pair in pairs]) for i in (0, 1))
+    w = weight_on_grid(spec, grid)
+    # np.min, not min: a NaN slack must fail the check
+    slack = float(np.min(_young_slacks(grid, f1, f2, w, w, (1.0, 2.0, np.inf), report.C0)))
     entries.append(
         ("weighted convolution inequality sweep", slack >= -1e-10, f"min slack {slack:.3e}")
     )
@@ -360,16 +366,18 @@ def _selftest_operator_bounds(entries):
     grid = Grid(1024, 40.0)
     fields = smooth_field_family(grid, 8, seed=4242)
     scales = (0.2, 0.4, 0.6, 0.8)
-    min_slack = np.inf
-    max_drift = 0.0
+    slacks, drifts = [], []
     for f in fields:
+        ladders = _operator_ladders(f)
         for s in scales:
             for sp in scales:
                 if sp >= s:
                     continue
-                rep = operator_bound_report(f, s, sp)
-                min_slack = min(min_slack, rep.shift_slack, rep.smooth_slack)
-                max_drift = max(max_drift, rep.c_algebra_drift)
+                rep = _operator_bounds(ladders, s, sp)
+                slacks += [rep.shift_slack, rep.smooth_slack]
+                drifts.append(rep.c_algebra_drift)
+    # np.min/np.max, not min/max: a NaN must fail the check
+    min_slack, max_drift = float(np.min(slacks)), float(np.max(drifts))
     ok = min_slack >= 0.0 and max_drift < 0.10
     entries.append(
         (

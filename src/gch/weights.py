@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import Field, Grid, lp_norm
+from .grid import Field, Grid, lp_norm, lp_norms
 
 __all__ = [
     "WeightSpec",
@@ -114,13 +114,28 @@ def weighted_young_check(f1: Field, f2: Field, phi, v, p: float, C0: float) -> f
     if f1.grid != f2.grid:
         raise ValueError("fields must live on the same grid")
     grid = f1.grid
-    conv = grid.irfft(grid.rfft(f1.values) * grid.rfft(f2.values)) * grid.dx
+    phi_vals, v_vals = weight_on_grid(phi, grid), weight_on_grid(v, grid)
+    return float(_young_slacks(grid, f1.values, f2.values, phi_vals, v_vals, (p,), C0)[0])
+
+
+def _young_slacks(grid: Grid, f1, f2, phi, v, ps, C0: float) -> np.ndarray:
+    """:func:`weighted_young_check` of each row pair of the blocks ``f1``, ``f2``, for each p in ``ps``.
+
+    ``phi`` and ``v`` are weight tables on the grid nodes; the result has
+    one row per p and one column per pair.  The convolutions are taken
+    once, in one batched FFT pass, and shared by every p.
+    """
+    conv = grid.irfft(grid.rfft(f1) * grid.rfft(f2)) * grid.dx
     # the array origin sits at x = -L, so the circular convolution comes
     # back shifted by half a period
-    conv = np.roll(conv, -(grid.n // 2))
-    lhs = weighted_lp_norm(Field(grid, conv), phi, p)
-    rhs = C0 * weighted_lp_norm(f1, v, 1.0) * weighted_lp_norm(f2, phi, p)
-    return float(rhs - lhs)
+    conv = np.roll(conv, -(grid.n // 2), axis=-1)
+    l1_f1_v = lp_norms(f1 * v, grid.dx, 1.0)
+    out = []
+    for p in ps:
+        lhs = lp_norms(conv * phi, grid.dx, p)
+        rhs = C0 * l1_f1_v * lp_norms(f2 * phi, grid.dx, p)
+        out.append(rhs - lhs)
+    return np.array(out)
 
 
 @dataclass

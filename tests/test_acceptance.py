@@ -357,3 +357,15 @@ def test_golden_artifact_hashes(tmp_path):
     expected = golden.read_text(encoding="utf-8").splitlines(keepends=True)
     changed = sorted(set(lines) ^ set(expected))
     assert not changed, f"artifacts differ from the golden hashes: {changed}"
+
+
+def test_selftest_table_golden():
+    """``selftest().table()`` as pinned in ``golden/selftest.txt``.
+
+    ``GCH_REGEN_GOLDEN=1`` rewrites it, as it does the golden summary.
+    """
+    table = selftest().table() + "\n"
+    golden = GOLDEN_DIR / "selftest.txt"
+    if os.environ.get("GCH_REGEN_GOLDEN"):
+        golden.write_text(table, encoding="utf-8")
+    assert golden.read_text(encoding="utf-8") == table

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,16 @@ from gch import (
     sample,
     simulate,
 )
-from gch.analyticity import _h1_ladder, _longest_run, majorant_track
+from gch.analyticity import (
+    OperatorBoundReport,
+    _h1_ladder,
+    _longest_run,
+    _majorant_terms,
+    _operator_bounds,
+    _operator_ladders,
+    majorant_track,
+)
+from gch.helmholtz import p2_apply
 from gch.fields import smooth_field_family
 
 SCALES = (0.2, 0.4, 0.6, 0.8)
@@ -106,6 +117,54 @@ class TestOperatorBounds:
     def test_rejects_bad_scales(self, sech):
         with pytest.raises(ValueError):
             operator_bound_report(sech, 0.4, 0.8)
+
+
+def _per_call_operator_bounds(f, s, s_prime):
+    """The report built from one FFT pass per majorant norm, as before the shared ladders."""
+    k_top = MajorantParams().k_max
+    ladder = _h1_ladder(f, k_top + 1)
+    shift_lhs = float(np.max(_majorant_terms(ladder[1:], s_prime)))
+    norm_s = float(np.max(_majorant_terms(ladder[:-1], s)))
+    smooth_lhs = majorant_norm(p2_apply(f), MajorantParams(s, k_top))
+    f2 = Field(f.grid, f.values**2)
+    c_alg = majorant_norm(f2, MajorantParams(s, k_top)) / norm_s**2 if norm_s else 0.0
+    k_double = min(2 * k_top, 30)
+    norm_s_dbl = majorant_norm(f, MajorantParams(s, k_double))
+    c_alg_dbl = (
+        majorant_norm(f2, MajorantParams(s, k_double)) / norm_s_dbl**2 if norm_s_dbl else 0.0
+    )
+    return OperatorBoundReport(
+        shift_lhs, norm_s / (s - s_prime), smooth_lhs, norm_s, c_alg, c_alg_dbl
+    )
+
+
+class TestSharedOperatorLadders:
+    PAIRS = [(s, sp) for s in SCALES for sp in SCALES if sp < s]
+
+    def test_report_equals_the_per_call_formulas(self, grid1024):
+        assert len(self.PAIRS) == 6
+        for f in smooth_field_family(grid1024, 8, seed=4242):
+            ladders = _operator_ladders(f)
+            for s, sp in self.PAIRS:
+                expected = dataclasses.astuple(_per_call_operator_bounds(f, s, sp))
+                assert dataclasses.astuple(operator_bound_report(f, s, sp)) == expected
+                assert dataclasses.astuple(_operator_bounds(ladders, s, sp)) == expected
+
+    def test_zero_field_equals_the_per_call_formulas(self, grid1024):
+        z = Field(grid1024, np.zeros(grid1024.n))
+        assert operator_bound_report(z, 0.8, 0.4) == _per_call_operator_bounds(z, 0.8, 0.4)
+
+    def test_ladder_prefix_is_the_shorter_ladder(self, sech):
+        ladders = _operator_ladders(sech)
+        assert ladders.shape == (3, 25)
+        np.testing.assert_array_equal(ladders[0, :14], _h1_ladder(sech, 13))
+        np.testing.assert_array_equal(ladders[1, :13], _h1_ladder(p2_apply(sech), 12))
+
+    def test_one_fft_pass_per_field(self, sech, fft_calls):
+        ladders = _operator_ladders(sech)
+        for s, sp in self.PAIRS:
+            _operator_bounds(ladders, s, sp)
+        assert fft_calls == ["rfft", "irfft", "rfft"]
 
 
 class TestRadiusEstimate:

@@ -131,3 +131,46 @@ class TestOperatorIdentities:
         for f in smooth_field_family(grid1024, 5, seed=35):
             assert lp_norm(helmholtz_inverse(f), 2) <= lp_norm(f, 2) * (1 + 1e-12)
             assert lp_norm(p2_apply(f), 2) <= 0.5 * lp_norm(f, 2) * (1 + 1e-12)
+
+
+def _dense_slab_convolution(f):
+    """The quadrature of ``green_convolve_direct`` on explicit n x n kernel slabs."""
+    grid = f.grid
+    n, dx = grid.n, grid.dx
+    v = f.values
+    out = np.empty(n)
+    cols = np.arange(n)
+    for start in range(0, n, 512):
+        rows = np.arange(start, min(start + 512, n))
+        out[rows] = periodized_green(
+            (rows[:, None] - cols[None, :]) * dx, grid.half_width
+        ) @ v
+    fpp = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / dx**2
+    return out * dx - dx**2 / 12.0 * v + dx**4 / 720.0 * (v + 3.0 * fpp)
+
+
+def _lopsided(grid):
+    # neither even nor odd about any node, so a shifted Toeplitz index shows
+    return sample(
+        grid, lambda x: 1 / np.cosh(x - 0.7) ** 2 + 0.4 * x * np.exp(-((x + 1.3) ** 2))
+    )
+
+
+class TestToeplitzOracle:
+    def test_makes_no_fft(self, grid1024, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the direct convolution took an FFT")
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(Grid, name, forbidden)
+        out = green_convolve_direct(_lopsided(grid1024))
+        assert np.max(np.abs(out.values)) > 0.1
+
+    @pytest.mark.parametrize("n", [16, 64, 1024, 2048])
+    def test_equals_dense_slab(self, n):
+        f = _lopsided(Grid(n, 40.0))
+        expected = _dense_slab_convolution(f)
+        got = green_convolve_direct(f).values
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -478,3 +479,56 @@ class TestSelftestFaultInjection:
         _selftest_forms(entries)
         matrix_entry = [e for e in entries if "residual matrix" in e[0]]
         assert matrix_entry and matrix_entry[0][1] is False
+
+    def test_nan_young_slack_fails(self, monkeypatch):
+        # Python's min drops a NaN that does not come first; the check must not
+        import gch.runner as runner_mod
+
+        true_slacks = runner_mod._young_slacks
+
+        def nan_on_second_pair(*args):
+            out = true_slacks(*args)
+            out[0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(runner_mod, "_young_slacks", nan_on_second_pair)
+        entries = []
+        runner_mod._selftest_young(entries)
+        assert entries[0][1] is False and "nan" in entries[0][2]
+
+    def test_nan_algebra_constant_fails(self, monkeypatch):
+        import gch.runner as runner_mod
+
+        true_bounds = runner_mod._operator_bounds
+        calls = []
+
+        def nan_on_third_report(ladders, s, s_prime):
+            rep = true_bounds(ladders, s, s_prime)
+            calls.append(rep)
+            if len(calls) == 3:
+                rep = dataclasses.replace(rep, c_algebra_doubled=np.nan)
+            return rep
+
+        monkeypatch.setattr(runner_mod, "_operator_bounds", nan_on_third_report)
+        entries = []
+        runner_mod._selftest_operator_bounds(entries)
+        assert len(calls) == 48
+        assert entries[0][1] is False and "nan" in entries[0][2]
+
+
+class TestSelftestWork:
+    def test_operator_bounds_take_one_fft_pass_per_field(self, fft_calls):
+        from gch.runner import _selftest_operator_bounds
+
+        entries = []
+        _selftest_operator_bounds(entries)
+        assert entries[0][1] is True
+        assert len(fft_calls) <= 3 * 8
+
+    def test_young_sweep_takes_one_fft_pass(self, fft_calls):
+        from gch.runner import _selftest_young
+
+        entries = []
+        _selftest_young(entries)
+        assert entries[0][1] is True
+        assert len(fft_calls) == 3

@@ -13,7 +13,7 @@ from gch import (
     weighted_young_check,
 )
 from gch.fields import compact_pair_family
-from gch.weights import _halton_pairs
+from gch.weights import _halton_pairs, _young_slacks, weight_on_grid
 
 
 class TestEvalWeight:
@@ -209,3 +209,43 @@ class TestWeightedYoung:
         for f1, f2 in compact_pair_family(grid1024, 50, seed=777):
             for p in (1.0, 2.0, np.inf):
                 assert weighted_young_check(f1, f2, spec, spec, p, C0) >= -1e-10
+
+
+def _per_call_young(f1, f2, phi, v, p, C0):
+    """The slack from one FFT pass and fresh weight tables per call, as before the block core."""
+    grid = f1.grid
+    conv = grid.irfft(grid.rfft(f1.values) * grid.rfft(f2.values)) * grid.dx
+    conv = np.roll(conv, -(grid.n // 2))
+    lhs = weighted_lp_norm(Field(grid, conv), phi, p)
+    rhs = C0 * weighted_lp_norm(f1, v, 1.0) * weighted_lp_norm(f2, phi, p)
+    return float(rhs - lhs)
+
+
+class TestYoungBlock:
+    PS = (1.0, 2.0, np.inf)
+    PHI, V = WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 0.5, 1)
+    C0 = 1.75
+
+    def test_check_and_block_equal_the_per_call_formula(self, grid1024):
+        pairs = compact_pair_family(grid1024, 50, seed=777)
+        expected = np.array([
+            [_per_call_young(f1, f2, self.PHI, self.V, p, self.C0) for f1, f2 in pairs]
+            for p in self.PS
+        ])
+        checks = [
+            [weighted_young_check(f1, f2, self.PHI, self.V, p, self.C0) for f1, f2 in pairs]
+            for p in self.PS
+        ]
+        np.testing.assert_array_equal(np.array(checks), expected)
+        f1, f2 = (np.array([pair[i].values for pair in pairs]) for i in (0, 1))
+        phi, v = weight_on_grid(self.PHI, grid1024), weight_on_grid(self.V, grid1024)
+        block = _young_slacks(grid1024, f1, f2, phi, v, self.PS, self.C0)
+        assert block.shape == (3, 50)
+        np.testing.assert_array_equal(block, expected)
+
+    def test_one_fft_pass_for_the_block(self, grid1024, fft_calls):
+        pairs = compact_pair_family(grid1024, 50, seed=777)
+        f1, f2 = (np.array([pair[i].values for pair in pairs]) for i in (0, 1))
+        phi = weight_on_grid(self.PHI, grid1024)
+        _young_slacks(grid1024, f1, f2, phi, phi, self.PS, self.C0)
+        assert sorted(fft_calls) == ["irfft", "rfft", "rfft"]
