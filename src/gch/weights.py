@@ -9,8 +9,9 @@ constants that decide whether a weight can ride along the flow: the
 moderateness constant C0 with phi(x+y) <= C0 v(x) phi(y), the logarithmic
 derivative bound A with |phi'| <= A phi, sub-multiplicativity of the
 comparison weight v, and the integrability of v against the exponential
-kernel.  Measured constants are suprema over deterministic low-discrepancy
-samples and therefore lower bounds of the true constants.
+kernel, integrated by a numpy double-exponential (tanh-sinh) rule.
+Measured constants are suprema over deterministic low-discrepancy samples
+and therefore lower bounds of the true constants.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ __all__ = [
 #: Sentinel for clamped evaluations of explosive weights.
 HUGE = 1e300
 _LOG_HUGE = np.log(HUGE)
+
+#: The tanh-sinh rule of the kernel integrals: nodes at the multiples of
+#: ``_DE_STEP / 2**level`` in [-_DE_SPAN, _DE_SPAN], one level more until
+#: two agree to ``_DE_RTOL`` or ``_DE_LEVELS`` are taken.
+_DE_SPAN = 3.75
+_DE_STEP = 0.5
+_DE_LEVELS = 7
+_DE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -185,8 +194,8 @@ def _radical_inverse(count: int, base: int) -> np.ndarray:
     """The first ``count`` points of the van der Corput sequence in ``base``.
 
     Index i maps to its base-``base`` digits mirrored about the radix point;
-    the digits are summed lowest first, so the values match the unscrambled
-    Halton sequence of ``scipy.stats.qmc`` bit for bit.
+    the digits are summed lowest first, so the values match the reference
+    unscrambled Halton sequence bit for bit.
     """
     idx = np.arange(count)
     out = np.zeros(count)
@@ -217,19 +226,41 @@ def _log_derivative_bound(spec: WeightSpec, xs: np.ndarray) -> float:
     return float(np.max(np.where(np.abs(xs) < h, one_sided, central)))
 
 
+def _tanh_sinh(g, bound: float) -> float:
+    """The integral of the vectorised ``g`` over (0, bound), by the tanh-sinh rule.
+
+    x = bound / (1 + exp(-pi sinh t)) maps the t axis onto (0, bound) so that
+    the integrand decays double exponentially at both ends, and an algebraic
+    cusp at an endpoint keeps the rule's exponential convergence (Takahasi &
+    Mori, Publ. RIMS 9:721, 1974).  Each level halves the step and evaluates
+    ``g`` once, on the new nodes only.  Nodes are taken from their distance
+    to 0, so the first sits ~1e-29 bound above it; nodes that round onto
+    ``bound`` are dropped.  When no two levels agree the last one is returned.
+    """
+    total, value = 0.0, np.nan
+    for level in range(_DE_LEVELS):
+        h = _DE_STEP / 2**level
+        j = np.arange(-int(_DE_SPAN / h), int(_DE_SPAN / h) + 1)
+        t = h * (j if level == 0 else j[j % 2 == 1])
+        s = np.pi * np.sinh(t)
+        xi = 1.0 / (1.0 + np.exp(-s))
+        x = bound * xi
+        dx = bound * np.pi * np.cosh(t) * xi / (1.0 + np.exp(s))
+        inside = x < bound
+        total += float(np.sum(g(x[inside]) * dx[inside]))
+        prev, value = value, h * total
+        if abs(value - prev) <= _DE_RTOL * abs(value):
+            break
+    return value
+
+
 def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:
     if np.isinf(p):
         xs = np.linspace(-bound, bound, 20001)
         return float(np.max(eval_weight(spec, xs) * np.exp(-np.abs(xs))))
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda t: (eval_weight(spec, t) * np.exp(-abs(t))) ** p,
-        -bound,
-        bound,
-        points=[0.0],
-        limit=200,
-    )
+    # the integrand is even: twice its integral over (0, bound), where the
+    # |x|^b cusp of b < 1 sits at an endpoint
+    val = 2.0 * _tanh_sinh(lambda x: (eval_weight(spec, x) * np.exp(-x)) ** p, bound)
     return float(val ** (1.0 / p))
 
 
@@ -245,13 +276,14 @@ def admissibility_report(
     C0 and the sub-multiplicativity defect are suprema over a Halton sample
     of pairs in [-domain_bound, domain_bound]^2; A is a supremum of the
     finite-difference logarithmic derivative over the sample's abscissae.
-    The kernel integrability conditions are checked by adaptive quadrature
-    with a domain-doubling stability test (relative change below 1e-6).
+    The kernel integrability conditions are checked by a tanh-sinh rule,
+    refined until two levels agree to 1e-13, with a domain-doubling stability
+    test (relative change below 1e-6).
     """
     if sample_count < 1000:
         raise ValueError(f"sample_count must be >= 1000, got {sample_count}")
-    if domain_bound <= 0:
-        raise ValueError(f"domain_bound must be positive, got {domain_bound}")
+    if not 0 < domain_bound < np.inf:
+        raise ValueError(f"domain_bound must be positive and finite, got {domain_bound}")
 
     pairs = _halton_pairs(sample_count, domain_bound)
     xs, ys = pairs[:, 0], pairs[:, 1]

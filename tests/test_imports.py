@@ -1,9 +1,9 @@
-"""``import gch`` and a full run never load scipy; every export resolves.
+"""``import gch``, a full run, the selftest and ``verify-weights`` never
+load scipy; every export resolves.
 
-scipy is imported on demand only by the finite-p kernel quadrature in
-``gch.weights`` and by file initial conditions in ``gch.grid``.  Each case
-runs in a fresh interpreter, so modules loaded by other tests cannot hide
-a regression.
+scipy is imported on demand only by file initial conditions in
+``gch.grid``.  Each case runs in a fresh interpreter, so modules loaded by
+other tests cannot hide a regression.
 """
 
 import ast
@@ -25,6 +25,11 @@ SCRIPTS = {
         "import sys\n"
         "from gch import parse_config_file, run_experiment\n"
         "run_experiment(parse_config_file(sys.argv[1]), out_dir=sys.argv[2])\n"
+    ),
+    "selftest": "import gch\ngch.selftest()",
+    "verify_weights": (
+        "import gch.cli\n"
+        "gch.cli.main(['verify-weights', '--phi', '0.5,1,0.5,1', '--p', '2'])\n"
     ),
 }
 

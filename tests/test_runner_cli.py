@@ -257,6 +257,11 @@ class TestCli:
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_non_finite_bound_exit_two(self, capsys, bound):
+        assert main(["verify-weights", "--phi", "0,0,1,0", f"--bound={bound}"]) == 2
+        assert "domain_bound must be positive and finite" in capsys.readouterr().err
+
     def test_asymptotics_subcommand(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(FAST)

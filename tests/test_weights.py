@@ -13,7 +13,7 @@ from gch import (
     weighted_young_check,
 )
 from gch.fields import compact_pair_family
-from gch.weights import _halton_pairs, _young_slacks, weight_on_grid
+from gch.weights import _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
 
 
 class TestEvalWeight:
@@ -148,6 +148,50 @@ class TestAdmissibilityReport:
             admissibility_report(
                 WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0), domain_bound=-1.0
             )
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bound(self, bound):
+        with pytest.raises(ValueError, match="domain_bound must be positive and finite"):
+            admissibility_report(
+                WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0), domain_bound=bound
+            )
+
+
+class TestKernelQuadrature:
+    @pytest.mark.parametrize(
+        "spec",
+        [(0, 0, 0, 0), (0, 0, 1, 0), (0.5, 1, 0.5, 1), (0.5, 0.5, 0, 0), (0.3, 0.3, 2, 1),
+         (-1, 2, 0, 0)],
+    )
+    @pytest.mark.parametrize("bound", [20.0, 40.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_matches_tight_scipy_quad(self, spec, bound, p):
+        # scipy is only the oracle here: gch integrates the kernel with numpy
+        from scipy.integrate import quad
+
+        w = WeightSpec(*spec)
+        half, _ = quad(
+            lambda t: (eval_weight(w, t) * np.exp(-t)) ** p, 0.0, bound,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert _kernel_lp(w, bound, p) == pytest.approx((2.0 * half) ** (1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("bound", [20.0, 40.0])
+    def test_closed_forms(self, bound):
+        # int e^{-|x|} and int (1+|x|) e^{-|x|} over [-B, B]
+        assert _kernel_lp(WeightSpec(0, 0, 0, 0), bound, 1.0) == pytest.approx(
+            2.0 * (1.0 - np.exp(-bound)), abs=1e-14
+        )
+        assert _kernel_lp(WeightSpec(0, 0, 1, 0), bound, 1.0) == pytest.approx(
+            2.0 * (2.0 - (bound + 2.0) * np.exp(-bound)), abs=1e-14
+        )
+
+    def test_overflowing_weight_clamps_and_fails_kernel_l1(self):
+        # e^{x^2} passes HUGE beyond |x| ~ 26.3, inside the doubled domain
+        spec = WeightSpec(1, 2, 0, 0)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            rep = admissibility_report(spec, spec, domain_bound=20.0, p=2.0)
+        assert not rep.passes["kernel_l1"]
 
 
 class TestSubmultiplicativity:
