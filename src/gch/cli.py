@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import _parse_float, _parse_float_tuple, parse_config_file
 from .errors import ConfigError
-from .runner import _jsonable, run_experiment, selftest
+from .runner import _jsonable, _output_dir, run_experiment, selftest
 from .weights import WeightSpec, admissibility_report
 
 EXIT_OK = 0
@@ -82,11 +82,9 @@ def _cmd_verify_weights(args) -> int:
     # C0 and A NaN (0/0), written as null
     payload = {key: _jsonable(value) for key, value in report.as_dict().items()}
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "admissibility.json").write_text(text + "\n", encoding="utf-8")
+        (_output_dir(args.out) / "admissibility.json").write_text(text + "\n", encoding="utf-8")
+    print(text)
     return EXIT_OK
 
 

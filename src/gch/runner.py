@@ -30,7 +30,7 @@ from .config import ExperimentConfig, config_hash, validate_config
 from .dynamics import RhsForm, form_residual, max_form_residual, sqrt3_residual_field
 from .errors import BlowUpError, ConfigError
 from .fields import compact_pair_family, make_initial, smooth_field_family
-from .grid import Grid, lp_norm, sample
+from .grid import Field, Grid, lp_norm, sample
 from .helmholtz import green_convolve_direct, helmholtz_inverse
 from .integrate import BOUNDARY_TOLERANCE, Trajectory, simulate, write_checkpoint, write_snapshots
 
@@ -106,6 +106,16 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({k: _jsonable(v) for k, v in payload.items()}, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _output_dir(path) -> Path:
+    """``path`` as a directory, made if missing; a ``ConfigError`` naming it when that fails."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output directory {str(out)!r}: {exc.strerror or exc}"]) from None
+    return out
 
 
 def _profile_index(traj: Trajectory, t_star) -> int:
@@ -226,8 +236,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     """Simulate and run the selected diagnostics, writing artifacts to disk."""
     start = time.perf_counter()
     validate_config(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir if out_dir is not None else cfg.out_dir)
     chash = config_hash(cfg)
 
     grid = Grid(cfg.n, cfg.L)
@@ -268,7 +277,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             f"boundary magnitude {boundary_max:.3e} exceeds {BOUNDARY_TOLERANCE:g}"
         )
     else:
-        headline["max_form_residual"] = max_form_residual(traj.final)
+        # the final state on the grid it was stepped on: every (n/m)-th sample, no FFT
+        m = int(traj.compute_n[-1])
+        headline["max_form_residual"] = max_form_residual(
+            traj.final if m == cfg.n else Field(Grid(m, cfg.L), traj.values[-1][:: cfg.n // m])
+        )
 
         stages = {
             "persistence": _run_persistence,

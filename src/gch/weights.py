@@ -235,7 +235,8 @@ def _tanh_sinh(g, bound: float) -> float:
     Mori, Publ. RIMS 9:721, 1974).  Each level halves the step and evaluates
     ``g`` once, on the new nodes only.  Nodes are taken from their distance
     to 0, so the first sits ~1e-29 bound above it; nodes that round onto
-    ``bound`` are dropped.  When no two levels agree the last one is returned.
+    ``bound`` are dropped.  When no two levels agree the last one is returned;
+    a level whose sum is not finite is returned at once.
     """
     total, value = 0.0, np.nan
     for level in range(_DE_LEVELS):
@@ -249,18 +250,32 @@ def _tanh_sinh(g, bound: float) -> float:
         inside = x < bound
         total += float(np.sum(g(x[inside]) * dx[inside]))
         prev, value = value, h * total
-        if abs(value - prev) <= _DE_RTOL * abs(value):
+        # a non-finite sum stays so at every later level
+        if not np.isfinite(value) or abs(value - prev) <= _DE_RTOL * abs(value):
             break
     return value
 
 
 def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:
+    """The L^p norm of v(x) e^{-|x|} over (-bound, bound); inf once ``eval_weight`` clamps there.
+
+    A clamped sample is HUGE, not v, so any number taken from it would
+    depend on the rule rather than on the weight.
+    """
     if np.isinf(p):
         xs = np.linspace(-bound, bound, 20001)
-        return float(np.max(eval_weight(spec, xs) * np.exp(-np.abs(xs))))
+        w = eval_weight(spec, xs)
+        return np.inf if np.max(w) >= HUGE else float(np.max(w * np.exp(-np.abs(xs))))
+    if eval_weight(spec, bound) >= HUGE:
+        return np.inf
+
+    def integrand(x):
+        w = eval_weight(spec, x)
+        return np.where(w >= HUGE, np.inf, (w * np.exp(-x)) ** p)
+
     # the integrand is even: twice its integral over (0, bound), where the
     # |x|^b cusp of b < 1 sits at an endpoint
-    val = 2.0 * _tanh_sinh(lambda x: (eval_weight(spec, x) * np.exp(-x)) ** p, bound)
+    val = 2.0 * _tanh_sinh(integrand, bound)
     return float(val ** (1.0 / p))
 
 

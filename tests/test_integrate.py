@@ -29,7 +29,7 @@ from gch import (
     write_snapshots,
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
-from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY
+from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY, _compute_size, _tail_max
 
 
 class TestRk4Step:
@@ -123,6 +123,51 @@ class TestSimulate:
         u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
         with pytest.raises(BlowUpError, match="possible blow-up"):
             simulate(u, 1.0, dt=0.01)
+
+    # the (t, step, peak) at which the forced growth aborted when the guard
+    # took every step's irfft; step 7 of the explicit run and step 16 of
+    # the default one land no snapshot
+    @pytest.mark.parametrize(
+        "kwargs, t, step, peak",
+        [
+            ({"dt": 0.01, "snapshot_stride": 4}, 0.07, 7, 10.688451834612373),
+            ({"snapshot_stride": 4}, 0.08484923474951518, 16, 10.168249088298595),
+        ],
+        ids=["explicit_dt", "default_step"],
+    )
+    def test_blow_up_guard_fires_where_it_did(self, grid1024, monkeypatch, kwargs, t, step, peak):
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(
+            integrate_mod, "spectral_rhs", lambda uh, grid, pre, post: 100.0 * uh
+        )
+        u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
+        with pytest.raises(BlowUpError) as info:
+            simulate(u, 1.0, **kwargs)
+        assert (info.value.t, info.value.step, info.value.peak) == (t, step, peak)
+        assert info.value.threshold == 1e3 * lp_norm(u, np.inf)
+
+    def test_guard_reads_the_samples_when_the_bound_is_near(self, grid1024, monkeypatch, fft_calls):
+        # forced growth by R(0.9)^7 ~ 535 in seven steps of 0.01: the state at
+        # t = 0.07 is past half the guard but under it, and step 7 lands no
+        # snapshot, so the guard takes that step's irfft and does not fire
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(
+            integrate_mod, "spectral_rhs", lambda uh, grid, pre, post: 90.0 * uh
+        )
+        u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
+        guard = 1e3 * lp_norm(u, np.inf)
+        at_seven = simulate(u, 0.07, snapshot_stride=10**6, dt=0.01).final
+        uh = grid1024.rfft(at_seven.values)
+        assert 2.0 * np.sum(np.abs(uh)) / grid1024.n > 0.5 * guard
+        assert lp_norm(at_seven, np.inf) <= guard
+        fft_calls.clear()
+        traj = simulate(u, 0.075, snapshot_stride=10**6, dt=0.01)
+        assert traj.n_steps == 8
+        assert lp_norm(traj.final, np.inf) <= guard
+        # rfft(u0), the guard's irfft after step 7 and the landing irfft
+        assert fft_calls == ["rfft", "irfft", "irfft"]
 
     def test_nonfinite_stage_named(self, grid1024, monkeypatch):
         # every stage, the first one the default step is read from included,
@@ -283,10 +328,12 @@ class TestStepRule:
         assert np.max(traj.h1_drift) < 1e-12
 
     def test_step_count_pinned_by_fft_calls(self, fine, fft_calls):
-        # rfft(u0) and estimate_dt's derivative, then four stages and the
-        # snapshot irfft per step
+        # rfft(u0) and estimate_dt's derivative, then four stages per step
+        # and the snapshot irfft per landing step; the guard takes no FFT
+        # between snapshots
         traj = simulate(fine, self.T, self.STRIDE)
-        assert len(fft_calls) == 3 + 9 * traj.n_steps == 3 + 9 * 52
+        assert len(traj) - 1 == 13
+        assert len(fft_calls) == 3 + 8 * traj.n_steps + 13 == 3 + 8 * 52 + 13
 
     def test_large_data_steps_at_the_bound(self, grid4096, monkeypatch):
         import gch.integrate as integrate_mod
@@ -325,6 +372,38 @@ def _holds(y, m):
     """Every coefficient of the band ``y`` at or above mode 2m/9 is at most the floor."""
     a = np.abs(y)
     return bool(np.all(a[-(-2 * m // 9):] <= BAND_FLOOR * np.max(a)))
+
+
+def _full_read_size(uh, m, n):
+    """The compute-grid rule read off every coefficient of ``uh``."""
+    if m == n:
+        return m
+    a = np.abs(uh)
+    above = np.flatnonzero(a > BAND_FLOOR * np.max(a))
+    while m < n and above.size and 9 * above[-1] >= 2 * m:
+        m *= 2
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_band_read_matches_the_full_read(seed):
+    # decaying spectra over a roundoff plateau; the tail above the band is
+    # either under the floor or holds one coefficient above it
+    rng = np.random.default_rng(seed)
+    n = 4096
+    k = np.arange(n // 2 + 1)
+    for trial in range(40):
+        sigma = rng.uniform(0.01, 0.3)
+        uh = np.exp(-sigma * k) * np.exp(2j * np.pi * rng.random(k.size))
+        uh += 1e-17 * rng.standard_normal(k.size)
+        m = int(2 ** rng.integers(4, 13))
+        if trial % 4 == 0 and m < n:
+            uh[rng.integers(m // 2 + 1, k.size)] = 1e-10
+        if trial % 10 == 9:
+            uh[:] = 0.0
+        tail = _tail_max(uh, m)
+        assert tail == (np.max(np.abs(uh[m // 2 + 1 :])) if m < n else 0.0)
+        assert _compute_size(uh, m, n, tail) == _full_read_size(uh, m, n), (trial, m)
 
 
 class TestComputeGrid:
@@ -374,8 +453,8 @@ class TestComputeGrid:
         u0, T = _long_pulse()
         n = u0.grid.n
         traj = simulate(u0, T, 32)
-        # the rule reads uh: 3 FFTs per run and 9 per step, as on the full grid
-        assert len(fft_calls) == 3 + 9 * traj.n_steps == 930
+        # the rule reads uh: 3 FFTs per run, 8 per step and 1 per landing step
+        assert len(fft_calls) == 3 + 8 * traj.n_steps + len(traj) - 1 == 840
         sizes = traj.compute_n
         assert sizes.shape == (len(traj),)
         assert np.all(np.diff(sizes) >= 0)

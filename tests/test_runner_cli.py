@@ -11,10 +11,12 @@ import pytest
 from gch import (
     ConfigError,
     ExperimentConfig,
+    Field,
     Grid,
     WeightSpec,
     config_hash,
     emitted_tail_amplitudes,
+    max_form_residual,
     parse_config,
     run_experiment,
     sample,
@@ -168,6 +170,25 @@ class TestRunExperiment:
         assert not summary.flags["boundary_clean"]
         assert summary.exit_code == 3
 
+    @pytest.mark.parametrize("n, T", [(1024, 0.12), (4096, 0.05)], ids=["m_is_n", "m_below_n"])
+    def test_form_residual_on_the_stepped_grid(self, tmp_path, n, T):
+        cfg = parse_config(
+            FAST.replace("n = 1024", f"n = {n}").replace("T = 0.12", f"T = {T}")
+            .replace("run = persistence,asymptotics,analyticity", "run =")
+        )
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        u0 = sample(Grid(cfg.n, cfg.L), lambda x: cfg.amplitude / np.cosh(x) ** 2)
+        traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride)
+        m = int(traj.compute_n[-1])
+        final = Field(Grid(m, cfg.L), traj.values[-1][:: n // m])
+        assert summary.headline["max_form_residual"] == max_form_residual(final)
+        if m == n:
+            assert summary.headline["max_form_residual"] == max_form_residual(traj.final)
+        else:
+            assert m < n
+            # Grid(m, L)'s nodes are every (n/m)-th node of the n-grid
+            assert final.grid.x.tobytes() == traj.grid.x[:: n // m].tobytes()
+
     def test_byte_stable_across_runs(self, tmp_path):
         cfg = parse_config(FAST)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -256,6 +277,36 @@ class TestCli:
         }[case]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            ("simulate", "taken"),
+            ("simulate", "taken/sub"),
+            ("verify-weights", "taken"),
+        ],
+        ids=["simulate_out_is_a_file", "simulate_out_under_a_file", "verify_weights_out_is_a_file"],
+    )
+    def test_output_path_not_a_directory_exit_two(self, tmp_path, capsys, monkeypatch, command, out):
+        import gch.runner as runner_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before the output directory was made")
+
+        monkeypatch.setattr(runner_mod, "simulate", never)
+        (tmp_path / "taken").write_text("a file\n")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(FAST)
+        argv = {
+            "simulate": ["simulate", "--config", str(cfg_file)],
+            "verify-weights": ["verify-weights", "--phi", "0,0,1,0"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert f"output directory {str(tmp_path / out)!r}" in captured.err
+        assert captured.out == ""
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_bound_exit_two(self, capsys, bound):

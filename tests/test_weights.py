@@ -13,7 +13,7 @@ from gch import (
     weighted_young_check,
 )
 from gch.fields import compact_pair_family
-from gch.weights import _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
+from gch.weights import HUGE, _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
 
 
 class TestEvalWeight:
@@ -192,6 +192,27 @@ class TestKernelQuadrature:
         with pytest.warns(RuntimeWarning, match="clamped"):
             rep = admissibility_report(spec, spec, domain_bound=20.0, p=2.0)
         assert not rep.passes["kernel_l1"]
+
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_clamped_weight_integrates_to_inf(self, p):
+        # e^{x^2} passes HUGE at |x| = sqrt(log HUGE) ~ 26.28: inside [-40, 40]
+        spec = WeightSpec(1, 2, 0, 0)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            assert _kernel_lp(spec, 40.0, p) == np.inf
+        # clamped only in the last ulp of the domain, where the rule puts no node
+        edge = np.sqrt(np.log(HUGE)) * (1.0 + 2e-16)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            assert _kernel_lp(spec, edge, p) == np.inf
+
+    def test_clamped_weight_reports_inf(self):
+        spec = WeightSpec(1, 2, 0, 0)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            rep = admissibility_report(spec, spec, domain_bound=40.0, p=2.0)
+        assert rep.kernel_integral == rep.kernel_integral_doubled == np.inf
+        assert rep.kernel_lp_norm == rep.kernel_lp_norm_doubled == np.inf
+        assert not rep.passes["kernel_l1"] and not rep.passes["kernel_lp"]
+        assert not rep.admissible
 
 
 class TestSubmultiplicativity:
