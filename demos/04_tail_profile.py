@@ -12,7 +12,6 @@ predicted logarithmic remainder exponent.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from gch import (
     Grid,
@@ -63,16 +62,14 @@ for x, a, b in zip(xs, lhs, rhs_):
 
 d = 1.0
 xs = np.linspace(10, 20, 41)
-tails = np.array(
-    [
-        quad(
-            lambda u: 1.0 / np.log(np.e + np.expm1(u)) ** (2 * d),
-            np.log1p(x),
-            np.inf,
-            limit=200,
-        )[0]
-        for x in xs
-    ]
+# int_{log1p(x)}^inf du / log(e + expm1(u))^{2d}, mapped to s in [0, 1) by
+# u = log1p(x) + s / (1 - s) and summed with 200-node Gauss-Legendre;
+# log(e + expm1(u)) = u + log1p((e - 1) e^{-u}) does not overflow as s -> 1
+nodes, weights = np.polynomial.legendre.leggauss(200)
+s, weights = (nodes + 1.0) / 2.0, weights / 2.0
+u = np.log1p(xs)[:, None] + s / (1.0 - s)
+tails = np.sum(
+    weights / (1.0 - s) ** 2 / (u + np.log1p((np.e - 1.0) * np.exp(-u))) ** (2 * d), axis=1
 )
 fit = fit_log_slope(xs, tails, d)
 print(

@@ -57,7 +57,6 @@ from .grid import (
     derivative,
     h1_norm,
     interpolate_onto,
-    load_initial_condition,
     lp_norm,
     read_initial_condition,
     sample,

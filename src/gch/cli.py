@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import _parse_float, _parse_float_tuple, parse_config_file
 from .errors import ConfigError
-from .runner import _jsonable, _output_dir, run_experiment, selftest
+from .runner import _jsonable, _os_errors, _output_dir, run_experiment, selftest
 from .weights import WeightSpec, admissibility_report
 
 EXIT_OK = 0
@@ -83,7 +83,9 @@ def _cmd_verify_weights(args) -> int:
     payload = {key: _jsonable(value) for key, value in report.as_dict().items()}
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out is not None:
-        (_output_dir(args.out) / "admissibility.json").write_text(text + "\n", encoding="utf-8")
+        path = _output_dir(args.out) / "admissibility.json"
+        with _os_errors("cannot write", path):
+            path.write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
 

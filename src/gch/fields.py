@@ -4,30 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, sample
+from .grid import Field, Grid, interpolate_onto, read_initial_condition, sample
 
 __all__ = [
-    "sech_profile",
-    "sech2_profile",
-    "gaussian_profile",
     "make_initial",
     "INITIAL_KINDS",
     "smooth_field_family",
     "compact_pair_family",
 ]
-
-
-def sech_profile(amplitude: float = 1.0, width: float = 1.0, center: float = 0.0):
-    return lambda x: amplitude / np.cosh((x - center) / width)
-
-
-def sech2_profile(amplitude: float = 0.05, width: float = 1.0, center: float = 0.0):
-    return lambda x: amplitude / np.cosh((x - center) / width) ** 2
-
-
-def gaussian_profile(amplitude: float = 0.05, width: float = 1.0, center: float = 0.0):
-    return lambda x: amplitude * np.exp(-(((x - center) / width) ** 2))
-
 
 INITIAL_KINDS = ("zero", "sech", "sech2", "gaussian", "file")
 
@@ -38,17 +22,15 @@ def make_initial(grid: Grid, kind: str, amplitude: float = 0.05,
     if kind == "zero":
         return Field(grid, np.zeros(grid.n))
     if kind == "sech":
-        return sample(grid, sech_profile(amplitude, width, center))
+        return sample(grid, lambda x: amplitude / np.cosh((x - center) / width))
     if kind == "sech2":
-        return sample(grid, sech2_profile(amplitude, width, center))
+        return sample(grid, lambda x: amplitude / np.cosh((x - center) / width) ** 2)
     if kind == "gaussian":
-        return sample(grid, gaussian_profile(amplitude, width, center))
+        return sample(grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2)))
     if kind == "file":
-        from .grid import load_initial_condition
-
         if path is None:
             raise ValueError("initial kind 'file' requires a path")
-        return load_initial_condition(path, grid)
+        return interpolate_onto(*read_initial_condition(path), grid)
     raise ValueError(f"unknown initial-condition kind {kind!r}; choose from {INITIAL_KINDS}")
 
 

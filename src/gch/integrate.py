@@ -58,7 +58,6 @@ __all__ = [
     "rk4_step",
     "estimate_dt",
     "simulate",
-    "spectral_operators",
     "spectral_rhs",
     "snapshots_to_csv",
     "write_checkpoint",
@@ -204,18 +203,6 @@ def estimate_dt(u: Field) -> float:
     return float(min(0.5 * u.grid.dx / max(1.0, speed), DT_MAX))
 
 
-def spectral_operators(grid: Grid):
-    """The multipliers ``(pre, post)`` of :func:`spectral_rhs` on this grid.
-
-    Both are zero outside the 2/3 mask ``keep``, which excludes the Nyquist
-    mode.
-    """
-    ik = grid.ik_pow[0]
-    pre = np.where(grid.keep, 2.0 - ik, 0.0)
-    post = np.where(grid.keep, (2.0 * ik + grid.ik_pow[1]) / grid.helm, 0.0)
-    return pre, post
-
-
 def _spectral_stage(uh, grid: Grid, pre, post):
     """``(spectral_rhs(uh), w)`` with ``w = irfft(pre * uh)``, the squared operand."""
     # overflow surfaces as the named non-finite stage, not as a warning
@@ -268,8 +255,9 @@ def _compute_operators(grid: Grid, m: int):
     factors leave unchanged: ``B`` is the compute grid's.
     """
     comp = grid if m == grid.n else Grid(m, grid.half_width)
-    pre, post = spectral_operators(comp)
-    pre, post = pre * (m / grid.n), post * (grid.n / m)
+    ik = comp.ik_pow[0]
+    pre = np.where(comp.keep, 2.0 - ik, 0.0) * (m / grid.n)
+    post = np.where(comp.keep, (2.0 * ik + comp.ik_pow[1]) / comp.helm, 0.0) * (grid.n / m)
     B = 2.0 * np.max(np.abs(pre)) * np.max(np.abs(post))
     return comp, pre, post, float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B)
 

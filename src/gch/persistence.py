@@ -35,7 +35,6 @@ __all__ = [
     "TwoTierReport",
     "persistence_ledger",
     "two_tier_persistence_check",
-    "default_truncation_level",
 ]
 
 
@@ -45,11 +44,6 @@ def _require_valid(traj: Trajectory) -> None:
             "trajectory is not boundary-clean (max boundary magnitude "
             f"{np.max(traj.boundary_magnitudes):.3e} exceeds tolerance)"
         )
-
-
-def default_truncation_level(phi: WeightSpec, traj: Trajectory) -> float:
-    """Truncate at the weight's value at 0.9 L, away from the active region."""
-    return float(eval_weight(phi, 0.9 * traj.grid.half_width))
 
 
 @dataclass
@@ -82,7 +76,8 @@ def persistence_ledger(
     """Measure the weighted triple norm along the trajectory and fit its growth."""
     _require_valid(traj)
     if N is None:
-        N = default_truncation_level(phi, traj)
+        # the weight's value at 0.9 L, away from the active region
+        N = float(eval_weight(phi, 0.9 * traj.grid.half_width))
     if N <= 0:
         raise ValueError(f"truncation level must be positive, got {N}")
     grid = traj.grid

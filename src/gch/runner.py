@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,8 +92,17 @@ class RunSummary:
         return json.dumps(self.to_flat_dict(), sort_keys=True, indent=2) + "\n"
 
 
+@contextmanager
+def _os_errors(what: str, path: Path):
+    """Turn an ``OSError`` in the block into a ``ConfigError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError([f"{what} {str(path)!r}: {exc.strerror or exc}"]) from None
+
+
 def _write_csv(path: Path, chash: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _os_errors("cannot write", path), open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config-hash: {chash}\n")
         fh.write(header + "\n")
         for row in rows:
@@ -103,7 +113,7 @@ def _write_csv(path: Path, chash: str, header: str, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _os_errors("cannot write", path), open(path, "w", encoding="utf-8") as fh:
         json.dump({k: _jsonable(v) for k, v in payload.items()}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -111,10 +121,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _output_dir(path) -> Path:
     """``path`` as a directory, made if missing; a ``ConfigError`` naming it when that fails."""
     out = Path(path)
-    try:
+    with _os_errors("output directory", out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError([f"output directory {str(out)!r}: {exc.strerror or exc}"]) from None
     return out
 
 
@@ -258,46 +266,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
         flags["no_blow_up"] = False
         flags["diagnostics_ok"] = False
         headline["abort"] = str(exc)
-        summary = RunSummary(cfg, chash, time.perf_counter() - start, flags, headline, artifacts)
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            fh.write(summary.to_json())
-        return summary
-
-    write_snapshots(out / "snapshots.bin", traj, chash)
-    write_checkpoint(out / "state_final.bin", traj.final, float(traj.times[-1]))
-    artifacts["snapshots_bin"] = "snapshots.bin"
-    artifacts["final_checkpoint"] = "state_final.bin"
-
-    boundary_max = float(np.max(traj.boundary_magnitudes))
-    headline["boundary_max"] = boundary_max
-    flags["boundary_clean"] = traj.valid
-    if not traj.valid:
-        flags["diagnostics_ok"] = False
-        headline["abort"] = (
-            f"boundary magnitude {boundary_max:.3e} exceeds {BOUNDARY_TOLERANCE:g}"
-        )
     else:
-        # the final state on the grid it was stepped on: every (n/m)-th sample, no FFT
-        m = int(traj.compute_n[-1])
-        headline["max_form_residual"] = max_form_residual(
-            traj.final if m == cfg.n else Field(Grid(m, cfg.L), traj.values[-1][:: cfg.n // m])
-        )
+        with _os_errors("cannot write", out / "snapshots.bin"):
+            write_snapshots(out / "snapshots.bin", traj, chash)
+        with _os_errors("cannot write", out / "state_final.bin"):
+            write_checkpoint(out / "state_final.bin", traj.final, float(traj.times[-1]))
+        artifacts["snapshots_bin"] = "snapshots.bin"
+        artifacts["final_checkpoint"] = "state_final.bin"
 
-        stages = {
-            "persistence": _run_persistence,
-            "asymptotics": _run_asymptotics,
-            "analyticity": _run_analyticity,
-        }
-        for name in cfg.run:
-            try:
-                artifacts.update(stages[name](traj, cfg, out, chash, headline))
-            except Exception as exc:
-                flags["diagnostics_ok"] = False
-                headline[f"{name}_error"] = f"stage '{name}' failed: {exc}"
+        boundary_max = float(np.max(traj.boundary_magnitudes))
+        headline["boundary_max"] = boundary_max
+        flags["boundary_clean"] = traj.valid
+        if not traj.valid:
+            flags["diagnostics_ok"] = False
+            headline["abort"] = (
+                f"boundary magnitude {boundary_max:.3e} exceeds {BOUNDARY_TOLERANCE:g}"
+            )
+        else:
+            # the final state on the grid it was stepped on: every (n/m)-th sample, no FFT
+            m = int(traj.compute_n[-1])
+            headline["max_form_residual"] = max_form_residual(
+                Field(Grid(m, cfg.L), traj.values[-1][:: cfg.n // m])
+            )
+            stages = {
+                "persistence": _run_persistence,
+                "asymptotics": _run_asymptotics,
+                "analyticity": _run_analyticity,
+            }
+            for name in cfg.run:
+                try:
+                    artifacts.update(stages[name](traj, cfg, out, chash, headline))
+                except ConfigError:  # an artifact that cannot be written
+                    raise
+                except Exception as exc:
+                    flags["diagnostics_ok"] = False
+                    headline[f"{name}_error"] = f"stage '{name}' failed: {exc}"
 
     summary = RunSummary(cfg, chash, time.perf_counter() - start, flags, headline, artifacts)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        fh.write(summary.to_json())
+    with _os_errors("cannot write", out / "summary.json"):
+        (out / "summary.json").write_text(summary.to_json(), encoding="utf-8")
     return summary
 
 

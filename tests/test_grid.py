@@ -7,8 +7,8 @@ from gch import (
     derivative,
     h1_norm,
     interpolate_onto,
-    load_initial_condition,
     lp_norm,
+    make_initial,
     read_initial_condition,
     sample,
 )
@@ -210,6 +210,25 @@ class TestInterpolation:
         direct = sample(grid1024, lambda x: 1.0 / np.cosh(x) ** 2)
         assert lp_norm(f - direct, np.inf) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "size, spacing",
+        [(4, "uniform"), (4, "random"), (57, "uniform"), (57, "random"), (2001, "uniform"),
+         (2001, "random")],
+    )
+    def test_matches_scipy_not_a_knot_spline(self, grid1024, size, spacing):
+        # scipy is only the oracle here: gch solves the spline system with numpy
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(size)
+        if spacing == "uniform":
+            pts = np.linspace(-41.0, 41.0, size)
+        else:
+            pts = np.sort(np.concatenate(([-41.0, 41.0], rng.uniform(-41.0, 41.0, size - 2))))
+        for vals in (np.exp(-(pts**2) / 50.0), rng.standard_normal(size)):
+            ours = interpolate_onto(pts, vals, grid1024).values
+            ref = CubicSpline(pts, vals)(grid1024.x)
+            assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_rejects_nonmonotone(self, grid1024):
         pts = np.linspace(-41, 41, 57)
         pts[5] = pts[3]
@@ -232,6 +251,6 @@ class TestInitialConditionFile:
                 fh.write(f"{float(x)!r} {float(v)!r}\n")
         xs, vals = read_initial_condition(path)
         np.testing.assert_allclose(xs, pts)
-        f = load_initial_condition(path, grid1024)
+        f = make_initial(grid1024, "file", path=path)
         direct = sample(grid1024, lambda x: np.exp(-(x**2)))
         assert lp_norm(f - direct, np.inf) <= 1e-4

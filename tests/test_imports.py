@@ -1,9 +1,9 @@
-"""``import gch``, a full run, the selftest and ``verify-weights`` never
-load scipy; every export resolves.
+"""``import gch``, a full run (from a formula or from a table), the
+selftest and ``verify-weights`` never load scipy; every export resolves.
 
-scipy is imported on demand only by file initial conditions in
-``gch.grid``.  Each case runs in a fresh interpreter, so modules loaded by
-other tests cannot hide a regression.
+gch depends on numpy alone; scipy is a test oracle only.  Each case runs in
+a fresh interpreter, so modules loaded by other tests cannot hide a
+regression.
 """
 
 import ast
@@ -25,6 +25,18 @@ SCRIPTS = {
         "import sys\n"
         "from gch import parse_config_file, run_experiment\n"
         "run_experiment(parse_config_file(sys.argv[1]), out_dir=sys.argv[2])\n"
+    ),
+    "run_from_file": (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from gch import parse_config_file, run_experiment\n"
+        "table = Path(sys.argv[2]) / 'pulse.txt'\n"
+        "x = np.linspace(-40.0, 40.0, 2001)\n"
+        "np.savetxt(table, np.column_stack([x, 0.05 / np.cosh(x) ** 2]))\n"
+        "cfg = parse_config_file(sys.argv[1])\n"
+        "cfg.kind, cfg.path = 'file', str(table)\n"
+        "run_experiment(cfg, out_dir=Path(sys.argv[2]) / 'run')\n"
     ),
     "selftest": "import gch\ngch.selftest()",
     "verify_weights": (

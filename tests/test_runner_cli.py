@@ -308,6 +308,30 @@ class TestCli:
         assert captured.out == ""
         assert (tmp_path / "taken").read_text() == "a file\n"
 
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            ("simulate", "summary.json"),
+            ("simulate", "snapshots.bin"),
+            ("persistence", "persistence.csv"),
+            ("verify-weights", "admissibility.json"),
+        ],
+    )
+    def test_artifact_that_cannot_be_written_exit_two(self, tmp_path, capsys, command, artifact):
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(FAST)
+        argv = {
+            "simulate": ["simulate", "--config", str(cfg_file)],
+            "persistence": ["persistence", "--config", str(cfg_file)],
+            "verify-weights": ["verify-weights", "--phi", "0,0,1,0"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {str(out / artifact)!r}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_bound_exit_two(self, capsys, bound):
         assert main(["verify-weights", "--phi", "0,0,1,0", f"--bound={bound}"]) == 2
