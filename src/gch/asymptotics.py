@@ -227,12 +227,14 @@ def tail_ratio(
     Amp_-.  The window must sit inside (0.2 L, 0.8 L); a signal below the
     floor raises, since the ratio would be pure roundoff.
     """
-    h = averaged_source(traj, t_index, variant)
-    return _tail_ratio(traj, t_index, window, side, h)
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    sign = 1.0 if side == "right" else -1.0
+    return _tail_ratio(traj, t_index, window, sign, averaged_source(traj, t_index, variant))
 
 
-def _tail_ratio(traj, t_index, window, side, h) -> TailRatio:
-    """:func:`tail_ratio` against the amplitudes of a source h already built."""
+def _tail_ratio(traj, t_index, window, sign, h) -> TailRatio:
+    """:func:`tail_ratio` on the side ``sign`` (+1 right, -1 left) of a source h already built."""
     x_lo, x_hi = float(window[0]), float(window[1])
     L = traj.grid.half_width
     if not (0.2 * L < x_lo < x_hi < 0.8 * L):
@@ -240,23 +242,15 @@ def _tail_ratio(traj, t_index, window, side, h) -> TailRatio:
     t = traj.times[t_index]
     du = traj.values[t_index] - traj.values[0]
     x = traj.grid.x
-    if side == "right":
-        mask = (x >= x_lo) & (x <= x_hi)
-        factor = np.exp(x[mask])
-        sign = 1.0
-    elif side == "left":
-        mask = (x >= -x_hi) & (x <= -x_lo)
-        factor = np.exp(-x[mask])
-        sign = -1.0
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    lo, hi = sorted((sign * x_lo, sign * x_hi))
+    mask = (x >= lo) & (x <= hi)
     du_w = du[mask]
     if np.max(np.abs(du_w)) < TAIL_SIGNAL_FLOOR:
         raise ValueError("tail signal below floor")
-    ratios = sign * factor * du_w / t
+    ratios = sign * np.exp(sign * x[mask]) * du_w / t
 
     amp_right, amp_left = tail_amplitudes(h)
-    amp = amp_right if side == "right" else amp_left
+    amp = amp_right if sign > 0 else amp_left
     median = float(np.median(ratios))
     rel = abs(abs(median) - amp) / abs(amp) if amp != 0.0 else np.inf
     return TailRatio(
@@ -410,8 +404,8 @@ def extract_profile(
         amp_right=amp_right,
         amp_left=amp_left,
         window=(float(window[0]), float(window[1])),
-        ratio_right=_tail_ratio(traj, t_index, window, "right", h),
-        ratio_left=_tail_ratio(traj, t_index, window, "left", h),
+        ratio_right=_tail_ratio(traj, t_index, window, 1.0, h),
+        ratio_left=_tail_ratio(traj, t_index, window, -1.0, h),
         d=d,
         variant=variant,
         log_fit=_log_remainder_rate(

@@ -11,7 +11,7 @@ round-trips losslessly through :meth:`ExperimentConfig.to_text`, and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,83 +30,6 @@ __all__ = [
 
 DIAGNOSTIC_NAMES = ("persistence", "asymptotics", "analyticity")
 VARIANT_NAMES = {"thm41": SourceVariant.MEAN, "thm43": SourceVariant.RMS}
-
-
-@dataclass
-class ExperimentConfig:
-    # [grid]
-    n: int = 1024
-    L: float = 40.0
-    # [time]
-    T: float = 0.5
-    snapshot_stride: int = 1
-    dt: float | None = None
-    # [initial]
-    kind: str = "sech2"
-    amplitude: float = 0.05
-    width: float = 1.0
-    center: float = 0.0
-    path: str | None = None
-    # [weights]
-    phi: tuple = (0.0, 0.0, 2.0, 0.0)
-    p: float = np.inf
-    N: float | None = None
-    # [diagnostics]
-    run: tuple = ()
-    window: tuple | None = None
-    d: float = 1.0
-    variant: str = "thm41"
-    t_star: float | None = None
-    psi_literal: bool = False
-    # [output]
-    out_dir: str = "out"
-
-    @property
-    def source_variant(self) -> SourceVariant:
-        return VARIANT_NAMES[self.variant]
-
-    def resolved_window(self) -> tuple:
-        """Default tail window [0.25 L, 0.5 L] unless set explicitly."""
-        if self.window is not None:
-            return self.window
-        return (0.25 * self.L, 0.5 * self.L)
-
-    def to_text(self) -> str:
-        """Canonical serialization; parse_config(to_text()) reproduces self.
-
-        A string that would not read back raises ValueError: one holding '#'
-        or a line break, with surrounding blanks, or parsed as another value.
-        """
-        lines, section = [], None
-        for (sec, key), (attr, parser) in _STORED.items():
-            if sec != section:
-                lines.append(f"[{sec}]")
-                section = sec
-            value = getattr(self, attr)
-            text = _format(value)
-            # parse_config reads one line, cut at '#' and stripped of blanks
-            whole = len(text.splitlines()) <= 1 and text.split("#", 1)[0].strip() == text
-            if isinstance(value, str) and not (whole and parser(text) == value):
-                raise ValueError(f"{sec}.{key} = {value!r} cannot be read back from config text")
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
-
-
-def _format(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value == np.inf:
-        return "inf"
-    if isinstance(value, (tuple, list)):
-        return ",".join(_format(item) for item in value) if value else "none"
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Short provenance hash of the canonical serialization."""
-    return hashlib.sha256(cfg.to_text().encode()).hexdigest()[:12]
 
 
 def _parse_bool(text):
@@ -183,35 +106,95 @@ def _parse_variant(text):
     return text
 
 
-# (section, key) -> (attribute, parser).  Attribute None: a key no run reads, still
-# accepted and checked so that older files parse, but not stored
+def _key(section: str, parser, default, key: str | None = None):
+    """A stored field, read from ``[section] key`` by ``parser``; ``key`` defaults to its name."""
+    return field(default=default, metadata={"section": section, "key": key, "parser": parser})
+
+
+@dataclass
+class ExperimentConfig:
+    # to_text writes the keys in this order, and config_hash covers that text
+    n: int = _key("grid", int, 1024)
+    L: float = _key("grid", _parse_float, 40.0)
+    T: float = _key("time", _parse_float, 0.5)
+    snapshot_stride: int = _key("time", int, 1)
+    dt: float | None = _key("time", _parse_optional(_parse_float), None)
+    kind: str = _key("initial", _parse_kind, "sech2")
+    amplitude: float = _key("initial", _parse_float, 0.05)
+    width: float = _key("initial", _parse_float, 1.0)
+    center: float = _key("initial", _parse_float, 0.0)
+    path: str | None = _key("initial", _parse_optional(str), None)
+    phi: tuple = _key("weights", _parse_float_tuple(4), (0.0, 0.0, 2.0, 0.0))
+    p: float = _key("weights", _parse_float, np.inf)
+    N: float | None = _key("weights", _parse_optional(_parse_float), None)
+    run: tuple = _key("diagnostics", _parse_run_list, ())
+    window: tuple | None = _key("diagnostics", _parse_optional(_parse_float_tuple(2)), None)
+    d: float = _key("diagnostics", _parse_float, 1.0)
+    variant: str = _key("diagnostics", _parse_variant, "thm41")
+    t_star: float | None = _key("diagnostics", _parse_optional(_parse_float), None)
+    psi_literal: bool = _key("diagnostics", _parse_bool, False)
+    out_dir: str = _key("output", str, "out", key="dir")
+
+    @property
+    def source_variant(self) -> SourceVariant:
+        return VARIANT_NAMES[self.variant]
+
+    def resolved_window(self) -> tuple:
+        """Default tail window [0.25 L, 0.5 L] unless set explicitly."""
+        if self.window is not None:
+            return self.window
+        return (0.25 * self.L, 0.5 * self.L)
+
+    def to_text(self) -> str:
+        """Canonical serialization; parse_config(to_text()) reproduces self.
+
+        A string that would not read back raises ValueError: one holding '#'
+        or a line break, with surrounding blanks, or parsed as another value.
+        """
+        lines, section = [], None
+        for (sec, key), (attr, parser) in _STORED.items():
+            if sec != section:
+                lines.append(f"[{sec}]")
+                section = sec
+            value = getattr(self, attr)
+            text = _format(value)
+            # parse_config reads one line, cut at '#' and stripped of blanks
+            whole = len(text.splitlines()) <= 1 and text.split("#", 1)[0].strip() == text
+            if isinstance(value, str) and not (whole and parser(text) == value):
+                raise ValueError(f"{sec}.{key} = {value!r} cannot be read back from config text")
+            lines.append(f"{key} = {text}")
+        return "\n".join(lines) + "\n"
+
+
+def _format(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value == np.inf:
+        return "inf"
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format(item) for item in value) if value else "none"
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    """Short provenance hash of the canonical serialization."""
+    return hashlib.sha256(cfg.to_text().encode()).hexdigest()[:12]
+
+
+# (section, key) -> (attribute, parser) of every stored field, in the order of to_text
+_STORED = {
+    (f.metadata["section"], f.metadata["key"] or f.name): (f.name, f.metadata["parser"])
+    for f in fields(ExperimentConfig)
+}
+# keys no run reads, still accepted and checked so that older files parse, but not stored
 _SCHEMA = {
-    ("grid", "n"): ("n", int),
-    ("grid", "L"): ("L", _parse_float),
-    ("time", "T"): ("T", _parse_float),
-    ("time", "snapshot_stride"): ("snapshot_stride", int),
-    ("time", "dt"): ("dt", _parse_optional(_parse_float)),
-    ("initial", "kind"): ("kind", _parse_kind),
-    ("initial", "amplitude"): ("amplitude", _parse_float),
-    ("initial", "width"): ("width", _parse_float),
-    ("initial", "center"): ("center", _parse_float),
-    ("initial", "path"): ("path", _parse_optional(str)),
+    **_STORED,
     ("dynamics", "form"): (None, _parse_form),
     ("dynamics", "dealias"): (None, _parse_dealias),
-    ("weights", "phi"): ("phi", _parse_float_tuple(4)),
-    ("weights", "p"): ("p", _parse_float),
-    ("weights", "N"): ("N", _parse_optional(_parse_float)),
-    ("diagnostics", "run"): ("run", _parse_run_list),
-    ("diagnostics", "window"): ("window", _parse_optional(_parse_float_tuple(2))),
-    ("diagnostics", "d"): ("d", _parse_float),
-    ("diagnostics", "variant"): ("variant", _parse_variant),
-    ("diagnostics", "t_star"): ("t_star", _parse_optional(_parse_float)),
-    ("diagnostics", "psi_literal"): ("psi_literal", _parse_bool),
-    ("output", "dir"): ("out_dir", str),
     ("output", "seed"): (None, int),
 }
-
-_STORED = {key: entry for key, entry in _SCHEMA.items() if entry[0] is not None}
 _SECTIONS = {section for section, _ in _SCHEMA}
 
 

@@ -69,85 +69,78 @@ class RhsForm(enum.Enum):
 SIMULATION_FORMS = (RhsForm.PRIMITIVE, RhsForm.FORM_A, RhsForm.FORM_B, RhsForm.MOMENTUM)
 
 
-class _Work:
-    """One RHS evaluation on one grid: finiteness checks and dealiased products.
+def _trunc(grid: Grid, vals, spec=None):
+    """2/3-rule truncation of ``vals``; ``spec`` is its rfft when already known.
 
-    Each product operand goes through :meth:`trunc` once and :meth:`prod`
-    truncates only the product.
+    Within one RHS evaluation each product operand goes through here once
+    and :func:`_prod` truncates only the product.
     """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-
-    def trunc(self, vals, spec=None):
-        """2/3-rule truncation of ``vals``; ``spec`` is its rfft when already known."""
-        grid = self.grid
-        # overflow surfaces as the named non-finite error, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if spec is None:
-                spec = grid.rfft(vals)
-            return grid.irfft(grid.truncate_hat(spec))
-
-    def prod(self, a, b, name):
-        """Product of two operands already passed through :meth:`trunc`."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.trunc(a * b)
-        return self.check(out, name)
-
-    @staticmethod
-    def check(vals, name):
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError(f"non-finite value in term '{name}'")
-        return vals
+    # overflow surfaces as the named non-finite error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec is None:
+            spec = grid.rfft(vals)
+        return grid.irfft(grid.truncate_hat(spec))
 
 
-def _momentum_tendency(w: _Work, v, v_hat, ux, m, m_hat):
+def _prod(grid: Grid, a, b, name):
+    """Product of two operands already passed through :func:`_trunc`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _trunc(grid, a * b)
+    return _check(out, name)
+
+
+def _check(vals, name):
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError(f"non-finite value in term '{name}'")
+    return vals
+
+
+def _momentum_tendency(grid: Grid, v, v_hat, ux, m, m_hat):
     """m_t from u, u_x and m, given the rffts of u and of m."""
-    grid = w.grid
-    mx = w.check(grid.irfft(grid.diff_hat(m_hat)), "m_x")
-    vt, uxt, mt, mxt = w.trunc(v, v_hat), w.trunc(ux), w.trunc(m, m_hat), w.trunc(mx)
-    s = w.trunc(v + ux)
+    mx = _check(grid.irfft(grid.diff_hat(m_hat)), "m_x")
+    vt, mt = _trunc(grid, v, v_hat), _trunc(grid, m, m_hat)
+    uxt, mxt = _trunc(grid, ux), _trunc(grid, mx)
+    s = _trunc(grid, v + ux)
     m_t = (
-        2.0 * w.prod(mt, mt, "m^2")
-        + 8.0 * w.prod(uxt, mt, "u_x*m")
-        - 4.0 * w.prod(vt, mt, "u*m")
-        + 4.0 * w.prod(vt, mxt, "u*m_x")
-        - 2.0 * w.prod(uxt, mxt, "u_x*m_x")
-        + 2.0 * w.prod(s, s, "(u+u_x)^2")
+        2.0 * _prod(grid, mt, mt, "m^2")
+        + 8.0 * _prod(grid, uxt, mt, "u_x*m")
+        - 4.0 * _prod(grid, vt, mt, "u*m")
+        + 4.0 * _prod(grid, vt, mxt, "u*m_x")
+        - 2.0 * _prod(grid, uxt, mxt, "u_x*m_x")
+        + 2.0 * _prod(grid, s, s, "(u+u_x)^2")
     )
-    return w.check(m_t, "m_t")
+    return _check(m_t, "m_t")
 
 
 def rhs(u: Field, form: RhsForm) -> Field:
     """Evaluate the time derivative of u for the selected formulation."""
     form = RhsForm(form)
     grid = u.grid
-    w = _Work(grid)
-    v = w.check(u.values, "u")
+    v = _check(u.values, "u")
     v_hat = grid.rfft(v)
-    ux = w.check(grid.irfft(grid.diff_hat(v_hat)), "u_x")
+    ux = _check(grid.irfft(grid.diff_hat(v_hat)), "u_x")
 
     if form is RhsForm.PRIMITIVE:
-        a = w.trunc(2.0 * v - ux)
-        sq_hat = grid.rfft(w.prod(a, a, "(2u-u_x)^2"))
+        a = _trunc(grid, 2.0 * v - ux)
+        sq_hat = grid.rfft(_prod(grid, a, a, "(2u-u_x)^2"))
         out = grid.g_star(
             2.0 * grid.irfft(grid.diff_hat(sq_hat)) + grid.irfft(grid.diff_hat(sq_hat, 2))
         )
     elif form is RhsForm.MOMENTUM:
-        m = w.check(grid.irfft(v_hat * grid.helm), "m")
-        out = grid.g_star(_momentum_tendency(w, v, v_hat, ux, m, grid.rfft(m)))
+        m = _check(grid.irfft(v_hat * grid.helm), "m")
+        out = grid.g_star(_momentum_tendency(grid, v, v_hat, ux, m, grid.rfft(m)))
     else:
-        vt, uxt = w.trunc(v, v_hat), w.trunc(ux)
-        uux = w.prod(vt, uxt, "u*u_x")
-        ux2 = w.prod(uxt, uxt, "u_x^2")
-        u2 = w.prod(vt, vt, "u^2")
+        vt, uxt = _trunc(grid, v, v_hat), _trunc(grid, ux)
+        uux = _prod(grid, vt, uxt, "u*u_x")
+        ux2 = _prod(grid, uxt, uxt, "u_x^2")
+        u2 = _prod(grid, vt, vt, "u^2")
         if form is RhsForm.FORM_A:
             out = 4.0 * uux + grid.g_star(grid.diff(2.0 * ux2 + 6.0 * u2) + grid.diff(ux2, 2))
         elif form is RhsForm.FORM_B:
             out = 4.0 * uux - ux2 + grid.g_star(grid.diff(2.0 * ux2 + 6.0 * u2) + ux2)
         else:  # SQRT3
-            q = w.trunc(_SQRT2 * ux + _SQRT6 * v)
-            q2 = w.prod(q, q, "(sqrt2*u_x+sqrt6*u)^2")
+            q = _trunc(grid, _SQRT2 * ux + _SQRT6 * v)
+            q2 = _prod(grid, q, q, "(sqrt2*u_x+sqrt6*u)^2")
             out = (
                 4.0 * uux
                 - ux2
@@ -156,7 +149,7 @@ def rhs(u: Field, form: RhsForm) -> Field:
                 + grid.p2(q2)
             )
 
-    return Field(grid, w.check(out, f"rhs[{form.value}]"))
+    return Field(grid, _check(out, f"rhs[{form.value}]"))
 
 
 def form_residual(u: Field, f1: RhsForm, f2: RhsForm) -> float:
@@ -179,13 +172,12 @@ def momentum_rhs(m: Field) -> Field:
     differentiated spectrally from m itself.
     """
     grid = m.grid
-    w = _Work(grid)
-    mv = w.check(m.values, "m")
+    mv = _check(m.values, "m")
     m_hat = grid.rfft(mv)
-    uv = w.check(grid.irfft(grid.g_star_hat(m_hat)), "u")
+    uv = _check(grid.irfft(grid.g_star_hat(m_hat)), "u")
     u_hat = grid.rfft(uv)
-    ux = w.check(grid.irfft(grid.diff_hat(u_hat)), "u_x")
-    return Field(grid, _momentum_tendency(w, uv, u_hat, ux, mv, m_hat))
+    ux = _check(grid.irfft(grid.diff_hat(u_hat)), "u_x")
+    return Field(grid, _momentum_tendency(grid, uv, u_hat, ux, mv, m_hat))
 
 
 def sqrt3_residual_field(u: Field, convolve=None) -> Field:

@@ -11,6 +11,8 @@ record the boundary magnitude explicitly.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -153,40 +155,32 @@ class Field:
         self.grid = grid
         self.values = values
 
-    def _check_same_grid(self, other: "Field") -> None:
-        if self.grid != other.grid:
-            raise ValueError(f"grid mismatch: {self.grid} vs {other.grid}")
+    def _apply(self, op, other):
+        """``op(self.values, other)`` as a field; a field operand must share the grid."""
+        if isinstance(other, Field):
+            if self.grid != other.grid:
+                raise ValueError(f"grid mismatch: {self.grid} vs {other.grid}")
+            other = other.values
+        return Field(self.grid, op(self.values, other))
 
     def __add__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + other)
+        return self._apply(operator.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - other)
+        return self._apply(operator.sub, other)
 
     def __rsub__(self, other):
         return Field(self.grid, other - self.values)
 
     def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * other)
+        return self._apply(operator.mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values / other.values)
-        return Field(self.grid, self.values / other)
+        return self._apply(operator.truediv, other)
 
     def __neg__(self):
         return Field(self.grid, -self.values)

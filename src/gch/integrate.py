@@ -33,10 +33,11 @@ roundoff plateau.  The rule is re-checked from ``uh`` before every step and
 their largest magnitude is read once per ``m`` and each check reads only
 the band.  The state stays the rfft on ``n``: only its first ``m/2 + 1``
 modes are stepped, and every snapshot is taken on ``n``.  Between
-snapshots the blow-up guard reads the Wiener bound ``2 sum|uh[band]| / n``
-of the samples and takes their irfft only when that bound nears the
-guard.  A run that needs ``m = n`` throughout steps exactly as on the full
-grid.
+snapshots the blow-up guard reads the Wiener bound ``2 sum|uh[band]| / n``,
+which no sample on the compute grid exceeds, and takes the compute grid's
+irfft only when that bound passes half the guard, so the guard fires at
+the same step with the same peak as one that read every step's samples.
+A run that needs ``m = n`` throughout steps exactly as on the full grid.
 """
 
 from __future__ import annotations
@@ -296,24 +297,17 @@ def simulate(
     With an explicit ``dt`` every step is ``dt``, the last one shortened to
     land on T, and a snapshot is kept every ``snapshot_stride`` steps.
 
-    Either way the stages run on the compute grid of the module docstring:
-    before every step ``m`` becomes the smallest power of two, no smaller
-    than before and at most ``n``, at which every coefficient of ``uh`` at
-    or above mode ``2m/9`` is at most ``BAND_FLOOR * max|uh|``.  The rule
-    reads ``uh`` and costs no FFT.  ``B`` is taken on that grid, because
-    its semi-discretisation is the one being stepped.  The irfft on ``n``
-    runs only when a snapshot lands.  ``compute_n`` holds the ``m`` that
-    produced each snapshot, the first one's ``m`` for ``u0``.
+    Either way the stages run on the compute grid of the module docstring,
+    re-chosen from ``uh`` before every step at no FFT cost.  ``B`` is taken
+    on that grid, because its semi-discretisation is the one being stepped.
+    The irfft on ``n`` runs only when a snapshot lands.  ``compute_n`` holds
+    the ``m`` that produced each snapshot, the first one's ``m`` for ``u0``.
 
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
-    a factor of 1000 over the initial datum, checked after every step.  A
-    landing step reads its snapshot.  Any other step first reads the Wiener
-    bound ``2 sum|uh[band]| / n``, which no sample on the compute grid
-    exceeds; only when it passes half the guard is the compute grid's
-    irfft taken and its exact peak compared, so the guard fires at the
-    same step with the same peak as one that read every step's samples.
-    ``h1_drift`` holds |H1(t) - H1(0)| / H1(0) per snapshot, from the
-    coefficients.
+    a factor of 1000 over the initial datum, checked after every step: a
+    landing step reads its snapshot, any other step the Wiener-bound guard
+    of the module docstring.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0)
+    per snapshot, from the coefficients.
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
@@ -406,14 +400,19 @@ def simulate(
     )
 
 
+def _write_rows(stream, config_hash: str, header: str, rows) -> None:
+    """CSV text under a ``# config-hash`` line and ``header``; floats, numpy's too, as repr."""
+    stream.write(f"# config-hash: {config_hash}\n{header}\n")
+    for row in rows:
+        stream.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+        stream.write("\n")
+
+
 def snapshots_to_csv(traj: Trajectory, stream, config_hash: str) -> None:
     """Write the trajectory in long format with columns t,x,u, under a config-hash line."""
-    stream.write(f"# config-hash: {config_hash}\n")
-    stream.write("t,x,u\n")
-    for t, row in zip(traj.times, traj.values):
-        ts = repr(float(t))
-        for xj, uj in zip(traj.grid.x, row):
-            stream.write(f"{ts},{float(xj)!r},{float(uj)!r}\n")
+    times = np.asarray(traj.times, dtype=float)
+    rows = ((t, *pair) for t, row in zip(times, traj.values) for pair in zip(traj.grid.x, row))
+    _write_rows(stream, config_hash, "t,x,u", rows)
 
 
 _CHECKPOINT_MAGIC = b"GCH1"

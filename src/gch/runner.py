@@ -33,7 +33,8 @@ from .errors import BlowUpError, ConfigError
 from .fields import compact_pair_family, make_initial, smooth_field_family
 from .grid import Field, Grid, lp_norm, sample
 from .helmholtz import green_convolve_direct, helmholtz_inverse
-from .integrate import BOUNDARY_TOLERANCE, Trajectory, simulate, write_checkpoint, write_snapshots
+from .integrate import BOUNDARY_TOLERANCE, Trajectory, _write_rows, simulate
+from .integrate import write_checkpoint, write_snapshots
 
 # not called here; perfbench's tracer wraps them in gch.runner, so they stay importable
 from .analyticity import majorant_norm_argmax, operator_bound_report  # noqa: F401
@@ -103,13 +104,7 @@ def _os_errors(what: str, path: Path):
 
 def _write_csv(path: Path, chash: str, header: str, rows) -> None:
     with _os_errors("cannot write", path), open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config-hash: {chash}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
-            )
-            fh.write("\n")
+        _write_rows(fh, chash, header, rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -134,15 +129,19 @@ def _profile_index(traj: Trajectory, t_star) -> int:
     return min(max(idx, MIN_SNAPSHOTS - 1), len(traj) - 1)
 
 
+def _degenerate(out: Path, stage: str, payload: dict, exc, headline: dict, keys) -> dict:
+    """Record a stage whose measurement does not exist: its JSON says why, its headline is None."""
+    payload.update({"degenerate": True, "reason": str(exc)})
+    _write_json(out / f"{stage}.json", payload)
+    headline.update(dict.fromkeys(keys))
+    return {f"{stage}_json": f"{stage}.json"}
+
+
 def _run_persistence(traj, cfg, out, chash, headline):
     phi = WeightSpec(*cfg.phi)
     ledger = persistence_ledger(traj, phi, cfg.p, N=cfg.N)
-    rows = zip(
-        (float(t) for t in ledger.times),
-        (float(w) for w in ledger.W),
-        (float(b) for b in (ledger.bound() if not ledger.degenerate else np.zeros_like(ledger.W))),
-    )
-    _write_csv(out / "persistence.csv", chash, "t,W,bound", rows)
+    bound = ledger.bound() if not ledger.degenerate else np.zeros_like(ledger.W)
+    _write_csv(out / "persistence.csv", chash, "t,W,bound", zip(ledger.times, ledger.W, bound))
     payload = {
         "M": ledger.M,
         "C_fit": ledger.C_fit,
@@ -161,7 +160,6 @@ def _run_asymptotics(traj, cfg, out, chash, headline):
     window = cfg.resolved_window()
     idx = _profile_index(traj, cfg.t_star)
     payload: dict = {"t": float(traj.times[idx]), "variant": cfg.variant, "d": cfg.d}
-    artifacts = {}
     integral = source_integral(traj, cfg.source_variant)
     try:
         profile = extract_profile(
@@ -169,19 +167,11 @@ def _run_asymptotics(traj, cfg, out, chash, headline):
             psi_literal=cfg.psi_literal, integral=integral,
         )
     except ValueError as exc:
-        payload.update({"degenerate": True, "reason": str(exc)})
-        _write_json(out / "asymptotics.json", payload)
-        headline["Phi"] = None
-        headline["Psi"] = None
-        return {"asymptotics_json": "asymptotics.json"}
+        return _degenerate(out, "asymptotics", payload, exc, headline, ("Phi", "Psi"))
 
-    ratio = profile.ratio_right
-    rows = (
-        (float(x), float(r), profile.amp_right, float(abs(r - profile.amp_right)))
-        for x, r in zip(ratio.xs, ratio.ratios)
-    )
+    ratio, amp = profile.ratio_right, profile.amp_right
+    rows = ((x, r, amp, abs(r - amp)) for x, r in zip(ratio.xs, ratio.ratios))
     _write_csv(out / "tail_ratio.csv", chash, "x,r,Phi,deviation", rows)
-    artifacts["tail_ratio_csv"] = "tail_ratio.csv"
 
     times, plus, minus = amplitude_series(traj, cfg.source_variant, cfg.psi_literal, integral)
     payload.update(
@@ -198,42 +188,31 @@ def _run_asymptotics(traj, cfg, out, chash, headline):
         }
     )
     _write_json(out / "asymptotics.json", payload)
-    artifacts["asymptotics_json"] = "asymptotics.json"
     headline["Phi"] = profile.amp_right
     headline["Psi"] = profile.amp_left
-    return artifacts
+    return {"tail_ratio_csv": "tail_ratio.csv", "asymptotics_json": "asymptotics.json"}
 
 
 def _run_analyticity(traj, cfg, out, chash, headline):
-    payload: dict = {}
     try:
         series = radius_track(traj)
     except ValueError as exc:
-        payload.update({"degenerate": True, "reason": str(exc)})
-        _write_json(out / "analyticity.json", payload)
-        headline["sigma0"] = None
-        headline["sigmaT"] = None
-        return {"analyticity_json": "analyticity.json"}
+        return _degenerate(out, "analyticity", {}, exc, headline, ("sigma0", "sigmaT"))
 
     params = MajorantParams()
     _, argmax = majorant_track(traj, params)
-    rows = (
-        (float(t), float(s), float(r), int(k))
-        for t, s, r, k in zip(series.times, series.sigma, series.residual, argmax)
-    )
+    rows = zip(series.times, series.sigma, series.residual, argmax)
     _write_csv(out / "analyticity.csv", chash, "t,sigma,residual,argmax_k", rows)
     sigma_valid = series.sigma[series.valid]
-    payload.update(
-        {
-            "degenerate": False,
-            "sigma0": float(series.sigma[0]),
-            "sigmaT": float(series.sigma[-1]) if series.valid[-1] else None,
-            "sigma_min": float(np.min(sigma_valid)),
-            "max_residual": float(np.max(series.residual[series.valid])),
-            "majorant_scale": params.s,
-            "majorant_order": params.k_max,
-        }
-    )
+    payload = {
+        "degenerate": False,
+        "sigma0": float(series.sigma[0]),
+        "sigmaT": float(series.sigma[-1]) if series.valid[-1] else None,
+        "sigma_min": float(np.min(sigma_valid)),
+        "max_residual": float(np.max(series.residual[series.valid])),
+        "majorant_scale": params.s,
+        "majorant_order": params.k_max,
+    }
     _write_json(out / "analyticity.json", payload)
     headline["sigma0"] = payload["sigma0"]
     headline["sigmaT"] = payload["sigmaT"]

@@ -271,7 +271,9 @@ def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:
 
     def integrand(x):
         w = eval_weight(spec, x)
-        return np.where(w >= HUGE, np.inf, (w * np.exp(-x)) ** p)
+        # a clamped sample's power is discarded, and a huge one's is inf either way
+        with np.errstate(over="ignore"):
+            return np.where(w >= HUGE, np.inf, (w * np.exp(-x)) ** p)
 
     # the integrand is even: twice its integral over (0, bound), where the
     # |x|^b cusp of b < 1 sits at an endpoint

@@ -165,6 +165,19 @@ class TestRoundTrip:
         assert "T = 0.25\n" in text and "phi = 1.5,1.5,1.5,1.5\n" in text
         assert config_hash(parse_config(text)) == config_hash(cfg)
 
+    def test_default_canonical_text_pinned(self):
+        # the key order is part of the text config_hash covers
+        assert ExperimentConfig().to_text() == (
+            "[grid]\nn = 1024\nL = 40.0\n"
+            "[time]\nT = 0.5\nsnapshot_stride = 1\ndt = none\n"
+            "[initial]\nkind = sech2\namplitude = 0.05\nwidth = 1.0\ncenter = 0.0\npath = none\n"
+            "[weights]\nphi = 0.0,0.0,2.0,0.0\np = inf\nN = none\n"
+            "[diagnostics]\nrun = none\nwindow = none\nd = 1.0\nvariant = thm41\n"
+            "t_star = none\npsi_literal = false\n"
+            "[output]\ndir = out\n"
+        )
+        assert config_hash(ExperimentConfig()) == "ea30a8c6ee82"
+
     def test_hash_sensitive_to_values(self):
         a = parse_config(MINIMAL)
         b = parse_config(MINIMAL.replace("T = 0.5", "T = 0.25"))

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -47,10 +49,21 @@ class TestField:
         with pytest.raises(ValueError, match="non-finite"):
             Field(grid1024, vals)
 
-    def test_grid_mismatch(self, grid1024):
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.truediv],
+        ids=lambda op: op.__name__,
+    )
+    def test_grid_mismatch(self, grid1024, op):
         other = Grid(1024, 20.0)
         with pytest.raises(ValueError, match="grid mismatch"):
-            Field(grid1024, np.zeros(1024)) + Field(other, np.zeros(1024))
+            op(Field(grid1024, np.ones(1024)), Field(other, np.ones(1024)))
+
+    def test_scalar_operands_match_numpy(self, sech):
+        v = sech.values
+        for got, want in [(2.0 - sech, 2.0 - v), (2.0 * sech, 2.0 * v), (sech / 2.0, v / 2.0)]:
+            assert isinstance(got, Field) and got.grid == sech.grid
+            np.testing.assert_array_equal(got.values, want)
 
     def test_values_immutable(self, sech):
         with pytest.raises(ValueError):
