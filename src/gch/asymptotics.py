@@ -21,6 +21,9 @@ from the headline moments), are in :func:`emitted_tail_amplitudes`.
 Every time integral is one running trapezoid over the stored snapshots:
 row i holds the integral over [0, t_i], so the whole amplitude series
 costs one pass, and :func:`source_integral` lets a run build each source once.
+Both amplitudes come from one routine that reads source rows one at a time,
+so the series builds no field per snapshot, and a profile computes its pair
+once and hands each side's value to its tail ratio.
 """
 
 from __future__ import annotations
@@ -103,14 +106,14 @@ def _running_integral(traj: Trajectory, stop: int, integrand) -> np.ndarray:
     return y
 
 
-def _time_average(traj: Trajectory, integral: np.ndarray, i: int, variant: SourceVariant) -> Field:
-    """The source h at snapshot i from row i of its running integral."""
+def _time_average(traj: Trajectory, integral: np.ndarray, i: int, variant: SourceVariant):
+    """The source h at snapshot i from row i of its running integral, as an array."""
     if i + 1 < MIN_SNAPSHOTS:
         raise ValueError(
             f"need at least {MIN_SNAPSHOTS} snapshots up to the profile time, got {i + 1}"
         )
     mean = integral[i] / traj.times[i]
-    return Field(traj.grid, mean if variant is SourceVariant.MEAN else np.sqrt(mean))
+    return mean if variant is SourceVariant.MEAN else np.sqrt(mean)
 
 
 def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) -> Field:
@@ -124,7 +127,7 @@ def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) 
     variant = SourceVariant(variant)
     t_index = _resolve_index(traj, t_index)
     integral = _running_integral(traj, t_index + 1, lambda u, ux: _source_values(u, ux, variant))
-    return _time_average(traj, integral, t_index, variant)
+    return Field(traj.grid, _time_average(traj, integral, t_index, variant))
 
 
 def source_integral(traj: Trajectory, variant=SourceVariant.MEAN) -> np.ndarray:
@@ -133,20 +136,27 @@ def source_integral(traj: Trajectory, variant=SourceVariant.MEAN) -> np.ndarray:
     return _running_integral(traj, len(traj), lambda u, ux: _source_values(u, ux, variant))
 
 
-def _exp_moment(h: Field, sign: float) -> float:
-    integrand = np.exp(sign * h.grid.x) * h.values
-    return 0.5 * float(np.sum(integrand) * h.grid.dx)
+def _amplitudes(grid, rows, psi_literal: bool = False) -> np.ndarray:
+    """(Amp_+, Amp_-) of each source row as a ``2 x len(rows)`` array.
 
-
-def _check_boundary_decay(h: Field) -> None:
-    x = h.grid.x
-    right = abs(np.exp(x[-1]) * h.values[-1])
-    left = abs(np.exp(-x[0]) * h.values[0])
-    if max(left, right) > BOUNDARY_INTEGRAND_TOL:
-        raise ValueError(
-            "insufficient decay for profile integral: boundary integrand "
-            f"{max(left, right):.3e} exceeds {BOUNDARY_INTEGRAND_TOL:g}"
-        )
+    ``rows`` may be lazy: it is read one row at a time, each checked for finite samples and
+    boundary decay before its moments.  e^{+-y} is taken with each row, not kept across
+    rows: arrays held between rows raised a history run's peak RSS.
+    """
+    x, dx = grid.x, grid.dx
+    amps = []
+    for h in rows:
+        if not np.all(np.isfinite(h)):
+            raise ValueError("source contains non-finite samples")
+        edge = max(abs(np.exp(-x[0]) * h[0]), abs(np.exp(x[-1]) * h[-1]))
+        if edge > BOUNDARY_INTEGRAND_TOL:
+            raise ValueError(
+                "insufficient decay for profile integral: boundary integrand "
+                f"{edge:.3e} exceeds {BOUNDARY_INTEGRAND_TOL:g}"
+            )
+        right = 0.5 * float(np.sum(np.exp(x) * h) * dx)
+        amps.append((right, right if psi_literal else 0.5 * float(np.sum(np.exp(-x) * h) * dx)))
+    return np.array(amps, dtype=float).reshape(-1, 2).T
 
 
 def tail_amplitudes(h: Field, psi_literal: bool = False):
@@ -156,10 +166,7 @@ def tail_amplitudes(h: Field, psi_literal: bool = False):
     rectangle rule; ``psi_literal`` makes the left amplitude use e^{+y} as
     well, collapsing it onto Amp_+.
     """
-    _check_boundary_decay(h)
-    amp_right = _exp_moment(h, +1.0)
-    amp_left = amp_right if psi_literal else _exp_moment(h, -1.0)
-    return amp_right, amp_left
+    return tuple(map(float, _amplitudes(h.grid, [h.values], psi_literal)[:, 0]))
 
 
 def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: bool = False):
@@ -187,11 +194,9 @@ def amplitude_series(
     """
     variant = SourceVariant(variant)
     integral = source_integral(traj, variant) if integral is None else integral
-    amps = np.array([
-        tail_amplitudes(_time_average(traj, integral, i, variant), psi_literal)
-        for i in range(MIN_SNAPSHOTS - 1, len(traj))
-    ]).reshape(-1, 2)
-    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *amps.T
+    indices = range(MIN_SNAPSHOTS - 1, len(traj))
+    rows = (_time_average(traj, integral, i, variant) for i in indices)
+    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *_amplitudes(traj.grid, rows, psi_literal)
 
 
 @dataclass
@@ -229,28 +234,35 @@ def tail_ratio(
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    sign = 1.0 if side == "right" else -1.0
-    return _tail_ratio(traj, t_index, window, sign, averaged_source(traj, t_index, variant))
+    amp_right, amp_left = tail_amplitudes(averaged_source(traj, t_index, variant))
+    sign, amp = (1.0, amp_right) if side == "right" else (-1.0, amp_left)
+    return _tail_ratio(traj, t_index, window, sign, amp)
 
 
-def _tail_ratio(traj, t_index, window, sign, h) -> TailRatio:
-    """:func:`tail_ratio` on the side ``sign`` (+1 right, -1 left) of a source h already built."""
+def _window_mask(x, window, sign: float):
+    """Whether each node x (an array, or one node) of the side ``sign`` (+1 right, -1 left)
+    has ``sign * x`` in the window."""
+    lo, hi = sorted((sign * window[0], sign * window[1]))
+    return (x >= lo) & (x <= hi)  # compares x itself: no temporary copy of sign * x
+
+
+def _tail_ratio(traj, t_index, window, sign, amp) -> TailRatio:
+    """:func:`tail_ratio` on the side ``sign`` (+1 right, -1 left), against its amplitude amp."""
     x_lo, x_hi = float(window[0]), float(window[1])
     L = traj.grid.half_width
     if not (0.2 * L < x_lo < x_hi < 0.8 * L):
         raise ValueError(f"window [{x_lo}, {x_hi}] must sit inside (0.2 L, 0.8 L)")
+    x = traj.grid.x
+    mask = _window_mask(x, (x_lo, x_hi), sign)
+    if not np.any(mask):
+        raise ValueError(f"window [{x_lo}, {x_hi}] holds no grid node (dx = {traj.grid.dx:g})")
     t = traj.times[t_index]
     du = traj.values[t_index] - traj.values[0]
-    x = traj.grid.x
-    lo, hi = sorted((sign * x_lo, sign * x_hi))
-    mask = (x >= lo) & (x <= hi)
     du_w = du[mask]
     if np.max(np.abs(du_w)) < TAIL_SIGNAL_FLOOR:
         raise ValueError("tail signal below floor")
     ratios = sign * np.exp(sign * x[mask]) * du_w / t
 
-    amp_right, amp_left = tail_amplitudes(h)
-    amp = amp_right if sign > 0 else amp_left
     median = float(np.median(ratios))
     rel = abs(abs(median) - amp) / abs(amp) if amp != 0.0 else np.inf
     return TailRatio(
@@ -393,10 +405,10 @@ def extract_profile(
     ``integral`` is the variant's :func:`source_integral`, built here up to t_index if not given.
     """
     variant = SourceVariant(variant)
+    i = _resolve_index(traj, t_index)
     if integral is None:
-        h = averaged_source(traj, t_index, variant)
-    else:
-        h = _time_average(traj, integral, _resolve_index(traj, t_index), variant)
+        integral = _running_integral(traj, i + 1, lambda u, ux: _source_values(u, ux, variant))
+    h = Field(traj.grid, _time_average(traj, integral, i, variant))
     amp_right, amp_left = tail_amplitudes(h, psi_literal)
     return AsymptoticProfile(
         t=float(traj.times[t_index]),
@@ -404,8 +416,8 @@ def extract_profile(
         amp_right=amp_right,
         amp_left=amp_left,
         window=(float(window[0]), float(window[1])),
-        ratio_right=_tail_ratio(traj, t_index, window, 1.0, h),
-        ratio_left=_tail_ratio(traj, t_index, window, -1.0, h),
+        ratio_right=_tail_ratio(traj, t_index, window, 1.0, amp_right),
+        ratio_left=_tail_ratio(traj, t_index, window, -1.0, amp_left),
         d=d,
         variant=variant,
         log_fit=_log_remainder_rate(

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
 
 from .config import _parse_float, _parse_float_tuple, parse_config_file
 from .errors import ConfigError
-from .runner import _jsonable, _os_errors, _output_dir, run_experiment, selftest
+from .runner import _json_text, _output_dir, _write_json, run_experiment, selftest
 from .weights import WeightSpec, admissibility_report
 
 EXIT_OK = 0
@@ -25,40 +24,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="experiment configuration file")
-    parser.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-
-
-def _load_config(args, run):
+def _cmd_forced_run(run, args) -> int:
+    """A subcommand that runs the configuration with its diagnostics set to ``run``."""
     cfg = parse_config_file(args.config)
     cfg.run = run
-    return cfg
-
-
-def _execute(cfg, out_dir) -> int:
-    summary = run_experiment(cfg, out_dir=out_dir)
+    summary = run_experiment(cfg, out_dir=args.out)
     for key, value in sorted(summary.headline.items()):
         print(f"{key} = {value}")
     print(f"wall time: {summary.wall_time:.2f} s")
-    print(f"artifacts in: {Path(out_dir if out_dir is not None else cfg.out_dir).resolve()}")
+    print(f"artifacts in: {Path(args.out if args.out is not None else cfg.out_dir).resolve()}")
     return summary.exit_code
-
-
-def _cmd_forced_run(run, args) -> int:
-    """A subcommand that runs the configuration with its diagnostics set to ``run``."""
-    return _execute(_load_config(args, run), args.out)
-
-
-def _cmd_asymptotics(args) -> int:
-    cfg = _load_config(args, ("asymptotics",))
-    if args.t is not None:
-        cfg.t_star = args.t
-    if args.variant is not None:
-        cfg.variant = args.variant
-    if args.psi_literal:
-        cfg.psi_literal = True
-    return _execute(cfg, args.out)
 
 
 def _cmd_verify_weights(args) -> int:
@@ -80,13 +55,10 @@ def _cmd_verify_weights(args) -> int:
         raise ConfigError([f"verify-weights: {exc}"]) from None
     # strict JSON, as in the run summaries: a weight that underflows to 0 makes
     # C0 and A NaN (0/0), written as null
-    payload = {key: _jsonable(value) for key, value in report.as_dict().items()}
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    payload = report.as_dict()
     if args.out is not None:
-        path = _output_dir(args.out) / "admissibility.json"
-        with _os_errors("cannot write", path):
-            path.write_text(text + "\n", encoding="utf-8")
-    print(text)
+        _write_json(_output_dir(args.out) / "admissibility.json", payload)
+    print(_json_text(payload), end="")
     return EXIT_OK
 
 
@@ -107,22 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, run, doc in (
         ("simulate", (), "run the simulation and dump snapshots"),
         ("persistence", ("persistence",), "weighted-norm growth ledger"),
+        ("asymptotics", ("asymptotics",), "tail-profile extraction"),
         ("analyticity", ("analyticity",), "analyticity-radius tracking"),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="experiment configuration file")
+        p.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
         p.set_defaults(fn=functools.partial(_cmd_forced_run, run))
-
-    p = sub.add_parser("asymptotics", help="tail-profile extraction")
-    _add_common(p)
-    p.add_argument("--t", type=float, default=None, help="profile time (default: final)")
-    p.add_argument("--variant", choices=("thm41", "thm43"), default=None)
-    p.add_argument(
-        "--psi-literal",
-        action="store_true",
-        help="use the e^{+y} moment for the left amplitude as well",
-    )
-    p.set_defaults(fn=_cmd_asymptotics)
 
     p = sub.add_parser("verify-weights", help="admissibility report for a weight pair")
     p.add_argument("--phi", required=True, help="a,b,c,d")

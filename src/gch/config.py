@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .asymptotics import SourceVariant
+from .asymptotics import SourceVariant, _window_mask
 from .dynamics import SIMULATION_FORMS, RhsForm
 from .errors import ConfigError
 from .fields import INITIAL_KINDS
@@ -67,14 +67,23 @@ def _parse_float_tuple(count):
     return run
 
 
+def _choice(what: str, names):
+    """A parser that accepts one of ``names`` as written; ``what`` names it in the error."""
+    names = tuple(names)
+
+    def run(text):
+        if text not in names:
+            raise ValueError(f"unknown {what} {text!r}; choose from {names}")
+        return text
+
+    return run
+
+
 def _parse_run_list(text):
     if text.lower() in ("none", ""):
         return ()
-    parts = tuple(part.strip() for part in text.split(","))
-    for part in parts:
-        if part not in DIAGNOSTIC_NAMES:
-            raise ValueError(f"unknown diagnostic {part!r}; choose from {DIAGNOSTIC_NAMES}")
-    return parts
+    diagnostic = _choice("diagnostic", DIAGNOSTIC_NAMES)
+    return tuple(diagnostic(part.strip()) for part in text.split(","))
 
 
 def _parse_form(text):
@@ -94,18 +103,6 @@ def _parse_dealias(text):
     return True
 
 
-def _parse_kind(text):
-    if text not in INITIAL_KINDS:
-        raise ValueError(f"unknown initial kind {text!r}; choose from {INITIAL_KINDS}")
-    return text
-
-
-def _parse_variant(text):
-    if text not in VARIANT_NAMES:
-        raise ValueError(f"unknown variant {text!r}; choose from {tuple(VARIANT_NAMES)}")
-    return text
-
-
 def _key(section: str, parser, default, key: str | None = None):
     """A stored field, read from ``[section] key`` by ``parser``; ``key`` defaults to its name."""
     return field(default=default, metadata={"section": section, "key": key, "parser": parser})
@@ -119,7 +116,7 @@ class ExperimentConfig:
     T: float = _key("time", _parse_float, 0.5)
     snapshot_stride: int = _key("time", int, 1)
     dt: float | None = _key("time", _parse_optional(_parse_float), None)
-    kind: str = _key("initial", _parse_kind, "sech2")
+    kind: str = _key("initial", _choice("initial kind", INITIAL_KINDS), "sech2")
     amplitude: float = _key("initial", _parse_float, 0.05)
     width: float = _key("initial", _parse_float, 1.0)
     center: float = _key("initial", _parse_float, 0.0)
@@ -130,7 +127,7 @@ class ExperimentConfig:
     run: tuple = _key("diagnostics", _parse_run_list, ())
     window: tuple | None = _key("diagnostics", _parse_optional(_parse_float_tuple(2)), None)
     d: float = _key("diagnostics", _parse_float, 1.0)
-    variant: str = _key("diagnostics", _parse_variant, "thm41")
+    variant: str = _key("diagnostics", _choice("variant", VARIANT_NAMES), "thm41")
     t_star: float | None = _key("diagnostics", _parse_optional(_parse_float), None)
     psi_literal: bool = _key("diagnostics", _parse_bool, False)
     out_dir: str = _key("output", str, "out", key="dir")
@@ -228,6 +225,15 @@ def _validate(cfg: ExperimentConfig, errors: list) -> None:
         errors.append(f"d must exceed 1/2, got {cfg.d}")
     if cfg.window is not None and not 0.2 * cfg.L < cfg.window[0] < cfg.window[1] < 0.8 * cfg.L:
         errors.append(f"window must satisfy 0.2 L < x_lo < x_hi < 0.8 L, got {cfg.window}")
+    elif cfg.window is not None and cfg.n > 0:
+        dx = 2.0 * cfg.L / cfg.n
+        for sign in (1.0, -1.0):
+            # the first node of Grid(n, L) past the side's lower end is one of these four
+            j = int((min(sign * cfg.window[0], sign * cfg.window[1]) + cfg.L) // dx)
+            nodes = (-cfg.L + dx * k for k in range(j - 1, j + 3))
+            if not any(_window_mask(x, cfg.window, sign) for x in nodes):
+                errors.append(f"window {cfg.window} holds no grid node (dx = {dx:g})")
+                break
     if cfg.t_star is not None and not (0 < cfg.t_star <= cfg.T):
         errors.append(f"t_star must lie in (0, T], got {cfg.t_star}")
 

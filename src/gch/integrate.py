@@ -158,7 +158,11 @@ class Trajectory:
         snapshots = tuple(snapshots)
         if not snapshots:
             raise ValueError("need at least one snapshot")
-        return cls(snapshots[0].grid, np.asarray(times, float), [u.values for u in snapshots])
+        grid = snapshots[0].grid
+        for i, u in enumerate(snapshots):
+            if u.grid != grid:
+                raise ValueError(f"snapshot {i} lives on {u.grid}, snapshot 0 on {grid}")
+        return cls(grid, np.asarray(times, float), [u.values for u in snapshots])
 
 
 def _require_positive(name: str, value: float) -> float:

@@ -78,8 +78,6 @@ def persistence_ledger(
     if N is None:
         # the weight's value at 0.9 L, away from the active region
         N = float(eval_weight(phi, 0.9 * traj.grid.half_width))
-    if N <= 0:
-        raise ValueError(f"truncation level must be positive, got {N}")
     grid = traj.grid
     w_vals = weight_on_grid(truncate_weight(phi, N), grid)
 

@@ -80,17 +80,9 @@ class RunSummary:
         return 0
 
     def to_flat_dict(self) -> dict:
-        out = {"config_hash": self.config_hash, "config": self.config.to_text()}
-        for key, value in self.flags.items():
-            out[key] = _jsonable(value)
-        for key, value in self.headline.items():
-            out[key] = _jsonable(value)
-        for key, value in self.artifacts.items():
-            out[f"artifact_{key}"] = value
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_flat_dict(), sort_keys=True, indent=2) + "\n"
+        head = {"config_hash": self.config_hash, "config": self.config.to_text()}
+        artifacts = {f"artifact_{key}": value for key, value in self.artifacts.items()}
+        return {**head, **self.flags, **self.headline, **artifacts}
 
 
 @contextmanager
@@ -107,10 +99,15 @@ def _write_csv(path: Path, chash: str, header: str, rows) -> None:
         _write_rows(fh, chash, header, rows)
 
 
+def _json_text(payload: dict) -> str:
+    """The text of every JSON artifact: strict values, sorted keys, indent 2, a final newline."""
+    strict = {key: _jsonable(value) for key, value in payload.items()}
+    return json.dumps(strict, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with _os_errors("cannot write", path), open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: _jsonable(v) for k, v in payload.items()}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 def _output_dir(path) -> Path:
@@ -282,8 +279,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
                     headline[f"{name}_error"] = f"stage '{name}' failed: {exc}"
 
     summary = RunSummary(cfg, chash, time.perf_counter() - start, flags, headline, artifacts)
-    with _os_errors("cannot write", out / "summary.json"):
-        (out / "summary.json").write_text(summary.to_json(), encoding="utf-8")
+    _write_json(out / "summary.json", summary.to_flat_dict())
     return summary
 
 

@@ -164,6 +164,13 @@ class TestTailRatio:
         r2 = tail_ratio(t2, len(t2) - 1, (10, 20)).median
         assert abs(r2 - r1) / abs(r1) < 0.10
 
+    def test_window_without_a_node(self, grid1024):
+        z = Field(grid1024, np.zeros(grid1024.n))
+        traj = Trajectory.from_snapshots(np.linspace(0, 1, 9), [z] * 9)
+        for side in ("right", "left"):
+            with pytest.raises(ValueError, match=r"window \[10.001, 10.002\] holds no grid node"):
+                tail_ratio(traj, 8, (10.001, 10.002), side)
+
     def test_window_constraint(self, showcase):
         with pytest.raises(ValueError, match="window"):
             tail_ratio(showcase, len(showcase) - 1, (2, 20))
@@ -256,6 +263,14 @@ class TestExtractProfile:
         assert prof.ratio_left.rel_deviation <= 0.25
         assert prof.variant is SourceVariant.MEAN
 
+    def test_ratios_use_the_profile_amplitudes(self, showcase):
+        prof = extract_profile(showcase, len(showcase) - 1, (10, 20), psi_literal=True)
+        assert prof.amp_left == prof.amp_right
+        assert prof.ratio_right.amplitude == prof.amp_right
+        assert prof.ratio_left.amplitude == prof.amp_left
+        median = abs(prof.ratio_left.median)
+        assert prof.ratio_left.rel_deviation == abs(median - prof.amp_left) / prof.amp_left
+
 
 def _same(a, b) -> bool:
     """Field-for-field equality, exact to the bit; nan equals nan."""
@@ -341,6 +356,10 @@ class TestOnePass:
         idx = len(traj) - 2
         h = averaged_source(traj, idx, variant)
         amp_right, amp_left = tail_amplitudes(h, psi_literal)
+        # the profile's ratios compare with its own amplitudes, psi_literal's left one too
+        left = tail_ratio(traj, idx, window, "left", variant)
+        rel = abs(abs(left.median) - amp_left) / abs(amp_left)
+        left = dataclasses.replace(left, amplitude=amp_left, rel_deviation=rel)
         expected = AsymptoticProfile(
             t=float(traj.times[idx]),
             h=h,
@@ -348,7 +367,7 @@ class TestOnePass:
             amp_left=amp_left,
             window=tuple(map(float, window)),
             ratio_right=tail_ratio(traj, idx, window, "right", variant),
-            ratio_left=tail_ratio(traj, idx, window, "left", variant),
+            ratio_left=left,
             d=1.5,
             variant=variant,
             log_fit=log_remainder_rate(traj, idx, 1.5, window),

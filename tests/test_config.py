@@ -135,6 +135,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    def test_window_without_a_node_rejected(self):
+        # n = 1024 on L = 40 puts a node every 0.078125
+        with pytest.raises(ConfigError, match=r"window \(10.001, 10.002\) holds no grid node"):
+            parse_config(MINIMAL + "\n[diagnostics]\nwindow = 10.001,10.002\n")
+        parse_config(MINIMAL + "\n[diagnostics]\nwindow = 10,10.001\n")  # x = 10 is a node
+
     def test_line_numbers_in_messages(self):
         text = "[grid]\nn = banana\n"
         with pytest.raises(ConfigError, match="line 2: grid.n"):
@@ -238,10 +244,11 @@ def config_texts(draw):
         values[path] = draw(_PATHS)
     L = float(values.get(("grid", "L"), "40"))
     T = float(values.get(("time", "T"), "0.5"))
+    dx = 2.0 * L / int(values.get(("grid", "n"), "1024"))
     if draw(st.booleans()):
         lo, hi = sorted(draw(st.lists(_floats(0.2 * L, 0.8 * L, exclude_min=True,
                                               exclude_max=True), min_size=2, max_size=2)))
-        if lo < hi:
+        if hi - lo > 2.0 * dx:  # a window must hold a grid node on either side
             values[("diagnostics", "window")] = f"{lo!r},{hi!r}"
     if draw(st.booleans()):
         values[("diagnostics", "t_star")] = repr(draw(_floats(0.0, T, exclude_min=True)))

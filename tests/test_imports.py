@@ -88,3 +88,34 @@ def test_package_imports_only_exported_names():
         and alias.name not in importlib.import_module(f"gch.{node.module}").__all__
     ]
     assert unexported == []
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports but never uses, exports or marks ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): a.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): a.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    lines = source.splitlines()
+    return [
+        f"{path.name}:{lineno} {name}"
+        for name, lineno in imported.items()
+        if name not in used | exported and "# noqa: F401" not in lines[lineno - 1]
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__"),
+                         ids=lambda p: p.stem)
+def test_no_unused_import(path):
+    assert _unused_imports(path) == []

@@ -548,6 +548,13 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="start at 0"):
             Trajectory.from_snapshots([1.0], [sech])
 
+    @pytest.mark.parametrize("other", [Grid(64, 4.0), Grid(32, 8.0)], ids=["other_L", "other_n"])
+    def test_from_snapshots_rejects_mixed_grids(self, other):
+        first = Field(Grid(64, 8.0), np.zeros(64))
+        with pytest.raises(ValueError) as err:
+            Trajectory.from_snapshots([0.0, 1.0], [first, Field(other, np.zeros(other.n))])
+        assert str(err.value) == f"snapshot 1 lives on {other}, snapshot 0 on {first.grid}"
+
     @pytest.fixture(scope="class")
     def traj(self, sech2_small):
         return simulate(sech2_small, 0.1)

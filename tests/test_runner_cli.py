@@ -337,6 +337,22 @@ class TestCli:
         assert main(["verify-weights", "--phi", "0,0,1,0", f"--bound={bound}"]) == 2
         assert "domain_bound must be positive and finite" in capsys.readouterr().err
 
+    def test_window_without_a_node_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(FAST.replace("[output]", "window = 10.001,10.002\n[output]"))
+        code = main(["asymptotics", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "window (10.001, 10.002) holds no grid node (dx = 0.0585938)" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--t", "0.1"], ["--variant", "thm41"], ["--psi-literal"]])
+    def test_asymptotics_options_live_in_the_config(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotics", "--config", str(tmp_path / "run.cfg"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_asymptotics_subcommand(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(FAST)
@@ -348,8 +364,6 @@ class TestCli:
                 str(cfg_file),
                 "--out",
                 str(out),
-                "--variant",
-                "thm41",
             ]
         )
         assert code == 0
