@@ -126,94 +126,81 @@ def _profile_index(traj: Trajectory, t_star) -> int:
     return min(max(idx, MIN_SNAPSHOTS - 1), len(traj) - 1)
 
 
-def _degenerate(out: Path, stage: str, payload: dict, exc, headline: dict, keys) -> dict:
-    """Record a stage whose measurement does not exist: its JSON says why, its headline is None."""
-    payload.update({"degenerate": True, "reason": str(exc)})
-    _write_json(out / f"{stage}.json", payload)
-    headline.update(dict.fromkeys(keys))
-    return {f"{stage}_json": f"{stage}.json"}
-
-
-def _run_persistence(traj, cfg, out, chash, headline):
-    phi = WeightSpec(*cfg.phi)
-    ledger = persistence_ledger(traj, phi, cfg.p, N=cfg.N)
-    bound = ledger.bound() if not ledger.degenerate else np.zeros_like(ledger.W)
-    _write_csv(out / "persistence.csv", chash, "t,W,bound", zip(ledger.times, ledger.W, bound))
-    payload = {
-        "M": ledger.M,
-        "C_fit": ledger.C_fit,
-        "N_used": ledger.N_used,
-        "p": ledger.p,
-        "weight": str(ledger.weight),
-        "degenerate": ledger.degenerate,
-    }
-    _write_json(out / "persistence.json", payload)
-    headline["M"] = ledger.M
-    headline["C_fit"] = ledger.C_fit
-    return {"persistence_csv": "persistence.csv", "persistence_json": "persistence.json"}
-
-
-def _run_asymptotics(traj, cfg, out, chash, headline):
-    window = cfg.resolved_window()
-    idx = _profile_index(traj, cfg.t_star)
-    payload: dict = {"t": float(traj.times[idx]), "variant": cfg.variant, "d": cfg.d}
-    integral = source_integral(traj, cfg.source_variant)
-    try:
-        profile = extract_profile(
-            traj, idx, window, d=cfg.d, variant=cfg.source_variant,
-            psi_literal=cfg.psi_literal, integral=integral,
-        )
-    except ValueError as exc:
-        return _degenerate(out, "asymptotics", payload, exc, headline, ("Phi", "Psi"))
-
-    ratio, amp = profile.ratio_right, profile.amp_right
-    rows = ((x, r, amp, abs(r - amp)) for x, r in zip(ratio.xs, ratio.ratios))
-    _write_csv(out / "tail_ratio.csv", chash, "x,r,Phi,deviation", rows)
-
-    times, plus, minus = amplitude_series(traj, cfg.source_variant, cfg.psi_literal, integral)
+def _persistence(traj, cfg, payload):
+    ledger = persistence_ledger(traj, WeightSpec(*cfg.phi), cfg.p, N=cfg.N)
     payload.update(
-        {
-            "degenerate": False,
-            "Phi": profile.amp_right,
-            "Psi": profile.amp_left,
-            "c1": float(np.min(plus)) if plus.size else None,
-            "c2": float(np.max(plus)) if plus.size else None,
-            "median_ratio": ratio.median,
-            "ratio_rel_deviation": ratio.rel_deviation,
-            "log_exponent": profile.log_fit.slope,
-            "log_fit_degenerate": profile.log_fit.degenerate,
-        }
+        M=ledger.M, C_fit=ledger.C_fit, N_used=ledger.N_used, p=ledger.p,
+        weight=str(ledger.weight), degenerate=ledger.degenerate,
     )
-    _write_json(out / "asymptotics.json", payload)
-    headline["Phi"] = profile.amp_right
-    headline["Psi"] = profile.amp_left
-    return {"tail_ratio_csv": "tail_ratio.csv", "asymptotics_json": "asymptotics.json"}
+    bound = ledger.bound() if not ledger.degenerate else np.zeros_like(ledger.W)
+    return "t,W,bound", zip(ledger.times, ledger.W, bound)
 
 
-def _run_analyticity(traj, cfg, out, chash, headline):
-    try:
-        series = radius_track(traj)
-    except ValueError as exc:
-        return _degenerate(out, "analyticity", {}, exc, headline, ("sigma0", "sigmaT"))
+def _asymptotics(traj, cfg, payload):
+    idx = _profile_index(traj, cfg.t_star)
+    payload.update(t=float(traj.times[idx]), variant=cfg.variant, d=cfg.d)
+    integral = source_integral(traj, cfg.source_variant)
+    profile = extract_profile(
+        traj, idx, cfg.resolved_window(), d=cfg.d, variant=cfg.source_variant,
+        psi_literal=cfg.psi_literal, integral=integral,
+    )
+    _, plus, _ = amplitude_series(traj, cfg.source_variant, cfg.psi_literal, integral)
+    ratio, amp = profile.ratio_right, profile.amp_right
+    payload.update(
+        degenerate=False, Phi=amp, Psi=profile.amp_left,
+        c1=float(np.min(plus)) if plus.size else None,
+        c2=float(np.max(plus)) if plus.size else None,
+        median_ratio=ratio.median, ratio_rel_deviation=ratio.rel_deviation,
+        log_exponent=profile.log_fit.slope, log_fit_degenerate=profile.log_fit.degenerate,
+    )
+    return "x,r,Phi,deviation", ((x, r, amp, abs(r - amp)) for x, r in zip(ratio.xs, ratio.ratios))
 
+
+def _analyticity(traj, cfg, payload):
+    series = radius_track(traj)
     params = MajorantParams()
     _, argmax = majorant_track(traj, params)
-    rows = zip(series.times, series.sigma, series.residual, argmax)
-    _write_csv(out / "analyticity.csv", chash, "t,sigma,residual,argmax_k", rows)
-    sigma_valid = series.sigma[series.valid]
-    payload = {
-        "degenerate": False,
-        "sigma0": float(series.sigma[0]),
-        "sigmaT": float(series.sigma[-1]) if series.valid[-1] else None,
-        "sigma_min": float(np.min(sigma_valid)),
-        "max_residual": float(np.max(series.residual[series.valid])),
-        "majorant_scale": params.s,
-        "majorant_order": params.k_max,
-    }
-    _write_json(out / "analyticity.json", payload)
-    headline["sigma0"] = payload["sigma0"]
-    headline["sigmaT"] = payload["sigmaT"]
-    return {"analyticity_csv": "analyticity.csv", "analyticity_json": "analyticity.json"}
+    valid = series.valid
+    payload.update(
+        degenerate=False, sigma0=float(series.sigma[0]),
+        sigmaT=float(series.sigma[-1]) if valid[-1] else None,
+        sigma_min=float(np.min(series.sigma[valid])),
+        max_residual=float(np.max(series.residual[valid])),
+        majorant_scale=params.s, majorant_order=params.k_max,
+    )
+    return "t,sigma,residual,argmax_k", zip(series.times, series.sigma, series.residual, argmax)
+
+
+# stage -> (compute, CSV file, headline keys).  compute(traj, cfg, payload) only computes:
+# it fills the stage's JSON payload as values become known and returns the CSV header and rows
+_STAGES = {
+    "persistence": (_persistence, "persistence.csv", ("M", "C_fit")),
+    "asymptotics": (_asymptotics, "tail_ratio.csv", ("Phi", "Psi")),
+    "analyticity": (_analyticity, "analyticity.csv", ("sigma0", "sigmaT")),
+}
+
+
+def _run_stage(name, traj, cfg, out, chash, headline) -> dict:
+    """Run stage ``name``, write its CSV and JSON and fill its headline keys; return its artifacts.
+
+    A ``ValueError`` in the stage means its measurement does not exist: the JSON says why
+    (``degenerate``, ``reason``), no CSV is written and the headline keys are None.  Any
+    other exception propagates.
+    """
+    compute, csv_name, keys = _STAGES[name]
+    payload: dict = {}
+    artifacts = {f"{name}_json": f"{name}.json"}
+    try:
+        header, rows = compute(traj, cfg, payload)
+    except ValueError as exc:
+        payload.update(degenerate=True, reason=str(exc))
+        headline.update(dict.fromkeys(keys))
+    else:
+        _write_csv(out / csv_name, chash, header, rows)
+        artifacts[csv_name.replace(".", "_")] = csv_name
+        headline.update({key: payload[key] for key in keys})
+    _write_json(out / f"{name}.json", payload)
+    return artifacts
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
@@ -264,14 +251,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             headline["max_form_residual"] = max_form_residual(
                 Field(Grid(m, cfg.L), traj.values[-1][:: cfg.n // m])
             )
-            stages = {
-                "persistence": _run_persistence,
-                "asymptotics": _run_asymptotics,
-                "analyticity": _run_analyticity,
-            }
             for name in cfg.run:
                 try:
-                    artifacts.update(stages[name](traj, cfg, out, chash, headline))
+                    artifacts.update(_run_stage(name, traj, cfg, out, chash, headline))
                 except ConfigError:  # an artifact that cannot be written
                     raise
                 except Exception as exc:

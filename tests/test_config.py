@@ -125,10 +125,22 @@ class TestParseConfig:
             (MINIMAL + "\n[weights]\nphi = nan,0,2,0\n", "phi must be finite"),
             (MINIMAL + "\n[diagnostics]\nwindow = 4,20\n", "window must satisfy"),
             (MINIMAL + "\n[diagnostics]\nwindow = 10,35\n", "window must satisfy"),
+            (MINIMAL.replace("L = 40", "L = 0"), "L must be positive"),
+            (MINIMAL.replace("T = 0.5", "T = -1"), "T must be positive"),
+            (MINIMAL + "\n[time]\nsnapshot_stride = 0\n", "snapshot_stride must be >= 1"),
+            (MINIMAL + "\n[time]\ndt = 0\n", "dt must be positive"),
+            (MINIMAL.replace("kind = sech2", "kind = file"), "initial kind 'file' requires a path"),
+            (MINIMAL + "\n[weights]\nN = 0\n", "N must be positive"),
+            (MINIMAL + "\n[diagnostics]\nd = 0.5\n", "d must exceed 1/2"),
+            (MINIMAL + "\n[diagnostics]\nt_star = 0.6\n", r"t_star must lie in \(0, T\]"),
+            (MINIMAL + "\n[grid]\nn 1024\n", "expected 'key = value'"),
+            (MINIMAL + "\n[diagnostics]\npsi_literal = maybe\n", "expected a boolean"),
         ],
         ids=[
             "L_nan", "L_inf", "T_inf", "T_nan", "amplitude_nan", "center_inf", "width_zero",
             "d_nan", "N_nan", "p_minus_inf", "phi_nan", "window_low", "window_high",
+            "L_zero", "T_negative", "snapshot_stride_zero", "dt_zero", "file_without_path",
+            "N_zero", "d_half", "t_star_after_T", "line_without_equals", "psi_literal_maybe",
         ],
     )
     def test_nonfinite_and_out_of_range_rejected(self, text, message):

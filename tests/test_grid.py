@@ -254,6 +254,12 @@ class TestInterpolation:
             interpolate_onto(pts, np.zeros_like(pts), grid1024)
 
 
+class TestMakeInitial:
+    def test_sech(self, grid1024):
+        f = make_initial(grid1024, "sech", amplitude=0.3, width=2.0, center=1.0)
+        assert f.values.tobytes() == (0.3 / np.cosh((grid1024.x - 1.0) / 2.0)).tobytes()
+
+
 class TestInitialConditionFile:
     def test_round_trip(self, tmp_path, grid1024):
         pts = np.linspace(-41, 41, 401)

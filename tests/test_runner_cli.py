@@ -13,11 +13,13 @@ from gch import (
     ExperimentConfig,
     Field,
     Grid,
+    Trajectory,
     WeightSpec,
     config_hash,
     emitted_tail_amplitudes,
     max_form_residual,
     parse_config,
+    read_snapshots,
     run_experiment,
     sample,
     simulate,
@@ -126,14 +128,14 @@ class TestRunExperiment:
         assert "boundary integrand" in payload["reason"]
 
     def test_asymptotics_stage_builds_its_source_once(self, tmp_path, fft_calls):
-        from gch.runner import _run_asymptotics
+        from gch.runner import _run_stage
 
         cfg = parse_config(FAST)
         u0 = sample(Grid(cfg.n, cfg.L), lambda x: cfg.amplitude / np.cosh(x) ** 2)
         traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride)
         fft_calls.clear()
         headline = {}
-        _run_asymptotics(traj, cfg, tmp_path, config_hash(cfg), headline)
+        _run_stage("asymptotics", traj, cfg, tmp_path, config_hash(cfg), headline)
         assert headline["Phi"] > 0
         # the MEAN source costs one FFT pair per snapshot, for the whole stage
         assert len(fft_calls) <= 2 * len(traj)
@@ -169,6 +171,23 @@ class TestRunExperiment:
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert not summary.flags["boundary_clean"]
         assert summary.exit_code == 3
+
+    def test_blow_up_aborts_before_any_artifact_but_the_summary(self, tmp_path, monkeypatch):
+        # forced exponential growth through simulate's spectral-stage hook, as in
+        # test_integrate's blow-up guard, with an explicit step
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(
+            integrate_mod, "spectral_rhs", lambda uh, grid, pre, post: 100.0 * uh
+        )
+        cfg = parse_config(FAST.replace("snapshot_stride = 1", "snapshot_stride = 1\ndt = 0.01"))
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert summary.exit_code == 3
+        assert summary.flags["no_blow_up"] is False
+        assert "possible blow-up" in summary.headline["abort"]
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert payload["no_blow_up"] is False
+        assert not (tmp_path / "snapshots.bin").exists()
 
     @pytest.mark.parametrize("n, T", [(1024, 0.12), (4096, 0.05)], ids=["m_is_n", "m_below_n"])
     def test_form_residual_on_the_stepped_grid(self, tmp_path, n, T):
@@ -483,12 +502,12 @@ def _trajectory(cfg, T=None):
 
 def _run_stages(traj, cfg, out):
     """The three diagnostic stages of ``run_experiment`` on one trajectory; the headline."""
-    from gch.runner import _run_analyticity, _run_asymptotics, _run_persistence
+    from gch.runner import _run_stage
 
     out.mkdir(parents=True)
     headline = {}
-    for stage in (_run_persistence, _run_asymptotics, _run_analyticity):
-        stage(traj, cfg, out, config_hash(cfg), headline)
+    for name in ("persistence", "asymptotics", "analyticity"):
+        _run_stage(name, traj, cfg, out, config_hash(cfg), headline)
     return headline
 
 
@@ -547,6 +566,106 @@ class TestOneSpectrum:
         assert files_whole == files_rows and len(files_whole) == 6
         assert all(np.array_equal(a, b) for a, b in zip(rest_whole[0], rest_rows[0]))
         assert rest_whole[1] == rest_rows[1]
+
+
+class TestStages:
+    """A stage either measures in full (CSV and JSON) or is degenerate (JSON with its reason)."""
+
+    def test_decay_failure_after_the_profile_time_is_degenerate(self, tmp_path):
+        # the profile at t_star passes the boundary-decay check; a later snapshot's
+        # source fails it inside amplitude_series, after the tail ratio was taken
+        cfg = parse_config(
+            HISTORY.replace("amplitude = 0.05", "amplitude = 0.12")
+            .replace("run = persistence,asymptotics,analyticity", "run = asymptotics")
+            + "t_star = 0.25\n"
+        )
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert summary.exit_code == 0
+        assert "asymptotics_error" not in summary.headline
+        assert summary.headline["Phi"] is None and summary.headline["Psi"] is None
+        payload = json.loads((tmp_path / "asymptotics.json").read_text())
+        assert payload["degenerate"] is True
+        assert "boundary integrand" in payload["reason"]
+        _, traj = read_snapshots(tmp_path / "snapshots.bin")
+        assert payload["t"] == traj.times[np.argmin(np.abs(traj.times - 0.25))]
+        assert (payload["variant"], payload["d"]) == ("thm41", 1.0)
+        assert not (tmp_path / "tail_ratio.csv").exists()
+        assert "tail_ratio_csv" not in summary.artifacts
+
+    def test_underflowing_truncation_level_is_degenerate(self, tmp_path):
+        # e^{-10 x^2} underflows, and with it the default truncation level
+        phi = "[weights]\nphi = -10,2,0,0\n[diagnostics]"
+        cfg = parse_config(FAST.replace("[diagnostics]", phi))
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert summary.exit_code == 0
+        assert summary.headline["M"] is None and summary.headline["C_fit"] is None
+        payload = json.loads((tmp_path / "persistence.json").read_text())
+        assert payload == {
+            "degenerate": True,
+            "reason": "truncation level must be positive, got 0.0",
+        }
+        assert not (tmp_path / "persistence.csv").exists()
+
+    def test_other_exceptions_fail_the_stage(self, tmp_path, monkeypatch):
+        import gch.runner as runner_mod
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("forced")
+
+        monkeypatch.setattr(runner_mod, "majorant_track", overflow)
+        summary = run_experiment(parse_config(FAST), out_dir=tmp_path)
+        assert summary.headline["analyticity_error"] == "stage 'analyticity' failed: forced"
+        assert summary.flags["diagnostics_ok"] is False
+        assert summary.exit_code == 1
+        for name in ("persistence.csv", "persistence.json", "tail_ratio.csv", "asymptotics.json"):
+            assert (tmp_path / name).exists(), name
+        assert not (tmp_path / "analyticity.json").exists()
+
+    def test_profile_index_keeps_eight_snapshots(self):
+        from gch.asymptotics import MIN_SNAPSHOTS
+        from gch.runner import _profile_index
+
+        grid = Grid(64, 10.0)
+        times = 0.1 * np.arange(12)
+        traj = Trajectory.from_snapshots(times, [Field(grid, np.zeros(grid.n))] * len(times))
+        assert _profile_index(traj, 0.2) == MIN_SNAPSHOTS - 1 == 7
+        assert _profile_index(traj, 0.9) == 9
+        assert _profile_index(traj, None) == 11
+
+    def test_too_narrow_final_spectrum_has_no_sigma_t(self, tmp_path):
+        from gch.runner import _run_stage
+
+        cfg = parse_config(FAST)
+        grid = Grid(cfg.n, cfg.L)
+        pulse = sample(grid, lambda x: cfg.amplitude / np.cosh(x) ** 2)
+        traj = Trajectory.from_snapshots([0.0, 0.1], [pulse, Field(grid, np.zeros(grid.n))])
+        headline = {}
+        artifacts = _run_stage("analyticity", traj, cfg, tmp_path, config_hash(cfg), headline)
+        assert artifacts == {
+            "analyticity_csv": "analyticity.csv",
+            "analyticity_json": "analyticity.json",
+        }
+        assert headline["sigma0"] > 0 and headline["sigmaT"] is None
+        payload = json.loads((tmp_path / "analyticity.json").read_text())
+        assert payload["degenerate"] is False and payload["sigmaT"] is None
+
+    def test_stage_names_agree(self):
+        import functools
+
+        from gch.cli import _cmd_forced_run, build_parser
+        from gch.config import DIAGNOSTIC_NAMES
+        from gch.runner import _STAGES
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        forced = [p.get_default("fn") for p in sub.choices.values()]
+        cli_stages = {
+            name
+            for fn in forced
+            if isinstance(fn, functools.partial) and fn.func is _cmd_forced_run
+            for name in fn.args[0]
+        }
+        assert set(DIAGNOSTIC_NAMES) == set(_STAGES) == cli_stages
+        assert cli_stages <= set(sub.choices)
 
 
 class TestSelftestFaultInjection:
