@@ -35,7 +35,6 @@ from .asymptotics import (
     fit_log_slope,
     initial_tail_amplitudes,
     log_remainder_rate,
-    source_integral,
     tail_amplitudes,
     tail_ratio,
 )

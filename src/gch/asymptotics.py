@@ -18,17 +18,18 @@ e^{+y} moment instead for comparison.  The sign with which the tails are
 shed, and their exact leading coefficients (whose u_x^2 weighting differs
 from the headline moments), are in :func:`emitted_tail_amplitudes`.
 
-Every time integral is one running trapezoid over the stored snapshots:
-row i holds the integral over [0, t_i], so the whole amplitude series
-costs one pass, and :func:`source_integral` lets a run build each source once.
-Both amplitudes come from one routine that reads source rows one at a time,
-so the series builds no field per snapshot, and a profile computes its pair
-once and hands each side's value to its tail ratio.
+Every time integral is one running trapezoid over the stored snapshots,
+streamed: the pass yields the integral over [0, t_i] for each i in turn and
+holds one n-length accumulator, never a ``K x n`` block.  Each public
+function is one such pass.  A profile's pass runs up to its own time and
+gives its source, its amplitude pair and the amplitude series up to it, so
+a run reads the series from the profile it measured.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "LogRateFit",
     "AsymptoticProfile",
     "averaged_source",
-    "source_integral",
     "tail_amplitudes",
     "initial_tail_amplitudes",
     "amplitude_series",
@@ -80,40 +80,49 @@ def _source_values(u: np.ndarray, ux: np.ndarray, variant: SourceVariant) -> np.
     return (np.sqrt(2.0) * ux + np.sqrt(6.0) * u) ** 2
 
 
-def _resolve_index(traj: Trajectory, t_index: int) -> int:
-    """The snapshot index counted from the start; t = 0 has no time average."""
+def _resolve_index(traj: Trajectory, t_index: int, need: int = MIN_SNAPSHOTS) -> int:
+    """The snapshot index counted from the start, with ``need`` snapshots up to it.
+
+    t = 0 has no time average.
+    """
     if t_index < 0:
         t_index += len(traj)
     if t_index == 0:
         raise ValueError("profile undefined at t=0; use the initial-data formula")
+    if t_index + 1 < need:
+        raise ValueError(
+            f"need at least {need} snapshots up to the profile time, got {t_index + 1}"
+        )
     return t_index
 
 
-def _running_integral(traj: Trajectory, stop: int, integrand) -> np.ndarray:
-    """Row i is the trapezoid integral of ``integrand(u, u_x)`` over [0, t_i], for i < stop.
+def _running_rows(traj: Trajectory, stop: int, integrand):
+    """Yield the trapezoid integral of ``integrand(u, u_x)`` over [0, t_i], for each i < stop.
 
-    The integrand is taken a row block at a time, u_x from the spectrum.  Rows add up in
-    ``np.trapezoid``'s order, so they equal its results bit for bit.
+    One accumulator is updated in place and yielded each time, so a caller that keeps a row
+    copies it.  The integrand is taken a row block at a time, u_x from the spectrum.  Steps
+    add up in ``np.cumsum``'s order, so each row equals ``np.trapezoid``'s result bit for bit.
     """
-    grid, y = traj.grid, np.empty((stop, traj.grid.n))
+    grid, times = traj.grid, traj.times
+    total = previous = None
     for rows in traj.row_blocks(stop):
-        y[rows] = integrand(traj.values[rows], grid.irfft(grid.diff_hat(traj.spectrum[rows])))
-    dt = np.diff(traj.times[:stop])
-    for i in range(stop - 1, 0, -1):  # downwards: row i - 1 still holds the integrand
-        y[i] = dt[i - 1] * (y[i] + y[i - 1]) / 2.0
-    y[0] = 0.0
-    np.cumsum(y[1:], axis=0, out=y[1:])
-    return y
+        block = integrand(traj.values[rows], grid.irfft(grid.diff_hat(traj.spectrum[rows])))
+        for i, y in enumerate(block, rows.start):
+            if total is None:
+                total = np.zeros_like(y)
+            else:
+                total += (times[i] - times[i - 1]) * (y + previous) / 2.0
+            previous = y
+            yield total
 
 
-def _time_average(traj: Trajectory, integral: np.ndarray, i: int, variant: SourceVariant):
-    """The source h at snapshot i from row i of its running integral, as an array."""
-    if i + 1 < MIN_SNAPSHOTS:
-        raise ValueError(
-            f"need at least {MIN_SNAPSHOTS} snapshots up to the profile time, got {i + 1}"
-        )
-    mean = integral[i] / traj.times[i]
-    return mean if variant is SourceVariant.MEAN else np.sqrt(mean)
+def _sources(traj: Trajectory, stop: int, variant: SourceVariant):
+    """The source h at each admissible snapshot i < stop, as new arrays, from one pass."""
+    rows = _running_rows(traj, stop, lambda u, ux: _source_values(u, ux, variant))
+    for i, row in enumerate(rows):
+        if i >= MIN_SNAPSHOTS - 1:
+            mean = row / traj.times[i]
+            yield mean if variant is SourceVariant.MEAN else np.sqrt(mean)
 
 
 def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) -> Field:
@@ -122,29 +131,24 @@ def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) 
     MEAN takes the plain time average of 6u^2 + 2u_x^2; RMS takes the root
     mean square of sqrt2 u_x + sqrt6 u.  Time quadrature is the trapezoid
     rule over the stored snapshots, so the snapshot stride controls the
-    quadrature error; h is one row of the running trapezoid.
+    quadrature error; h is the last row of one running trapezoid pass.
     """
     variant = SourceVariant(variant)
     t_index = _resolve_index(traj, t_index)
-    integral = _running_integral(traj, t_index + 1, lambda u, ux: _source_values(u, ux, variant))
-    return Field(traj.grid, _time_average(traj, integral, t_index, variant))
+    return Field(traj.grid, deque(_sources(traj, t_index + 1, variant), maxlen=1).pop())
 
 
-def source_integral(traj: Trajectory, variant=SourceVariant.MEAN) -> np.ndarray:
-    """The source's running integral at every snapshot; row i is :func:`averaged_source`'s."""
-    variant = SourceVariant(variant)
-    return _running_integral(traj, len(traj), lambda u, ux: _source_values(u, ux, variant))
-
-
-def _amplitudes(grid, rows, psi_literal: bool = False) -> np.ndarray:
-    """(Amp_+, Amp_-) of each source row as a ``2 x len(rows)`` array.
+def _amplitudes(grid, rows, psi_literal: bool = False):
+    """(Amp_+, Amp_-) of each source row as a ``2 x len(rows)`` array, and the last row read.
 
     ``rows`` may be lazy: it is read one row at a time, each checked for finite samples and
-    boundary decay before its moments.  e^{+-y} is taken with each row, not kept across
-    rows: arrays held between rows raised a history run's peak RSS.
+    boundary decay before its moments.  The last row is None when ``rows`` is empty.
+    e^{+-y} is taken with each row, so between rows a pass holds only its accumulator and
+    the current row block: two more n-length arrays kept across rows once cost a history
+    run ~2 MB of peak RSS.
     """
     x, dx = grid.x, grid.dx
-    amps = []
+    amps, h = [], None
     for h in rows:
         if not np.all(np.isfinite(h)):
             raise ValueError("source contains non-finite samples")
@@ -156,7 +160,7 @@ def _amplitudes(grid, rows, psi_literal: bool = False) -> np.ndarray:
             )
         right = 0.5 * float(np.sum(np.exp(x) * h) * dx)
         amps.append((right, right if psi_literal else 0.5 * float(np.sum(np.exp(-x) * h) * dx)))
-    return np.array(amps, dtype=float).reshape(-1, 2).T
+    return np.array(amps, dtype=float).reshape(-1, 2).T, h
 
 
 def tail_amplitudes(h: Field, psi_literal: bool = False):
@@ -166,7 +170,7 @@ def tail_amplitudes(h: Field, psi_literal: bool = False):
     rectangle rule; ``psi_literal`` makes the left amplitude use e^{+y} as
     well, collapsing it onto Amp_+.
     """
-    return tuple(map(float, _amplitudes(h.grid, [h.values], psi_literal)[:, 0]))
+    return tuple(map(float, _amplitudes(h.grid, [h.values], psi_literal)[0][:, 0]))
 
 
 def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: bool = False):
@@ -185,18 +189,10 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
     return plus, minus
 
 
-def amplitude_series(
-    traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: bool = False, integral=None
-):
-    """Amplitudes at every admissible snapshot time, in one pass; returns (times, amp+, amp-).
-
-    ``integral`` is the variant's :func:`source_integral`, built here if not given.
-    """
-    variant = SourceVariant(variant)
-    integral = source_integral(traj, variant) if integral is None else integral
-    indices = range(MIN_SNAPSHOTS - 1, len(traj))
-    rows = (_time_average(traj, integral, i, variant) for i in indices)
-    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *_amplitudes(traj.grid, rows, psi_literal)
+def amplitude_series(traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: bool = False):
+    """Amplitudes at every admissible snapshot time, in one pass; returns (times, amp+, amp-)."""
+    sources = _sources(traj, len(traj), SourceVariant(variant))
+    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *_amplitudes(traj.grid, sources, psi_literal)[0]
 
 
 @dataclass
@@ -286,10 +282,9 @@ def emitted_tail_amplitudes(traj: Trajectory, t_index: int) -> tuple[float, floa
     the same exponential order.  Returns (right_coefficient,
     left_coefficient) as the signed coefficients of e^{-x} t and e^{+x} t.
     """
-    t_index = _resolve_index(traj, t_index)
-    t = traj.times[t_index]
-    avg_u2 = _running_integral(traj, t_index + 1, lambda u, ux: u**2)[-1] / t
-    avg_ux2 = _running_integral(traj, t_index + 1, lambda u, ux: ux**2)[-1] / t
+    t_index = _resolve_index(traj, t_index, need=1)
+    squares = _running_rows(traj, t_index + 1, lambda u, ux: np.stack((u**2, ux**2), 1))
+    avg_u2, avg_ux2 = deque(squares, maxlen=1).pop() / traj.times[t_index]
     dx = traj.grid.dx
     ex = np.exp(traj.grid.x)
     right = -0.5 * float(np.sum(ex * (6.0 * avg_u2 + avg_ux2)) * dx)
@@ -377,7 +372,11 @@ def _log_remainder_rate(h: Field, d: float, window) -> LogRateFit:
 
 @dataclass
 class AsymptoticProfile:
-    """Bundle of tail diagnostics at one time."""
+    """Bundle of tail diagnostics at one time.
+
+    ``series`` is :func:`amplitude_series`'s (times, amp+, amp-) over the admissible
+    snapshots up to ``t``; its last entry is (t, amp_right, amp_left).
+    """
 
     t: float
     h: Field
@@ -389,6 +388,7 @@ class AsymptoticProfile:
     d: float
     variant: SourceVariant
     log_fit: LogRateFit
+    series: tuple
 
 
 def extract_profile(
@@ -398,18 +398,17 @@ def extract_profile(
     d: float = 1.0,
     variant=SourceVariant.MEAN,
     psi_literal: bool = False,
-    integral=None,
 ) -> AsymptoticProfile:
     """Assemble source, amplitudes, both tail ratios, and the log-rate fit (always on MEAN).
 
-    ``integral`` is the variant's :func:`source_integral`, built here up to t_index if not given.
+    One running pass up to t_index gives the amplitude series, whose last row is the
+    source h and whose last pair is the profile's.
     """
     variant = SourceVariant(variant)
     i = _resolve_index(traj, t_index)
-    if integral is None:
-        integral = _running_integral(traj, i + 1, lambda u, ux: _source_values(u, ux, variant))
-    h = Field(traj.grid, _time_average(traj, integral, i, variant))
-    amp_right, amp_left = tail_amplitudes(h, psi_literal)
+    amps, h = _amplitudes(traj.grid, _sources(traj, i + 1, variant), psi_literal)
+    h = Field(traj.grid, h)
+    amp_right, amp_left = map(float, amps[:, -1])
     return AsymptoticProfile(
         t=float(traj.times[t_index]),
         h=h,
@@ -423,4 +422,5 @@ def extract_profile(
         log_fit=_log_remainder_rate(
             h if variant is SourceVariant.MEAN else averaged_source(traj, t_index), d, window
         ),
+        series=(traj.times[MIN_SNAPSHOTS - 1 : i + 1].copy(), *amps),
     )

@@ -26,7 +26,7 @@ from .analyticity import (
     majorant_track,
     radius_track,
 )
-from .asymptotics import MIN_SNAPSHOTS, amplitude_series, extract_profile, source_integral
+from .asymptotics import MIN_SNAPSHOTS, extract_profile
 from .config import ExperimentConfig, config_hash, validate_config
 from .dynamics import RhsForm, form_residual, max_form_residual, sqrt3_residual_field
 from .errors import BlowUpError, ConfigError
@@ -38,6 +38,7 @@ from .integrate import write_checkpoint, write_snapshots
 
 # not called here; perfbench's tracer wraps them in gch.runner, so they stay importable
 from .analyticity import majorant_norm_argmax, operator_bound_report  # noqa: F401
+from .asymptotics import amplitude_series  # noqa: F401
 from .integrate import snapshots_to_csv  # noqa: F401
 from .persistence import persistence_ledger
 from .weights import WeightSpec, _young_slacks, admissibility_report, weight_on_grid
@@ -139,17 +140,15 @@ def _persistence(traj, cfg, payload):
 def _asymptotics(traj, cfg, payload):
     idx = _profile_index(traj, cfg.t_star)
     payload.update(t=float(traj.times[idx]), variant=cfg.variant, d=cfg.d)
-    integral = source_integral(traj, cfg.source_variant)
     profile = extract_profile(
         traj, idx, cfg.resolved_window(), d=cfg.d, variant=cfg.source_variant,
-        psi_literal=cfg.psi_literal, integral=integral,
+        psi_literal=cfg.psi_literal,
     )
-    _, plus, _ = amplitude_series(traj, cfg.source_variant, cfg.psi_literal, integral)
+    _, plus, _ = profile.series
     ratio, amp = profile.ratio_right, profile.amp_right
     payload.update(
         degenerate=False, Phi=amp, Psi=profile.amp_left,
-        c1=float(np.min(plus)) if plus.size else None,
-        c2=float(np.max(plus)) if plus.size else None,
+        c1=float(np.min(plus)), c2=float(np.max(plus)),
         median_ratio=ratio.median, ratio_rel_deviation=ratio.rel_deviation,
         log_exponent=profile.log_fit.slope, log_fit_degenerate=profile.log_fit.degenerate,
     )

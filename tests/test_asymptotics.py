@@ -22,7 +22,6 @@ from gch import (
     lp_norm,
     sample,
     simulate,
-    source_integral,
     tail_amplitudes,
     tail_ratio,
 )
@@ -308,6 +307,11 @@ CASES = [
 ]
 
 
+def _first(traj: Trajectory, k: int) -> Trajectory:
+    """The trajectory of the first k snapshots."""
+    return Trajectory(traj.grid, traj.times[:k], traj.values[:k])
+
+
 class TestOnePass:
     """The running trapezoid and the shared sources change no number."""
 
@@ -331,8 +335,6 @@ class TestOnePass:
     ):
         traj = request.getfixturevalue(name)
         times, plus, minus = amplitude_series(traj, variant, psi_literal)
-        shared = amplitude_series(traj, variant, psi_literal, source_integral(traj, variant))
-        assert all(np.array_equal(a, b) for a, b in zip(shared, (times, plus, minus)))
         indices = range(MIN_SNAPSHOTS - 1, len(traj))
         amps = [
             tail_amplitudes(averaged_source(traj, i, variant), psi_literal)
@@ -371,12 +373,34 @@ class TestOnePass:
             d=1.5,
             variant=variant,
             log_fit=log_remainder_rate(traj, idx, 1.5, window),
+            series=amplitude_series(_first(traj, idx + 1), variant, psi_literal),
         )
         profile = extract_profile(traj, idx - len(traj), window, 1.5, variant, psi_literal)
         assert _same(profile, expected)
-        integral = source_integral(traj, variant)
-        shared = extract_profile(traj, idx, window, 1.5, variant, psi_literal, integral)
-        assert _same(shared, expected)
+
+    @pytest.mark.parametrize("name, window, variant, psi_literal", CASES)
+    def test_profile_series_stops_at_the_profile_time(
+        self, request, name, window, variant, psi_literal
+    ):
+        traj = request.getfixturevalue(name)
+        full = amplitude_series(traj, variant, psi_literal)
+        for i in range(MIN_SNAPSHOTS - 1, len(traj)):
+            series = extract_profile(traj, i, window, 1.5, variant, psi_literal).series
+            expected = amplitude_series(_first(traj, i + 1), variant, psi_literal)
+            assert all(np.array_equal(a, b) for a, b in zip(series, expected)), i
+            # a stream: the series up to t_i is the head of the whole run's
+            stop = i + 2 - MIN_SNAPSHOTS
+            assert all(np.array_equal(a, b[:stop]) for a, b in zip(series, full)), i
+
+    def test_extract_profile_too_few_snapshots(self, sech2_small):
+        traj = Trajectory.from_snapshots(np.linspace(0, 1, MIN_SNAPSHOTS - 1), [sech2_small] * 7)
+        with pytest.raises(ValueError, match=f"need at least {MIN_SNAPSHOTS} snapshots"):
+            extract_profile(traj, -1, (3, 6))
+
+    def test_emitted_amplitudes_take_one_irfft_per_row_block(self, showcase, fft_calls):
+        emitted_tail_amplitudes(showcase, -1)
+        assert len(showcase.row_blocks()) > 1
+        assert fft_calls.count("irfft") == len(showcase.row_blocks())
 
     @pytest.mark.parametrize("variant", list(SourceVariant))
     def test_amplitude_series_fft_calls(self, growing_gaussian, fft_calls, variant):

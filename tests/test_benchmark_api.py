@@ -99,6 +99,22 @@ def test_every_name_the_tracer_wraps_resolves():
     assert [name for name, fn in sorted(wrapped.items()) if not callable(fn)] == []
 
 
+def test_every_unused_import_is_one_the_tracer_wraps():
+    # a `# noqa: F401` import is kept only so that layers.install can wrap the name in
+    # that module; one the tracer no longer wraps is dead surface
+    tracer = _RecordingTracer()
+    layers.install(tracer, gch)
+    wrapped = {(module.__name__, attr) for module, attr in tracer.wrapped}
+    kept = set()
+    for path in sorted((ROOT / "src" / "gch").glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.endswith("# noqa: F401"):
+                names = line.split(" import ", 1)[1].split("#")[0]
+                kept |= {(f"gch.{path.stem}", name.strip()) for name in names.split(",")}
+    assert ("gch.integrate", "rhs") in kept  # the scan reads the import lines
+    assert sorted(kept - wrapped) == []
+
+
 def test_every_gch_attribute_the_benchmark_names_exists():
     source = "".join(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))
     names = set(re.findall(r"\bgch\.([A-Za-z_]\w*)", source))

@@ -15,6 +15,7 @@ from gch import (
     Grid,
     Trajectory,
     WeightSpec,
+    amplitude_series,
     config_hash,
     emitted_tail_amplitudes,
     max_form_residual,
@@ -541,8 +542,9 @@ class TestOneSpectrum:
         finally:
             tracemalloc.stop()
         assert not any(key.endswith("_error") for key in headline)
-        # values, spectrum and two K x n temporaries, with 10 % to spare
-        assert peak <= 1.1 * 4 * K * n * 8
+        # the spectrum (~K x n, values predate the trace) and row-block temporaries: no
+        # stage holds a K x n array of its own
+        assert peak <= 2 * K * n * 8
 
     def test_row_blocks_change_no_number(self, tmp_path, monkeypatch):
         import gch.integrate as integrate_mod
@@ -571,9 +573,9 @@ class TestOneSpectrum:
 class TestStages:
     """A stage either measures in full (CSV and JSON) or is degenerate (JSON with its reason)."""
 
-    def test_decay_failure_after_the_profile_time_is_degenerate(self, tmp_path):
-        # the profile at t_star passes the boundary-decay check; a later snapshot's
-        # source fails it inside amplitude_series, after the tail ratio was taken
+    def test_decay_failure_after_the_profile_time_keeps_the_profile(self, tmp_path):
+        # a snapshot after t_star fails the boundary-decay check; the profile at t_star
+        # and its amplitude series, which stops there, never read it
         cfg = parse_config(
             HISTORY.replace("amplitude = 0.05", "amplitude = 0.12")
             .replace("run = persistence,asymptotics,analyticity", "run = asymptotics")
@@ -582,15 +584,22 @@ class TestStages:
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert summary.exit_code == 0
         assert "asymptotics_error" not in summary.headline
-        assert summary.headline["Phi"] is None and summary.headline["Psi"] is None
         payload = json.loads((tmp_path / "asymptotics.json").read_text())
-        assert payload["degenerate"] is True
-        assert "boundary integrand" in payload["reason"]
+        assert payload["degenerate"] is False and "reason" not in payload
+        assert summary.headline["Phi"] == payload["Phi"] == pytest.approx(0.08412, abs=1e-5)
+        assert summary.headline["Psi"] == payload["Psi"]
+        assert (tmp_path / "tail_ratio.csv").exists()
+        assert summary.artifacts["tail_ratio_csv"] == "tail_ratio.csv"
         _, traj = read_snapshots(tmp_path / "snapshots.bin")
-        assert payload["t"] == traj.times[np.argmin(np.abs(traj.times - 0.25))]
+        idx = int(np.argmin(np.abs(traj.times - 0.25)))
+        assert payload["t"] == traj.times[idx] < traj.times[-1]
         assert (payload["variant"], payload["d"]) == ("thm41", 1.0)
-        assert not (tmp_path / "tail_ratio.csv").exists()
-        assert "tail_ratio_csv" not in summary.artifacts
+        # c1/c2 span the snapshots up to t_star; the whole run's series fails the check
+        head = Trajectory(traj.grid, traj.times[: idx + 1], traj.values[: idx + 1])
+        _, plus, _ = amplitude_series(head)
+        assert (payload["c1"], payload["c2"]) == (float(np.min(plus)), float(np.max(plus)))
+        with pytest.raises(ValueError, match="boundary integrand"):
+            amplitude_series(traj)
 
     def test_underflowing_truncation_level_is_degenerate(self, tmp_path):
         # e^{-10 x^2} underflows, and with it the default truncation level
