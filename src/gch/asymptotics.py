@@ -114,6 +114,9 @@ def _running_rows(traj: Trajectory, stop: int, integrand):
                 total += (times[i] - times[i - 1]) * (y + previous) / 2.0
             previous = y
             yield total
+        # a copy of the last row, not a view, so the block is freed before the next one is built
+        previous = previous.copy()
+        del block, y
 
 
 def _sources(traj: Trajectory, stop: int, variant: SourceVariant):

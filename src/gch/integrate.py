@@ -1,11 +1,14 @@
 """Deterministic explicit time stepping with snapshot recording.
 
-Classical four-stage Runge-Kutta.  By default every step is taken from the
-stability bound of the stage being stepped (see :func:`simulate`), re-checked
-on every step, and shortened only to land exactly on the next snapshot time;
-the snapshot times run on a fixed clock set once from the initial datum by
-:func:`estimate_dt`.  No choice depends on anything but the inputs, so
-reruns with identical inputs are bit-identical.
+Classical four-stage Runge-Kutta.  By default the step is set by accuracy:
+an embedded error estimate, built from the next step's first stage at no
+extra stage, accepts or rejects each step against ``STEP_TOL`` and proposes
+the next, and no step exceeds the stability bound of the stage being
+stepped (see :func:`simulate`).  The snapshot times run on a fixed clock
+set once from the initial datum by :func:`estimate_dt`, and the steps are
+spread evenly over each snapshot interval so the last lands exactly on it.
+No choice depends on anything but the inputs, so reruns with identical
+inputs are bit-identical.
 
 :func:`simulate` keeps the state in Fourier space, as the rfft ``uh`` of
 u, and evaluates each stage in the primitive form
@@ -19,7 +22,8 @@ and the square by ``post``, which with a truncated operand is the exact
 2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
 same semi-discretisation and the cheapest one drives the integrator.
 The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as
-the reference path.
+the reference path; the spectral step writes the same update in place, bit
+for bit.
 
 The stages run on a compute grid ``Grid(m, L)``, the smallest power of two
 ``16 <= m <= n`` whose 2/3 band holds the spectrum: every coefficient at or
@@ -42,6 +46,7 @@ A run that needs ``m = n`` throughout steps exactly as on the full grid.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -68,6 +73,7 @@ __all__ = [
     "BOUNDARY_TOLERANCE",
 ]
 
+#: The cap on :func:`estimate_dt`, the snapshot clock's unit; it no longer caps a step.
 DT_MAX = 1e-2
 #: RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2)
 #: (Hairer-Wanner, Solving ODEs II, IV.2).
@@ -78,6 +84,18 @@ RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)
 #: sets in between 0.9 and 1.5, as the bound predicts, and 0.5 keeps a
 #: factor of ~2 in hand.
 STEP_SAFETY = 0.5
+#: The largest error estimate a default step may keep: (h/6) ||k4 - k5||_{H^1}
+#: relative to ||u0||_{H^1} (see :func:`simulate`).  sigma(T) reads the RK4
+#: error of the top modes, which grows like h^4, long before the H^1 drift
+#: does, so sigma(T) sets it: the largest value on a 1e-10 grid whose
+#: sigma(T) on the 0.05 sech^2 pulse (n = 16384, L = 40, T = 1, stride 32)
+#: stays within 5e-7 of a dt = 0.0025 run, with max drift <= 1e-11.  It
+#: reads 4.2e-7 in 68 steps; 6e-10 reads 5.9e-7 in 64 and 3e-10 2.8e-7 in
+#: 77 (the table is in BENCH_step_control.json).
+STEP_TOL = 5e-10
+#: A default step rejected below STEP_FLOOR * T ends the run with a
+#: FloatingPointError: a stage that never meets the tolerance cannot spin.
+STEP_FLOOR = 1e-12
 BLOWUP_FACTOR = 1e3
 #: A run is marked valid only while max(|u(-L)|, |u(L-dx)|) stays below this.
 BOUNDARY_TOLERANCE = 1e-8
@@ -101,6 +119,7 @@ class Trajectory:
     dt_initial: float = np.nan
     dt_final: float = np.nan
     n_steps: int = 0
+    n_rejected: int = 0  # steps the error estimate sent back
     h1_drift: np.ndarray | None = None  # per snapshot
     compute_n: np.ndarray | None = None  # compute-grid size per snapshot
 
@@ -173,27 +192,19 @@ def _require_positive(name: str, value: float) -> float:
 
 
 def _checked(index: int, k):
-    if not np.all(np.isfinite(k.values if isinstance(k, Field) else k)):
+    if not np.isfinite(k.values if isinstance(k, Field) else k).all():
         raise FloatingPointError(f"non-finite RK4 stage {index}")
     return k
 
 
-def _rk4(y, dt: float, deriv, k1=None):
-    """The RK4 update of a ``Field`` or of a coefficient array.
-
-    ``k1``, when given, is the already checked first stage ``deriv(y)``.
-    """
-    if k1 is None:
-        k1 = _checked(1, deriv(y))
-    k2 = _checked(2, deriv(y + (0.5 * dt) * k1))
-    k3 = _checked(3, deriv(y + (0.5 * dt) * k2))
-    k4 = _checked(4, deriv(y + dt * k3))
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_step(u: Field, dt: float, deriv) -> Field:
     """One classical RK4 update; raises on a non-finite stage."""
-    return _rk4(u, _require_positive("dt", dt), deriv)
+    dt = _require_positive("dt", dt)
+    k1 = _checked(1, deriv(u))
+    k2 = _checked(2, deriv(u + (0.5 * dt) * k1))
+    k3 = _checked(3, deriv(u + (0.5 * dt) * k2))
+    k4 = _checked(4, deriv(u + dt * k3))
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def estimate_dt(u: Field) -> float:
@@ -202,23 +213,69 @@ def estimate_dt(u: Field) -> float:
     :func:`simulate` spaces its snapshots ``snapshot_stride`` such units
     apart, the unit taken once from the initial datum.  The coefficients
     are the advective terms of the momentum formulation; the step itself
-    comes from the stability bound of the stage (see :func:`simulate`).
+    comes from an error estimate within the stage's stability bound (see
+    :func:`simulate`).
     """
     speed = 4.0 * lp_norm(u, np.inf) + 2.0 * lp_norm(derivative(u, 1), np.inf)
     return float(min(0.5 * u.grid.dx / max(1.0, speed), DT_MAX))
 
 
 def _spectral_stage(uh, grid: Grid, pre, post):
-    """``(spectral_rhs(uh), w)`` with ``w = irfft(pre * uh)``, the squared operand."""
-    # overflow surfaces as the named non-finite stage, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = grid.irfft(pre * uh)
-        return post * grid.rfft(w * w), w
+    """``(spectral_rhs(uh), w)`` with ``w = irfft(pre * uh)``, the squared operand.
+
+    Every stage :func:`simulate` takes is one call of this function.
+    """
+    w = grid.irfft(pre * uh)
+    return post * grid.rfft(w * w), w
 
 
 def spectral_rhs(uh, grid: Grid, pre, post):
     """u_t in Fourier space: ``post * rfft(irfft(pre * uh)**2)``, one FFT pair."""
-    return _spectral_stage(uh, grid, pre, post)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _spectral_stage(uh, grid, pre, post)[0]
+
+
+def _stage(index: int, uh, ops):
+    """``(k, w)`` of :func:`_spectral_stage` on ``ops = (grid, pre, post)``, ``k`` checked."""
+    k, w = _spectral_stage(uh, *ops)
+    return _checked(index, k), w
+
+
+def _band_rk4(y, h: float, k1, ops):
+    """``(y_next, k4)``: the RK4 update of the band ``y`` from its checked first stage ``k1``.
+
+    The combinations are written in place, in the order of
+    :func:`rk4_step`'s expressions, so ``y_next`` is their result bit for bit.
+    """
+    s = k1 * (0.5 * h)
+    s += y
+    k2 = _stage(2, s, ops)[0]
+    np.multiply(k2, 0.5 * h, out=s)
+    s += y
+    k3 = _stage(3, s, ops)[0]
+    np.multiply(k3, h, out=s)
+    s += y
+    k4 = _stage(4, s, ops)[0]
+    np.multiply(k2, 2.0, out=s)
+    s += k1
+    k3 *= 2.0
+    s += k3
+    s += k4
+    s *= h / 6.0
+    s += y
+    return s, k4
+
+
+def _error_estimate(h: float, k4, k5, weights) -> float:
+    """``(h/6) ||k4 - k5||_{H^1}``, the error of the embedded third-order solution.
+
+    ``k5`` is the next step's first stage, possibly on a larger band; the
+    norm is taken on ``k4``'s band, with ``weights`` the square roots of the
+    H^1 weights.
+    """
+    gap = k4 - k5[: k4.size]
+    gap *= weights[: k4.size]
+    return h / 6.0 * math.sqrt(np.vdot(gap, gap).real)
 
 
 def _tail_max(uh, m: int) -> float:
@@ -227,7 +284,7 @@ def _tail_max(uh, m: int) -> float:
     return float(np.max(np.abs(tail))) if tail.size else 0.0
 
 
-def _compute_size(uh, m: int, n: int, tail: float) -> int:
+def _compute_size(uh, m: int, n: int, tail: float, a=None) -> int:
     """The smallest power of two in ``[m, n]`` whose 2/3 band holds ``uh``.
 
     The band holds it when every coefficient at or above mode ``2 m' / 9``
@@ -235,14 +292,17 @@ def _compute_size(uh, m: int, n: int, tail: float) -> int:
     floor (zero data) that is ``m`` itself.  ``tail`` is
     ``_tail_max(uh, m)``, which the caller keeps while ``m`` holds, so only
     the band is read; when a tail coefficient is above the floor every
-    coefficient is read, and the answer is the same either way.
+    coefficient is read, and the answer is the same either way.  ``a``,
+    when given, is ``|uh|`` on the band, which then stands for ``uh``'s own
+    band: a step's magnitudes are read before the step is kept.
     """
     if m == n:
         return m
-    a = np.abs(uh[: m // 2 + 1])
+    if a is None:
+        a = np.abs(uh[: m // 2 + 1])
     floor = BAND_FLOOR * max(float(np.max(a)), tail)
     if tail > floor:
-        a = np.abs(uh)
+        a = np.concatenate((a, np.abs(uh[m // 2 + 1 :])))
     above = np.flatnonzero(a > floor)
     while m < n and above.size and 9 * above[-1] >= 2 * m:
         m *= 2
@@ -250,7 +310,7 @@ def _compute_size(uh, m: int, n: int, tail: float) -> int:
 
 
 def _compute_operators(grid: Grid, m: int):
-    """``(Grid(m, L), pre, post, reach)`` acting on the first ``m/2 + 1`` modes of an n-grid rfft.
+    """``((Grid(m, L), pre, post), reach)`` on the first ``m/2 + 1`` modes of an n-grid rfft.
 
     The n-grid coefficients are ``n/m`` times those of the m-grid samples,
     so the exact power-of-two factors ``m/n`` and ``n/m`` are folded into
@@ -264,13 +324,26 @@ def _compute_operators(grid: Grid, m: int):
     pre = np.where(comp.keep, 2.0 - ik, 0.0) * (m / grid.n)
     post = np.where(comp.keep, (2.0 * ik + comp.ik_pow[1]) / comp.helm, 0.0) * (grid.n / m)
     B = 2.0 * np.max(np.abs(pre)) * np.max(np.abs(post))
-    return comp, pre, post, float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B)
+    return (comp, pre, post), float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B)
 
 
 def _require_stride(stride) -> int:
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
     return int(stride)
+
+
+def _snapshot_count(T: float, step: float, stride: int = 1) -> int:
+    """Snapshots of a run that lands every ``stride`` steps of ``step``, and at T.
+
+    The steps are those of :func:`simulate`: each ``step`` long, the last one
+    shortened to land on T, and none once T is within ``1e-12 T``.
+    """
+    t, steps = 0.0, 0
+    while t < T - 1e-12 * T:
+        t = min(t + min(step, T - t), T)
+        steps += 1
+    return 1 + -(-steps // stride)
 
 
 def simulate(
@@ -282,36 +355,52 @@ def simulate(
     """Integrate from u0 to time T and record snapshots along the way.
 
     The state is the rfft of u and each RK4 stage is one
-    :func:`spectral_rhs` call, the dealiased primitive form
+    :func:`_spectral_stage` call, the dealiased primitive form
     ``post * rfft(w**2)`` with ``w = irfft(pre * uh)``.
 
-    By default each step is taken from the stability bound of its own first
-    stage.  The stage's Jacobian ``d -> post * rfft(2 w irfft(pre d))`` has
+    By default the step is set by accuracy, within the stability bound.
+    The stage's Jacobian ``d -> post * rfft(2 w irfft(pre d))`` has
     spectral radius at most ``B ||w||_inf`` with
-    ``B = 2 max|pre| max|post|`` over the kept modes (Parseval), so the
-    step is ``h = min(STEP_SAFETY * RK4_IMAGINARY_LIMIT / (B ||w||_inf),
-    DT_MAX)``, re-checked on every step from the first stage's ``w``.
+    ``B = 2 max|pre| max|post|`` over the kept modes (Parseval), so no
+    step exceeds ``STEP_SAFETY * RK4_IMAGINARY_LIMIT / (B ||w||_inf)``,
+    read off each step's first stage.  Within it, each step is checked by
+    an embedded error estimate: the first stage ``k5`` of the next step,
+    which is taken anyway, gives the third-order solution
+    ``y + h (k1/6 + k2/3 + k3/3 + k5/6)``, and the error estimate
+    ``err = (h/6) ||k4 - k5||_{H^1} / ||u0||_{H^1}`` (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4).  A step with ``err <= STEP_TOL`` is
+    kept and the next step may be ``h min(5, 0.9 (STEP_TOL/err)^(1/4))``;
+    otherwise it is taken again from the kept state and first stage with
+    ``h max(0.2, 0.9 (STEP_TOL/err)^(1/4))``, and a step rejected below
+    ``STEP_FLOOR * T`` raises ``FloatingPointError``.  The first step
+    tries the stability bound.
     Snapshots run on a fixed clock of ``snapshot_stride * estimate_dt(u0)``:
-    each snapshot time is the previous one plus the clock, and a step is
-    shortened to land exactly on it and on T.  A stride-1 run whose bound
-    allows the clock's step therefore takes one step per snapshot.
-    ``dt_initial`` and ``dt_final`` are the first and last steps the bound
-    chose, before any shortening.
+    each snapshot time is the previous one plus the clock, and the steps
+    are spread evenly over what is left of the interval, ``ceil(left /
+    h_max)`` of them with ``h_max`` the smaller of the bound and the
+    accuracy's step, so the last one lands exactly on the snapshot time
+    and on T.  A stride-1 run whose ``h_max`` allows the clock's step
+    therefore takes one step per snapshot.  ``dt_initial`` and
+    ``dt_final`` are the ``h_max`` of the first and last kept steps, and
+    ``n_rejected`` counts the steps taken again.
 
     With an explicit ``dt`` every step is ``dt``, the last one shortened to
-    land on T, and a snapshot is kept every ``snapshot_stride`` steps.
+    land on T, a snapshot is kept every ``snapshot_stride`` steps, and no
+    step is checked or rejected.
 
     Either way the stages run on the compute grid of the module docstring,
-    re-chosen from ``uh`` before every step at no FFT cost.  ``B`` is taken
+    re-chosen from ``uh`` after every step at no FFT cost.  ``B`` is taken
     on that grid, because its semi-discretisation is the one being stepped.
-    The irfft on ``n`` runs only when a snapshot lands.  ``compute_n`` holds
-    the ``m`` that produced each snapshot, the first one's ``m`` for ``u0``.
+    The irfft on ``n`` runs only when a snapshot lands, into a ``K x n``
+    block sized from the clock (or from ``dt`` and the stride) before the
+    first step.  ``compute_n`` holds the ``m`` that produced each
+    snapshot, the first one's ``m`` for ``u0``.
 
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
-    a factor of 1000 over the initial datum, checked after every step: a
-    landing step reads its snapshot, any other step the Wiener-bound guard
-    of the module docstring.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0)
-    per snapshot, from the coefficients.
+    a factor of 1000 over the initial datum, checked after every kept
+    step: a landing step reads its snapshot, any other step the
+    Wiener-bound guard of the module docstring.  ``h1_drift`` holds
+    |H1(t) - H1(0)| / H1(0) per snapshot, from the coefficients.
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
@@ -324,83 +413,113 @@ def simulate(
         unit = estimate_dt(u0)
         # a stride past T / unit keeps only T; the product could overflow a float
         clock = stride * unit if stride < T / unit else np.inf
+        count = _snapshot_count(T, clock)
+    else:
+        count = _snapshot_count(T, dt, stride)
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
     # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
     h1_weights = grid.h1_weight * (grid.dx / grid.n)
+    h1_roots = np.sqrt(h1_weights)
 
     def h1(vh) -> float:
         return float(np.sqrt(np.sum(h1_weights * (vh.real**2 + vh.imag**2))))
 
-    def deriv(vh):
-        # the operators of the current compute grid, rebound when m doubles
-        return spectral_rhs(vh, comp, pre, post)
-
     uh = grid.rfft(u0.values)
     h1_0 = h1(uh)
     m = _compute_size(uh, 16, n, _tail_max(uh, 16))
-    comp, pre, post, reach = _compute_operators(grid, m)
+    # the operators of the current compute grid, rebound when m doubles
+    ops, reach = _compute_operators(grid, m)
     tail = _tail_max(uh, m)
-    times = [0.0]
-    rows = [u0.values]
-    drift = [0.0]
-    sizes = [m]
-    t, t_snap, step = 0.0, 0.0, 0
-    while t < T - 1e-12 * T:
-        grown = _compute_size(uh, m, n, tail)
-        if grown != m:
-            m = grown
-            comp, pre, post, reach = _compute_operators(grid, m)
-            tail = _tail_max(uh, m)
-        band = slice(0, m // 2 + 1)
+    times = np.empty(count)
+    values = np.empty((count, n))
+    drift = np.empty(count)
+    sizes = np.empty(count, dtype=int)
+    times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, m
+    # overflow surfaces as the named non-finite stage, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         if dt is None:
-            k1, w = _spectral_stage(uh[band], comp, pre, post)
-            k1 = _checked(1, k1)
-            peak_w = float(np.max(np.abs(w)))
-            bound = min(reach / peak_w, DT_MAX) if peak_w > 0.0 else DT_MAX
-            interval = min(clock, T - t_snap)
-            left = interval - (t - t_snap)
-            lands = left - bound <= 1e-12 * T
-            h = left if lands else bound
-            t_next = min(t_snap + interval, T) if lands else t + h
-        else:
-            k1, bound = None, dt
-            h = min(dt, T - t)
-            t_next = min(t + h, T)
-            lands = (step + 1) % stride == 0 or t_next >= T - 1e-12 * T
-        if step == 0:
-            dt_initial = bound
-        uh[band] = _rk4(uh[band], h, deriv, k1)
-        t = t_next
-        step += 1
-        if lands:
-            values = grid.irfft(uh)
-            peak = float(np.max(np.abs(values)))
-        else:
-            # the samples on the compute grid are at most the Wiener bound
-            # 2 sum|uh[band]| / n; their irfft is taken only near the guard
-            peak = 2.0 * float(np.sum(np.abs(uh[band]))) / n
-            if peak > 0.5 * guard:
-                peak = float(np.max(np.abs(comp.irfft(uh[band] * (m / n)))))
-        if peak > guard:
-            raise BlowUpError(t, step, peak, guard)
-        if lands:
-            t_snap = t
-            times.append(t)
-            rows.append(values)
-            gap = abs(h1(uh) - h1_0)
-            drift.append(gap / h1_0 if h1_0 > 0.0 else gap)
-            sizes.append(m)
+            k1, w = _stage(1, uh[: m // 2 + 1], ops)
+        proposal, dt_initial = np.inf, None
+        t, t_snap, row, step, rejected = 0.0, 0.0, 1, 0, 0
+        while row < count:
+            band = slice(0, m // 2 + 1)
+            y = uh[band]
+            if dt is None:
+                peak_w = float(np.max(np.abs(w)))
+                h_max = min(reach / peak_w, proposal) if peak_w > 0.0 else proposal
+                interval = min(clock, T - t_snap)
+                left = interval - (t - t_snap)
+                steps = max(1, math.ceil((left - 1e-12 * T) / h_max))
+                lands = steps == 1
+                h = left if lands else left / steps
+                t_next = min(t_snap + interval, T) if lands else t + h
+            else:
+                k1 = _stage(1, y, ops)[0]
+                h_max = dt
+                h = min(dt, T - t)
+                t_next = min(t + h, T)
+                lands = (step + 1) % stride == 0 or t_next >= T - 1e-12 * T
+            y_next, k4 = _band_rk4(y, h, k1, ops)
+            a = np.abs(y_next)  # read by the next compute-grid check and the guard
+            grown = _compute_size(uh, m, n, tail, a)
+            ops_next, reach_next = (
+                (ops, reach) if grown == m else _compute_operators(grid, grown)
+            )
+            if dt is None:
+                # the next step's first stage, on the grid it will be taken on
+                ahead = y_next
+                if grown != m:
+                    ahead = np.concatenate((y_next, uh[y.size : grown // 2 + 1]))
+                k5, w5 = _stage(1, ahead, ops_next)
+                err = _error_estimate(h, k4, k5, h1_roots) / h1_0 if h1_0 > 0.0 else 0.0
+                proposal = h * (min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25)) if err else 5.0)
+                if err > STEP_TOL:
+                    rejected += 1
+                    if proposal < STEP_FLOOR * T:
+                        raise FloatingPointError(
+                            f"step rejected below {STEP_FLOOR * T:.3g} at t = {t!r}: error "
+                            f"estimate {err:.3g} > STEP_TOL after {rejected} rejections"
+                        )
+                    continue
+                k1, w = k5, w5
+                uh[: ahead.size] = ahead
+            else:
+                uh[band] = y_next
+            if dt_initial is None:
+                dt_initial = h_max
+            t = t_next
+            step += 1
+            if lands:
+                values[row] = grid.irfft(uh)
+                peak = float(np.max(np.abs(values[row])))
+            else:
+                # the samples on the compute grid are at most the Wiener bound
+                # 2 sum|uh[band]| / n; their irfft is taken only near the guard
+                peak = 2.0 * float(np.sum(a)) / n
+                if peak > 0.5 * guard:
+                    peak = float(np.max(np.abs(ops[0].irfft(uh[band] * (m / n)))))
+            if peak > guard:
+                raise BlowUpError(t, step, peak, guard)
+            if lands:
+                t_snap = t
+                gap = abs(h1(uh) - h1_0)
+                times[row], drift[row], sizes[row] = t, gap / h1_0 if h1_0 > 0.0 else gap, m
+                row += 1
+            if grown != m:
+                m, ops, reach = grown, ops_next, reach_next
+                tail = _tail_max(uh, m)
 
     return Trajectory(
         grid=grid,
-        times=np.asarray(times),
-        values=np.stack(rows),
+        times=times,
+        values=values,
         dt_initial=dt_initial,
-        dt_final=bound,
+        dt_final=h_max,
         n_steps=step,
-        h1_drift=np.asarray(drift),
-        compute_n=np.asarray(sizes),
+        n_rejected=rejected,
+        h1_drift=drift,
+        compute_n=sizes,
     )
 
 

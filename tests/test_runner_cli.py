@@ -179,7 +179,7 @@ class TestRunExperiment:
         import gch.integrate as integrate_mod
 
         monkeypatch.setattr(
-            integrate_mod, "spectral_rhs", lambda uh, grid, pre, post: 100.0 * uh
+            integrate_mod, "_spectral_stage", lambda uh, grid, pre, post: (100.0 * uh, None)
         )
         cfg = parse_config(FAST.replace("snapshot_stride = 1", "snapshot_stride = 1\ndt = 0.01"))
         summary = run_experiment(cfg, out_dir=tmp_path)
@@ -545,6 +545,25 @@ class TestOneSpectrum:
         # the spectrum (~K x n, values predate the trace) and row-block temporaries: no
         # stage holds a K x n array of its own
         assert peak <= 2 * K * n * 8
+
+    def test_tail_pass_holds_one_row_block_at_a_time(self, tmp_path):
+        from gch.runner import _run_stage
+
+        cfg = parse_config(HISTORY)
+        traj = _trajectory(cfg)
+        K, n = traj.values.shape
+        traj.spectrum  # shared by every stage; taken before the trace
+        tracemalloc.start()
+        try:
+            headline = {}
+            _run_stage("asymptotics", traj, cfg, tmp_path, config_hash(cfg), headline)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert headline["Phi"] is not None
+        # 0.300 K x n x 8; 0.358 while the running trapezoid kept a view into the
+        # previous row block (7 rows, 0.067) alive as the next one was built
+        assert peak <= 0.32 * K * n * 8
 
     def test_row_blocks_change_no_number(self, tmp_path, monkeypatch):
         import gch.integrate as integrate_mod
