@@ -24,6 +24,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .integrate import Trajectory
+from .rowpass import consume, one_pass
 
 __all__ = [
     "MajorantParams",
@@ -223,31 +224,36 @@ def radius_estimate(f: Field) -> RadiusFit:
     fit; values above RESIDUAL_FLAG mark a spectrum decaying faster than
     any exponential, for which sigma is only a lower bound.
     """
-    return _radius_fit(f.grid, f.grid.rfft(f.values))
+    return _radius_fit(f.grid.k_rfft, *_fit_bands(f.grid, f.grid.rfft(f.values)))
 
 
-def _longest_run(mask: np.ndarray) -> tuple[int, int]:
-    """``(start, length)`` of the first longest run of True in ``mask``; ``(0, 0)`` if none."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    # a run of length 0 at 0 comes first: it stands in when there is no run
-    starts, lengths = np.append(0, edges[::2]), np.append(0, edges[1::2] - edges[::2])
-    best = int(np.argmax(lengths))
-    return int(starts[best]), int(lengths[best])
+def _longest_run(mask: np.ndarray):
+    """``(start, length)`` of the first longest run of True in each row of ``mask``, ``(0, 0)``
+    where there is none."""
+    # a False mode in front: the run ending there, of length 0 at 0, stands in for none
+    mask = np.concatenate((np.zeros(mask.shape[:-1] + (1,), dtype=bool), mask), axis=-1)
+    count = np.cumsum(mask, axis=-1)
+    # the length of the run ending at each mode: the count since the last False mode
+    run = count - np.maximum.accumulate(np.where(mask, 0, count), axis=-1)
+    length = np.max(run, axis=-1)
+    return np.argmax(run, axis=-1) - length, length
 
 
-def _radius_fit(grid: Grid, spec: np.ndarray) -> RadiusFit:
-    """:func:`radius_estimate` of the field whose rfft on ``grid`` is ``spec``."""
+def _fit_bands(grid: Grid, spec: np.ndarray):
+    """``(c, start, length)`` of each row of ``spec`` (rffts on ``grid``): ``|spec| / n`` and its
+    first longest run of modes above SPECTRUM_FLOOR, the lowest SKIP_MODES excluded."""
     c = np.abs(spec) / grid.n
     usable = c > SPECTRUM_FLOOR
-    usable[:SKIP_MODES] = False
-    best_start, best_len = _longest_run(usable)
-    if best_len < 10:
-        raise ValueError(
-            f"spectrum too narrow: only {best_len} usable modes above the floor"
-        )
+    usable[..., :SKIP_MODES] = False
+    return (c, *_longest_run(usable))
 
-    band = slice(best_start, best_start + best_len)
-    ks = grid.k_rfft[band]
+
+def _radius_fit(k: np.ndarray, c: np.ndarray, start: int, length: int) -> RadiusFit:
+    """:func:`radius_estimate` of one row from its :func:`_fit_bands`, ``k`` the wavenumbers."""
+    if length < 10:
+        raise ValueError(f"spectrum too narrow: only {length} usable modes above the floor")
+    band = slice(start, start + length)
+    ks = k[band]
     y = -np.log(c[band])
     slope, intercept = np.polyfit(ks, y, 1)
     fitted = slope * ks + intercept
@@ -274,29 +280,39 @@ class RadiusSeries:
         return len(self.times)
 
 
+@one_pass
 def radius_track(traj: Trajectory) -> RadiusSeries:
-    """Radius estimate per snapshot; failures invalidate single entries.
+    """Radius estimate per snapshot, in one pass; failures invalidate single entries.
 
     The initial snapshot must admit an estimate (analytic initial data);
     later failures are recorded as invalid entries rather than aborting the
-    series.
+    series.  Its ``consumer`` finds the bands per row block and fits each row.
     """
     sigma, residual = np.full(len(traj), np.nan), np.full(len(traj), np.nan)
     valid = np.zeros(len(traj), dtype=bool)
-    for i, spec in enumerate(traj.spectrum):
-        try:
-            fit = _radius_fit(traj.grid, spec)
-        except ValueError:
-            if i == 0:
-                raise  # analytic initial data required
-            continue
-        sigma[i], residual[i], valid[i] = fit.sigma, fit.residual, True
+
+    def add(rows, spec, d):
+        for i, *band in zip(range(rows.start, rows.stop), *_fit_bands(traj.grid, spec)):
+            try:
+                fit = _radius_fit(traj.grid.k_rfft, *band)
+            except ValueError:
+                if i == 0:
+                    raise  # analytic initial data required
+                continue
+            sigma[i], residual[i], valid[i] = fit.sigma, fit.residual, True
+
+    yield from consume(add, 0, len(traj))
     return RadiusSeries(times=traj.times, sigma=sigma, residual=residual, valid=valid)
 
 
+@one_pass
 def majorant_track(traj: Trajectory, params: MajorantParams = MajorantParams()):
-    """:func:`majorant_norm_argmax` of every snapshot, as two arrays."""
-    blocks = [traj.spectrum[rows] for rows in traj.row_blocks()]
-    ladder = np.concatenate([_spectral_h1_ladder(traj.grid, b, params.k_max) for b in blocks])
-    terms = _majorant_terms(ladder, params.s)
-    return np.max(terms, axis=-1), np.argmax(terms, axis=-1)
+    """:func:`majorant_norm_argmax` of every snapshot, as two arrays, in one pass."""
+    norm, argmax = np.empty(len(traj)), np.empty(len(traj), dtype=np.intp)
+
+    def add(rows, spec, d):
+        terms = _majorant_terms(_spectral_h1_ladder(traj.grid, spec, params.k_max), params.s)
+        norm[rows], argmax[rows] = np.max(terms, axis=-1), np.argmax(terms, axis=-1)
+
+    yield from consume(add, 0, len(traj))
+    return norm, argmax

@@ -18,24 +18,25 @@ e^{+y} moment instead for comparison.  The sign with which the tails are
 shed, and their exact leading coefficients (whose u_x^2 weighting differs
 from the headline moments), are in :func:`emitted_tail_amplitudes`.
 
-Every time integral is one running trapezoid over the stored snapshots,
-streamed: the pass yields the integral over [0, t_i] for each i in turn and
-holds one n-length accumulator, never a ``K x n`` block.  Each public
-function is one such pass.  A profile's pass runs up to its own time and
-gives its source, its amplitude pair and the amplitude series up to it, so
-a run reads the series from the profile it measured.
+Every time integral is one running trapezoid over the stored snapshots, a
+consumer of a row pass (:mod:`gch.rowpass`): it takes the integral over
+[0, t_i] for each i in turn and holds one n-length accumulator, never a
+``K x n`` block.  Each public function is one such pass.  A profile's
+consumer reads the rows up to its own time and gives its source, its
+amplitude pair and the amplitude series up to it, so a run reads the series
+from the profile it measured, in the pass the other diagnostics share.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, derivative
 from .integrate import Trajectory
+from .rowpass import consume, one_pass, run_pass
 
 __all__ = [
     "SourceVariant",
@@ -96,36 +97,53 @@ def _resolve_index(traj: Trajectory, t_index: int, need: int = MIN_SNAPSHOTS) ->
     return t_index
 
 
-def _running_rows(traj: Trajectory, stop: int, integrand):
-    """Yield the trapezoid integral of ``integrand(u, u_x)`` over [0, t_i], for each i < stop.
+def _running(traj: Trajectory, stop: int, integrand, each=None):
+    """A row-pass consumer of the trapezoid integral of ``integrand(u, u_x)`` over [0, t_i].
 
-    One accumulator is updated in place and yielded each time, so a caller that keeps a row
-    copies it.  The integrand is taken a row block at a time, u_x from the spectrum.  Steps
-    add up in ``np.cumsum``'s order, so each row equals ``np.trapezoid``'s result bit for bit.
+    One accumulator is updated in place and passed to ``each(i, total)`` for each i < stop
+    in turn, so a caller that keeps a row copies it; the last is the result.  Steps add up in
+    ``np.cumsum``'s order, so each row equals ``np.trapezoid``'s result bit for bit.
     """
-    grid, times = traj.grid, traj.times
-    total = previous = None
-    for rows in traj.row_blocks(stop):
-        block = integrand(traj.values[rows], grid.irfft(grid.diff_hat(traj.spectrum[rows])))
+    times, total, previous = traj.times, None, None
+
+    def add(rows, spec, d):
+        nonlocal total, previous
+        if rows.start >= stop:
+            return
+        block = integrand(d[0][: stop - rows.start], d[1][: stop - rows.start])
         for i, y in enumerate(block, rows.start):
             if total is None:
                 total = np.zeros_like(y)
             else:
                 total += (times[i] - times[i - 1]) * (y + previous) / 2.0
             previous = y
-            yield total
-        # a copy of the last row, not a view, so the block is freed before the next one is built
+            if each is not None:
+                each(i, total)
+        # a copy of the last row, not a view, so the block is freed when the pass moves on
         previous = previous.copy()
-        del block, y
+
+    yield from consume(add, 1, stop)
+    return total
 
 
-def _sources(traj: Trajectory, stop: int, variant: SourceVariant):
-    """The source h at each admissible snapshot i < stop, as new arrays, from one pass."""
-    rows = _running_rows(traj, stop, lambda u, ux: _source_values(u, ux, variant))
-    for i, row in enumerate(rows):
+def _source(total, t: float, variant: SourceVariant) -> np.ndarray:
+    """The source h from the integral ``total`` of its integrand over [0, t]."""
+    mean = total / t
+    return mean if variant is SourceVariant.MEAN else np.sqrt(mean)
+
+
+def _amplitudes(traj: Trajectory, stop: int, variant: SourceVariant, psi_literal: bool):
+    """A row-pass consumer of the source h at each admissible snapshot i < stop; it returns
+    (Amp_+, Amp_-) of each such row as a ``2 x rows`` array, and the last row (or None)."""
+    amps, last = [], [None]
+
+    def each(i, total):
         if i >= MIN_SNAPSHOTS - 1:
-            mean = row / traj.times[i]
-            yield mean if variant is SourceVariant.MEAN else np.sqrt(mean)
+            last[0] = _source(total, traj.times[i], variant)
+            amps.append(_amplitude_pair(traj.grid, last[0], psi_literal))
+
+    yield from _running(traj, stop, lambda u, ux: _source_values(u, ux, variant), each)
+    return np.array(amps, dtype=float).reshape(-1, 2).T, last[0]
 
 
 def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) -> Field:
@@ -137,33 +155,28 @@ def averaged_source(traj: Trajectory, t_index: int, variant=SourceVariant.MEAN) 
     quadrature error; h is the last row of one running trapezoid pass.
     """
     variant = SourceVariant(variant)
-    t_index = _resolve_index(traj, t_index)
-    return Field(traj.grid, deque(_sources(traj, t_index + 1, variant), maxlen=1).pop())
+    i = _resolve_index(traj, t_index)
+    total = run_pass(traj, _running(traj, i + 1, lambda u, ux: _source_values(u, ux, variant)))
+    return Field(traj.grid, _source(total, traj.times[i], variant))
 
 
-def _amplitudes(grid, rows, psi_literal: bool = False):
-    """(Amp_+, Amp_-) of each source row as a ``2 x len(rows)`` array, and the last row read.
+def _amplitude_pair(grid, h: np.ndarray, psi_literal: bool = False) -> tuple[float, float]:
+    """(Amp_+, Amp_-) of the source row ``h``, checked for finite samples and boundary decay.
 
-    ``rows`` may be lazy: it is read one row at a time, each checked for finite samples and
-    boundary decay before its moments.  The last row is None when ``rows`` is empty.
-    e^{+-y} is taken with each row, so between rows a pass holds only its accumulator and
-    the current row block: two more n-length arrays kept across rows once cost a history
-    run ~2 MB of peak RSS.
+    e^{+-y} is taken with each row: two n-length arrays kept across the rows of a pass
+    once cost a history run ~2 MB of peak RSS.
     """
+    if not np.all(np.isfinite(h)):
+        raise ValueError("source contains non-finite samples")
     x, dx = grid.x, grid.dx
-    amps, h = [], None
-    for h in rows:
-        if not np.all(np.isfinite(h)):
-            raise ValueError("source contains non-finite samples")
-        edge = max(abs(np.exp(-x[0]) * h[0]), abs(np.exp(x[-1]) * h[-1]))
-        if edge > BOUNDARY_INTEGRAND_TOL:
-            raise ValueError(
-                "insufficient decay for profile integral: boundary integrand "
-                f"{edge:.3e} exceeds {BOUNDARY_INTEGRAND_TOL:g}"
-            )
-        right = 0.5 * float(np.sum(np.exp(x) * h) * dx)
-        amps.append((right, right if psi_literal else 0.5 * float(np.sum(np.exp(-x) * h) * dx)))
-    return np.array(amps, dtype=float).reshape(-1, 2).T, h
+    edge = max(abs(np.exp(-x[0]) * h[0]), abs(np.exp(x[-1]) * h[-1]))
+    if edge > BOUNDARY_INTEGRAND_TOL:
+        raise ValueError(
+            "insufficient decay for profile integral: boundary integrand "
+            f"{edge:.3e} exceeds {BOUNDARY_INTEGRAND_TOL:g}"
+        )
+    right = 0.5 * float(np.sum(np.exp(x) * h) * dx)
+    return right, right if psi_literal else 0.5 * float(np.sum(np.exp(-x) * h) * dx)
 
 
 def tail_amplitudes(h: Field, psi_literal: bool = False):
@@ -173,7 +186,7 @@ def tail_amplitudes(h: Field, psi_literal: bool = False):
     rectangle rule; ``psi_literal`` makes the left amplitude use e^{+y} as
     well, collapsing it onto Amp_+.
     """
-    return tuple(map(float, _amplitudes(h.grid, [h.values], psi_literal)[0][:, 0]))
+    return _amplitude_pair(h.grid, h.values, psi_literal)
 
 
 def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: bool = False):
@@ -194,8 +207,8 @@ def initial_tail_amplitudes(u0: Field, variant=SourceVariant.MEAN, psi_literal: 
 
 def amplitude_series(traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: bool = False):
     """Amplitudes at every admissible snapshot time, in one pass; returns (times, amp+, amp-)."""
-    sources = _sources(traj, len(traj), SourceVariant(variant))
-    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *_amplitudes(traj.grid, sources, psi_literal)[0]
+    amps, _ = run_pass(traj, _amplitudes(traj, len(traj), SourceVariant(variant), psi_literal))
+    return traj.times[MIN_SNAPSHOTS - 1 :].copy(), *amps
 
 
 @dataclass
@@ -286,8 +299,8 @@ def emitted_tail_amplitudes(traj: Trajectory, t_index: int) -> tuple[float, floa
     left_coefficient) as the signed coefficients of e^{-x} t and e^{+x} t.
     """
     t_index = _resolve_index(traj, t_index, need=1)
-    squares = _running_rows(traj, t_index + 1, lambda u, ux: np.stack((u**2, ux**2), 1))
-    avg_u2, avg_ux2 = deque(squares, maxlen=1).pop() / traj.times[t_index]
+    squares = _running(traj, t_index + 1, lambda u, ux: np.stack((u**2, ux**2), 1))
+    avg_u2, avg_ux2 = run_pass(traj, squares) / traj.times[t_index]
     dx = traj.grid.dx
     ex = np.exp(traj.grid.x)
     right = -0.5 * float(np.sum(ex * (6.0 * avg_u2 + avg_ux2)) * dx)
@@ -394,6 +407,7 @@ class AsymptoticProfile:
     series: tuple
 
 
+@one_pass
 def extract_profile(
     traj: Trajectory,
     t_index: int,
@@ -409,7 +423,7 @@ def extract_profile(
     """
     variant = SourceVariant(variant)
     i = _resolve_index(traj, t_index)
-    amps, h = _amplitudes(traj.grid, _sources(traj, i + 1, variant), psi_literal)
+    amps, h = yield from _amplitudes(traj, i + 1, variant, psi_literal)
     h = Field(traj.grid, h)
     amp_right, amp_left = map(float, amps[:, -1])
     return AsymptoticProfile(

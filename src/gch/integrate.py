@@ -50,7 +50,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -103,14 +102,17 @@ BOUNDARY_TOLERANCE = 1e-8
 #: when the compute grid is chosen: well above the ~1e-17 roundoff plateau
 #: of the rfft and well below the 1e-13 that ``radius_estimate`` reads.
 BAND_FLOOR = 1e-15
-#: Spectrum bytes per diagnostic row block.  Against per-snapshot work, one history run's
-#: (n = 4096, K = 104) peak RSS rose 2.3 MB with K x n temporaries and fell 0.7 MB in blocks.
+#: Spectrum bytes per row block of a diagnostic pass (:mod:`gch.rowpass`).  Against per-snapshot
+#: work, a history run's (n = 4096, K = 104) peak RSS rose 2.3 MB with K x n temporaries and
+#: fell 0.7 MB in blocks; the one pass holds one block's spectrum, u_x and u_xx at a time.
 ROW_BLOCK_BYTES = 2**18
+#: Rows per chunk of CSV text.
+CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots as one read-only ``K x n`` block with its cached rfft, plus run metadata."""
+    """Snapshots as one read-only ``K x n`` block, plus run metadata."""
 
     grid: Grid
     times: np.ndarray
@@ -124,7 +126,7 @@ class Trajectory:
     compute_n: np.ndarray | None = None  # compute-grid size per snapshot
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).view()  # read-only: spectrum is cached
+        values = np.asarray(self.values, dtype=float).view()  # read-only: validated once
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.shape != (len(self), self.grid.n):
@@ -136,13 +138,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """The rfft of every row, ``K x (n/2 + 1)``, read-only."""
-        spec = self.grid.rfft(self.values)
-        spec.setflags(write=False)
-        return spec
 
     def row_blocks(self, stop: int | None = None) -> list:
         """Slices of the first ``stop`` rows (default all), ROW_BLOCK_BYTES of spectrum each."""
@@ -523,19 +518,27 @@ def simulate(
     )
 
 
-def _write_rows(stream, config_hash: str, header: str, rows) -> None:
-    """CSV text under a ``# config-hash`` line and ``header``; floats, numpy's too, as repr."""
+def _write_rows(stream, config_hash: str, header: str, blocks) -> None:
+    """CSV text under a ``# config-hash`` line and ``header``: each block's rows in turn.
+
+    A block is a tuple of equal-length columns.  Floats are written as repr and others as
+    str, each column formatted once per chunk of CSV_CHUNK rows, so no whole-file text is
+    held: a whole-file writer raised long's VmHWM by ~0.8 MB.
+    """
     stream.write(f"# config-hash: {config_hash}\n{header}\n")
-    for row in rows:
-        stream.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
-        stream.write("\n")
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            chunk = [col[start : start + CSV_CHUNK] for col in columns]
+            text = [list(map(repr if c.dtype.kind == "f" else str, c.tolist())) for c in chunk]
+            stream.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def snapshots_to_csv(traj: Trajectory, stream, config_hash: str) -> None:
     """Write the trajectory in long format with columns t,x,u, under a config-hash line."""
-    times = np.asarray(traj.times, dtype=float)
-    rows = ((t, *pair) for t, row in zip(times, traj.values) for pair in zip(traj.grid.x, row))
-    _write_rows(stream, config_hash, "t,x,u", rows)
+    times, x = np.asarray(traj.times, dtype=float), traj.grid.x
+    blocks = ((np.full(x.size, t), x, row) for t, row in zip(times, traj.values))
+    _write_rows(stream, config_hash, "t,x,u", blocks)
 
 
 _CHECKPOINT_MAGIC = b"GCH1"

@@ -22,6 +22,7 @@ import numpy as np
 
 from .grid import lp_norms
 from .integrate import Trajectory
+from .rowpass import consume, one_pass, run_pass, together
 from .weights import (
     WeightSpec,
     admissibility_report,
@@ -70,24 +71,25 @@ class PersistenceLedger:
         return self.W[0] * np.exp(self.C_fit * self.M * self.times)
 
 
+@one_pass
 def persistence_ledger(
     traj: Trajectory, phi: WeightSpec, p: float, N: float | None = None
 ) -> PersistenceLedger:
-    """Measure the weighted triple norm along the trajectory and fit its growth."""
-    _require_valid(traj)
-    if N is None:
-        # the weight's value at 0.9 L, away from the active region
-        N = float(eval_weight(phi, 0.9 * traj.grid.half_width))
-    grid = traj.grid
-    w_vals = weight_on_grid(truncate_weight(phi, N), grid)
+    """Measure the weighted triple norm along the trajectory and fit its growth, in one pass.
 
-    # u, u_x and u_xx a row block at a time, the derivatives from the one spectrum
+    Its ``consumer`` takes the sups and W from u, u_x and u_xx of each row block.
+    """
+    _require_valid(traj)
+    N, w_vals = _truncated(traj, phi, N)
+    grid = traj.grid
     sups, W = np.zeros(len(traj)), np.zeros(len(traj))
-    for rows in traj.row_blocks():
-        spec = traj.spectrum[rows]
-        for f in (traj.values[rows], *(grid.irfft(grid.diff_hat(spec, k)) for k in (1, 2))):
+
+    def add(rows, spec, d):
+        for f in d[:3]:
             sups[rows] += lp_norms(f, grid.dx, np.inf)
             W[rows] += lp_norms(f * w_vals, grid.dx, p)
+
+    yield from consume(add, 2, len(traj))
     M = float(np.max(sups))
 
     if W[0] == 0.0:
@@ -107,6 +109,13 @@ def persistence_ledger(
         times=traj.times, W=W, M=M, C_fit=C_fit, N_used=N, p=p,
         weight=phi, binding_index=binding,
     )
+
+
+def _truncated(traj: Trajectory, phi: WeightSpec, N: float | None = None):
+    """(N, w_N) on the grid; N defaults to the weight's value at 0.9 L, off the active region."""
+    if N is None:
+        N = float(eval_weight(phi, 0.9 * traj.grid.half_width))
+    return N, weight_on_grid(truncate_weight(phi, N), traj.grid)
 
 
 @dataclass
@@ -134,20 +143,23 @@ class TwoTierReport:
         )
 
 
-def _weighted_l1_sources(traj: Trajectory, w_vals: np.ndarray):
-    """L^1 norms of the two convolution sources, weighted.
+def _weighted_l1_sources(traj: Trajectory, phi: WeightSpec):
+    """L^1 norms of the two convolution sources, weighted by ``phi`` truncated at its default
+    level: a row-pass consumer.
 
     source_plain carries (2 u_x^2 + 6 u^2) + d_x(u_x^2); the differentiated
     variant carries d_x(2 u_x^2 + 6 u^2) + u_x^2.
     """
-    grid = traj.grid
+    grid, w_vals = traj.grid, _truncated(traj, phi)[1]
     plain, diffed = np.empty(len(traj)), np.empty(len(traj))
-    for rows in traj.row_blocks():
-        u2 = traj.values[rows] ** 2
-        ux2 = grid.irfft(grid.diff_hat(traj.spectrum[rows], 1)) ** 2
+
+    def add(rows, spec, d):
+        u2, ux2 = d[0] ** 2, d[1] ** 2
         base = 2.0 * ux2 + 6.0 * u2
         plain[rows] = lp_norms((base + grid.diff(ux2)) * w_vals, grid.dx, 1.0)
         diffed[rows] = lp_norms((grid.diff(base) + ux2) * w_vals, grid.dx, 1.0)
+
+    yield from consume(add, 1, len(traj))
     return plain, diffed
 
 
@@ -170,12 +182,10 @@ def two_tier_persistence_check(traj: Trajectory, phi: WeightSpec, p: float) -> T
             ledger_root=None,
         )
 
-    ledger_primary = persistence_ledger(traj, phi, p)
-    ledger_root = persistence_ledger(traj, phi.sqrt(), 2.0)
-
-    N_used = ledger_primary.N_used
-    w_vals = weight_on_grid(truncate_weight(phi, N_used), traj.grid)
-    source_plain, source_diffed = _weighted_l1_sources(traj, w_vals)
+    # both ledgers and the sources, weighted as the primary ledger, in one pass
+    ledger = persistence_ledger.consumer
+    passes = ledger(traj, phi, p), ledger(traj, phi.sqrt(), 2.0), _weighted_l1_sources(traj, phi)
+    ledger_primary, ledger_root, (source_plain, source_diffed) = run_pass(traj, together(*passes))
 
     # Envelope K exp(2 C M t) with C from the sqrt-weight tier, whose
     # squared L^2 bounds control these L^1 series.

@@ -19,14 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyticity import (
-    MajorantParams,
-    _operator_bounds,
-    _operator_ladders,
-    majorant_track,
-    radius_track,
-)
-from .asymptotics import MIN_SNAPSHOTS, extract_profile
+# the stages read their consumers off these modules: perfbench's tracer may wrap this
+# module's names of the public functions in functions that have no ``consumer``
+from . import analyticity, asymptotics, persistence
+from .analyticity import MajorantParams, _operator_bounds, _operator_ladders
+from .asymptotics import MIN_SNAPSHOTS
 from .config import ExperimentConfig, config_hash, validate_config
 from .dynamics import RhsForm, form_residual, max_form_residual, sqrt3_residual_field
 from .errors import BlowUpError, ConfigError
@@ -35,13 +32,14 @@ from .grid import Field, Grid, lp_norm, sample
 from .helmholtz import green_convolve_direct, helmholtz_inverse
 from .integrate import BOUNDARY_TOLERANCE, Trajectory, _write_rows, simulate
 from .integrate import write_checkpoint, write_snapshots
+from .rowpass import run_pass, together
+from .weights import WeightSpec, _young_slacks, admissibility_report, weight_on_grid
 
 # not called here; perfbench's tracer wraps them in gch.runner, so they stay importable
-from .analyticity import majorant_norm_argmax, operator_bound_report  # noqa: F401
-from .asymptotics import amplitude_series  # noqa: F401
+from .analyticity import majorant_norm_argmax, operator_bound_report, radius_track  # noqa: F401
+from .asymptotics import amplitude_series, extract_profile  # noqa: F401
 from .integrate import snapshots_to_csv  # noqa: F401
-from .persistence import persistence_ledger
-from .weights import WeightSpec, _young_slacks, admissibility_report, weight_on_grid
+from .persistence import persistence_ledger  # noqa: F401
 from .weights import weighted_young_check  # noqa: F401
 
 __all__ = ["RunSummary", "run_experiment", "selftest", "SelftestReport"]
@@ -95,9 +93,9 @@ def _os_errors(what: str, path: Path):
         raise ConfigError([f"{what} {str(path)!r}: {exc.strerror or exc}"]) from None
 
 
-def _write_csv(path: Path, chash: str, header: str, rows) -> None:
+def _write_csv(path: Path, chash: str, header: str, columns) -> None:
     with _os_errors("cannot write", path), open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, chash, header, rows)
+        _write_rows(fh, chash, header, [columns])
 
 
 def _json_text(payload: dict) -> str:
@@ -128,21 +126,21 @@ def _profile_index(traj: Trajectory, t_star) -> int:
 
 
 def _persistence(traj, cfg, payload):
-    ledger = persistence_ledger(traj, WeightSpec(*cfg.phi), cfg.p, N=cfg.N)
+    consumer = persistence.persistence_ledger.consumer(traj, WeightSpec(*cfg.phi), cfg.p, cfg.N)
+    ledger = yield from consumer
     payload.update(
         M=ledger.M, C_fit=ledger.C_fit, N_used=ledger.N_used, p=ledger.p,
         weight=str(ledger.weight), degenerate=ledger.degenerate,
     )
     bound = ledger.bound() if not ledger.degenerate else np.zeros_like(ledger.W)
-    return "t,W,bound", zip(ledger.times, ledger.W, bound)
+    return "t,W,bound", (ledger.times, ledger.W, bound)
 
 
 def _asymptotics(traj, cfg, payload):
     idx = _profile_index(traj, cfg.t_star)
     payload.update(t=float(traj.times[idx]), variant=cfg.variant, d=cfg.d)
-    profile = extract_profile(
-        traj, idx, cfg.resolved_window(), d=cfg.d, variant=cfg.source_variant,
-        psi_literal=cfg.psi_literal,
+    profile = yield from asymptotics.extract_profile.consumer(
+        traj, idx, cfg.resolved_window(), cfg.d, cfg.source_variant, cfg.psi_literal
     )
     _, plus, _ = profile.series
     ratio, amp = profile.ratio_right, profile.amp_right
@@ -152,13 +150,14 @@ def _asymptotics(traj, cfg, payload):
         median_ratio=ratio.median, ratio_rel_deviation=ratio.rel_deviation,
         log_exponent=profile.log_fit.slope, log_fit_degenerate=profile.log_fit.degenerate,
     )
-    return "x,r,Phi,deviation", ((x, r, amp, abs(r - amp)) for x, r in zip(ratio.xs, ratio.ratios))
+    amps = np.full(ratio.xs.size, amp)
+    return "x,r,Phi,deviation", (ratio.xs, ratio.ratios, amps, np.abs(ratio.ratios - amps))
 
 
 def _analyticity(traj, cfg, payload):
-    series = radius_track(traj)
     params = MajorantParams()
-    _, argmax = majorant_track(traj, params)
+    radius, majorant = analyticity.radius_track.consumer, analyticity.majorant_track.consumer
+    series, (_, argmax) = yield from together(radius(traj), majorant(traj, params))
     valid = series.valid
     payload.update(
         degenerate=False, sigma0=float(series.sigma[0]),
@@ -167,11 +166,12 @@ def _analyticity(traj, cfg, payload):
         max_residual=float(np.max(series.residual[valid])),
         majorant_scale=params.s, majorant_order=params.k_max,
     )
-    return "t,sigma,residual,argmax_k", zip(series.times, series.sigma, series.residual, argmax)
+    return "t,sigma,residual,argmax_k", (series.times, series.sigma, series.residual, argmax)
 
 
-# stage -> (compute, CSV file, headline keys).  compute(traj, cfg, payload) only computes:
-# it fills the stage's JSON payload as values become known and returns the CSV header and rows
+# stage -> (consumer, CSV file, headline keys).  consumer(traj, cfg, payload) is a row-pass
+# consumer that only computes: it fills the stage's JSON payload as values become known
+# and returns the CSV header and columns
 _STAGES = {
     "persistence": (_persistence, "persistence.csv", ("M", "C_fit")),
     "asymptotics": (_asymptotics, "tail_ratio.csv", ("Phi", "Psi")),
@@ -179,26 +179,33 @@ _STAGES = {
 }
 
 
-def _run_stage(name, traj, cfg, out, chash, headline) -> dict:
-    """Run stage ``name``, write its CSV and JSON and fill its headline keys; return its artifacts.
+def _run_stages(names, traj, cfg, out, chash, headline, flags) -> dict:
+    """Run the stages ``names`` in one row pass, write their CSV and JSON, return the artifacts.
 
-    A ``ValueError`` in the stage means its measurement does not exist: the JSON says why
-    (``degenerate``, ``reason``), no CSV is written and the headline keys are None.  Any
-    other exception propagates.
+    A stage that raises leaves the pass to the others.  A ``ValueError`` means its
+    measurement does not exist: the JSON says why (``degenerate``, ``reason``), no CSV is
+    written and the headline keys are None.  Any other exception is the stage's
+    ``<name>_error``, with no artifact, and clears ``diagnostics_ok``.
     """
-    compute, csv_name, keys = _STAGES[name]
-    payload: dict = {}
-    artifacts = {f"{name}_json": f"{name}.json"}
-    try:
-        header, rows = compute(traj, cfg, payload)
-    except ValueError as exc:
-        payload.update(degenerate=True, reason=str(exc))
-        headline.update(dict.fromkeys(keys))
-    else:
-        _write_csv(out / csv_name, chash, header, rows)
-        artifacts[csv_name.replace(".", "_")] = csv_name
-        headline.update({key: payload[key] for key in keys})
-    _write_json(out / f"{name}.json", payload)
+    payloads = [{} for _ in names]
+    stages = (_STAGES[name][0](traj, cfg, payload) for name, payload in zip(names, payloads))
+    outcomes = run_pass(traj, together(*stages, isolate=True))
+    artifacts: dict = {}
+    for name, payload, outcome in zip(names, payloads, outcomes):
+        _, csv_name, keys = _STAGES[name]
+        if isinstance(outcome, Exception) and not isinstance(outcome, ValueError):
+            flags["diagnostics_ok"] = False
+            headline[f"{name}_error"] = f"stage '{name}' failed: {outcome}"
+            continue
+        artifacts[f"{name}_json"] = f"{name}.json"
+        if isinstance(outcome, ValueError):
+            payload.update(degenerate=True, reason=str(outcome))
+            headline.update(dict.fromkeys(keys))
+        else:
+            _write_csv(out / csv_name, chash, *outcome)
+            artifacts[csv_name.replace(".", "_")] = csv_name
+            headline.update({key: payload[key] for key in keys})
+        _write_json(out / f"{name}.json", payload)
     return artifacts
 
 
@@ -250,14 +257,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             headline["max_form_residual"] = max_form_residual(
                 Field(Grid(m, cfg.L), traj.values[-1][:: cfg.n // m])
             )
-            for name in cfg.run:
-                try:
-                    artifacts.update(_run_stage(name, traj, cfg, out, chash, headline))
-                except ConfigError:  # an artifact that cannot be written
-                    raise
-                except Exception as exc:
-                    flags["diagnostics_ok"] = False
-                    headline[f"{name}_error"] = f"stage '{name}' failed: {exc}"
+            artifacts.update(_run_stages(cfg.run, traj, cfg, out, chash, headline, flags))
 
     summary = RunSummary(cfg, chash, time.perf_counter() - start, flags, headline, artifacts)
     _write_json(out / "summary.json", summary.to_flat_dict())

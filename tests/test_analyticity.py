@@ -227,6 +227,12 @@ def test_longest_run_matches_the_loop(mask):
     assert _longest_run(mask) == _longest_run_loop(mask)
 
 
+def test_longest_runs_of_a_block_are_those_of_its_rows():
+    masks = np.array([mask for name, mask in _MASKS.items() if name.startswith("random_")])
+    starts, lengths = _longest_run(masks)
+    assert list(zip(starts, lengths)) == [_longest_run_loop(mask) for mask in masks]
+
+
 @pytest.fixture(scope="module")
 def run(grid1024):
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
@@ -270,9 +276,9 @@ class TestRadiusTrack:
         calls = []
         true_fit = analyticity_mod._radius_fit
 
-        def counted(grid, spec):
-            calls.append(spec)
-            return true_fit(grid, spec)
+        def counted(*args):
+            calls.append(args)
+            return true_fit(*args)
 
         monkeypatch.setattr(analyticity_mod, "_radius_fit", counted)
         radius_track(run)
@@ -297,7 +303,7 @@ class TestMajorantTrack:
         from gch.analyticity import _spectral_h1_ladder
 
         # a zero row keeps its zeros: its floor masks nothing
-        spec = np.vstack([run.spectrum, np.zeros_like(run.spectrum[:1])])
+        spec = run.grid.rfft(np.vstack([run.values, np.zeros_like(run.values[:1])]))
         block = _spectral_h1_ladder(run.grid, spec, 14)
         rows = np.stack([_spectral_h1_ladder(run.grid, row, 14) for row in spec])
         assert np.array_equal(block, rows)

@@ -33,6 +33,7 @@ from gch import (
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import radius_estimate
 from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_size, _tail_max
+from gch.rowpass import consume, run_pass, together
 
 
 def _force(monkeypatch, stage):
@@ -664,11 +665,44 @@ class TestTrajectory:
         assert block.flags.writeable and not traj.values.flags.writeable
         assert np.array_equal(traj.values, block)
 
-    def test_spectrum_is_the_cached_rfft_of_every_row(self, traj):
-        spec = traj.spectrum
-        assert spec is traj.spectrum
-        assert not spec.flags.writeable
-        assert np.array_equal(spec, np.stack([traj.grid.rfft(row) for row in traj.values]))
+    @pytest.mark.parametrize("top", [0, 1, 2])
+    def test_a_pass_takes_each_blocks_rfft_and_derivatives(self, traj, monkeypatch, top):
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", 3 * 16 * 513)
+        blocks = []
+        run_pass(traj, consume(lambda *block: blocks.append(block), top, 5))
+        assert [rows for rows, _, _ in blocks] == [slice(0, 3), slice(3, 5)]
+        grid = traj.grid
+        for rows, spec, d in blocks:
+            assert len(d) == top + 1 and np.array_equal(d[0], traj.values[rows])
+            # bit for bit the rfft and derivatives of each row on its own
+            for i, row in enumerate(traj.values[rows]):
+                row_spec = grid.rfft(row)
+                assert np.array_equal(spec[i], row_spec)
+                for k in range(1, top + 1):
+                    assert np.array_equal(d[k][i], grid.irfft(grid.diff_hat(row_spec, k)))
+
+    def test_together_isolates_a_consumer_that_raises(self, traj, monkeypatch):
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", 16 * 513)
+
+        def fail_at_row_3(rows, spec, d):
+            if rows.start == 3:
+                raise ValueError("row 3")
+
+        def failing():
+            return consume(fail_at_row_3, 0, len(traj))
+
+        seen = []
+        watching = consume(lambda rows, spec, d: seen.append((rows.start, len(d))), 1, len(traj))
+        failed, watched = run_pass(traj, together(failing(), watching, isolate=True))
+        assert isinstance(failed, ValueError) and watched is None
+        # the pass went on, with the derivatives the other consumer asked for
+        assert seen == [(i, 2) for i in range(len(traj))]
+        with pytest.raises(ValueError, match="row 3"):
+            run_pass(traj, together(failing()))
 
     def test_fields_are_the_rows(self, traj):
         assert all(np.array_equal(u.values, row) for u, row in zip(traj.snapshots, traj.values))

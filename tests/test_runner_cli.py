@@ -129,14 +129,14 @@ class TestRunExperiment:
         assert "boundary integrand" in payload["reason"]
 
     def test_asymptotics_stage_builds_its_source_once(self, tmp_path, fft_calls):
-        from gch.runner import _run_stage
+        from gch.runner import _run_stages
 
         cfg = parse_config(FAST)
         u0 = sample(Grid(cfg.n, cfg.L), lambda x: cfg.amplitude / np.cosh(x) ** 2)
         traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride)
         fft_calls.clear()
         headline = {}
-        _run_stage("asymptotics", traj, cfg, tmp_path, config_hash(cfg), headline)
+        _run_stages(("asymptotics",), traj, cfg, tmp_path, config_hash(cfg), headline, {})
         assert headline["Phi"] > 0
         # the MEAN source costs one FFT pair per snapshot, for the whole stage
         assert len(fft_calls) <= 2 * len(traj)
@@ -477,6 +477,7 @@ class TestCrossProcessStability:
 
 
 # the history benchmark workload's run: every step kept at n = 4096 to T = 1, 104 snapshots
+SHOWCASE = (Path(__file__).parents[1] / "configs" / "showcase.cfg").read_text(encoding="utf-8")
 HISTORY = """
 [grid]
 n = 4096
@@ -501,19 +502,25 @@ def _trajectory(cfg, T=None):
     return simulate(u0, cfg.T if T is None else T, snapshot_stride=cfg.snapshot_stride)
 
 
-def _run_stages(traj, cfg, out):
-    """The three diagnostic stages of ``run_experiment`` on one trajectory; the headline."""
-    from gch.runner import _run_stage
+STAGES = ("persistence", "asymptotics", "analyticity")
+
+
+def _run_stages(traj, cfg, out, names=STAGES, flags=None):
+    """The stages ``names`` of ``run_experiment``, in one pass over one trajectory; the headline."""
+    from gch.runner import _run_stages as run_stages
 
     out.mkdir(parents=True)
     headline = {}
-    for name in ("persistence", "asymptotics", "analyticity"):
-        _run_stage(name, traj, cfg, out, config_hash(cfg), headline)
+    run_stages(names, traj, cfg, out, config_hash(cfg), headline, {} if flags is None else flags)
     return headline
 
 
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 class TestOneSpectrum:
-    """The stages share the trajectory's one spectrum and take temporaries a row block at a time."""
+    """The stages share one pass: each row block's rfft and derivatives are taken once."""
 
     def test_fft_calls_do_not_grow_with_the_snapshots(self, tmp_path, fft_calls):
         cfg = parse_config(FAST)
@@ -525,10 +532,21 @@ class TestOneSpectrum:
             headline = _run_stages(traj, cfg, tmp_path / str(K))
             assert not any(key.endswith("_error") for key in headline)
             counts.append(Counter(fft_calls))
-            # u_x and u_xx for the ledger, u_x for the source: per row block, not per snapshot
-            assert counts[-1]["irfft"] == 3 * len(traj.row_blocks())
+            # one rfft per row block, and u_x and u_xx once each for the ledger and the source
+            assert counts[-1]["rfft"] == len(traj.row_blocks()) == 1
+            assert counts[-1]["irfft"] == 2 * len(traj.row_blocks())
         assert counts[0] == counts[1]
-        assert counts[0]["rfft"] == 1
+
+    def test_fft_calls_per_row_block_on_a_history_run(self, fft_calls, tmp_path):
+        cfg = parse_config(HISTORY)
+        traj = _trajectory(cfg)
+        for names, derivatives in ((STAGES, 2), (("asymptotics", "analyticity"), 1)):
+            fft_calls.clear()
+            _run_stages(traj, cfg, tmp_path / str(len(names)), names)
+            blocks = len(traj.row_blocks())
+            assert blocks == 15
+            # u_xx only when the ledger is run
+            assert Counter(fft_calls) == {"rfft": blocks, "irfft": derivatives * blocks}
 
     def test_traced_peak_on_a_history_run(self, tmp_path):
         cfg = parse_config(HISTORY)
@@ -542,28 +560,41 @@ class TestOneSpectrum:
         finally:
             tracemalloc.stop()
         assert not any(key.endswith("_error") for key in headline)
-        # the spectrum (~K x n, values predate the trace) and row-block temporaries: no
-        # stage holds a K x n array of its own
-        assert peak <= 2 * K * n * 8
+        # 0.452 K x n x 8: one row block's spectrum, u_x and u_xx and the stages'
+        # temporaries (values predate the trace); 1.30 with the whole spectrum cached
+        assert peak <= 0.5 * K * n * 8
 
     def test_tail_pass_holds_one_row_block_at_a_time(self, tmp_path):
-        from gch.runner import _run_stage
-
         cfg = parse_config(HISTORY)
         traj = _trajectory(cfg)
         K, n = traj.values.shape
-        traj.spectrum  # shared by every stage; taken before the trace
         tracemalloc.start()
         try:
-            headline = {}
-            _run_stage("asymptotics", traj, cfg, tmp_path, config_hash(cfg), headline)
+            headline = _run_stages(traj, cfg, tmp_path / "out", ("asymptotics",))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert headline["Phi"] is not None
-        # 0.300 K x n x 8; 0.358 while the running trapezoid kept a view into the
-        # previous row block (7 rows, 0.067) alive as the next one was built
-        assert peak <= 0.32 * K * n * 8
+        # 0.368 K x n x 8, of which one row block's spectrum is 0.067
+        assert peak <= 0.39 * K * n * 8
+
+    @pytest.mark.parametrize(
+        "config",
+        [FAST, HISTORY, HISTORY + "t_star = 0.25\n", SHOWCASE],
+        ids=["golden", "history", "history_t_star", "showcase"],
+    )
+    def test_each_stage_writes_what_it_writes_alone(self, tmp_path, config):
+        # the golden config is FAST; a t_star profile stops inside a row block
+        cfg = parse_config(config)
+        traj = _trajectory(cfg)
+        _run_stages(traj, cfg, tmp_path / "all")
+        together = _files(tmp_path / "all")
+        assert len(together) == 6
+        for name in STAGES:
+            _run_stages(traj, cfg, tmp_path / name, (name,))
+            alone = _files(tmp_path / name)
+            assert len(alone) == 2
+            assert alone == {key: together[key] for key in alone}
 
     def test_row_blocks_change_no_number(self, tmp_path, monkeypatch):
         import gch.integrate as integrate_mod
@@ -635,19 +666,50 @@ class TestStages:
         assert not (tmp_path / "persistence.csv").exists()
 
     def test_other_exceptions_fail_the_stage(self, tmp_path, monkeypatch):
-        import gch.runner as runner_mod
+        import gch.analyticity as analyticity_mod
 
-        def overflow(*args, **kwargs):
-            raise OverflowError("forced")
+        true_terms, calls = analyticity_mod._majorant_terms, []
 
-        monkeypatch.setattr(runner_mod, "majorant_track", overflow)
-        summary = run_experiment(parse_config(FAST), out_dir=tmp_path)
+        def overflow_on_the_third_block(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OverflowError("forced")
+            return true_terms(*args)
+
+        monkeypatch.setattr(analyticity_mod, "_majorant_terms", overflow_on_the_third_block)
+        summary = run_experiment(parse_config(HISTORY), out_dir=tmp_path / "run")
+        assert len(calls) == 3  # mid-pass: the pass went on without the stage
         assert summary.headline["analyticity_error"] == "stage 'analyticity' failed: forced"
         assert summary.flags["diagnostics_ok"] is False
         assert summary.exit_code == 1
-        for name in ("persistence.csv", "persistence.json", "tail_ratio.csv", "asymptotics.json"):
-            assert (tmp_path / name).exists(), name
-        assert not (tmp_path / "analyticity.json").exists()
+        assert not (tmp_path / "run" / "analyticity.json").exists()
+        self._assert_others_as_alone(tmp_path, ("persistence", "asymptotics"))
+
+    def test_a_degenerate_stage_leaves_the_pass_to_the_others(self, tmp_path):
+        # the profile at T fails the boundary-decay check at a snapshot after the first
+        # row block, mid-pass
+        cfg = parse_config(HISTORY.replace("amplitude = 0.05", "amplitude = 0.12"))
+        summary = run_experiment(cfg, out_dir=tmp_path / "run")
+        assert summary.exit_code == 0 and summary.headline["Phi"] is None
+        payload = json.loads((tmp_path / "run" / "asymptotics.json").read_text())
+        assert payload["degenerate"] is True and "boundary integrand" in payload["reason"]
+        self._assert_others_as_alone(tmp_path, ("persistence", "analyticity"))
+
+    @staticmethod
+    def _assert_others_as_alone(tmp_path, names):
+        """Each stage's files from the run in ``tmp_path / "run"`` are those it writes alone."""
+        from gch.runner import _run_stages
+
+        chash, traj = read_snapshots(tmp_path / "run" / "snapshots.bin")
+        cfg = parse_config(HISTORY)
+        run = _files(tmp_path / "run")
+        for name in names:
+            out = tmp_path / name
+            out.mkdir()
+            _run_stages((name,), traj, cfg, out, chash, {}, {})
+            alone = _files(out)
+            assert len(alone) == 2
+            assert alone == {key: run[key] for key in alone}, name
 
     def test_profile_index_keeps_eight_snapshots(self):
         from gch.asymptotics import MIN_SNAPSHOTS
@@ -661,14 +723,16 @@ class TestStages:
         assert _profile_index(traj, None) == 11
 
     def test_too_narrow_final_spectrum_has_no_sigma_t(self, tmp_path):
-        from gch.runner import _run_stage
+        from gch.runner import _run_stages
 
         cfg = parse_config(FAST)
         grid = Grid(cfg.n, cfg.L)
         pulse = sample(grid, lambda x: cfg.amplitude / np.cosh(x) ** 2)
         traj = Trajectory.from_snapshots([0.0, 0.1], [pulse, Field(grid, np.zeros(grid.n))])
         headline = {}
-        artifacts = _run_stage("analyticity", traj, cfg, tmp_path, config_hash(cfg), headline)
+        artifacts = _run_stages(
+            ("analyticity",), traj, cfg, tmp_path, config_hash(cfg), headline, {}
+        )
         assert artifacts == {
             "analyticity_csv": "analyticity.csv",
             "analyticity_json": "analyticity.json",
