@@ -9,10 +9,10 @@ i.e. fields analytic in a strip of width ~s.  Any computation truncates the
 sup at order K, so computed values are lower bounds of the true norm and
 all inequalities are checked in their truncated form.
 
-The spatial analyticity radius itself is estimated from the Fourier side:
-coefficients of a strip-analytic field decay like exp(-sigma |k|), so the
-least-squares slope of -log|c_k| against |k| over the resolved band tracks
-the strip half-width sigma along a trajectory.
+The spatial analyticity radius is read off the Fourier side (Sulem, Sulem & Frisch,
+J. Comput. Phys. 50:138, 1983): a strip-analytic field's coefficients decay like
+exp(-sigma |k|), so the least-squares slope of -log|c_k| against |k| over the resolved
+band tracks the strip half-width sigma; a trajectory is fitted one row block at a time.
 """
 
 from __future__ import annotations
@@ -224,7 +224,9 @@ def radius_estimate(f: Field) -> RadiusFit:
     fit; values above RESIDUAL_FLAG mark a spectrum decaying faster than
     any exponential, for which sigma is only a lower bound.
     """
-    return _radius_fit(f.grid.k_rfft, *_fit_bands(f.grid, f.grid.rfft(f.values)))
+    bands = _fit_bands(f.grid, f.grid.rfft(f.values)[None])
+    (sigma,), (residual,) = _radius_fits(f.grid.k_rfft, *bands, strict=True)
+    return RadiusFit(float(sigma), float(residual), bool(residual > RESIDUAL_FLAG))
 
 
 def _longest_run(mask: np.ndarray):
@@ -248,23 +250,28 @@ def _fit_bands(grid: Grid, spec: np.ndarray):
     return (c, *_longest_run(usable))
 
 
-def _radius_fit(k: np.ndarray, c: np.ndarray, start: int, length: int) -> RadiusFit:
-    """:func:`radius_estimate` of one row from its :func:`_fit_bands`, ``k`` the wavenumbers."""
-    if length < 10:
-        raise ValueError(f"spectrum too narrow: only {length} usable modes above the floor")
-    band = slice(start, start + length)
-    ks = k[band]
-    y = -np.log(c[band])
-    slope, intercept = np.polyfit(ks, y, 1)
-    fitted = slope * ks + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    residual = ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    return RadiusFit(
-        sigma=float(slope),
-        residual=residual,
-        super_exponential=residual > RESIDUAL_FLAG,
-    )
+def _radius_fits(k: np.ndarray, c: np.ndarray, start, length, strict: bool = False):
+    """:func:`radius_estimate`'s sigma and residual per row from its :func:`_fit_bands`, ``k`` the
+    wavenumbers; NaN where a band has under 10 modes, a ``ValueError`` for row 0 if ``strict``.
+
+    Each centred sum reads its own row's band alone (``np.add.reduceat`` over the bands laid end
+    to end), so a row's fit does not depend on the block it came in.
+    """
+    if strict and length[0] < 10:
+        raise ValueError(f"spectrum too narrow: only {length[0]} usable modes above the floor")
+    sigma, residual = np.full(len(c), np.nan), np.full(len(c), np.nan)
+    rows = np.flatnonzero(length >= 10)
+    size = length[rows]
+    heads = np.cumsum(size) - size
+    cols = np.arange(np.sum(size)) + np.repeat(start[rows] - heads, size)
+    x, y = k[cols], -np.log(c[np.repeat(rows, size), cols])  # the bands, end to end
+    x = x - np.repeat(np.add.reduceat(x, heads) / size, size)
+    y = y - np.repeat(np.add.reduceat(y, heads) / size, size)
+    sigma[rows] = slope = np.add.reduceat(x * y, heads) / np.add.reduceat(x * x, heads)
+    ss_res = np.add.reduceat((y - np.repeat(slope, size) * x) ** 2, heads)
+    ss_tot = np.add.reduceat(y * y, heads)
+    residual[rows] = np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=ss_tot > 0.0)
+    return sigma, residual
 
 
 @dataclass
@@ -286,23 +293,17 @@ def radius_track(traj: Trajectory) -> RadiusSeries:
 
     The initial snapshot must admit an estimate (analytic initial data);
     later failures are recorded as invalid entries rather than aborting the
-    series.  Its ``consumer`` finds the bands per row block and fits each row.
+    series.  Its ``consumer`` finds the bands and fits every row of a row block at once.
     """
     sigma, residual = np.full(len(traj), np.nan), np.full(len(traj), np.nan)
-    valid = np.zeros(len(traj), dtype=bool)
 
     def add(rows, spec, d):
-        for i, *band in zip(range(rows.start, rows.stop), *_fit_bands(traj.grid, spec)):
-            try:
-                fit = _radius_fit(traj.grid.k_rfft, *band)
-            except ValueError:
-                if i == 0:
-                    raise  # analytic initial data required
-                continue
-            sigma[i], residual[i], valid[i] = fit.sigma, fit.residual, True
+        bands = _fit_bands(traj.grid, spec)
+        # strict on row 0, which must admit an estimate
+        sigma[rows], residual[rows] = _radius_fits(traj.grid.k_rfft, *bands, rows.start == 0)
 
     yield from consume(add, 0, len(traj))
-    return RadiusSeries(times=traj.times, sigma=sigma, residual=residual, valid=valid)
+    return RadiusSeries(traj.times, sigma, residual, valid=~np.isnan(sigma))
 
 
 @one_pass

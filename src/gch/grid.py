@@ -62,28 +62,19 @@ class Grid:
         half_width = float(half_width)
         if not np.isfinite(half_width) or half_width <= 0.0:
             raise ValueError(f"half_width must be positive and finite, got {half_width}")
-        self.n = n
-        self.half_width = half_width
+        self.n, self.half_width = n, half_width
         self.dx = 2.0 * half_width / n
-        x = -half_width + self.dx * np.arange(n)
-        k_rfft = (np.pi / half_width) * np.arange(n // 2 + 1)
-        k2 = k_rfft**2
-        helm = 1.0 + k2
-        ik = 1j * k_rfft
-        ik_pow = (ik, ik**2, ik**3)
-        keep = np.arange(n // 2 + 1) < n / 3.0
-        h1_weight = 2.0 * helm
-        h1_weight[0] = 1.0
-        h1_weight[-1] = 1.0
-        for arr in (x, k_rfft, k2, helm, keep, h1_weight) + ik_pow:
+        self.x = -half_width + self.dx * np.arange(n)
+        self.k_rfft = (np.pi / half_width) * np.arange(n // 2 + 1)
+        self.k2 = self.k_rfft**2
+        self.helm = 1.0 + self.k2
+        ik = 1j * self.k_rfft
+        self.ik_pow = ik_pow = (ik, ik**2, ik**3)
+        self.keep = np.arange(n // 2 + 1) < n / 3.0
+        self.h1_weight = 2.0 * self.helm
+        self.h1_weight[[0, -1]] = 1.0
+        for arr in (self.x, self.k_rfft, self.k2, self.helm, self.keep, self.h1_weight, *ik_pow):
             arr.setflags(write=False)
-        self.x = x
-        self.k_rfft = k_rfft
-        self.k2 = k2
-        self.helm = helm
-        self.ik_pow = ik_pow
-        self.keep = keep
-        self.h1_weight = h1_weight
 
     def rfft(self, values):
         """One-sided FFT of real samples, row by row; with :meth:`irfft`, the only FFT calls."""

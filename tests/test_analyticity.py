@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gch import (
     Field,
@@ -18,12 +20,15 @@ from gch import (
     simulate,
 )
 from gch.analyticity import (
+    SKIP_MODES,
     OperatorBoundReport,
+    _fit_bands,
     _h1_ladder,
     _longest_run,
     _majorant_terms,
     _operator_bounds,
     _operator_ladders,
+    _radius_fits,
     majorant_track,
 )
 from gch.helmholtz import p2_apply
@@ -272,23 +277,120 @@ class TestRadiusTrack:
 
     def test_one_estimate_per_snapshot(self, run, monkeypatch):
         import gch.analyticity as analyticity_mod
+        import gch.integrate as integrate_mod
 
-        calls = []
-        true_fit = analyticity_mod._radius_fit
+        # three rows per block, so the run spans several blocks
+        monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", 3 * 16 * (run.grid.n // 2 + 1))
+        polyfits, fits = [], []
+        true_polyfit, true_fits = np.polyfit, analyticity_mod._radius_fits
 
-        def counted(*args):
-            calls.append(args)
-            return true_fit(*args)
+        def counted_polyfit(*args, **kwargs):
+            polyfits.append(args)
+            return true_polyfit(*args, **kwargs)
 
-        monkeypatch.setattr(analyticity_mod, "_radius_fit", counted)
-        radius_track(run)
-        assert len(calls) == len(run)
+        def counted_fits(k, c, *args):
+            fits.append(len(c))
+            return true_fits(k, c, *args)
+
+        monkeypatch.setattr(np, "polyfit", counted_polyfit)
+        monkeypatch.setattr(analyticity_mod, "_radius_fits", counted_fits)
+        series = radius_track(run)
+        assert polyfits == []
+        assert fits == [r.stop - r.start for r in run.row_blocks()]
+        assert len(run.row_blocks()) > 1 and sum(fits) == len(series) == len(run)
 
     def test_track_is_the_per_snapshot_estimate(self, run):
         series = radius_track(run)
         fits = [radius_estimate(u) for u in run.snapshots]
         assert np.array_equal(series.sigma, [f.sigma for f in fits])
         assert np.array_equal(series.residual, [f.residual for f in fits])
+
+
+def _polyfit_oracle(k, c, start, length):
+    """sigma and 1 - R^2 of one band by ``np.polyfit``, as the fit was once taken per row."""
+    ks, y = k[start : start + length], -np.log(c[start : start + length])
+    slope, intercept = np.polyfit(ks, y, 1)
+    ss_res = np.sum((y - (slope * ks + intercept)) ** 2)
+    ss_tot = np.sum((y - np.mean(y)) ** 2)
+    return slope, ss_res / ss_tot if ss_tot > 0.0 else 0.0
+
+
+@st.composite
+def fit_blocks(draw, min_length=10):
+    """``(k, c, start, length)``: rows of exponentially decaying noisy spectra and their bands."""
+    n = draw(st.sampled_from([64, 256, 1024, 4096]))
+    k = Grid(n, draw(st.sampled_from([10.0, 40.0]))).k_rfft
+    rows, width = draw(st.integers(1, 6)), n // 2 + 1
+    start = np.array(draw(st.lists(
+        st.integers(SKIP_MODES, width - min_length), min_size=rows, max_size=rows)))
+    length = np.array([draw(st.integers(min_length, width - s)) for s in start])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # -log c climbs by 1-600 over the spectrum, with noise of up to one mode's climb
+    slope = draw(st.floats(1.0, 600.0)) / k[-1]
+    noise = draw(st.floats(0.0, 1.0)) * slope * k[1] * rng.standard_normal((rows, width))
+    c = np.exp(-(slope * k + draw(st.floats(-5.0, 5.0)) + noise))
+    return k, c, start, length
+
+
+def _exact_band_field(grid, length):
+    """A field whose spectrum is above the floor on exactly ``length`` modes past SKIP_MODES."""
+    spec = np.zeros(grid.n // 2 + 1, dtype=complex)
+    band = np.arange(SKIP_MODES, SKIP_MODES + length)
+    spec[band] = grid.n * np.exp(-0.5 * grid.k_rfft[band])
+    return Field(grid, grid.irfft(spec))
+
+
+class TestBatchedRadiusFit:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(fit_blocks())
+    def test_agrees_with_polyfit_on_random_bands(self, block):
+        k, c, start, length = block
+        sigma, residual = _radius_fits(k, c, start, length)
+        for i, row in enumerate(c):
+            slope, res = _polyfit_oracle(k, row, start[i], length[i])
+            assert abs(sigma[i] - slope) <= 1e-12 * abs(slope)
+            assert abs(residual[i] - res) <= 1e-12
+
+    def test_agrees_with_polyfit_on_showcase_snapshots(self):
+        g = Grid(4096, 40.0)
+        run = simulate(sample(g, lambda x: 0.05 / np.cosh(x) ** 2), 0.25, snapshot_stride=1)
+        c, start, length = _fit_bands(g, g.rfft(run.values))
+        sigma, residual = _radius_fits(g.k_rfft, c, start, length)
+        oracle = np.array([_polyfit_oracle(g.k_rfft, *band) for band in zip(c, start, length)])
+        np.testing.assert_allclose(sigma, oracle[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(residual, oracle[:, 1], rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(fit_blocks(min_length=0))
+    def test_a_blocks_fits_are_its_rows_fits(self, block):
+        k, c, start, length = block
+        together = _radius_fits(k, c, start, length)
+        alone = [_radius_fits(k, c[i : i + 1], start[i : i + 1], length[i : i + 1])
+                 for i in range(len(c))]
+        for out, rows in zip(together, zip(*alone)):
+            assert out.tobytes() == np.concatenate(rows).tobytes()
+        assert np.array_equal(np.isnan(together[0]), length < 10)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(fit_blocks(), st.sampled_from([9, 10]))
+    def test_nine_modes_are_no_fit_and_ten_are_one(self, block, size):
+        k, c, start, _ = block
+        length = np.full(len(c), size)
+        sigma, residual = _radius_fits(k, c, start, length)
+        assert np.all(np.isnan(sigma) == (size == 9))
+        assert np.all(np.isnan(residual) == (size == 9))
+        if size == 9:
+            with pytest.raises(ValueError, match="only 9 usable modes"):
+                _radius_fits(k, c, start, length, strict=True)
+
+    def test_narrow_later_snapshots_are_invalid(self, sech, grid1024):
+        fields = [sech] + [_exact_band_field(grid1024, size) for size in (9, 10)]
+        series = radius_track(Trajectory.from_snapshots([0.0, 0.5, 1.0], fields))
+        assert list(series.valid) == [True, False, True]
+        assert np.isnan(series.sigma[1]) and np.isnan(series.residual[1])
+        assert series.sigma[2] == pytest.approx(0.5, rel=1e-9)
+        with pytest.raises(ValueError, match="only 9 usable modes"):
+            radius_estimate(fields[1])
 
 
 class TestMajorantTrack:

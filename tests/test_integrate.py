@@ -32,7 +32,8 @@ from gch import (
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import radius_estimate
-from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_size, _tail_max
+from gch.integrate import BAND_FLOOR, CSV_CHUNK, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_size
+from gch.integrate import _tail_max, _write_rows
 from gch.rowpass import consume, run_pass, together
 
 
@@ -764,6 +765,31 @@ class TestArtifacts:
         t, x, u = lines[2].split(",")
         assert float(t) == 0.0
         assert float(x) == -40.0
+
+    @pytest.mark.parametrize("rows", [1, 7, CSV_CHUNK, 2 * CSV_CHUNK + 3])
+    def test_rows_text_is_each_entry_formatted(self, rows):
+        signed_zeros = np.where(np.arange(rows) % 2 == 0, 0.0, -0.0)
+        columns = (
+            signed_zeros,  # equal as numbers, not bit for bit: formatted entry by entry
+            np.full(rows, -0.0),
+            np.full(rows, np.nan),
+            np.full(rows, 0.1),
+            np.full(rows, 7, dtype=np.intp),
+            np.linspace(-1.0, 1.0, rows),
+            np.arange(rows) % 3,
+            np.arange(rows) % 2 == 0,
+        )
+        buf = io.StringIO()
+        _write_rows(buf, "deadbeef0123", "a,b,c,d,e,f,g,h", [columns, [col[:2] for col in columns]])
+        entries = [
+            ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+            for block in (columns, [col[:2] for col in columns])
+            for row in zip(*(col.tolist() for col in block))
+        ]
+        expected = "# config-hash: deadbeef0123\na,b,c,d,e,f,g,h\n" + "\n".join(entries) + "\n"
+        assert buf.getvalue() == expected
+        if rows > 1:
+            assert "0.0,-0.0,nan,0.1,7," in expected and "-0.0,-0.0,nan,0.1,7," in expected
 
     def test_checkpoint_round_trip(self, tmp_path, sech2_small):
         path = tmp_path / "state.bin"
