@@ -89,10 +89,14 @@ def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
     return _spectral_h1_ladder(f.grid, f.grid.rfft(f.values), k_top)
 
 
-def _majorant_terms(ladder: np.ndarray, s: float) -> np.ndarray:
+#: k! for every order a :class:`MajorantParams` admits.
+_FACTORIALS = np.array([math.factorial(k) for k in range(31)], dtype=float)
+
+
+def _majorant_terms(ladder: np.ndarray, s) -> np.ndarray:
+    """s^k (k+1)^2 ladder[k] / k! along the last axis; an array ``s`` broadcasts against it."""
     ks = np.arange(ladder.shape[-1])
-    factorials = np.array([math.factorial(k) for k in ks], dtype=float)
-    terms = s**ks * (ks + 1.0) ** 2 * ladder / factorials
+    terms = s**ks * (ks + 1.0) ** 2 * ladder / _FACTORIALS[: ks.size]
     if not np.all(np.isfinite(terms)):
         raise OverflowError("majorant-norm term overflowed; reduce the truncation order")
     return terms
@@ -155,48 +159,49 @@ def operator_bound_report(f: Field, s: float, s_prime: float) -> OperatorBoundRe
     constant C = |||f^2|||_s / |||f|||_s^2 at K and 2K (capped at 30) to
     confirm the truncation has converged.
     """
-    return _operator_bounds(_operator_ladders(f), s, s_prime)
+    if not (0.0 < s_prime < s <= 1.0):
+        raise ValueError(f"need 0 < s' < s <= 1, got s'={s_prime}, s={s}")
+    maxima = _operator_maxima(_operator_ladders(f.grid, f.values), [(s, s_prime)])
+    return _operator_bounds(maxima[0], s, s_prime)
 
 
-def _operator_ladders(f: Field) -> np.ndarray:
-    """H^1 ladders to order 2K of the rows f, P2 f and f^2: all that the bounds at any (s, s') read.
+def _operator_ladders(grid: Grid, values) -> np.ndarray:
+    """H^1 ladders to order 2K of f, P2 f and f^2 for one field f or each row of a block.
 
-    One batched rfft; a ladder's prefix equals the shorter ladder bit for bit.
+    All that the bounds at any (s, s') read: ``(..., 3, 2K + 1)``, from one P2 pass and
+    one batched rfft; a ladder's prefix equals the shorter ladder bit for bit.
     """
-    grid = f.grid
-    rows = np.stack((f.values, grid.p2(f.values), f.values**2))
+    rows = np.stack((values, grid.p2(values), values**2), axis=-2)
     return _spectral_h1_ladder(grid, grid.rfft(rows), max(_BOUND_ORDER + 1, _BOUND_ORDER_DOUBLED))
 
 
-def _operator_bounds(ladders: np.ndarray, s: float, s_prime: float) -> OperatorBoundReport:
-    """:func:`operator_bound_report` at (s, s') of the field whose :func:`_operator_ladders` are given."""
-    if not (0.0 < s_prime < s <= 1.0):
-        raise ValueError(f"need 0 < s' < s <= 1, got s'={s_prime}, s={s}")
-    ladder, ladder_p2, ladder_sq = ladders
+def _operator_maxima(ladders: np.ndarray, pairs) -> np.ndarray:
+    """``(..., len(pairs), 6)``: the norms ||d_x f||_{s'}, ||f||_s, ||P2 f||_s, |||f^2|||_s
+    at K and ||f||_s, |||f^2|||_s at 2K of every ladder triple at every (s, s') pair, in one
+    broadcast.  Terms no report reads are zeroed first, so only a read term can overflow.
+    """
     k_top, k_double = _BOUND_ORDER, _BOUND_ORDER_DOUBLED
+    # rows d_x f, f, P2 f, f^2: the first and third to K, the others to 2K
+    read = np.zeros(ladders.shape[:-2] + (4, k_double + 1))
+    read[..., 0, : k_top + 1] = ladders[..., 0, 1 : k_top + 2]
+    read[..., 1::2, :] = ladders[..., 0::2, : k_double + 1]
+    read[..., 2, : k_top + 1] = ladders[..., 1, : k_top + 1]
+    scales = np.array([(s_prime, s, s, s) for s, s_prime in pairs])[..., None]
+    terms = _majorant_terms(read[..., None, :, :], scales)
+    at_k = np.max(terms[..., : k_top + 1], axis=-1)
+    return np.concatenate((at_k, np.max(terms[..., 1::2, :], axis=-1)), axis=-1)
 
-    def norm(lad, scale, k_max):
-        return float(np.max(_majorant_terms(lad[: k_max + 1], scale)))
 
-    shift_lhs = norm(ladder[1:], s_prime, k_top)
-    norm_s = norm(ladder, s, k_top)
-    shift_rhs = norm_s / (s - s_prime)
+def _operator_bounds(maxima, s: float, s_prime: float) -> OperatorBoundReport:
+    """:func:`operator_bound_report` at (s, s') from its six :func:`_operator_maxima`.
 
-    smooth_lhs = norm(ladder_p2, s, k_top)
-    smooth_rhs = norm_s
-
+    On Python floats: a float's ``x**2`` is libm's ``pow``, at times a bit off numpy's ``x*x``.
+    """
+    shift_lhs, norm_s, smooth_lhs, norm_sq, norm_s_dbl, norm_sq_dbl = maxima.tolist()
     denom = norm_s**2
-    c_alg = norm(ladder_sq, s, k_top) / denom if denom else 0.0
-    norm_s_dbl = norm(ladder, s, k_double)
-    c_alg_dbl = norm(ladder_sq, s, k_double) / norm_s_dbl**2 if norm_s_dbl else 0.0
-
     return OperatorBoundReport(
-        shift_lhs=shift_lhs,
-        shift_rhs=shift_rhs,
-        smooth_lhs=smooth_lhs,
-        smooth_rhs=smooth_rhs,
-        c_algebra=c_alg,
-        c_algebra_doubled=c_alg_dbl,
+        shift_lhs, norm_s / (s - s_prime), smooth_lhs, norm_s,
+        norm_sq / denom if denom else 0.0, norm_sq_dbl / norm_s_dbl**2 if norm_s_dbl else 0.0,
     )
 
 

@@ -30,6 +30,8 @@ __all__ = [
 
 DIAGNOSTIC_NAMES = ("persistence", "asymptotics", "analyticity")
 VARIANT_NAMES = {"thm41": SourceVariant.MEAN, "thm43": SourceVariant.RMS}
+#: The largest grid a run may ask for: one field on it takes 32 MiB.
+MAX_N = 2**22
 
 
 def _parse_bool(text):
@@ -203,8 +205,8 @@ def _validate(cfg: ExperimentConfig, errors: list) -> None:
             continue
         if any(isinstance(x, float) and not np.isfinite(x) for x in items):
             errors.append(f"{key} must be finite, got {value}")
-    if cfg.n < 16 or (cfg.n & (cfg.n - 1)) != 0:
-        errors.append(f"n must be a power of two >= 16, got {cfg.n}")
+    if cfg.n < 16 or (cfg.n & (cfg.n - 1)) != 0 or cfg.n > MAX_N:
+        errors.append(f"n must be a power of two in [16, MAX_N = {MAX_N}], got {cfg.n}")
     if cfg.L <= 0:
         errors.append(f"L must be positive, got {cfg.L}")
     if cfg.T <= 0:

@@ -55,7 +55,7 @@ import numpy as np
 
 # rhs is not called here; perfbench's tracer wraps gch.integrate.rhs, so it stays importable
 from .dynamics import rhs  # noqa: F401
-from .errors import BlowUpError
+from .errors import BlowUpError, ConfigError
 from .grid import Field, Grid, lp_norm, derivative
 
 __all__ = [
@@ -106,6 +106,8 @@ BAND_FLOOR = 1e-15
 #: work, a history run's (n = 4096, K = 104) peak RSS rose 2.3 MB with K x n temporaries and
 #: fell 0.7 MB in blocks; the one pass holds one block's spectrum, u_x and u_xx at a time.
 ROW_BLOCK_BYTES = 2**18
+#: The most bytes the K x n snapshot block of :func:`simulate` may take.
+SNAPSHOT_BYTES = 2**30
 #: Rows per chunk of CSV text.
 CSV_CHUNK = 256
 
@@ -328,12 +330,17 @@ def _require_stride(stride) -> int:
     return int(stride)
 
 
-def _snapshot_count(T: float, step: float, stride: int = 1) -> int:
+def _snapshot_count(T: float, step: float, stride: int, n: int) -> int:
     """Snapshots of a run that lands every ``stride`` steps of ``step``, and at T.
 
     The steps are those of :func:`simulate`: each ``step`` long, the last one
-    shortened to land on T, and none once T is within ``1e-12 T``.
+    shortened to land on T, and none once T is within ``1e-12 T``; their ``K x n`` block is
+    held to SNAPSHOT_BYTES before they are counted.
     """
+    most = T / step + 1.0  # steps at most; a stride past this keeps T only and may overflow a float
+    if (2.0 + (most / stride if stride < most else 1.0)) * n * 8 > SNAPSHOT_BYTES:
+        raise ConfigError([f"snapshots of n = {n} to T = {T:g}, one per {stride} step(s) of "
+                           f"{step:.3g}, would exceed SNAPSHOT_BYTES = {SNAPSHOT_BYTES}"])
     t, steps = 0.0, 0
     while t < T - 1e-12 * T:
         t = min(t + min(step, T - t), T)
@@ -388,8 +395,9 @@ def simulate(
     on that grid, because its semi-discretisation is the one being stepped.
     The irfft on ``n`` runs only when a snapshot lands, into a ``K x n``
     block sized from the clock (or from ``dt`` and the stride) before the
-    first step.  ``compute_n`` holds the ``m`` that produced each
-    snapshot, the first one's ``m`` for ``u0``.
+    first step, or refused past ``SNAPSHOT_BYTES`` with a :class:`ConfigError`.
+    ``compute_n`` holds the ``m`` that produced each snapshot, the first
+    one's ``m`` for ``u0``.
 
     Aborts with :class:`BlowUpError` if the sup norm grows by more than
     a factor of 1000 over the initial datum, checked after every kept
@@ -408,9 +416,9 @@ def simulate(
         unit = estimate_dt(u0)
         # a stride past T / unit keeps only T; the product could overflow a float
         clock = stride * unit if stride < T / unit else np.inf
-        count = _snapshot_count(T, clock)
+        count = _snapshot_count(T, clock, 1, n)
     else:
-        count = _snapshot_count(T, dt, stride)
+        count = _snapshot_count(T, dt, stride, n)
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
     # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it

@@ -35,6 +35,8 @@ __all__ = [
     "HUGE",
 ]
 
+#: The largest Halton sample an admissibility report may take: ~100 MB of pair arrays.
+MAX_SAMPLES = 2**20
 #: Sentinel for clamped evaluations of explosive weights.
 HUGE = 1e300
 _LOG_HUGE = np.log(HUGE)
@@ -297,8 +299,8 @@ def admissibility_report(
     refined until two levels agree to 1e-13, with a domain-doubling stability
     test (relative change below 1e-6).
     """
-    if sample_count < 1000:
-        raise ValueError(f"sample_count must be >= 1000, got {sample_count}")
+    if not 1000 <= sample_count <= MAX_SAMPLES:
+        raise ValueError(f"sample_count {sample_count} not in [1000, MAX_SAMPLES = {MAX_SAMPLES}]")
     if not 0 < domain_bound < np.inf:
         raise ValueError(f"domain_bound must be positive and finite, got {domain_bound}")
 

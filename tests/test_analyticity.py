@@ -28,6 +28,7 @@ from gch.analyticity import (
     _majorant_terms,
     _operator_bounds,
     _operator_ladders,
+    _operator_maxima,
     _radius_fits,
     majorant_track,
 )
@@ -143,32 +144,95 @@ def _per_call_operator_bounds(f, s, s_prime):
     )
 
 
+def _per_report_maxima(ladders, s, s_prime):
+    """The six maxima of an (s, s') report, one ``_majorant_terms`` call each (the reference)."""
+    k_top = MajorantParams().k_max
+    k_double = min(2 * k_top, 30)
+    ladder, ladder_p2, ladder_sq = ladders
+
+    def norm(lad, scale, k_max):
+        return float(np.max(_majorant_terms(lad[: k_max + 1], scale)))
+
+    return [
+        norm(ladder[1:], s_prime, k_top),
+        norm(ladder, s, k_top),
+        norm(ladder_p2, s, k_top),
+        norm(ladder_sq, s, k_top),
+        norm(ladder, s, k_double),
+        norm(ladder_sq, s, k_double),
+    ]
+
+
+def _overflows(fn, *args):
+    try:
+        with np.errstate(over="ignore"):
+            fn(*args)
+    except OverflowError:
+        return True
+    return False
+
+
 class TestSharedOperatorLadders:
     PAIRS = [(s, sp) for s in SCALES for sp in SCALES if sp < s]
 
     def test_report_equals_the_per_call_formulas(self, grid1024):
         assert len(self.PAIRS) == 6
-        for f in smooth_field_family(grid1024, 8, seed=4242):
-            ladders = _operator_ladders(f)
-            for s, sp in self.PAIRS:
+        fields = smooth_field_family(grid1024, 8, seed=4242)
+        fields.append(Field(grid1024, np.zeros(grid1024.n)))
+        ladders = _operator_ladders(grid1024, np.array([f.values for f in fields]))
+        table = _operator_maxima(ladders, self.PAIRS)
+        assert table.shape == (9, 6, 6)
+        for f, maxima in zip(fields, table):
+            for six, (s, sp) in zip(maxima, self.PAIRS):
                 expected = dataclasses.astuple(_per_call_operator_bounds(f, s, sp))
                 assert dataclasses.astuple(operator_bound_report(f, s, sp)) == expected
-                assert dataclasses.astuple(_operator_bounds(ladders, s, sp)) == expected
+                assert dataclasses.astuple(_operator_bounds(six, s, sp)) == expected
 
     def test_zero_field_equals_the_per_call_formulas(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
         assert operator_bound_report(z, 0.8, 0.4) == _per_call_operator_bounds(z, 0.8, 0.4)
 
     def test_ladder_prefix_is_the_shorter_ladder(self, sech):
-        ladders = _operator_ladders(sech)
+        ladders = _operator_ladders(sech.grid, sech.values)
         assert ladders.shape == (3, 25)
         np.testing.assert_array_equal(ladders[0, :14], _h1_ladder(sech, 13))
         np.testing.assert_array_equal(ladders[1, :13], _h1_ladder(p2_apply(sech), 12))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+    def test_overflow_fires_on_the_ladders_it_did_per_report(self, sech, bad):
+        # each entry of each ladder in turn: the table overflows exactly when some
+        # report read an overflowing term, and otherwise reads what the reports read
+        clean = _operator_ladders(sech.grid, sech.values)
+        fired = []
+        for index in np.ndindex(clean.shape):
+            ladders = clean.copy()
+            ladders[index] = bad
+            per_report = [_overflows(_per_report_maxima, ladders, s, sp) for s, sp in self.PAIRS]
+            assert _overflows(_operator_maxima, ladders, self.PAIRS) == any(per_report)
+            assert _overflows(_operator_maxima, np.stack((clean, ladders)), self.PAIRS) == any(
+                per_report
+            )
+            if any(per_report):
+                fired.append(index)
+            else:
+                expected = [_per_report_maxima(ladders, s, sp) for s, sp in self.PAIRS]
+                assert _operator_maxima(ladders, self.PAIRS).tolist() == expected
+        # every entry is read but those of P2 f past K
+        unread = [(1, k) for k in range(13, 25)]
+        if np.isfinite(bad):  # overflows only where a term's factor exceeds max / bad
+            assert fired and not set(fired) & set(unread)
+        else:
+            assert [i for i in np.ndindex(clean.shape) if i not in fired] == unread
+
     def test_one_fft_pass_per_field(self, sech, fft_calls):
-        ladders = _operator_ladders(sech)
-        for s, sp in self.PAIRS:
-            _operator_bounds(ladders, s, sp)
+        _operator_maxima(_operator_ladders(sech.grid, sech.values), self.PAIRS)
+        assert fft_calls == ["rfft", "irfft", "rfft"]
+
+    def test_one_fft_pass_per_block(self, grid1024, fft_calls):
+        fields = smooth_field_family(grid1024, 8, seed=4242)
+        _operator_maxima(
+            _operator_ladders(grid1024, np.array([f.values for f in fields])), self.PAIRS
+        )
         assert fft_calls == ["rfft", "irfft", "rfft"]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gch import ConfigError, ExperimentConfig, config_hash, parse_config
-from gch.config import validate_config
+from gch.config import MAX_N, validate_config
 
 MINIMAL = """
 [grid]
@@ -36,6 +36,11 @@ class TestParseConfig:
     def test_power_of_two_enforced(self):
         with pytest.raises(ConfigError, match="power of two"):
             parse_config(MINIMAL.replace("n = 1024", "n = 1000"))
+
+    def test_n_capped_at_max_n(self):
+        assert parse_config(MINIMAL.replace("n = 1024", f"n = {MAX_N}")).n == MAX_N
+        with pytest.raises(ConfigError, match=f"MAX_N = {MAX_N}\\], got {2 * MAX_N}"):
+            parse_config(MINIMAL.replace("n = 1024", f"n = {2 * MAX_N}"))
 
     def test_duplicate_key_names_both_lines(self):
         text = MINIMAL + "\n[grid]\nn = 512\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gch import (
     Field,
@@ -16,7 +18,7 @@ from gch import (
     sample,
     sqrt3_residual_field,
 )
-from gch.dynamics import SIMULATION_FORMS, RhsForm
+from gch.dynamics import SIMULATION_FORMS, RhsForm, max_form_residuals
 from gch.fields import smooth_field_family
 
 ALL_PAIRS = [
@@ -68,21 +70,38 @@ class TestFormEquivalence:
         import gch.dynamics as dynamics_mod
 
         calls = []
-        true_rhs = dynamics_mod.rhs
+        true_rows = dynamics_mod._rhs_rows
 
-        def counted(u, form):
-            calls.append(RhsForm(form))
-            return true_rhs(u, form)
+        def counted(grid, v, form):
+            calls.append((RhsForm(form), v.shape))
+            return true_rows(grid, v, form)
 
-        monkeypatch.setattr(dynamics_mod, "rhs", counted)
+        monkeypatch.setattr(dynamics_mod, "_rhs_rows", counted)
         u = sample(grid1024, lambda x: 0.1 / np.cosh(x) ** 2)
         max_form_residual(u)
-        assert calls == list(SIMULATION_FORMS)
+        assert calls == [(form, (1024,)) for form in SIMULATION_FORMS]
+        calls.clear()
+        max_form_residuals(grid1024, np.array([u.values, 2.0 * u.values, -u.values]))
+        assert calls == [(form, (3, 1024)) for form in SIMULATION_FORMS]
 
     def test_zero_residual(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
         for f1, f2 in ALL_PAIRS:
             assert form_residual(z, f1, f2) == 0.0
+
+
+BLOCK_GRID = Grid(1024, 40.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zero_at=st.integers(0, 6))
+def test_block_residual_is_each_rows_residual(count, seed, zero_at):
+    # zero_at < count puts the zero field in that row
+    rows = np.array([u.values for u in smooth_field_family(BLOCK_GRID, count, seed)])
+    rows[zero_at : zero_at + 1] = 0.0
+    block = max_form_residuals(BLOCK_GRID, rows)
+    assert block.shape == (count,)
+    assert block.tolist() == [max_form_residual(Field(BLOCK_GRID, row)) for row in rows]
 
 
 class TestSqrt3Discrepancy:

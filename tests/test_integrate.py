@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from gch import (
     BlowUpError,
+    ConfigError,
     Field,
     Grid,
     Trajectory,
@@ -226,6 +227,13 @@ class TestSimulate:
         _force(monkeypatch, lambda uh, grid: (next(signs) * uh, grid.irfft(uh)))
         with pytest.raises(FloatingPointError, match="step rejected below 5e-14 at t = 0.0"):
             simulate(sech2_small, 0.05)
+
+    def test_snapshot_block_past_the_budget_is_refused(self, sech2_small):
+        # ~1e8 snapshots of 1024 samples: refused before they are counted
+        with pytest.raises(ConfigError, match="exceed SNAPSHOT_BYTES = 1073741824"):
+            simulate(sech2_small, 1e4, dt=1e-4)
+        traj = simulate(sech2_small, 0.05, snapshot_stride=10**400, dt=0.01)
+        assert traj.times.tolist() == [0.0, 0.05]
 
     def test_numpy_integer_stride(self, sech2_small):
         a = simulate(sech2_small, 0.1, snapshot_stride=np.int64(3))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import tracemalloc
@@ -351,6 +350,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"cannot write {str(out / artifact)!r}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "case, limit",
+        [
+            ("n_huge", "MAX_N = 4194304"),
+            ("T_huge", "SNAPSHOT_BYTES = 1073741824"),
+            ("amplitude_huge", "SNAPSHOT_BYTES = 1073741824"),  # a clock of ~1e-203
+            ("samples_huge", "MAX_SAMPLES = 1048576"),
+        ],
+    )
+    def test_oversized_input_exit_two_before_allocating(self, tmp_path, capsys, case, limit):
+        cfg_file = tmp_path / "big.cfg"
+        cfg_file.write_text({
+            "n_huge": FAST.replace("n = 1024", "n = 1125899906842624"),
+            "T_huge": FAST.replace("T = 0.12", "T = 10000"),
+            "amplitude_huge": FAST.replace("amplitude = 0.05", "amplitude = 1e200"),
+        }.get(case, FAST))
+        argv = {
+            "samples_huge": ["verify-weights", "--phi", "0,0,1,0", "--samples", "1000000000000"],
+        }.get(case, ["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert limit in capsys.readouterr().err
+        assert peak < 2**20  # nothing near the size of the guarded array was allocated
 
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_bound_exit_two(self, capsys, bound):
@@ -768,18 +796,15 @@ class TestSelftestFaultInjection:
         from gch.dynamics import RhsForm
         from gch.runner import _selftest_forms
 
-        true_rhs = dynamics_mod.rhs
+        true_rows = dynamics_mod._rhs_rows
 
-        def corrupted(u, form):
-            out = true_rhs(u, form)
+        def corrupted(grid, v, form):
+            out = true_rows(grid, v, form)
             if RhsForm(form) is RhsForm.FORM_B:
-                from gch import Field, derivative
-
-                ux = derivative(u, 1)
-                out = out + Field(u.grid, 2.0 * ux.values**2)
+                out = out + 2.0 * grid.diff(v) ** 2
             return out
 
-        monkeypatch.setattr(dynamics_mod, "rhs", corrupted)
+        monkeypatch.setattr(dynamics_mod, "_rhs_rows", corrupted)
         entries = []
         _selftest_forms(entries)
         matrix_entry = [e for e in entries if "residual matrix" in e[0]]
@@ -801,24 +826,35 @@ class TestSelftestFaultInjection:
         runner_mod._selftest_young(entries)
         assert entries[0][1] is False and "nan" in entries[0][2]
 
-    def test_nan_algebra_constant_fails(self, monkeypatch):
+    @staticmethod
+    def _sweep_with_one_nan(monkeypatch, field, pair, norm):
+        """The operator-bound entry, and the table shapes, with one majorant norm set to NaN."""
         import gch.runner as runner_mod
 
-        true_bounds = runner_mod._operator_bounds
-        calls = []
+        true_maxima = runner_mod._operator_maxima
+        tables = []
 
-        def nan_on_third_report(ladders, s, s_prime):
-            rep = true_bounds(ladders, s, s_prime)
-            calls.append(rep)
-            if len(calls) == 3:
-                rep = dataclasses.replace(rep, c_algebra_doubled=np.nan)
-            return rep
+        def nan_in_one_report(ladders, pairs):
+            table = true_maxima(ladders, pairs)
+            tables.append(table.shape)
+            table[field, pair, norm] = np.nan
+            return table
 
-        monkeypatch.setattr(runner_mod, "_operator_bounds", nan_on_third_report)
+        monkeypatch.setattr(runner_mod, "_operator_maxima", nan_in_one_report)
         entries = []
         runner_mod._selftest_operator_bounds(entries)
-        assert len(calls) == 48
-        assert entries[0][1] is False and "nan" in entries[0][2]
+        return entries[0], tables
+
+    def test_nan_algebra_constant_fails(self, monkeypatch):
+        # |||f^2|||_s at 2K of the third report
+        entry, tables = self._sweep_with_one_nan(monkeypatch, 0, 2, 5)
+        assert tables == [(8, 6, 6)]  # 48 reports from one table
+        assert entry[1] is False and "nan" in entry[2]
+
+    @pytest.mark.parametrize("field, pair, norm", [(0, 0, 0), (3, 1, 2), (7, 5, 1), (5, 4, 3)])
+    def test_nan_in_any_report_fails(self, monkeypatch, field, pair, norm):
+        entry, _ = self._sweep_with_one_nan(monkeypatch, field, pair, norm)
+        assert entry[1] is False and "nan" in entry[2]
 
 
 class TestSelftestWork:
@@ -828,7 +864,24 @@ class TestSelftestWork:
         entries = []
         _selftest_operator_bounds(entries)
         assert entries[0][1] is True
-        assert len(fft_calls) <= 3 * 8
+        assert len(fft_calls) == 3
+
+    def test_residual_matrix_takes_one_block_pass(self, fft_calls, monkeypatch):
+        import gch.runner as runner_mod
+
+        true_residuals, passes = runner_mod.max_form_residuals, []
+
+        def counted(grid, v):
+            start = len(fft_calls)
+            out = true_residuals(grid, v)
+            passes.append((v.shape, len(fft_calls) - start))
+            return out
+
+        monkeypatch.setattr(runner_mod, "max_form_residuals", counted)
+        entries = []
+        runner_mod._selftest_forms(entries)
+        assert entries[0][1] is True
+        assert passes == [((5, 1024), 70)]  # 11 + 17 + 15 + 27 per form, once for all rows
 
     def test_young_sweep_takes_one_fft_pass(self, fft_calls):
         from gch.runner import _selftest_young

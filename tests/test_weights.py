@@ -13,7 +13,7 @@ from gch import (
     weighted_young_check,
 )
 from gch.fields import compact_pair_family
-from gch.weights import HUGE, _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
+from gch.weights import HUGE, MAX_SAMPLES, _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
 
 
 class TestEvalWeight:
@@ -142,6 +142,15 @@ class TestAdmissibilityReport:
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError, match="sample_count"):
             admissibility_report(WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0), sample_count=10)
+
+    def test_rejects_large_sample(self, monkeypatch):
+        import gch.weights as weights_mod
+
+        monkeypatch.setattr(weights_mod, "_halton_pairs", None)  # refused before sampling
+        with pytest.raises(ValueError, match=f"not in \\[1000, MAX_SAMPLES = {MAX_SAMPLES}\\]"):
+            admissibility_report(
+                WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0), sample_count=MAX_SAMPLES + 1
+            )
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError, match="domain_bound"):
