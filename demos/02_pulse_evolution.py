@@ -6,6 +6,8 @@ first stage, and spread evenly over each interval of the snapshot clock
 (5 units of ``estimate_dt``).  The trajectory records the boundary
 magnitude per snapshot (the box must stay effectively infinite) and the
 H^1 drift, which the flow conserves.
+An explicit ``dt`` follows the same rule: it is the snapshot clock's unit
+and the step cap, and its steps are neither checked nor rejected.
 Refining the step, or stepping the physical-space form_a right-hand side
 instead of the Fourier-space primitive form, leaves the final state
 unchanged to far below the integration error.
@@ -32,8 +34,10 @@ for t, snap in zip(traj.times, traj.snapshots):
     j = np.argmin(np.abs(grid.x - 10.0))
     print(f"  {t:5.2f}   {lp_norm(snap, np.inf):.6f}   {snap.values[j]:+.3e}")
 
+# a stride past T / dt keeps only T: the steps are spread evenly over [0, T]
 half = simulate(u0, 0.5, snapshot_stride=10**6, dt=traj.dt_initial / 2)
 print(f"\nhalf-step rerun shift:      {lp_norm(half.final - traj.final, np.inf):.2e}")
+# T / dt = 50, so the even spread is 50 steps of 0.01, as the loop below takes
 fixed = simulate(u0, 0.5, snapshot_stride=10**6, dt=0.01)
 other = u0
 for _ in range(50):

@@ -1,14 +1,16 @@
 """Deterministic explicit time stepping with snapshot recording.
 
-Classical four-stage Runge-Kutta.  By default the step is set by accuracy:
-an embedded error estimate, built from the next step's first stage at no
-extra stage, accepts or rejects each step against ``STEP_TOL`` and proposes
-the next, and no step exceeds the stability bound of the stage being
-stepped (see :func:`simulate`).  The snapshot times run on a fixed clock
+Classical four-stage Runge-Kutta under one step rule.  The snapshot times
+run on a fixed clock whose unit is an explicit ``dt`` or, by default, is
 set once from the initial datum by :func:`estimate_dt`, and the steps are
 spread evenly over each snapshot interval so the last lands exactly on it.
-No choice depends on anything but the inputs, so reruns with identical
-inputs are bit-identical.
+An explicit ``dt`` also caps the step.  By default the cap is set by
+accuracy: an embedded error estimate, built from the next step's first
+stage at no extra stage, accepts or rejects each step against
+``STEP_TOL`` and proposes the next, and no step exceeds the stability
+bound of the stage being stepped (see :func:`simulate`).  No choice
+depends on anything but the inputs, so reruns with identical inputs are
+bit-identical.
 
 :func:`simulate` keeps the state in Fourier space, as the rfft ``uh`` of
 u, and evaluates each stage in the primitive form
@@ -72,7 +74,7 @@ __all__ = [
     "BOUNDARY_TOLERANCE",
 ]
 
-#: The cap on :func:`estimate_dt`, the snapshot clock's unit; it no longer caps a step.
+#: The cap on :func:`estimate_dt`, the default snapshot clock's unit; it caps no step.
 DT_MAX = 1e-2
 #: RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2)
 #: (Hairer-Wanner, Solving ODEs II, IV.2).
@@ -205,10 +207,11 @@ def rk4_step(u: Field, dt: float, deriv) -> Field:
 
 
 def estimate_dt(u: Field) -> float:
-    """The snapshot clock's unit: 0.5 dx / max(1, ||4u|| + ||2u_x||), capped at DT_MAX.
+    """The default snapshot clock's unit: 0.5 dx / max(1, ||4u|| + ||2u_x||), capped at DT_MAX.
 
-    :func:`simulate` spaces its snapshots ``snapshot_stride`` such units
-    apart, the unit taken once from the initial datum.  The coefficients
+    Without an explicit ``dt``, :func:`simulate` spaces its snapshots
+    ``snapshot_stride`` such units apart, the unit taken once from the
+    initial datum.  The coefficients
     are the advective terms of the momentum formulation; the step itself
     comes from an error estimate within the stage's stability bound (see
     :func:`simulate`).
@@ -330,24 +333,6 @@ def _require_stride(stride) -> int:
     return int(stride)
 
 
-def _snapshot_count(T: float, step: float, stride: int, n: int) -> int:
-    """Snapshots of a run that lands every ``stride`` steps of ``step``, and at T.
-
-    The steps are those of :func:`simulate`: each ``step`` long, the last one
-    shortened to land on T, and none once T is within ``1e-12 T``; their ``K x n`` block is
-    held to SNAPSHOT_BYTES before they are counted.
-    """
-    most = T / step + 1.0  # steps at most; a stride past this keeps T only and may overflow a float
-    if (2.0 + (most / stride if stride < most else 1.0)) * n * 8 > SNAPSHOT_BYTES:
-        raise ConfigError([f"snapshots of n = {n} to T = {T:g}, one per {stride} step(s) of "
-                           f"{step:.3g}, would exceed SNAPSHOT_BYTES = {SNAPSHOT_BYTES}"])
-    t, steps = 0.0, 0
-    while t < T - 1e-12 * T:
-        t = min(t + min(step, T - t), T)
-        steps += 1
-    return 1 + -(-steps // stride)
-
-
 def simulate(
     u0: Field,
     T: float,
@@ -360,42 +345,48 @@ def simulate(
     :func:`_spectral_stage` call, the dealiased primitive form
     ``post * rfft(w**2)`` with ``w = irfft(pre * uh)``.
 
-    By default the step is set by accuracy, within the stability bound.
-    The stage's Jacobian ``d -> post * rfft(2 w irfft(pre d))`` has
-    spectral radius at most ``B ||w||_inf`` with
-    ``B = 2 max|pre| max|post|`` over the kept modes (Parseval), so no
-    step exceeds ``STEP_SAFETY * RK4_IMAGINARY_LIMIT / (B ||w||_inf)``,
-    read off each step's first stage.  Within it, each step is checked by
-    an embedded error estimate: the first stage ``k5`` of the next step,
-    which is taken anyway, gives the third-order solution
-    ``y + h (k1/6 + k2/3 + k3/3 + k5/6)``, and the error estimate
-    ``err = (h/6) ||k4 - k5||_{H^1} / ||u0||_{H^1}`` (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4).  A step with ``err <= STEP_TOL`` is
-    kept and the next step may be ``h min(5, 0.9 (STEP_TOL/err)^(1/4))``;
-    otherwise it is taken again from the kept state and first stage with
+    Snapshots run on a fixed clock of ``snapshot_stride * unit``, with
+    ``unit`` the explicit ``dt`` when one is given and ``estimate_dt(u0)``
+    otherwise: each snapshot time is the previous one plus the clock, at
+    most T, and the run stops once it is within ``1e-12 T`` of T.  The
+    steps are spread evenly over what is left of the interval,
+    ``ceil(left / h_max)`` of them, so no step exceeds ``h_max`` by more
+    than ``1e-12 T`` and the last one lands exactly on the snapshot time
+    and on T.  Each step's first stage is the previous step's last, the
+    ``k5`` below.  A stride-1 run whose ``h_max`` allows the clock's step
+    takes one step per snapshot.
+
+    An explicit ``dt`` is ``h_max``; its steps are neither checked nor
+    rejected.  By default ``h_max`` is set by accuracy, within the
+    stability bound.  The stage's Jacobian
+    ``d -> post * rfft(2 w irfft(pre d))`` has spectral radius at most
+    ``B ||w||_inf`` with ``B = 2 max|pre| max|post|`` over the kept modes
+    (Parseval), so no step exceeds
+    ``STEP_SAFETY * RK4_IMAGINARY_LIMIT / (B ||w||_inf)``, read off each
+    step's first stage.  Within it, each step is checked by an embedded
+    error estimate: the first stage ``k5`` of the next step gives the
+    third-order solution ``y + h (k1/6 + k2/3 + k3/3 + k5/6)``, and the
+    error estimate ``err = (h/6) ||k4 - k5||_{H^1} / ||u0||_{H^1}``
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A step with
+    ``err <= STEP_TOL`` is kept and ``h_max`` of the next step may be
+    ``h min(5, 0.9 (STEP_TOL/err)^(1/4))``, capped by the bound; otherwise
+    it is taken again from the kept state and first stage with
     ``h max(0.2, 0.9 (STEP_TOL/err)^(1/4))``, and a step rejected below
     ``STEP_FLOOR * T`` raises ``FloatingPointError``.  The first step
-    tries the stability bound.
-    Snapshots run on a fixed clock of ``snapshot_stride * estimate_dt(u0)``:
-    each snapshot time is the previous one plus the clock, and the steps
-    are spread evenly over what is left of the interval, ``ceil(left /
-    h_max)`` of them with ``h_max`` the smaller of the bound and the
-    accuracy's step, so the last one lands exactly on the snapshot time
-    and on T.  A stride-1 run whose ``h_max`` allows the clock's step
-    therefore takes one step per snapshot.  ``dt_initial`` and
-    ``dt_final`` are the ``h_max`` of the first and last kept steps, and
-    ``n_rejected`` counts the steps taken again.
+    tries the stability bound.  ``dt_initial`` and ``dt_final`` are the
+    ``h_max`` of the first and last kept steps, and ``n_rejected`` counts
+    the steps taken again.
 
-    With an explicit ``dt`` every step is ``dt``, the last one shortened to
-    land on T, a snapshot is kept every ``snapshot_stride`` steps, and no
-    step is checked or rejected.
-
-    Either way the stages run on the compute grid of the module docstring,
-    re-chosen from ``uh`` after every step at no FFT cost.  ``B`` is taken
-    on that grid, because its semi-discretisation is the one being stepped.
-    The irfft on ``n`` runs only when a snapshot lands, into a ``K x n``
-    block sized from the clock (or from ``dt`` and the stride) before the
-    first step, or refused past ``SNAPSHOT_BYTES`` with a :class:`ConfigError`.
+    The stages run on the compute grid of the module docstring, re-chosen
+    from ``uh`` after every step at no FFT cost.  ``B`` is taken on that
+    grid, because its semi-discretisation is the one being stepped.  The
+    irfft on ``n`` runs only when a snapshot lands, into a ``K x n`` block
+    of ``T / clock + 3`` rows allocated before the first step, or refused
+    past ``SNAPSHOT_BYTES`` with a :class:`ConfigError`; the run stops on
+    time, and the trajectory holds the rows filled.  Every landing but the
+    last advances the snapshot time by the clock less at most one rounding
+    of T, which the budget holds under ``2**-30`` of the clock, so the
+    landings take at most ``T / clock + 1.01`` rows after ``u0``.
     ``compute_n`` holds the ``m`` that produced each snapshot, the first
     one's ``m`` for ``u0``.
 
@@ -407,18 +398,16 @@ def simulate(
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
-    if dt is not None:
-        dt = _require_positive("dt", dt)
+    unit = estimate_dt(u0) if dt is None else _require_positive("dt", dt)
+    # a stride past T / unit keeps only T; the product could overflow a float
+    clock = stride * unit if stride < T / unit else np.inf
 
     grid = u0.grid
     n = grid.n
-    if dt is None:
-        unit = estimate_dt(u0)
-        # a stride past T / unit keeps only T; the product could overflow a float
-        clock = stride * unit if stride < T / unit else np.inf
-        count = _snapshot_count(T, clock, 1, n)
-    else:
-        count = _snapshot_count(T, dt, stride, n)
+    rows = T / clock + 3.0
+    if rows * n * 8 > SNAPSHOT_BYTES:
+        raise ConfigError([f"snapshots of n = {n} to T = {T:g}, one per {clock:.3g}, "
+                           f"would exceed SNAPSHOT_BYTES = {SNAPSHOT_BYTES}"])
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
     # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
@@ -434,47 +423,40 @@ def simulate(
     # the operators of the current compute grid, rebound when m doubles
     ops, reach = _compute_operators(grid, m)
     tail = _tail_max(uh, m)
-    times = np.empty(count)
-    values = np.empty((count, n))
-    drift = np.empty(count)
-    sizes = np.empty(count, dtype=int)
+    times = np.empty(int(rows))
+    values = np.empty((times.size, n))
+    drift = np.empty(times.size)
+    sizes = np.empty(times.size, dtype=int)
     times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, m
     # overflow surfaces as the named non-finite stage, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if dt is None:
-            k1, w = _stage(1, uh[: m // 2 + 1], ops)
-        proposal, dt_initial = np.inf, None
+        k1, w = _stage(1, uh[: m // 2 + 1], ops)
+        h_max, proposal, dt_initial = dt, np.inf, None
         t, t_snap, row, step, rejected = 0.0, 0.0, 1, 0, 0
-        while row < count:
+        while t < T - 1e-12 * T:
             band = slice(0, m // 2 + 1)
             y = uh[band]
             if dt is None:
                 peak_w = float(np.max(np.abs(w)))
                 h_max = min(reach / peak_w, proposal) if peak_w > 0.0 else proposal
-                interval = min(clock, T - t_snap)
-                left = interval - (t - t_snap)
-                steps = max(1, math.ceil((left - 1e-12 * T) / h_max))
-                lands = steps == 1
-                h = left if lands else left / steps
-                t_next = min(t_snap + interval, T) if lands else t + h
-            else:
-                k1 = _stage(1, y, ops)[0]
-                h_max = dt
-                h = min(dt, T - t)
-                t_next = min(t + h, T)
-                lands = (step + 1) % stride == 0 or t_next >= T - 1e-12 * T
+            interval = min(clock, T - t_snap)
+            left = interval - (t - t_snap)
+            steps = max(1, math.ceil((left - 1e-12 * T) / h_max))
+            lands = steps == 1
+            h = left if lands else left / steps
+            t_next = min(t_snap + interval, T) if lands else t + h
             y_next, k4 = _band_rk4(y, h, k1, ops)
             a = np.abs(y_next)  # read by the next compute-grid check and the guard
             grown = _compute_size(uh, m, n, tail, a)
             ops_next, reach_next = (
                 (ops, reach) if grown == m else _compute_operators(grid, grown)
             )
+            # the next step's first stage, on the grid it will be taken on
+            ahead = y_next
+            if grown != m:
+                ahead = np.concatenate((y_next, uh[y.size : grown // 2 + 1]))
+            k5, w5 = _stage(1, ahead, ops_next)
             if dt is None:
-                # the next step's first stage, on the grid it will be taken on
-                ahead = y_next
-                if grown != m:
-                    ahead = np.concatenate((y_next, uh[y.size : grown // 2 + 1]))
-                k5, w5 = _stage(1, ahead, ops_next)
                 err = _error_estimate(h, k4, k5, h1_roots) / h1_0 if h1_0 > 0.0 else 0.0
                 proposal = h * (min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25)) if err else 5.0)
                 if err > STEP_TOL:
@@ -485,10 +467,8 @@ def simulate(
                             f"estimate {err:.3g} > STEP_TOL after {rejected} rejections"
                         )
                     continue
-                k1, w = k5, w5
-                uh[: ahead.size] = ahead
-            else:
-                uh[band] = y_next
+            k1, w = k5, w5
+            uh[: ahead.size] = ahead
             if dt_initial is None:
                 dt_initial = h_max
             t = t_next
@@ -515,14 +495,14 @@ def simulate(
 
     return Trajectory(
         grid=grid,
-        times=times,
-        values=values,
+        times=times[:row],
+        values=values[:row],
         dt_initial=dt_initial,
         dt_final=h_max,
         n_steps=step,
         n_rejected=rejected,
-        h1_drift=drift,
-        compute_n=sizes,
+        h1_drift=drift[:row],
+        compute_n=sizes[:row],
     )
 
 

@@ -37,6 +37,12 @@ __all__ = [
 
 #: The largest Halton sample an admissibility report may take: ~100 MB of pair arrays.
 MAX_SAMPLES = 2**20
+#: The largest ``domain_bound`` an admissibility report may take.  The tanh-sinh rule's
+#: first node sits ~1e-29 bound above 0, so a larger bound leaves no node where e^{-x}
+#: lives: for v = (0, 0, 1, 0), whose kernel integral is 4, the bound and its double
+#: give it to 1e-12 up to 1e17 but not at 1e18, and 1e28 reads 3.845, 1e40 reads 0.0.
+#: The weight (0.5, 1, 0.5, 1) is exact at 1e2 and clamps (kernel integral inf) from 2e3.
+MAX_BOUND = 1e17
 #: Sentinel for clamped evaluations of explosive weights.
 HUGE = 1e300
 _LOG_HUGE = np.log(HUGE)
@@ -303,6 +309,8 @@ def admissibility_report(
         raise ValueError(f"sample_count {sample_count} not in [1000, MAX_SAMPLES = {MAX_SAMPLES}]")
     if not 0 < domain_bound < np.inf:
         raise ValueError(f"domain_bound must be positive and finite, got {domain_bound}")
+    if domain_bound > MAX_BOUND:
+        raise ValueError(f"domain_bound {domain_bound:g} exceeds MAX_BOUND = {MAX_BOUND:g}")
 
     pairs = _halton_pairs(sample_count, domain_bound)
     xs, ys = pairs[:, 0], pairs[:, 1]

@@ -5,10 +5,11 @@ import io
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -142,12 +143,13 @@ class TestSimulate:
 
     # the (t, step, peak) at which the forced growth aborted when the guard
     # took every step's irfft; step 7 of the explicit run lands no snapshot.
+    # Its steps spread the 0.04 clock over 4, which rounds unlike steps of 0.01
     # The default run's steps are set by the error estimate: 1492 steps of
     # ~5e-5 (|100 h| ~ 5e-3) reach the guard at step 1492, also off the clock
     @pytest.mark.parametrize(
         "kwargs, t, step, peak",
         [
-            ({"dt": 0.01, "snapshot_stride": 4}, 0.07, 7, 10.688451834612373),
+            ({"dt": 0.01, "snapshot_stride": 4}, 0.07, 7, 10.688451834612371),
             ({"snapshot_stride": 4}, 0.06908757406354597, 1492, 10.010026294722191),
         ],
         ids=["explicit_dt", "default_step"],
@@ -162,9 +164,10 @@ class TestSimulate:
 
     def test_guard_reads_the_samples_when_the_bound_is_near(self, grid1024, monkeypatch, fft_calls):
         # forced growth by R(0.9)^7 ~ 535 in seven steps of 0.01: the state at
-        # t = 0.07 is past half the guard but under it, and step 7 lands no
-        # snapshot, so the guard takes that step's irfft and does not fire;
-        # an explicit step never reads the stage's operand
+        # t = 0.07 is past half the guard but under it, and step 7 of a run to
+        # T = 0.08 lands no snapshot, so the guard takes that step's irfft and
+        # does not fire; step 8 (R(0.9)^8 ~ 1313) lands on T and fires.  An
+        # explicit step never reads the stage's operand
         _force(monkeypatch, lambda uh, grid: (90.0 * uh, None))
         u = sample(grid1024, lambda x: 0.01 / np.cosh(x) ** 2)
         guard = 1e3 * lp_norm(u, np.inf)
@@ -173,9 +176,9 @@ class TestSimulate:
         assert 2.0 * np.sum(np.abs(uh)) / grid1024.n > 0.5 * guard
         assert lp_norm(at_seven, np.inf) <= guard
         fft_calls.clear()
-        traj = simulate(u, 0.075, snapshot_stride=10**6, dt=0.01)
-        assert traj.n_steps == 8
-        assert lp_norm(traj.final, np.inf) <= guard
+        with pytest.raises(BlowUpError) as info:
+            simulate(u, 0.08, snapshot_stride=10**6, dt=0.01)
+        assert (info.value.t, info.value.step) == (0.08, 8)
         # rfft(u0), the guard's irfft after step 7 and the landing irfft
         assert fft_calls == ["rfft", "irfft", "irfft"]
 
@@ -229,7 +232,7 @@ class TestSimulate:
             simulate(sech2_small, 0.05)
 
     def test_snapshot_block_past_the_budget_is_refused(self, sech2_small):
-        # ~1e8 snapshots of 1024 samples: refused before they are counted
+        # ~1e8 snapshots of 1024 samples: refused before the block is allocated
         with pytest.raises(ConfigError, match="exceed SNAPSHOT_BYTES = 1073741824"):
             simulate(sech2_small, 1e4, dt=1e-4)
         traj = simulate(sech2_small, 0.05, snapshot_stride=10**400, dt=0.01)
@@ -395,6 +398,20 @@ class TestStepRule:
         steps = traj.n_steps + traj.n_rejected
         assert len(fft_calls) == 3 + 2 + 8 * steps + 13 == 3 + 2 + 8 * 39 + 13
 
+    def test_explicit_step_count_pinned_by_fft_calls(self, fine, monkeypatch, fft_calls):
+        # dt = 0.007 is the clock's unit and the step cap: eight intervals of 8 dt take
+        # 8 steps each, and the last 0.052 takes 8 even steps of 0.0065, none short.
+        # rfft(u0), the first stage, four stages per step (the last step's fourth is
+        # the first stage of no step) and the irfft per landing step
+        seen = _spy_steps(monkeypatch)
+        traj = simulate(fine, self.T, self.STRIDE, dt=0.007)
+        assert (traj.n_steps, traj.n_rejected, len(traj) - 1) == (72, 0, 9)
+        assert len(fft_calls) == 1 + 2 + 8 * 72 + 9 == 588
+        h = np.array([step for _, step in seen])
+        np.testing.assert_allclose(h[:64], 0.007, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(h[64:], 0.0065, rtol=1e-12, atol=0.0)
+        assert traj.times[-1] == self.T
+
     def test_large_data_steps_at_the_bound(self, grid4096, monkeypatch):
         # the first try is the stability bound, spread evenly over [0, T]; the error
         # estimate rejects it and sets every later step well inside the bound
@@ -418,6 +435,56 @@ class TestStepRule:
         assert traj.times.tolist() == [0.0, T]
         assert np.max(traj.h1_drift) < 1e-11
         assert lp_norm(traj.final, np.inf) < 2.0 * lp_norm(u0, np.inf)
+
+
+def _old_landings(T, clock):
+    """``(rows, last time)`` of a run on ``clock``, by the loop that once ran before the first step."""
+    t, steps = 0.0, 0
+    while t < T - 1e-12 * T:
+        t = min(t + min(clock, T - t), T)
+        steps += 1
+    return 1 + steps, t
+
+
+@st.composite
+def horizons(draw):
+    """``(T, unit, stride, explicit)``: T within 3 ulps of whole clocks, a sliver off them, or any."""
+    unit = draw(st.floats(1e-4, 1.0))
+    stride = draw(st.integers(1, 9))
+    clock = stride * unit
+    T = draw(st.integers(1, 60)) * clock
+    near = draw(st.sampled_from(["ulps", "sliver", "any"]))
+    if near == "ulps":
+        T += draw(st.integers(-3, 3)) * np.spacing(T)
+    elif near == "sliver":  # on either side of the stopping tolerance 1e-12 T
+        T *= 1.0 + draw(st.sampled_from([-1e-9, -1e-12, 1e-12, 1e-9]))
+    else:
+        T = draw(st.floats(1e-3, 60.0)) * clock
+    return T, unit, stride, draw(st.booleans())
+
+
+class TestSnapshotAllocation:
+    """The K x n block is allocated from T / clock before the first step; the run stops on time.
+
+    The last time is T, or a clock tick that lands within 1e-12 T of it, as the counting loop's.
+    """
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(horizons())
+    @example((5000 * 1e-3, 1e-3, 1, False))
+    @example((np.nextafter(5001 * 1e-3, 0.0), 1e-3, 1, True))
+    def test_landings_fit_the_block_and_end_on_T(self, case):
+        import gch.integrate as integrate_mod
+
+        T, unit, stride, explicit = case
+        u0 = sample(Grid(16, 4.0), lambda x: 0.01 / np.cosh(x) ** 2)
+        with mock.patch.object(integrate_mod, "estimate_dt", lambda u: unit):
+            traj = simulate(u0, T, stride, dt=unit if explicit else None)
+        allocated = traj.values.base.shape[0]
+        assert (len(traj), traj.times[-1]) == _old_landings(T, stride * unit)
+        assert len(traj) < allocated <= len(traj) + 2
+        assert T - 1e-12 * T <= traj.times[-1] <= T
+        assert traj.h1_drift.shape == traj.compute_n.shape == (len(traj),)
 
 
 def _long_pulse():

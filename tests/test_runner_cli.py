@@ -385,6 +385,13 @@ class TestCli:
         assert main(["verify-weights", "--phi", "0,0,1,0", f"--bound={bound}"]) == 2
         assert "domain_bound must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["1e28", "1e40"])
+    def test_bound_past_the_kernel_rule_exit_two(self, capsys, bound):
+        assert main(["verify-weights", "--phi", "0,0,1,0", "--bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert f"domain_bound {float(bound):g} exceeds MAX_BOUND = 1e+17" in captured.err
+        assert captured.out == ""
+
     def test_window_without_a_node_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(FAST.replace("[output]", "window = 10.001,10.002\n[output]"))

@@ -13,7 +13,7 @@ from gch import (
     weighted_young_check,
 )
 from gch.fields import compact_pair_family
-from gch.weights import HUGE, MAX_SAMPLES, _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
+from gch.weights import HUGE, MAX_BOUND, MAX_SAMPLES, _halton_pairs, _kernel_lp, _young_slacks, weight_on_grid
 
 
 class TestEvalWeight:
@@ -164,6 +164,21 @@ class TestAdmissibilityReport:
             admissibility_report(
                 WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0), domain_bound=bound
             )
+
+
+    @pytest.mark.parametrize("bound", [1e28, 1e40])
+    def test_rejects_a_bound_the_kernel_rule_cannot_resolve(self, bound):
+        # the tanh-sinh rule read 3.845 (not admissible) at 1e28 and 0.0 (admissible) at 1e40
+        with pytest.raises(ValueError, match="exceeds MAX_BOUND = 1e\\+17"):
+            admissibility_report(WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0), domain_bound=bound)
+
+    def test_max_bound_keeps_the_kernel_integral(self):
+        # v = (0, 0, 1, 0): the kernel integral 2 (2 - (B + 2) e^{-B}) is 4 to 1e-12
+        rep = admissibility_report(WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, 1, 0),
+                                   domain_bound=MAX_BOUND, p=1.0)
+        assert rep.kernel_integral == pytest.approx(4.0, rel=1e-12, abs=0.0)
+        assert rep.kernel_integral_doubled == pytest.approx(4.0, rel=1e-12, abs=0.0)
+        assert rep.passes["kernel_l1"]
 
 
 class TestKernelQuadrature:
