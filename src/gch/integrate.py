@@ -1,16 +1,14 @@
 """Deterministic explicit time stepping with snapshot recording.
 
-Classical four-stage Runge-Kutta under one step rule.  The snapshot times
-run on a fixed clock whose unit is an explicit ``dt`` or, by default, is
-set once from the initial datum by :func:`estimate_dt`, and the steps are
-spread evenly over each snapshot interval so the last lands exactly on it.
-An explicit ``dt`` also caps the step.  By default the cap is set by
-accuracy: an embedded error estimate, built from the next step's first
-stage at no extra stage, accepts or rejects each step against
-``STEP_TOL`` and proposes the next, and no step exceeds the stability
-bound of the stage being stepped (see :func:`simulate`).  No choice
-depends on anything but the inputs, so reruns with identical inputs are
-bit-identical.
+Classical four-stage Runge-Kutta under one step rule: every step is as
+long as accuracy allows, and only T is landed on.  Snapshots run on a
+fixed clock, whose unit is an explicit ``dt`` or, by default,
+:func:`estimate_dt` of the initial datum; one inside a step is read off
+the step's cubic Hermite interpolant at no extra stage.  An explicit
+``dt`` caps the step; by default an embedded error estimate, built from
+the next step's first stage, accepts or rejects each step against
+``STEP_TOL`` within the stage's stability bound (see :func:`simulate`).
+No choice depends on anything but the inputs, so reruns are bit-identical.
 
 :func:`simulate` keeps the state in Fourier space, as the rfft ``uh`` of
 u, and evaluates each stage in the primitive form
@@ -38,12 +36,11 @@ roundoff plateau.  The rule is re-checked from ``uh`` before every step and
 ``m`` only doubles; the modes above the band are carried unchanged, so
 their largest magnitude is read once per ``m`` and each check reads only
 the band.  The state stays the rfft on ``n``: only its first ``m/2 + 1``
-modes are stepped, and every snapshot is taken on ``n``.  Between
-snapshots the blow-up guard reads the Wiener bound ``2 sum|uh[band]| / n``,
-which no sample on the compute grid exceeds, and takes the compute grid's
-irfft only when that bound passes half the guard, so the guard fires at
-the same step with the same peak as one that read every step's samples.
-A run that needs ``m = n`` throughout steps exactly as on the full grid.
+modes are stepped, and every snapshot is taken on ``n``.  At a step end
+that is no snapshot the blow-up guard reads the Wiener bound
+``2 sum|uh[band]| / n``, which no sample on the compute grid exceeds, and
+takes the compute grid's irfft only when that bound passes half the
+guard, so it fires where one that read every step's samples would.
 """
 
 from __future__ import annotations
@@ -90,10 +87,10 @@ STEP_SAFETY = 0.5
 #: error of the top modes, which grows like h^4, long before the H^1 drift
 #: does, so sigma(T) sets it: the largest value on a 1e-10 grid whose
 #: sigma(T) on the 0.05 sech^2 pulse (n = 16384, L = 40, T = 1, stride 32)
-#: stays within 5e-7 of a dt = 0.0025 run, with max drift <= 1e-11.  It
-#: reads 4.2e-7 in 68 steps; 6e-10 reads 5.9e-7 in 64 and 3e-10 2.8e-7 in
-#: 77 (the table is in BENCH_step_control.json).
-STEP_TOL = 5e-10
+#: stays within 5e-7 of a dt = 0.0025 run, with max drift <= 1e-11, the
+#: steps as long as accuracy allows.  It reads 4.8e-7 in 67 steps; 5e-10
+#: reads 5.9e-7 in 63 and 3e-10 3.6e-7 in 72 (BENCH_dense_output.json).
+STEP_TOL = 4e-10
 #: A default step rejected below STEP_FLOOR * T ends the run with a
 #: FloatingPointError: a stage that never meets the tolerance cannot spin.
 STEP_FLOOR = 1e-12
@@ -209,12 +206,9 @@ def rk4_step(u: Field, dt: float, deriv) -> Field:
 def estimate_dt(u: Field) -> float:
     """The default snapshot clock's unit: 0.5 dx / max(1, ||4u|| + ||2u_x||), capped at DT_MAX.
 
+    The coefficients are the advective terms of the momentum formulation.
     Without an explicit ``dt``, :func:`simulate` spaces its snapshots
-    ``snapshot_stride`` such units apart, the unit taken once from the
-    initial datum.  The coefficients
-    are the advective terms of the momentum formulation; the step itself
-    comes from an error estimate within the stage's stability bound (see
-    :func:`simulate`).
+    ``snapshot_stride`` such units apart; its steps are set by accuracy.
     """
     speed = 4.0 * lp_norm(u, np.inf) + 2.0 * lp_norm(derivative(u, 1), np.inf)
     return float(min(0.5 * u.grid.dx / max(1.0, speed), DT_MAX))
@@ -266,16 +260,36 @@ def _band_rk4(y, h: float, k1, ops):
     return s, k4
 
 
-def _error_estimate(h: float, k4, k5, weights) -> float:
-    """``(h/6) ||k4 - k5||_{H^1}``, the error of the embedded third-order solution.
+def _hermite(out, y0, y1, f0, f1, h: float, theta: float, scratch):
+    """Into ``out``: the cubic Hermite interpolant at ``theta`` of a step of ``h`` from y0 to y1.
 
-    ``k5`` is the next step's first stage, possibly on a larger band; the
-    norm is taken on ``k4``'s band, with ``weights`` the square roots of the
-    H^1 weights.
+    ``f0`` and ``f1`` are the slopes at its ends; ``scratch`` is overwritten, not allocated.
+    The weights of y1 - y0, f0 and f1 vanish at ``theta = 1``, where it is y1 bit for bit.
     """
-    gap = k4 - k5[: k4.size]
-    gap *= weights[: k4.size]
-    return h / 6.0 * math.sqrt(np.vdot(gap, gap).real)
+    rest = 1.0 - theta
+    np.subtract(y1, y0, out=out)
+    out *= -rest * rest * (1.0 + 2.0 * theta)
+    out += y1
+    out += np.multiply(f0, theta * rest * rest * h, out=scratch)
+    out += np.multiply(f1, -theta * theta * rest * h, out=scratch)
+    return out
+
+
+def _starting_step(y, k1, ops, norm) -> float:
+    """The first default step: Hairer-Wanner's starting step (Solving ODEs I, II.4) in ``norm``.
+
+    ``d1 = ||k1|| / ||y||``, and ``d2 = ||f(y + h0 k1) - k1|| / (h0 ||y||)`` from
+    one Euler probe of ``h0 = 0.01 / d1``.  The step is ``STEP_TOL^(1/4) / max(d1,
+    sqrt(d2))``, not the textbook's ``(0.01 / max(d1, d2))^(1/(p+1))``, which
+    mixes 1/time with 1/time^2: it scales with the data as the flow does.
+    """
+    size = norm(y)
+    rate = norm(k1) / size if size > 0.0 else 0.0
+    if rate == 0.0:
+        return np.inf
+    probe = 0.01 / rate
+    curvature = norm(_stage(1, y + probe * k1, ops)[0] - k1) / (probe * size)
+    return STEP_TOL**0.25 / max(rate, math.sqrt(curvature))
 
 
 def _tail_max(uh, m: int) -> float:
@@ -342,65 +356,66 @@ def simulate(
     """Integrate from u0 to time T and record snapshots along the way.
 
     The state is the rfft of u and each RK4 stage is one
-    :func:`_spectral_stage` call, the dealiased primitive form
-    ``post * rfft(w**2)`` with ``w = irfft(pre * uh)``.
+    :func:`_spectral_stage` call.  Each step is ``h = min(h_max, T - t)``,
+    and one that would leave less than ``1e-12 T`` lands on T instead: only
+    T is landed on.  Each step's first stage is the previous step's last.
 
-    Snapshots run on a fixed clock of ``snapshot_stride * unit``, with
-    ``unit`` the explicit ``dt`` when one is given and ``estimate_dt(u0)``
-    otherwise: each snapshot time is the previous one plus the clock, at
-    most T, and the run stops once it is within ``1e-12 T`` of T.  The
-    steps are spread evenly over what is left of the interval,
-    ``ceil(left / h_max)`` of them, so no step exceeds ``h_max`` by more
-    than ``1e-12 T`` and the last one lands exactly on the snapshot time
-    and on T.  Each step's first stage is the previous step's last, the
-    ``k5`` below.  A stride-1 run whose ``h_max`` allows the clock's step
-    takes one step per snapshot.
+    Snapshots run on a clock of ``snapshot_stride * unit``, ``unit`` being
+    the explicit ``dt`` or else ``estimate_dt(u0)``: each snapshot time is
+    the previous one plus the clock, and a tick within ``1e-12 T`` of T, or
+    past it, is T.  A snapshot at ``s`` in a kept step ``(t, t + h]`` is the
+    step's cubic Hermite interpolant at ``theta = (s - t) / h`` from
+    ``y_n``, ``y_{n+1}``, ``k1 = f(y_n)`` and ``k5 = f(y_{n+1})`` (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6), on the stepped band with the
+    modes above it carried unchanged; at ``theta = 1`` it is ``y_{n+1}``
+    bit for bit.  Against a run that steps an eighth of the clock and ends
+    a step on every snapshot, the benchmark's workloads (0.05 sech^2
+    pulses, n = 4096 and 16384, L = 40, T = 0.25 and 1) at seeds 0-10 are
+    within 1.0e-10 of max|u|, their weighted norms W within 6.0e-10 and
+    their interior radii within 3.9e-6 (relative); tests hold them within
+    2e-10, 1e-9 and 1e-5.  On history's datum (67 steps for 103 snapshots)
+    an interpolated snapshot's H^1 drift reaches 7.2e-12, a step end's 1e-12.
 
-    An explicit ``dt`` is ``h_max``; its steps are neither checked nor
-    rejected.  By default ``h_max`` is set by accuracy, within the
-    stability bound.  The stage's Jacobian
-    ``d -> post * rfft(2 w irfft(pre d))`` has spectral radius at most
-    ``B ||w||_inf`` with ``B = 2 max|pre| max|post|`` over the kept modes
+    An explicit ``dt`` is ``h_max``, never checked or rejected.  By default
+    ``h_max`` is set by accuracy within the stability bound: the stage's
+    Jacobian ``d -> post * rfft(2 w irfft(pre d))`` has spectral radius at
+    most ``B ||w||_inf``, ``B = 2 max|pre| max|post|`` over the kept modes
     (Parseval), so no step exceeds
     ``STEP_SAFETY * RK4_IMAGINARY_LIMIT / (B ||w||_inf)``, read off each
-    step's first stage.  Within it, each step is checked by an embedded
-    error estimate: the first stage ``k5`` of the next step gives the
-    third-order solution ``y + h (k1/6 + k2/3 + k3/3 + k5/6)``, and the
-    error estimate ``err = (h/6) ||k4 - k5||_{H^1} / ||u0||_{H^1}``
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A step with
-    ``err <= STEP_TOL`` is kept and ``h_max`` of the next step may be
-    ``h min(5, 0.9 (STEP_TOL/err)^(1/4))``, capped by the bound; otherwise
-    it is taken again from the kept state and first stage with
-    ``h max(0.2, 0.9 (STEP_TOL/err)^(1/4))``, and a step rejected below
-    ``STEP_FLOOR * T`` raises ``FloatingPointError``.  The first step
-    tries the stability bound.  ``dt_initial`` and ``dt_final`` are the
-    ``h_max`` of the first and last kept steps, and ``n_rejected`` counts
-    the steps taken again.
+    step's first stage.  The next step's first stage ``k5`` gives the
+    embedded third-order solution ``y + h (k1/6 + k2/3 + k3/3 + k5/6)`` and
+    the error estimate ``err = (h/6) ||k4 - k5||_{H^1} / ||u0||_{H^1}``
+    (ibid., II.4).  A step with ``err <= STEP_TOL`` is kept, and the next
+    ``h_max`` may be ``h min(5, 0.9 (STEP_TOL/err)^(1/4))``; otherwise the
+    step is taken again with ``h max(0.2, 0.9 (STEP_TOL/err)^(1/4))``, and
+    one rejected below ``STEP_FLOOR * T`` raises ``FloatingPointError``.
+    The first step tries :func:`_starting_step`.  ``dt_initial`` and
+    ``dt_final`` are the ``h_max`` of the first and last kept steps, and
+    ``n_rejected`` counts the steps taken again.
 
     The stages run on the compute grid of the module docstring, re-chosen
-    from ``uh`` after every step at no FFT cost.  ``B`` is taken on that
-    grid, because its semi-discretisation is the one being stepped.  The
-    irfft on ``n`` runs only when a snapshot lands, into a ``K x n`` block
-    of ``T / clock + 3`` rows allocated before the first step, or refused
-    past ``SNAPSHOT_BYTES`` with a :class:`ConfigError`; the run stops on
-    time, and the trajectory holds the rows filled.  Every landing but the
-    last advances the snapshot time by the clock less at most one rounding
-    of T, which the budget holds under ``2**-30`` of the clock, so the
-    landings take at most ``T / clock + 1.01`` rows after ``u0``.
-    ``compute_n`` holds the ``m`` that produced each snapshot, the first
-    one's ``m`` for ``u0``.
+    after every step at no FFT cost; ``B`` is taken on it.  Each snapshot
+    takes one irfft on ``n``, into a ``K x n`` block of ``T / clock + 3``
+    rows allocated before the first step (refused past ``SNAPSHOT_BYTES``
+    with a :class:`ConfigError`).  Every tick but the last advances by the
+    clock less at most one rounding of T, which the budget holds under
+    ``2**-30`` of the clock, so the snapshots fill at most
+    ``T / clock + 2.01`` rows.  ``compute_n`` holds the ``m`` of each
+    snapshot's step, the first one's for ``u0``.
 
-    Aborts with :class:`BlowUpError` if the sup norm grows by more than
-    a factor of 1000 over the initial datum, checked after every kept
-    step: a landing step reads its snapshot, any other step the
-    Wiener-bound guard of the module docstring.  ``h1_drift`` holds
-    |H1(t) - H1(0)| / H1(0) per snapshot, from the coefficients.
+    Aborts with :class:`BlowUpError` if the sup norm grows by more than a
+    factor of 1000 over the initial datum: each snapshot reads its samples,
+    each step end that is no snapshot the Wiener-bound guard of the module
+    docstring.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0) per snapshot.
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
     unit = estimate_dt(u0) if dt is None else _require_positive("dt", dt)
     # a stride past T / unit keeps only T; the product could overflow a float
     clock = stride * unit if stride < T / unit else np.inf
+
+    def tick(s: float) -> float:  # the snapshot time after s: a clock tick, or T, then none
+        return np.inf if s == T else s + clock if s + clock < T - 1e-12 * T else T
 
     grid = u0.grid
     n = grid.n
@@ -412,12 +427,12 @@ def simulate(
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
     # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
     h1_weights = grid.h1_weight * (grid.dx / grid.n)
-    h1_roots = np.sqrt(h1_weights)
 
-    def h1(vh) -> float:
-        return float(np.sqrt(np.sum(h1_weights * (vh.real**2 + vh.imag**2))))
+    def h1(vh) -> float:  # on vh's band
+        return float(np.sqrt(np.sum(h1_weights[: vh.size] * (vh.real**2 + vh.imag**2))))
 
     uh = grid.rfft(u0.values)
+    snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
     h1_0 = h1(uh)
     m = _compute_size(uh, 16, n, _tail_max(uh, 16))
     # the operators of the current compute grid, rebound when m doubles
@@ -431,20 +446,16 @@ def simulate(
     # overflow surfaces as the named non-finite stage, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         k1, w = _stage(1, uh[: m // 2 + 1], ops)
-        h_max, proposal, dt_initial = dt, np.inf, None
-        t, t_snap, row, step, rejected = 0.0, 0.0, 1, 0, 0
-        while t < T - 1e-12 * T:
+        proposal = np.inf if dt is not None else _starting_step(uh[: m // 2 + 1], k1, ops, h1)
+        h_max, dt_initial, t, s, row, step, rejected = dt, None, 0.0, tick(0.0), 1, 0, 0
+        while t < T:
             band = slice(0, m // 2 + 1)
             y = uh[band]
             if dt is None:
                 peak_w = float(np.max(np.abs(w)))
                 h_max = min(reach / peak_w, proposal) if peak_w > 0.0 else proposal
-            interval = min(clock, T - t_snap)
-            left = interval - (t - t_snap)
-            steps = max(1, math.ceil((left - 1e-12 * T) / h_max))
-            lands = steps == 1
-            h = left if lands else left / steps
-            t_next = min(t_snap + interval, T) if lands else t + h
+            # a step that would leave less than 1e-12 T lands on T instead
+            h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
             y_next, k4 = _band_rk4(y, h, k1, ops)
             a = np.abs(y_next)  # read by the next compute-grid check and the guard
             grown = _compute_size(uh, m, n, tail, a)
@@ -457,7 +468,8 @@ def simulate(
                 ahead = np.concatenate((y_next, uh[y.size : grown // 2 + 1]))
             k5, w5 = _stage(1, ahead, ops_next)
             if dt is None:
-                err = _error_estimate(h, k4, k5, h1_roots) / h1_0 if h1_0 > 0.0 else 0.0
+                # the embedded third-order solution's error, on k4's band
+                err = h / 6.0 * h1(k4 - k5[: k4.size]) / h1_0 if h1_0 > 0.0 else 0.0
                 proposal = h * (min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25)) if err else 5.0)
                 if err > STEP_TOL:
                     rejected += 1
@@ -467,28 +479,30 @@ def simulate(
                             f"estimate {err:.3g} > STEP_TOL after {rejected} rejections"
                         )
                     continue
-            k1, w = k5, w5
-            uh[: ahead.size] = ahead
             if dt_initial is None:
                 dt_initial = h_max
-            t = t_next
             step += 1
-            if lands:
-                values[row] = grid.irfft(uh)
+            # the snapshots in (t, t_next], interpolated (k4 is spent); theta = 1 at t_next exactly
+            while s <= t_next:
+                _hermite(snap[band], y, y_next, k1, k5[: y.size], h, (s - t) / (t_next - t), k4)
+                snap[y.size :] = uh[y.size :]
+                values[row] = grid.irfft(snap)
                 peak = float(np.max(np.abs(values[row])))
-            else:
-                # the samples on the compute grid are at most the Wiener bound
-                # 2 sum|uh[band]| / n; their irfft is taken only near the guard
+                if peak > guard:
+                    raise BlowUpError(s, step, peak, guard)
+                gap = abs(h1(snap) - h1_0)
+                times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
+                row, s = row + 1, tick(s)
+            k1, w = k5, w5
+            uh[: ahead.size] = ahead
+            t = t_next
+            if times[row - 1] != t:
+                # the Wiener bound 2 sum|uh[band]| / n, near the guard the compute grid's samples
                 peak = 2.0 * float(np.sum(a)) / n
                 if peak > 0.5 * guard:
                     peak = float(np.max(np.abs(ops[0].irfft(uh[band] * (m / n)))))
-            if peak > guard:
-                raise BlowUpError(t, step, peak, guard)
-            if lands:
-                t_snap = t
-                gap = abs(h1(uh) - h1_0)
-                times[row], drift[row], sizes[row] = t, gap / h1_0 if h1_0 > 0.0 else gap, m
-                row += 1
+                if peak > guard:
+                    raise BlowUpError(t, step, peak, guard)
             if grown != m:
                 m, ops, reach = grown, ops_next, reach_next
                 tail = _tail_max(uh, m)

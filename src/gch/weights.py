@@ -16,6 +16,7 @@ and therefore lower bounds of the true constants.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -271,9 +272,23 @@ def _kernel_lp(spec: WeightSpec, bound: float, p: float) -> float:
     depend on the rule rather than on the weight.
     """
     if np.isinf(p):
+        # the sup off 20001 even nodes, then off 101 between the best node's neighbours, each
+        # pass narrowing the node step 50-fold: once it is below 1 (the scale of e^{-|x|})
+        # the passes stop when the value gains under 1e-15 of itself, or after 8 more.  At a
+        # large bound the even nodes alone step over the sup
         xs = np.linspace(-bound, bound, 20001)
-        w = eval_weight(spec, xs)
-        return np.inf if np.max(w) >= HUGE else float(np.max(w * np.exp(-np.abs(xs))))
+        best = -np.inf
+        for _ in range(math.ceil(math.log(max(xs[1] - xs[0], 1.0), 50.0)) + 8):
+            w = eval_weight(spec, xs)
+            if np.max(w) >= HUGE:
+                return np.inf
+            vals = w * np.exp(-np.abs(xs))
+            i = int(np.argmax(vals))
+            gain, best = vals[i] - best, max(best, float(vals[i]))
+            if xs[1] - xs[0] < 1.0 and gain <= 1e-15 * best:
+                break
+            xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 101)
+        return best
     if eval_weight(spec, bound) >= HUGE:
         return np.inf
 

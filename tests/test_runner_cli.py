@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -435,6 +436,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["admissible"] is True
         assert abs(payload["kernel_integral"] - 4.0) < 1e-6
+
+    @pytest.mark.parametrize("bound", ["20", "1e6", "1e17"])
+    def test_verify_weights_finds_the_kernel_sup_at_any_bound(self, capsys, bound):
+        # (1 + |x|)^3 e^{-|x|} peaks at |x| = 2 with 27 e^{-2}; 20001 even nodes over
+        # a bound of 1e6 or 1e17 step over it and read 1.0, the node x = 0
+        assert main(["verify-weights", "--phi", "0,0,3,0", "--p", "inf", "--bound", bound]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("kernel_lp_norm", "kernel_lp_norm_doubled"):
+            assert payload[key] == pytest.approx(27.0 * math.exp(-2.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_verify_weights_strict_json_when_weights_underflow(self, tmp_path, capsys):

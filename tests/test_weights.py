@@ -210,6 +210,14 @@ class TestKernelQuadrature:
             2.0 * (2.0 - (bound + 2.0) * np.exp(-bound)), abs=1e-14
         )
 
+    @pytest.mark.parametrize("bound", [20.0, 1e6, 1e17])
+    def test_sup_between_the_nodes(self, bound):
+        # (1 + |x|)^c e^{-|x|} peaks at |x| = c - 1, between the even nodes for c = sqrt 2
+        c = np.sqrt(2.0)
+        assert _kernel_lp(WeightSpec(0, 0, c, 0), bound, np.inf) == pytest.approx(
+            c**c * np.exp(1.0 - c), rel=1e-12
+        )
+
     def test_overflowing_weight_clamps_and_fails_kernel_l1(self):
         # e^{x^2} passes HUGE beyond |x| ~ 26.3, inside the doubled domain
         spec = WeightSpec(1, 2, 0, 0)
