@@ -74,7 +74,6 @@ from .integrate import (
     read_snapshots,
     rk4_step,
     simulate,
-    snapshots_to_csv,
     write_checkpoint,
     write_snapshots,
 )
@@ -84,7 +83,7 @@ from .persistence import (
     persistence_ledger,
     two_tier_persistence_check,
 )
-from .runner import RunSummary, run_experiment, selftest
+from .runner import RunSummary, run_experiment, selftest, snapshots_to_csv
 from .weights import (
     AdmissibilityReport,
     WeightSpec,

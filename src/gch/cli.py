@@ -2,7 +2,8 @@
 
 Subcommands: simulate, persistence, asymptotics, analyticity,
 verify-weights, selftest.  Exit codes: 0 success, 1 diagnostics failed,
-2 configuration error, 3 numerical abort (blow-up or boundary violation).
+2 configuration error, 3 numerical abort (blow-up, a non-finite RK4
+stage or boundary violation).
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ __all__ = [
     "estimate_dt",
     "simulate",
     "spectral_rhs",
-    "snapshots_to_csv",
     "write_checkpoint",
     "read_checkpoint",
     "write_snapshots",
@@ -107,8 +106,6 @@ BAND_FLOOR = 1e-15
 ROW_BLOCK_BYTES = 2**18
 #: The most bytes the K x n snapshot block of :func:`simulate` may take.
 SNAPSHOT_BYTES = 2**30
-#: Rows per chunk of CSV text.
-CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,10 @@ class Trajectory:
             raise ValueError(f"values must be {(len(self), self.grid.n)}, not {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("snapshots contain non-finite samples")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
+        # a NaN or infinite time fails the strict increase or the finite end
+        times = self.times
+        if times[0] != 0.0 or not (np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
+            raise ValueError("times must be finite, start at 0 and increase strictly")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -433,7 +432,6 @@ def simulate(
 
     uh = grid.rfft(u0.values)
     snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
-    h1_0 = h1(uh)
     m = _compute_size(uh, 16, n, _tail_max(uh, 16))
     # the operators of the current compute grid, rebound when m doubles
     ops, reach = _compute_operators(grid, m)
@@ -445,6 +443,7 @@ def simulate(
     times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, m
     # overflow surfaces as the named non-finite stage, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        h1_0 = h1(uh)
         k1, w = _stage(1, uh[: m // 2 + 1], ops)
         proposal = np.inf if dt is not None else _starting_step(uh[: m // 2 + 1], k1, ops, h1)
         h_max, dt_initial, t, s, row, step, rejected = dt, None, 0.0, tick(0.0), 1, 0, 0
@@ -520,43 +519,21 @@ def simulate(
     )
 
 
-def _write_rows(stream, config_hash: str, header: str, blocks) -> None:
-    """CSV text under a ``# config-hash`` line and ``header``: each block's rows in turn.
-
-    A block is a tuple of equal-length columns.  Floats are written as repr and others as
-    str, each column formatted once per chunk of CSV_CHUNK rows, so no whole-file text is
-    held: a whole-file writer raised long's VmHWM by ~0.8 MB.  A column whose entries are
-    bitwise equal (so -0.0 and NaN stay exact) is formatted once.
-    """
-
-    def text(col):
-        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
-
-    def one_value(col):
-        bits = col.view(np.int64) if col.dtype.kind in "fi" and col.itemsize == 8 else None
-        return text(col[:1]) if bits is not None and np.all(bits == bits[:1]) else None
-
-    stream.write(f"# config-hash: {config_hash}\n{header}\n")
-    for columns in blocks:
-        columns = [np.asarray(col) for col in columns]
-        once = [one_value(col) for col in columns]
-        for start in range(0, len(columns[0]), CSV_CHUNK):
-            chunk = [col[start : start + CSV_CHUNK] for col in columns]
-            cells = [t * len(c) if t else text(c) for t, c in zip(once, chunk)]
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def snapshots_to_csv(traj: Trajectory, stream, config_hash: str) -> None:
-    """Write the trajectory in long format with columns t,x,u, under a config-hash line."""
-    times, x = np.asarray(traj.times, dtype=float), traj.grid.x
-    blocks = ((np.full(x.size, t), x, row) for t, row in zip(times, traj.values))
-    _write_rows(stream, config_hash, "t,x,u", blocks)
-
-
 _CHECKPOINT_MAGIC = b"GCH1"
 _SNAPSHOTS_MAGIC = b"GCHS"
 _HEADER = struct.Struct("<4sIdd")  # magic, n (uint32), L, t -- little-endian
 _SNAPSHOTS_COUNT = struct.Struct("<I12s")  # K (uint32), ASCII config hash
+
+
+def _write_dump(path, magic: bytes, grid: Grid, t: float, *parts) -> None:
+    """The shared header, then each part in turn: bytes as they are, arrays as float64.
+
+    An array is written from its own buffer, not from a ``tobytes()`` copy.
+    """
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(magic, grid.n, grid.half_width, float(t)))
+        for part in parts:
+            fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part, dtype="<f8"))
 
 
 def write_checkpoint(path, u: Field, t: float) -> None:
@@ -564,9 +541,7 @@ def write_checkpoint(path, u: Field, t: float) -> None:
 
     All fields little-endian.
     """
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CHECKPOINT_MAGIC, u.grid.n, u.grid.half_width, float(t)))
-        fh.write(u.values.astype("<f8").tobytes())
+    _write_dump(path, _CHECKPOINT_MAGIC, u.grid, t, u.values)
 
 
 def write_snapshots(path, traj: Trajectory, config_hash: str) -> None:
@@ -575,19 +550,14 @@ def write_snapshots(path, traj: Trajectory, config_hash: str) -> None:
     Magic "GCHS", uint32 n, float64 L, float64 t (the last time), uint32 K,
     the 12 ASCII bytes of the config hash, K float64 times, then the K x n
     float64 samples row by row.  All fields little-endian.
-    ``snapshots_to_csv(read_snapshots(path)[1], fh, config_hash)`` gives the
-    ``t,x,u`` text of the trajectory.
+    :func:`gch.runner.snapshots_to_csv` turns ``read_snapshots(path)[1]``
+    into the ``t,x,u`` text of the trajectory.
     """
     tag = config_hash.encode("ascii")
     if len(tag) != 12:
         raise ValueError(f"config hash must be 12 ASCII characters, got {config_hash!r}")
-    grid = traj.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_SNAPSHOTS_MAGIC, grid.n, grid.half_width, float(traj.times[-1])))
-        fh.write(_SNAPSHOTS_COUNT.pack(len(traj), tag))
-        fh.write(np.asarray(traj.times, dtype="<f8").tobytes())
-        # the block's own buffer, not a tobytes() copy of it
-        fh.write(np.ascontiguousarray(traj.values, dtype="<f8"))
+    count = _SNAPSHOTS_COUNT.pack(len(traj), tag)
+    _write_dump(path, _SNAPSHOTS_MAGIC, traj.grid, traj.times[-1], count, traj.times, traj.values)
 
 
 def _read_fixed(fh, path, layout: struct.Struct) -> tuple:
@@ -605,27 +575,32 @@ def _read_header(fh, path, magic: bytes) -> tuple:
     return n, L, t
 
 
+def _read_body(fh, path, what: str, rows: int, width: int) -> np.ndarray:
+    """The ``rows x width`` float64 body after the header, flat; ``what`` names it.
+
+    The bytes left are checked before reading, so a corrupt header cannot ask
+    for an arbitrarily large buffer.  A mismatch, or no rows, is refused.
+    """
+    size = 8 * rows * width
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if rows == 0 or have != size:
+        raise ValueError(f"{path}: {what} need {size} bytes after the header, found {have}")
+    return np.frombuffer(fh.read(size), dtype="<f8")
+
+
 def read_checkpoint(path):
     """Read a :func:`write_checkpoint` dump; returns (t, Field).
 
     Raises ``ValueError`` naming the path when the file is not such a dump,
-    its size disagrees with its header, or its grid or samples are invalid.
+    its size disagrees with its header, or its time, grid or samples are invalid.
     """
     with open(path, "rb") as fh:
         n, L, t = _read_header(fh, path, _CHECKPOINT_MAGIC)
-        # the size is checked before reading, so a corrupt header cannot ask
-        # for an arbitrarily large buffer
-        expected = 8 * n
-        have = os.fstat(fh.fileno()).st_size - fh.tell()
-        if have < expected:
-            raise ValueError(f"{path}: truncated state (expected {n} samples, got {have // 8})")
-        if have > expected:
-            raise ValueError(
-                f"{path}: {n} samples need {expected} bytes after the header, found {have}"
-            )
-        raw = fh.read(expected)
+        samples = _read_body(fh, path, f"{n} samples", 1, n)
     try:
-        return t, Field(Grid(n, L), np.frombuffer(raw, dtype="<f8").astype(float))
+        if not np.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+        return t, Field(Grid(n, L), samples.astype(float))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -641,19 +616,7 @@ def read_snapshots(path):
     with open(path, "rb") as fh:
         n, L, t = _read_header(fh, path, _SNAPSHOTS_MAGIC)
         count, tag = _read_fixed(fh, path, _SNAPSHOTS_COUNT)
-        # sizes are checked before reading, so a corrupt header cannot ask
-        # for an arbitrarily large buffer
-        expected = 8 * count * (n + 1)
-        have = os.fstat(fh.fileno()).st_size - fh.tell()
-        if count == 0 or have > expected:
-            raise ValueError(
-                f"{path}: {count} snapshots of {n} samples need {expected} bytes "
-                f"after the header, found {have}"
-            )
-        if have < expected:
-            raise ValueError(f"{path}: truncated block ({have} of {expected} bytes)")
-        raw = fh.read(expected)
-    data = np.frombuffer(raw, dtype="<f8")
+        data = _read_body(fh, path, f"{count} snapshots of {n} samples", count, n + 1)
     times, block = data[:count].astype(float), data[count:].reshape(count, n)
     try:
         config_hash = tag.decode("ascii")

@@ -30,7 +30,7 @@ from .errors import BlowUpError, ConfigError
 from .fields import compact_pair_family, make_initial, smooth_field_family
 from .grid import Grid, lp_norm, sample
 from .helmholtz import green_convolve_direct, helmholtz_inverse
-from .integrate import BOUNDARY_TOLERANCE, Trajectory, _write_rows, simulate
+from .integrate import BOUNDARY_TOLERANCE, Trajectory, simulate
 from .integrate import write_checkpoint, write_snapshots
 from .rowpass import run_pass, together
 from .weights import WeightSpec, _young_slacks, admissibility_report, weight_on_grid
@@ -38,11 +38,13 @@ from .weights import WeightSpec, _young_slacks, admissibility_report, weight_on_
 # not called here; perfbench's tracer wraps them in gch.runner, so they stay importable
 from .analyticity import majorant_norm_argmax, operator_bound_report, radius_track  # noqa: F401
 from .asymptotics import amplitude_series, extract_profile  # noqa: F401
-from .integrate import snapshots_to_csv  # noqa: F401
 from .persistence import persistence_ledger  # noqa: F401
 from .weights import weighted_young_check  # noqa: F401
 
-__all__ = ["RunSummary", "run_experiment", "selftest", "SelftestReport"]
+__all__ = ["RunSummary", "run_experiment", "selftest", "SelftestReport", "snapshots_to_csv"]
+
+#: Rows per chunk of CSV text.
+CSV_CHUNK = 256
 
 
 def _jsonable(value):
@@ -91,6 +93,39 @@ def _os_errors(what: str, path: Path):
         yield
     except OSError as exc:
         raise ConfigError([f"{what} {str(path)!r}: {exc.strerror or exc}"]) from None
+
+
+def _write_rows(stream, config_hash: str, header: str, blocks) -> None:
+    """CSV text under a ``# config-hash`` line and ``header``: each block's rows in turn.
+
+    A block is a tuple of equal-length columns.  Floats are written as repr and others as
+    str, each column formatted once per chunk of CSV_CHUNK rows, so no whole-file text is
+    held: a whole-file writer raised long's VmHWM by ~0.8 MB.  A column whose entries are
+    bitwise equal (so -0.0 and NaN stay exact) is formatted once.
+    """
+
+    def text(col):
+        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+
+    def one_value(col):
+        bits = col.view(np.int64) if col.dtype.kind in "fi" and col.itemsize == 8 else None
+        return text(col[:1]) if bits is not None and np.all(bits == bits[:1]) else None
+
+    stream.write(f"# config-hash: {config_hash}\n{header}\n")
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        once = [one_value(col) for col in columns]
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            chunk = [col[start : start + CSV_CHUNK] for col in columns]
+            cells = [t * len(c) if t else text(c) for t, c in zip(once, chunk)]
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def snapshots_to_csv(traj: Trajectory, stream, config_hash: str) -> None:
+    """Write the trajectory in long format with columns t,x,u, under a config-hash line."""
+    times, x = np.asarray(traj.times, dtype=float), traj.grid.x
+    blocks = ((np.full(x.size, t), x, row) for t, row in zip(times, traj.values))
+    _write_rows(stream, config_hash, "t,x,u", blocks)
 
 
 def _write_csv(path: Path, chash: str, header: str, columns) -> None:
@@ -231,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
 
     try:
         traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride, dt=cfg.dt)
-    except BlowUpError as exc:
+    except (BlowUpError, FloatingPointError) as exc:  # blow-up, non-finite stage, step floor
         flags["no_blow_up"] = False
         flags["diagnostics_ok"] = False
         headline["abort"] = str(exc)

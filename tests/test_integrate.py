@@ -37,11 +37,12 @@ from gch import (
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import _fit_bands, _radius_fits, radius_estimate, radius_track
-from gch.integrate import BAND_FLOOR, CSV_CHUNK, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_size
-from gch.integrate import _hermite, _tail_max, _write_rows
+from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_operators
+from gch.integrate import _compute_size, _hermite, _spectral_stage, _tail_max, spectral_rhs
 from gch.persistence import persistence_ledger
 from gch.weights import WeightSpec
 from gch.rowpass import consume, run_pass, together
+from gch.runner import CSV_CHUNK, _write_rows
 
 # the benchmark's pulse for each workload seed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -298,6 +299,18 @@ def test_spectral_matches_physical_rk4(form):
         u = rk4_step(u, dt, lambda v: rhs(v, form))
         gap = lp_norm(traj.snapshots[step] - u, np.inf)
         assert gap <= 1e-15, (step, gap)
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 1.0])
+def test_spectral_rhs_is_the_stage_and_the_primitive_form(amplitude):
+    grid = Grid(1024, 40.0)
+    u = sample(grid, lambda x: amplitude / np.cosh(x) ** 2)
+    (comp, pre, post), _ = _compute_operators(grid, 1024)
+    uh = grid.rfft(u.values)
+    k = spectral_rhs(uh, grid, pre, post)
+    assert np.array_equal(k, _spectral_stage(uh, comp, pre, post)[0])
+    reference = grid.rfft(rhs(u, "primitive").values)
+    assert np.max(np.abs(k - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_fft_pairs_per_step(fft_calls):
@@ -884,6 +897,15 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="start at 0"):
             Trajectory.from_snapshots([1.0], [sech])
 
+    @pytest.mark.parametrize(
+        "times", [[0.0, np.nan, 0.2], [0.0, 0.1, np.nan], [0.0, 0.1, np.inf], [0.0, np.inf]],
+        ids=["nan_inside", "nan_last", "inf_last", "inf_second"],
+    )
+    def test_times_must_be_finite(self, sech, times):
+        block = np.tile(sech.values, (len(times), 1))
+        with pytest.raises(ValueError, match="times must be finite"):
+            Trajectory(sech.grid, np.array(times), block)
+
     @pytest.mark.parametrize("other", [Grid(64, 4.0), Grid(32, 8.0)], ids=["other_L", "other_n"])
     def test_from_snapshots_rejects_mixed_grids(self, other):
         first = Field(Grid(64, 8.0), np.zeros(64))
@@ -1073,13 +1095,15 @@ class TestArtifacts:
         [
             pytest.param(lambda raw: raw + bytes(16), "16 samples need 128 bytes after the header, "
                          "found 144", id="trailing_bytes"),
-            pytest.param(lambda raw: raw[:-8], "truncated state \\(expected 16 samples, got 15",
-                         id="state_cut"),
+            pytest.param(lambda raw: raw[:-8], "16 samples need 128 bytes after the header, "
+                         "found 120", id="state_cut"),
             pytest.param(lambda raw: raw[:4] + struct.pack("<I", 0) + raw[8:24],
                          "n must be a power of two >= 16, got 0", id="n_zero"),
             pytest.param(_put(8, "<d", np.nan), "half_width must be positive and finite",
                          id="L_nan"),
             pytest.param(_put(48, "<d", np.inf), "non-finite", id="non_finite_sample"),
+            pytest.param(_put(16, "<d", np.nan), "t must be finite, got nan", id="t_nan"),
+            pytest.param(_put(16, "<d", -np.inf), "t must be finite, got -inf", id="t_inf"),
         ],
     )
     def test_corrupt_checkpoint_names_the_path(self, tmp_path, edit, message):
@@ -1154,12 +1178,16 @@ class TestSnapshotDump:
                          id="count_too_small"),
             pytest.param(lambda raw: raw + bytes(8), "need 408 bytes after the header, found 416",
                          id="trailing_bytes"),
-            pytest.param(_put(24, "<I", 4), "truncated block \\(408 of 544", id="count_too_large"),
-            pytest.param(lambda raw: raw[:-8], "truncated block \\(400 of 408", id="block_cut"),
-            pytest.param(_put(4, "<I", 2**31), "truncated block", id="n_too_large"),
+            pytest.param(_put(24, "<I", 4), "4 snapshots of 16 samples need 544 bytes after the "
+                         "header, found 408", id="count_too_large"),
+            pytest.param(lambda raw: raw[:-8], "3 snapshots of 16 samples need 408 bytes after the "
+                         "header, found 400", id="block_cut"),
+            pytest.param(_put(4, "<I", 2**31), "3 snapshots of 2147483648 samples need 51539607576 "
+                         "bytes after the header, found 408", id="n_too_large"),
             pytest.param(_put(16, "<d", 0.75), "last time 0.5 differs from the header's 0.75",
                          id="last_time_mismatch"),
             pytest.param(_put(48, "<d", 0.0), "increase strictly", id="times_not_increasing"),
+            pytest.param(_put(48, "<d", np.nan), "increase strictly", id="time_nan"),
             pytest.param(_put(104, "<d", np.nan), "non-finite", id="non_finite_sample"),
             pytest.param(_put(30, "B", 0xFF), "codec can't decode", id="hash_not_ascii"),
         ],

@@ -262,6 +262,22 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_non_finite_stage_exit_three(self, tmp_path, capsys):
+        # the square of a 1e200 pulse overflows in the first stage
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(
+            "[grid]\nn = 256\nL = 40\n[time]\nT = 0.1\ndt = 0.01\n"
+            "[initial]\nkind = sech2\namplitude = 1e200\n"
+        )
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 3
+        assert "non-finite RK4 stage 1" in capsys.readouterr().out
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["no_blow_up"] is False and payload["diagnostics_ok"] is False
+        assert payload["abort"] == "non-finite RK4 stage 1"
+        assert sorted(path.name for path in out.iterdir()) == ["summary.json"]
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
