@@ -291,53 +291,49 @@ def _starting_step(y, k1, ops, norm) -> float:
     return STEP_TOL**0.25 / max(rate, math.sqrt(curvature))
 
 
-def _tail_max(uh, m: int) -> float:
-    """max|uh| above the band of ``m``: the modes a step on ``Grid(m, L)`` carries unchanged."""
-    tail = uh[m // 2 + 1 :]
-    return float(np.max(np.abs(tail))) if tail.size else 0.0
+def _compute_grid(grid: Grid, uh, m: int):
+    """``(m, (Grid(m, L), pre, post), reach, tail)``: the compute grid ``m`` of ``uh`` on ``grid``.
 
-
-def _compute_size(uh, m: int, n: int, tail: float, a=None) -> int:
-    """The smallest power of two in ``[m, n]`` whose 2/3 band holds ``uh``.
-
-    The band holds it when every coefficient at or above mode ``2 m' / 9``
-    is at most ``BAND_FLOOR * max|uh|``; with no coefficient above the
-    floor (zero data) that is ``m`` itself.  ``tail`` is
-    ``_tail_max(uh, m)``, which the caller keeps while ``m`` holds, so only
-    the band is read; when a tail coefficient is above the floor every
-    coefficient is read, and the answer is the same either way.  ``a``,
-    when given, is ``|uh|`` on the band, which then stands for ``uh``'s own
-    band: a step's magnitudes are read before the step is kept.
-    """
-    if m == n:
-        return m
-    if a is None:
-        a = np.abs(uh[: m // 2 + 1])
-    floor = BAND_FLOOR * max(float(np.max(a)), tail)
-    if tail > floor:
-        a = np.concatenate((a, np.abs(uh[m // 2 + 1 :])))
-    above = np.flatnonzero(a > floor)
-    while m < n and above.size and 9 * above[-1] >= 2 * m:
-        m *= 2
-    return m
-
-
-def _compute_operators(grid: Grid, m: int):
-    """``((Grid(m, L), pre, post), reach)`` on the first ``m/2 + 1`` modes of an n-grid rfft.
-
-    The n-grid coefficients are ``n/m`` times those of the m-grid samples,
-    so the exact power-of-two factors ``m/n`` and ``n/m`` are folded into
-    ``pre`` and ``post``; ``Grid(m, L).k_rfft`` is the first ``m/2 + 1``
-    wavenumbers of ``grid`` bit for bit.  ``reach`` is the stability
-    bound's numerator over ``B = 2 max|pre| max|post|``, which the folded
-    factors leave unchanged: ``B`` is the compute grid's.
+    The stages take the first ``m/2 + 1`` modes of an n-grid rfft, whose
+    coefficients are ``n/m`` times those of the m-grid samples, so the exact
+    power-of-two factors ``m/n`` and ``n/m`` are folded into ``pre`` and
+    ``post``; ``Grid(m, L).k_rfft`` is the first ``m/2 + 1`` wavenumbers of
+    ``grid`` bit for bit.  ``reach`` is the stability bound's numerator over
+    ``B = 2 max|pre| max|post|``, which the folded factors leave unchanged:
+    ``B`` is the compute grid's.  ``tail`` is max|uh| above the band, the
+    modes a step carries unchanged, so it is read once per grid.
     """
     comp = grid if m == grid.n else Grid(m, grid.half_width)
     ik = comp.ik_pow[0]
     pre = np.where(comp.keep, 2.0 - ik, 0.0) * (m / grid.n)
     post = np.where(comp.keep, (2.0 * ik + comp.ik_pow[1]) / comp.helm, 0.0) * (grid.n / m)
     B = 2.0 * np.max(np.abs(pre)) * np.max(np.abs(post))
-    return (comp, pre, post), float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B)
+    tail = float(np.max(np.abs(uh[m // 2 + 1 :]), initial=0.0))
+    return m, (comp, pre, post), float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B), tail
+
+
+def _held(grid: Grid, uh, compute, a):
+    """``compute`` while its 2/3 band holds ``uh``, else the smallest larger one's that does.
+
+    ``a`` is ``|uh|`` on the band of ``compute``'s ``m``: a step's magnitudes
+    stand for ``uh``'s own band before the step is kept.  The band holds
+    ``uh`` when every coefficient at or above mode ``2 m / 9`` is at most
+    ``BAND_FLOOR * max|uh|``; with no coefficient above the floor (zero data)
+    that is ``m`` itself, and the size only doubles, up to ``n``.  Only the
+    band is read, unless a tail coefficient is above the floor: then every
+    coefficient is, and the answer is the same either way.
+    """
+    m, _, _, tail = compute
+    if m == grid.n:
+        return compute
+    floor = BAND_FLOOR * max(float(np.max(a)), tail)
+    if tail > floor:
+        a = np.concatenate((a, np.abs(uh[m // 2 + 1 :])))
+    above = np.flatnonzero(a > floor)
+    grown = m
+    while grown < grid.n and above.size and 9 * above[-1] >= 2 * grown:
+        grown *= 2
+    return compute if grown == m else _compute_grid(grid, uh, grown)
 
 
 def _require_stride(stride) -> int:
@@ -432,22 +428,23 @@ def simulate(
 
     uh = grid.rfft(u0.values)
     snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
-    m = _compute_size(uh, 16, n, _tail_max(uh, 16))
-    # the operators of the current compute grid, rebound when m doubles
-    ops, reach = _compute_operators(grid, m)
-    tail = _tail_max(uh, m)
+    # the compute grid (m, ops, reach, tail), rebound after a kept step; the first is sized
+    # from 16 up, reading every mode
+    compute = _held(grid, uh, _compute_grid(grid, uh, 16), np.abs(uh[:9]))
     times = np.empty(int(rows))
     values = np.empty((times.size, n))
     drift = np.empty(times.size)
     sizes = np.empty(times.size, dtype=int)
-    times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, m
+    times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, compute[0]
     # overflow surfaces as the named non-finite stage, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         h1_0 = h1(uh)
+        m, ops = compute[:2]
         k1, w = _stage(1, uh[: m // 2 + 1], ops)
         proposal = np.inf if dt is not None else _starting_step(uh[: m // 2 + 1], k1, ops, h1)
         h_max, dt_initial, t, s, row, step, rejected = dt, None, 0.0, tick(0.0), 1, 0, 0
         while t < T:
+            m, ops, reach, _ = compute
             band = slice(0, m // 2 + 1)
             y = uh[band]
             if dt is None:
@@ -456,16 +453,13 @@ def simulate(
             # a step that would leave less than 1e-12 T lands on T instead
             h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
             y_next, k4 = _band_rk4(y, h, k1, ops)
-            a = np.abs(y_next)  # read by the next compute-grid check and the guard
-            grown = _compute_size(uh, m, n, tail, a)
-            ops_next, reach_next = (
-                (ops, reach) if grown == m else _compute_operators(grid, grown)
-            )
+            a = np.abs(y_next)  # read by the compute-grid check and the guard
+            ahead_grid = _held(grid, uh, compute, a)
             # the next step's first stage, on the grid it will be taken on
             ahead = y_next
-            if grown != m:
-                ahead = np.concatenate((y_next, uh[y.size : grown // 2 + 1]))
-            k5, w5 = _stage(1, ahead, ops_next)
+            if ahead_grid is not compute:
+                ahead = np.concatenate((y_next, uh[y.size : ahead_grid[0] // 2 + 1]))
+            k5, w5 = _stage(1, ahead, ahead_grid[1])
             if dt is None:
                 # the embedded third-order solution's error, on k4's band
                 err = h / 6.0 * h1(k4 - k5[: k4.size]) / h1_0 if h1_0 > 0.0 else 0.0
@@ -492,7 +486,7 @@ def simulate(
                 gap = abs(h1(snap) - h1_0)
                 times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
                 row, s = row + 1, tick(s)
-            k1, w = k5, w5
+            k1, w, compute = k5, w5, ahead_grid
             uh[: ahead.size] = ahead
             t = t_next
             if times[row - 1] != t:
@@ -502,9 +496,6 @@ def simulate(
                     peak = float(np.max(np.abs(ops[0].irfft(uh[band] * (m / n)))))
                 if peak > guard:
                     raise BlowUpError(t, step, peak, guard)
-            if grown != m:
-                m, ops, reach = grown, ops_next, reach_next
-                tail = _tail_max(uh, m)
 
     return Trajectory(
         grid=grid,

@@ -37,8 +37,8 @@ from gch import (
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import _fit_bands, _radius_fits, radius_estimate, radius_track
-from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_operators
-from gch.integrate import _compute_size, _hermite, _spectral_stage, _tail_max, spectral_rhs
+from gch.integrate import BAND_FLOOR, DT_MAX, STEP_SAFETY, STEP_TOL, _compute_grid
+from gch.integrate import _held, _hermite, _spectral_stage, spectral_rhs
 from gch.persistence import persistence_ledger
 from gch.weights import WeightSpec
 from gch.rowpass import consume, run_pass, together
@@ -305,8 +305,8 @@ def test_spectral_matches_physical_rk4(form):
 def test_spectral_rhs_is_the_stage_and_the_primitive_form(amplitude):
     grid = Grid(1024, 40.0)
     u = sample(grid, lambda x: amplitude / np.cosh(x) ** 2)
-    (comp, pre, post), _ = _compute_operators(grid, 1024)
     uh = grid.rfft(u.values)
+    comp, pre, post = _compute_grid(grid, uh, 1024)[1]
     k = spectral_rhs(uh, grid, pre, post)
     assert np.array_equal(k, _spectral_stage(uh, comp, pre, post)[0])
     reference = grid.rfft(rhs(u, "primitive").values)
@@ -736,6 +736,7 @@ def test_band_read_matches_the_full_read(seed):
     # either under the floor or holds one coefficient above it
     rng = np.random.default_rng(seed)
     n = 4096
+    grid = Grid(n, 40.0)
     k = np.arange(n // 2 + 1)
     for trial in range(40):
         sigma = rng.uniform(0.01, 0.3)
@@ -746,9 +747,11 @@ def test_band_read_matches_the_full_read(seed):
             uh[rng.integers(m // 2 + 1, k.size)] = 1e-10
         if trial % 10 == 9:
             uh[:] = 0.0
-        tail = _tail_max(uh, m)
-        assert tail == (np.max(np.abs(uh[m // 2 + 1 :])) if m < n else 0.0)
-        assert _compute_size(uh, m, n, tail) == _full_read_size(uh, m, n), (trial, m)
+        compute = _compute_grid(grid, uh, m)
+        assert compute[3] == (np.max(np.abs(uh[m // 2 + 1 :])) if m < n else 0.0)
+        held = _held(grid, uh, compute, np.abs(uh[: m // 2 + 1]))
+        assert held[0] == _full_read_size(uh, m, n), (trial, m)
+        assert (held is compute) == (held[0] == m)
 
 
 class TestComputeGrid:
