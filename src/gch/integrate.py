@@ -106,6 +106,9 @@ BAND_FLOOR = 1e-15
 ROW_BLOCK_BYTES = 2**18
 #: The most bytes the K x n snapshot block of :func:`simulate` may take.
 SNAPSHOT_BYTES = 2**30
+#: The most steps an explicit ``dt`` may ask for, ``T / dt``: at the 75 us a step
+#: takes at n = 16 (2-core x86_64 host), about 80 s of stepping.
+MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ class Trajectory:
     compute_n: np.ndarray | None = None  # compute-grid size per snapshot
 
     def __post_init__(self):
+        if np.ndim(self.times) != 1 or len(self.times) == 0:
+            raise ValueError(f"times must be non-empty and 1-D, got shape {np.shape(self.times)}")
         values = np.asarray(self.values, dtype=float).view()  # read-only: validated once
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -313,7 +318,7 @@ def _compute_grid(grid: Grid, uh, m: int):
 
 
 def _held(grid: Grid, uh, compute, a):
-    """``compute`` while its 2/3 band holds ``uh``, else the smallest larger one's that does.
+    """``compute`` while its 2/3 band holds ``uh``, else the smallest larger grid's value that does.
 
     ``a`` is ``|uh|`` on the band of ``compute``'s ``m``: a step's magnitudes
     stand for ``uh``'s own band before the step is kept.  The band holds
@@ -371,7 +376,9 @@ def simulate(
     2e-10, 1e-9 and 1e-5.  On history's datum (67 steps for 103 snapshots)
     an interpolated snapshot's H^1 drift reaches 7.2e-12, a step end's 1e-12.
 
-    An explicit ``dt`` is ``h_max``, never checked or rejected.  By default
+    An explicit ``dt`` is ``h_max``, never checked or rejected; one that asks
+    for more than ``MAX_STEPS`` steps, ``T / dt``, is refused with a
+    :class:`ConfigError` before the first stage.  By default
     ``h_max`` is set by accuracy within the stability bound: the stage's
     Jacobian ``d -> post * rfft(2 w irfft(pre d))`` has spectral radius at
     most ``B ||w||_inf``, ``B = 2 max|pre| max|post|`` over the kept modes
@@ -401,7 +408,9 @@ def simulate(
     Aborts with :class:`BlowUpError` if the sup norm grows by more than a
     factor of 1000 over the initial datum: each snapshot reads its samples,
     each step end that is no snapshot the Wiener-bound guard of the module
-    docstring.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0) per snapshot.
+    docstring.  A non-finite stage raises ``FloatingPointError`` naming the
+    stage, the step's t and its number.  ``h1_drift`` holds
+    |H1(t) - H1(0)| / H1(0) per snapshot.
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
@@ -418,6 +427,8 @@ def simulate(
     if rows * n * 8 > SNAPSHOT_BYTES:
         raise ConfigError([f"snapshots of n = {n} to T = {T:g}, one per {clock:.3g}, "
                            f"would exceed SNAPSHOT_BYTES = {SNAPSHOT_BYTES}"])
+    if dt is not None and T / unit > MAX_STEPS:
+        raise ConfigError([f"T / dt = {T / unit:.3g} steps would exceed MAX_STEPS = {MAX_STEPS}"])
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
     # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
@@ -437,65 +448,73 @@ def simulate(
     sizes = np.empty(times.size, dtype=int)
     times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, compute[0]
     # overflow surfaces as the named non-finite stage, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        h1_0 = h1(uh)
-        m, ops = compute[:2]
-        k1, w = _stage(1, uh[: m // 2 + 1], ops)
-        proposal = np.inf if dt is not None else _starting_step(uh[: m // 2 + 1], k1, ops, h1)
-        h_max, dt_initial, t, s, row, step, rejected = dt, None, 0.0, tick(0.0), 1, 0, 0
-        while t < T:
-            m, ops, reach, _ = compute
-            band = slice(0, m // 2 + 1)
-            y = uh[band]
-            if dt is None:
-                peak_w = float(np.max(np.abs(w)))
-                h_max = min(reach / peak_w, proposal) if peak_w > 0.0 else proposal
-            # a step that would leave less than 1e-12 T lands on T instead
-            h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
-            y_next, k4 = _band_rk4(y, h, k1, ops)
-            a = np.abs(y_next)  # read by the compute-grid check and the guard
-            ahead_grid = _held(grid, uh, compute, a)
-            # the next step's first stage, on the grid it will be taken on
-            ahead = y_next
-            if ahead_grid is not compute:
-                ahead = np.concatenate((y_next, uh[y.size : ahead_grid[0] // 2 + 1]))
-            k5, w5 = _stage(1, ahead, ahead_grid[1])
-            if dt is None:
-                # the embedded third-order solution's error, on k4's band
-                err = h / 6.0 * h1(k4 - k5[: k4.size]) / h1_0 if h1_0 > 0.0 else 0.0
-                proposal = h * (min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25)) if err else 5.0)
-                if err > STEP_TOL:
-                    rejected += 1
-                    if proposal < STEP_FLOOR * T:
-                        raise FloatingPointError(
-                            f"step rejected below {STEP_FLOOR * T:.3g} at t = {t!r}: error "
-                            f"estimate {err:.3g} > STEP_TOL after {rejected} rejections"
-                        )
-                    continue
-            if dt_initial is None:
-                dt_initial = h_max
-            step += 1
-            # the snapshots in (t, t_next], interpolated (k4 is spent); theta = 1 at t_next exactly
-            while s <= t_next:
-                _hermite(snap[band], y, y_next, k1, k5[: y.size], h, (s - t) / (t_next - t), k4)
-                snap[y.size :] = uh[y.size :]
-                values[row] = grid.irfft(snap)
-                peak = float(np.max(np.abs(values[row])))
-                if peak > guard:
-                    raise BlowUpError(s, step, peak, guard)
-                gap = abs(h1(snap) - h1_0)
-                times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
-                row, s = row + 1, tick(s)
-            k1, w, compute = k5, w5, ahead_grid
-            uh[: ahead.size] = ahead
-            t = t_next
-            if times[row - 1] != t:
-                # the Wiener bound 2 sum|uh[band]| / n, near the guard the compute grid's samples
-                peak = 2.0 * float(np.sum(a)) / n
-                if peak > 0.5 * guard:
-                    peak = float(np.max(np.abs(ops[0].irfft(uh[band] * (m / n)))))
-                if peak > guard:
-                    raise BlowUpError(t, step, peak, guard)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h1_0 = h1(uh)
+            h_max, dt_initial, t, s, row, step, rejected = dt, None, 0.0, tick(0.0), 1, 0, 0
+            m, ops = compute[:2]
+            k1, w = _stage(1, uh[: m // 2 + 1], ops)
+            proposal = np.inf if dt is not None else _starting_step(uh[: m // 2 + 1], k1, ops, h1)
+            while t < T:
+                m, ops, reach, _ = compute
+                band = slice(0, m // 2 + 1)
+                y = uh[band]
+                if dt is None:
+                    peak_w = float(np.max(np.abs(w)))
+                    h_max = min(reach / peak_w, proposal) if peak_w > 0.0 else proposal
+                # a step that would leave less than 1e-12 T lands on T instead
+                h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
+                y_next, k4 = _band_rk4(y, h, k1, ops)
+                a = np.abs(y_next)  # read by the compute-grid check and the guard
+                ahead_grid = _held(grid, uh, compute, a)
+                # the next step's first stage, on the grid it will be taken on
+                ahead = y_next
+                if ahead_grid is not compute:
+                    ahead = np.concatenate((y_next, uh[y.size : ahead_grid[0] // 2 + 1]))
+                k5, w5 = _stage(1, ahead, ahead_grid[1])
+                if dt is None:
+                    # the embedded third-order solution's error, on k4's band
+                    err = h / 6.0 * h1(k4 - k5[: k4.size]) / h1_0 if h1_0 > 0.0 else 0.0
+                    factor = min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25)) if err else 5.0
+                    proposal = h * factor
+                    if err > STEP_TOL:
+                        rejected += 1
+                        if proposal < STEP_FLOOR * T:
+                            break
+                        continue
+                if dt_initial is None:
+                    dt_initial = h_max
+                step += 1
+                # the snapshots in (t, t_next], interpolated (k4 is spent); theta = 1 at t_next
+                while s <= t_next:
+                    theta = (s - t) / (t_next - t)
+                    _hermite(snap[band], y, y_next, k1, k5[: y.size], h, theta, k4)
+                    snap[y.size :] = uh[y.size :]
+                    values[row] = grid.irfft(snap)
+                    peak = float(np.max(np.abs(values[row])))
+                    if peak > guard:
+                        raise BlowUpError(s, step, peak, guard)
+                    gap = abs(h1(snap) - h1_0)
+                    times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
+                    row, s = row + 1, tick(s)
+                k1, w, compute = k5, w5, ahead_grid
+                uh[: ahead.size] = ahead
+                t = t_next
+                if times[row - 1] != t:
+                    # the Wiener bound 2 sum|uh[band]| / n, and near the guard the compute
+                    # grid's samples
+                    peak = 2.0 * float(np.sum(a)) / n
+                    if peak > 0.5 * guard:
+                        peak = float(np.max(np.abs(ops[0].irfft(uh[band] * (m / n)))))
+                    if peak > guard:
+                        raise BlowUpError(t, step, peak, guard)
+    except FloatingPointError as exc:  # a non-finite stage: say where the run failed
+        raise FloatingPointError(f"{exc} at t = {t!r} (step {step + 1})") from None
+    if t < T:  # only a step rejected below the floor ends the loop early
+        raise FloatingPointError(
+            f"step rejected below {STEP_FLOOR * T:.3g} at t = {t!r}: error "
+            f"estimate {err:.3g} > STEP_TOL after {rejected} rejections"
+        )
 
     return Trajectory(
         grid=grid,
@@ -519,8 +538,11 @@ _SNAPSHOTS_COUNT = struct.Struct("<I12s")  # K (uint32), ASCII config hash
 def _write_dump(path, magic: bytes, grid: Grid, t: float, *parts) -> None:
     """The shared header, then each part in turn: bytes as they are, arrays as float64.
 
-    An array is written from its own buffer, not from a ``tobytes()`` copy.
+    An array is written from its own buffer, not from a ``tobytes()`` copy.  A
+    non-finite ``t``, which the readers refuse, is refused before the path is opened.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, grid.n, grid.half_width, float(t)))
         for part in parts:

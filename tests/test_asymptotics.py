@@ -170,6 +170,12 @@ class TestTailRatio:
             with pytest.raises(ValueError, match=r"window \[10.001, 10.002\] holds no grid node"):
                 tail_ratio(traj, 8, (10.001, 10.002), side)
 
+    def test_rejects_unknown_side(self, grid1024):
+        z = Field(grid1024, np.zeros(grid1024.n))
+        traj = Trajectory.from_snapshots(np.linspace(0, 1, 9), [z] * 9)
+        with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'up'"):
+            tail_ratio(traj, 8, (10, 20), side="up")
+
     def test_window_constraint(self, showcase):
         with pytest.raises(ValueError, match="window"):
             tail_ratio(showcase, len(showcase) - 1, (2, 20))

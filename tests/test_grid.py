@@ -31,6 +31,10 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="power of two"):
             Grid(n, 8.0)
 
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 16.5"):
+            Grid(16.5, 8.0)
+
     @pytest.mark.parametrize("L", [0.0, -1.0, np.nan])
     def test_rejects_bad_half_width(self, L):
         with pytest.raises(ValueError):
@@ -48,6 +52,10 @@ class TestField:
         vals[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             Field(grid1024, vals)
+
+    def test_rejects_wrong_shape(self, grid1024):
+        with pytest.raises(ValueError, match=r"values must have shape \(1024,\), got \(5,\)"):
+            Field(grid1024, np.zeros(5))
 
     @pytest.mark.parametrize(
         "op",
@@ -103,6 +111,10 @@ class TestSample:
     def test_singular_function_rejected(self, grid1024):
         with pytest.raises(ValueError, match="non-finite sample"):
             sample(grid1024, lambda x: 1.0 / x)
+
+    def test_constant_scalar_function(self, grid1024):
+        # a scalar result has the wrong shape, so each node is sampled in turn
+        assert sample(grid1024, lambda x: 1.0).values.tolist() == [1.0] * grid1024.n
 
     def test_scalar_only_function(self, grid1024):
         import math
@@ -248,6 +260,20 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="strictly increasing"):
             interpolate_onto(pts, np.zeros_like(pts), grid1024)
 
+    @pytest.mark.parametrize(
+        "size, values, match",
+        [
+            (56, np.zeros(57), "1-d arrays of equal length"),
+            (3, np.zeros(3), "at least 4 points"),
+            (57, np.where(np.arange(57) == 28, 1e308, 0.0), "non-finite values"),
+            (57, np.where(np.arange(57) == 28, np.inf, 0.0), "non-finite values"),
+        ],
+        ids=["unequal_lengths", "three_points", "huge_value", "inf_value"],
+    )
+    def test_rejects_bad_table(self, grid1024, size, values, match):
+        with pytest.raises(ValueError, match=match):
+            interpolate_onto(np.linspace(-41, 41, size), values, grid1024)
+
     def test_rejects_coverage_gap(self, grid1024):
         pts = np.linspace(-30, 41, 57)  # misses the left end
         with pytest.raises(ValueError, match="cover"):
@@ -258,6 +284,18 @@ class TestMakeInitial:
     def test_sech(self, grid1024):
         f = make_initial(grid1024, "sech", amplitude=0.3, width=2.0, center=1.0)
         assert f.values.tobytes() == (0.3 / np.cosh((grid1024.x - 1.0) / 2.0)).tobytes()
+
+
+    @pytest.mark.parametrize(
+        "kind, match",
+        [
+            ("file", "initial kind 'file' requires a path"),
+            ("wedge", "unknown initial-condition kind 'wedge'"),
+        ],
+    )
+    def test_rejects(self, grid1024, kind, match):
+        with pytest.raises(ValueError, match=match):
+            make_initial(grid1024, kind)
 
 
 class TestInitialConditionFile:
@@ -273,3 +311,9 @@ class TestInitialConditionFile:
         f = make_initial(grid1024, "file", path=path)
         direct = sample(grid1024, lambda x: np.exp(-(x**2)))
         assert lp_norm(f - direct, np.inf) <= 1e-4
+
+    def test_rejects_three_columns(self, tmp_path):
+        path = tmp_path / "ic.txt"
+        path.write_text("0.0 1.0 2.0\n1.0 1.0 2.0\n")
+        with pytest.raises(ValueError, match="expected two whitespace-separated columns"):
+            read_initial_condition(path)

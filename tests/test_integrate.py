@@ -248,6 +248,23 @@ class TestSimulate:
         traj = simulate(sech2_small, 0.05, snapshot_stride=10**400, dt=0.01)
         assert traj.times.tolist() == [0.0, 0.05]
 
+    def test_more_steps_than_max_steps_are_refused(self, sech2_small, monkeypatch):
+        # an infinite clock needs 3 rows, yet 1e12 steps: refused before the first stage
+        def stage(uh, grid):
+            raise AssertionError("a stage was taken")
+
+        _force(monkeypatch, stage)
+        with pytest.raises(ConfigError, match="MAX_STEPS = 1048576"):
+            simulate(sech2_small, 1.0, snapshot_stride=10**12, dt=1e-12)
+
+    def test_nonfinite_stage_names_the_time_and_the_step(self, sech2_small, monkeypatch):
+        # the 7th stage is step 2's third: steps take k2-k4 and the next step's k1
+        calls = itertools.count(1)
+        _force(monkeypatch, lambda uh, grid: (uh * (np.nan if next(calls) == 7 else 1.0), None))
+        with pytest.raises(FloatingPointError) as err:
+            simulate(sech2_small, 0.1, dt=0.01)
+        assert str(err.value) == "non-finite RK4 stage 3 at t = 0.01 (step 2)"
+
     def test_numpy_integer_stride(self, sech2_small):
         a = simulate(sech2_small, 0.1, snapshot_stride=np.int64(3))
         b = simulate(sech2_small, 0.1, snapshot_stride=3)
@@ -899,6 +916,16 @@ class TestTrajectory:
             Trajectory.from_snapshots([0.0, 0.0], [sech, sech])
         with pytest.raises(ValueError, match="start at 0"):
             Trajectory.from_snapshots([1.0], [sech])
+        with pytest.raises(ValueError, match="need at least one snapshot"):
+            Trajectory.from_snapshots([], [])
+
+    @pytest.mark.parametrize(
+        "times", [[], [[0.0], [0.1]], 0.0], ids=["empty", "two_dimensional", "scalar"]
+    )
+    def test_times_must_be_non_empty_and_one_dimensional(self, sech, times):
+        values = np.tile(sech.values, (np.size(times), 1))
+        with pytest.raises(ValueError, match="times must be non-empty and 1-D"):
+            Trajectory(sech.grid, times, values)
 
     @pytest.mark.parametrize(
         "times", [[0.0, np.nan, 0.2], [0.0, 0.1, np.nan], [0.0, 0.1, np.inf], [0.0, np.inf]],
@@ -1066,6 +1093,14 @@ class TestArtifacts:
         assert t == 0.375
         assert field.grid == sech2_small.grid
         np.testing.assert_array_equal(field.values, sech2_small.values)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_checkpoint_of_a_non_finite_time_is_refused(self, tmp_path, sech2_small, t):
+        # read_checkpoint refuses such a dump, so it is never written
+        path = tmp_path / "state.bin"
+        with pytest.raises(ValueError, match="t must be finite"):
+            write_checkpoint(path, sech2_small, t)
+        assert not path.exists()
 
     def test_checkpoint_layout(self, tmp_path, grid1024):
         # documented little-endian layout: magic, uint32 n, f64 L, f64 t, data

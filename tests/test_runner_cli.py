@@ -275,8 +275,22 @@ class TestCli:
         assert "non-finite RK4 stage 1" in capsys.readouterr().out
         payload = json.loads((out / "summary.json").read_text())
         assert payload["no_blow_up"] is False and payload["diagnostics_ok"] is False
-        assert payload["abort"] == "non-finite RK4 stage 1"
+        assert payload["abort"] == "non-finite RK4 stage 1 at t = 0.0 (step 1)"
         assert sorted(path.name for path in out.iterdir()) == ["summary.json"]
+
+    def test_selftest_prints_the_golden_table(self, capsys):
+        golden = Path(__file__).parent / "golden" / "selftest.txt"
+        assert main(["selftest"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_failed_selftest_exit_one(self, capsys, monkeypatch):
+        import gch.runner as runner_mod
+
+        monkeypatch.setattr(
+            runner_mod, "_selftest_convolution", lambda entries: entries.append(("x", False, ""))
+        )
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.endswith("SELFTEST FAILED\n")
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -375,6 +389,7 @@ class TestCli:
             ("T_huge", "SNAPSHOT_BYTES = 1073741824"),
             ("amplitude_huge", "SNAPSHOT_BYTES = 1073741824"),  # a clock of ~1e-203
             ("samples_huge", "MAX_SAMPLES = 1048576"),
+            ("dt_tiny", "MAX_STEPS = 1048576"),  # an infinite clock: 3 rows, 1e12 steps
         ],
     )
     def test_oversized_input_exit_two_before_allocating(self, tmp_path, capsys, case, limit):
@@ -383,6 +398,9 @@ class TestCli:
             "n_huge": FAST.replace("n = 1024", "n = 1125899906842624"),
             "T_huge": FAST.replace("T = 0.12", "T = 10000"),
             "amplitude_huge": FAST.replace("amplitude = 0.05", "amplitude = 1e200"),
+            "dt_tiny": FAST.replace("T = 0.12", "T = 1\ndt = 1e-12").replace(
+                "snapshot_stride = 1\n", "snapshot_stride = 1000000000000\n"
+            ),
         }.get(case, FAST))
         argv = {
             "samples_huge": ["verify-weights", "--phi", "0,0,1,0", "--samples", "1000000000000"],

@@ -3,6 +3,7 @@ import pytest
 
 from gch import (
     Field,
+    Grid,
     WeightSpec,
     admissibility_report,
     eval_weight,
@@ -270,6 +271,18 @@ class TestSubmultiplicativity:
 
 
 class TestWeightedNorm:
+    @pytest.mark.parametrize(
+        "table, match",
+        [
+            (np.ones(5), r"weight table must have shape \(1024,\), got \(5,\)"),
+            (np.full(1024, np.inf), "weight is not finite on the grid"),
+        ],
+        ids=["wrong_shape", "non_finite"],
+    )
+    def test_rejects_bad_table(self, grid1024, table, match):
+        with pytest.raises(ValueError, match=match):
+            weight_on_grid(table, grid1024)
+
     def test_zero_field(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
         assert weighted_lp_norm(z, WeightSpec(0, 0, 2, 0), 2.0) == 0.0
@@ -289,6 +302,13 @@ class TestWeightedNorm:
 
 
 class TestWeightedYoung:
+    def test_rejects_two_grids(self, grid1024):
+        one = WeightSpec(0, 0, 0, 0)
+        f = sample(grid1024, lambda x: np.exp(-(x**2)))
+        g = sample(Grid(1024, 20.0), lambda x: np.exp(-(x**2)))
+        with pytest.raises(ValueError, match="fields must live on the same grid"):
+            weighted_young_check(f, g, one, one, 2.0, 1.0)
+
     def test_zero_factor(self, grid1024):
         z = Field(grid1024, np.zeros(grid1024.n))
         f = sample(grid1024, lambda x: np.exp(-(x**2)))
