@@ -71,7 +71,7 @@ u = np.log1p(xs)[:, None] + s / (1.0 - s)
 tails = np.sum(
     weights / (1.0 - s) ** 2 / (u + np.log1p((np.e - 1.0) * np.exp(-u))) ** (2 * d), axis=1
 )
-fit = fit_log_slope(xs, tails, d)
+fit = fit_log_slope(xs, tails)
 print(
     f"\nborderline-decay source, d = {d}: fitted log exponent {fit.slope:.3f} "
     f"(prediction {1 - 2 * d})"

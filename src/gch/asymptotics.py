@@ -215,9 +215,9 @@ def amplitude_series(traj: Trajectory, variant=SourceVariant.MEAN, psi_literal: 
 class TailRatio:
     """Windowed tail-ratio series and its summary against the amplitude.
 
-    ``rel_deviation`` compares |median| with the amplitude moment;
-    ``orientation`` records the measured sign of the ratio.  The flow sheds
-    its exponential tails with the opposite orientation to the one the
+    ``rel_deviation`` compares |median| with the amplitude moment, and the
+    sign of ``median`` is the measured orientation.  The flow sheds its
+    exponential tails with the opposite orientation to the one the
     amplitude formula's sign would suggest (see
     :func:`emitted_tail_amplitudes` for the exact emitted coefficients),
     while the magnitudes agree up to the u_x^2 weighting.
@@ -228,7 +228,6 @@ class TailRatio:
     median: float
     amplitude: float
     rel_deviation: float
-    orientation: int
 
 
 def tail_ratio(
@@ -277,10 +276,7 @@ def _tail_ratio(traj, t_index, window, sign, amp) -> TailRatio:
 
     median = float(np.median(ratios))
     rel = abs(abs(median) - amp) / abs(amp) if amp != 0.0 else np.inf
-    return TailRatio(
-        xs=x[mask], ratios=ratios, median=median, amplitude=amp,
-        rel_deviation=rel, orientation=int(np.sign(median)),
-    )
+    return TailRatio(xs=x[mask], ratios=ratios, median=median, amplitude=amp, rel_deviation=rel)
 
 
 def emitted_tail_amplitudes(traj: Trajectory, t_index: int) -> tuple[float, float]:
@@ -340,7 +336,7 @@ class LogRateFit:
     reason: str | None = None
 
 
-def fit_log_slope(xs, tails, d: float) -> LogRateFit:
+def fit_log_slope(xs, tails) -> LogRateFit:
     """Fit log(tail integral) against log log(1 + x).
 
     For a source saturating the borderline decay hypothesis with exponent
@@ -348,8 +344,6 @@ def fit_log_slope(xs, tails, d: float) -> LogRateFit:
     has underflowed (or vanished) are dropped and the window shrunk
     accordingly; fewer than four usable points makes the fit degenerate.
     """
-    if d <= 0.5:
-        raise ValueError(f"log exponent d must exceed 1/2, got {d}")
     xs = np.asarray(xs, dtype=float)
     tails = np.asarray(tails, dtype=float)
     floor = np.max(tails) * 1e-13 if np.any(tails > 0.0) else 0.0
@@ -369,12 +363,12 @@ def fit_log_slope(xs, tails, d: float) -> LogRateFit:
     )
 
 
-def log_remainder_rate(traj: Trajectory, t_index: int, d: float, window) -> LogRateFit:
+def log_remainder_rate(traj: Trajectory, t_index: int, window) -> LogRateFit:
     """Fit the tail-integral log rate of the averaged source over a window."""
-    return _log_remainder_rate(averaged_source(traj, t_index, SourceVariant.MEAN), d, window)
+    return _log_remainder_rate(averaged_source(traj, t_index, SourceVariant.MEAN), window)
 
 
-def _log_remainder_rate(h: Field, d: float, window) -> LogRateFit:
+def _log_remainder_rate(h: Field, window) -> LogRateFit:
     """:func:`log_remainder_rate` on a MEAN source h already built."""
     x = h.grid.x
     x_lo, x_hi = float(window[0]), float(window[1])
@@ -383,7 +377,7 @@ def _log_remainder_rate(h: Field, d: float, window) -> LogRateFit:
     weighted = np.exp(x) * h.values
     # reverse cumulative rectangle sums: int_{x_j}^{L} e^{y} h dy
     tail_all = np.cumsum(weighted[::-1])[::-1] * h.grid.dx
-    return fit_log_slope(xs, tail_all[mask], d)
+    return fit_log_slope(xs, tail_all[mask])
 
 
 @dataclass
@@ -401,7 +395,6 @@ class AsymptoticProfile:
     window: tuple
     ratio_right: TailRatio
     ratio_left: TailRatio
-    d: float
     variant: SourceVariant
     log_fit: LogRateFit
     series: tuple
@@ -412,7 +405,6 @@ def extract_profile(
     traj: Trajectory,
     t_index: int,
     window,
-    d: float = 1.0,
     variant=SourceVariant.MEAN,
     psi_literal: bool = False,
 ) -> AsymptoticProfile:
@@ -434,10 +426,9 @@ def extract_profile(
         window=(float(window[0]), float(window[1])),
         ratio_right=_tail_ratio(traj, t_index, window, 1.0, amp_right),
         ratio_left=_tail_ratio(traj, t_index, window, -1.0, amp_left),
-        d=d,
         variant=variant,
         log_fit=_log_remainder_rate(
-            h if variant is SourceVariant.MEAN else averaged_source(traj, t_index), d, window
+            h if variant is SourceVariant.MEAN else averaged_source(traj, t_index), window
         ),
         series=(traj.times[MIN_SNAPSHOTS - 1 : i + 1].copy(), *amps),
     )

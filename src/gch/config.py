@@ -105,6 +105,16 @@ def _parse_dealias(text):
     return True
 
 
+def _parse_d(text):
+    """The retired hypothesis exponent ``[diagnostics] d``, checked as d > 1/2 but not used."""
+    d = _parse_float(text)
+    if not np.isfinite(d):
+        raise ValueError(f"d must be finite, got {d}")
+    if d <= 0.5:
+        raise ValueError(f"d must exceed 1/2, got {d}")
+    return d
+
+
 def _key(section: str, parser, default, key: str | None = None):
     """A stored field, read from ``[section] key`` by ``parser``; ``key`` defaults to its name."""
     return field(default=default, metadata={"section": section, "key": key, "parser": parser})
@@ -128,7 +138,6 @@ class ExperimentConfig:
     N: float | None = _key("weights", _parse_optional(_parse_float), None)
     run: tuple = _key("diagnostics", _parse_run_list, ())
     window: tuple | None = _key("diagnostics", _parse_optional(_parse_float_tuple(2)), None)
-    d: float = _key("diagnostics", _parse_float, 1.0)
     variant: str = _key("diagnostics", _choice("variant", VARIANT_NAMES), "thm41")
     t_star: float | None = _key("diagnostics", _parse_optional(_parse_float), None)
     psi_literal: bool = _key("diagnostics", _parse_bool, False)
@@ -192,6 +201,7 @@ _SCHEMA = {
     **_STORED,
     ("dynamics", "form"): (None, _parse_form),
     ("dynamics", "dealias"): (None, _parse_dealias),
+    ("diagnostics", "d"): (None, _parse_d),
     ("output", "seed"): (None, int),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
@@ -223,8 +233,6 @@ def _validate(cfg: ExperimentConfig, errors: list) -> None:
         errors.append(f"p must lie in [1, inf], got {cfg.p}")
     if cfg.N is not None and cfg.N <= 0:
         errors.append(f"N must be positive, got {cfg.N}")
-    if cfg.d <= 0.5:
-        errors.append(f"d must exceed 1/2, got {cfg.d}")
     if cfg.window is not None and not 0.2 * cfg.L < cfg.window[0] < cfg.window[1] < 0.8 * cfg.L:
         errors.append(f"window must satisfy 0.2 L < x_lo < x_hi < 0.8 L, got {cfg.window}")
     elif cfg.window is not None and cfg.n > 0:

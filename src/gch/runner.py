@@ -173,9 +173,9 @@ def _persistence(traj, cfg, payload):
 
 def _asymptotics(traj, cfg, payload):
     idx = _profile_index(traj, cfg.t_star)
-    payload.update(t=float(traj.times[idx]), variant=cfg.variant, d=cfg.d)
+    payload.update(t=float(traj.times[idx]), variant=cfg.variant)
     profile = yield from asymptotics.extract_profile.consumer(
-        traj, idx, cfg.resolved_window(), cfg.d, cfg.source_variant, cfg.psi_literal
+        traj, idx, cfg.resolved_window(), cfg.source_variant, cfg.psi_literal
     )
     _, plus, _ = profile.series
     ratio, amp = profile.ratio_right, profile.amp_right

@@ -253,7 +253,7 @@ def test_c10_log_remainder_rate():
             for x in xs
         ]
     )
-    fit = fit_log_slope(xs, tails, d)
+    fit = fit_log_slope(xs, tails)
     err = abs(fit.slope - (1 - 2 * d))
     report(
         10,

@@ -150,7 +150,7 @@ class TestTailRatio:
         tr = tail_ratio(showcase, idx, (10, 20), "right")
         tl = tail_ratio(showcase, idx, (10, 20), "left")
         assert tr.median == pytest.approx(right_coeff, rel=1e-4)
-        assert tr.orientation == -1
+        assert np.sign(tr.median) == -1
         # left ratio is defined as -e^{-x}(u-u0)/t, i.e. minus the e^{x}t
         # coefficient
         assert tl.median == pytest.approx(-left_coeff, rel=1e-4)
@@ -222,7 +222,7 @@ class TestLogRateFit:
     def test_synthetic_saturating_tail(self):
         d = 1.0
         xs = np.linspace(10, 20, 41)
-        fit = fit_log_slope(xs, synthetic_tails(xs, d), d)
+        fit = fit_log_slope(xs, synthetic_tails(xs, d))
         assert not fit.degenerate
         assert abs(fit.slope - (1 - 2 * d)) <= 0.15
 
@@ -230,29 +230,25 @@ class TestLogRateFit:
         d = 1.0
         xs = np.linspace(10, 20, 41)
         tails = synthetic_tails(xs, d)
-        full = fit_log_slope(xs, tails, d)
-        half = fit_log_slope(xs[xs <= 15], tails[xs <= 15], d)
+        full = fit_log_slope(xs, tails)
+        half = fit_log_slope(xs[xs <= 15], tails[xs <= 15])
         assert abs(full.slope - half.slope) < 0.1
 
     def test_zero_tail_degenerate(self):
-        fit = fit_log_slope(np.linspace(10, 20, 11), np.zeros(11), 1.0)
+        fit = fit_log_slope(np.linspace(10, 20, 11), np.zeros(11))
         assert fit.degenerate
         assert "zero tail" in fit.reason
 
     def test_underflow_shrinks_window(self):
         xs = np.linspace(10, 20, 11)
         tails = np.concatenate([np.exp(-xs[:6]), np.zeros(5)])
-        fit = fit_log_slope(xs, tails, 1.0)
+        fit = fit_log_slope(xs, tails)
         assert not fit.degenerate
         assert fit.window_used[1] == pytest.approx(xs[5])
         assert fit.n_points == 6
 
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError, match="d must exceed"):
-            fit_log_slope(np.linspace(10, 20, 11), np.ones(11), 0.4)
-
     def test_trajectory_rate_runs(self, showcase):
-        fit = log_remainder_rate(showcase, len(showcase) - 1, 1.0, (10, 20))
+        fit = log_remainder_rate(showcase, len(showcase) - 1, (10, 20))
         # real solutions decay exponentially, far steeper than the
         # borderline class: the fitted exponent is strongly negative
         assert not fit.degenerate
@@ -261,7 +257,7 @@ class TestLogRateFit:
 
 class TestExtractProfile:
     def test_bundle(self, showcase):
-        prof = extract_profile(showcase, len(showcase) - 1, (10, 20), d=1.0)
+        prof = extract_profile(showcase, len(showcase) - 1, (10, 20))
         assert prof.t == pytest.approx(0.25, rel=1e-12)
         assert prof.amp_right > 0
         assert prof.ratio_right.rel_deviation <= 0.25
@@ -376,12 +372,11 @@ class TestOnePass:
             window=tuple(map(float, window)),
             ratio_right=tail_ratio(traj, idx, window, "right", variant),
             ratio_left=left,
-            d=1.5,
             variant=variant,
-            log_fit=log_remainder_rate(traj, idx, 1.5, window),
+            log_fit=log_remainder_rate(traj, idx, window),
             series=amplitude_series(_first(traj, idx + 1), variant, psi_literal),
         )
-        profile = extract_profile(traj, idx - len(traj), window, 1.5, variant, psi_literal)
+        profile = extract_profile(traj, idx - len(traj), window, variant, psi_literal)
         assert _same(profile, expected)
 
     @pytest.mark.parametrize("name, window, variant, psi_literal", CASES)
@@ -391,7 +386,7 @@ class TestOnePass:
         traj = request.getfixturevalue(name)
         full = amplitude_series(traj, variant, psi_literal)
         for i in range(MIN_SNAPSHOTS - 1, len(traj)):
-            series = extract_profile(traj, i, window, 1.5, variant, psi_literal).series
+            series = extract_profile(traj, i, window, variant, psi_literal).series
             expected = amplitude_series(_first(traj, i + 1), variant, psi_literal)
             assert all(np.array_equal(a, b) for a, b in zip(series, expected)), i
             # a stream: the series up to t_i is the head of the whole run's

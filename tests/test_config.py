@@ -77,13 +77,16 @@ class TestParseConfig:
         assert cfg.phi == (0.5, 1.0, 0.5, 1.0)
 
     def test_retired_keys_accepted_and_ignored(self):
-        # form and seed select nothing; older files that set them still parse
-        old = parse_config(MINIMAL + "\n[dynamics]\nform = momentum\n[output]\nseed = 7\n")
+        # form, seed and d select nothing; older files that set them still parse
+        old = parse_config(
+            MINIMAL + "\n[dynamics]\nform = momentum\n[diagnostics]\nd = 7.5\n[output]\nseed = 7\n"
+        )
         assert old == parse_config(MINIMAL)
         assert config_hash(old) == config_hash(parse_config(MINIMAL))
-        assert "form" not in old.to_text() and "seed" not in old.to_text()
+        text = old.to_text()
+        assert "form" not in text and "seed" not in text and "\nd = " not in text
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert not names & {"form", "seed"}
+        assert not names & {"form", "seed", "d"}
 
     def test_dealias_true_accepted_and_ignored(self):
         # products are always 2/3-truncated; files that say so still parse
@@ -103,8 +106,9 @@ class TestParseConfig:
             ("[dynamics]\nform = sqrt3", "diagnostic-only"),
             ("[dynamics]\nform = form_c", "unknown form"),
             ("[output]\nseed = one", "output.seed"),
+            ("[diagnostics]\nd = inf", "diagnostics.d: d must be finite, got inf"),
         ],
-        ids=["form_sqrt3", "form_unknown", "seed_not_int"],
+        ids=["form_sqrt3", "form_unknown", "seed_not_int", "d_inf"],
     )
     def test_retired_keys_still_validated(self, line, message):
         with pytest.raises(ConfigError, match=message):
@@ -195,11 +199,11 @@ class TestRoundTrip:
             "[time]\nT = 0.5\nsnapshot_stride = 1\ndt = none\n"
             "[initial]\nkind = sech2\namplitude = 0.05\nwidth = 1.0\ncenter = 0.0\npath = none\n"
             "[weights]\nphi = 0.0,0.0,2.0,0.0\np = inf\nN = none\n"
-            "[diagnostics]\nrun = none\nwindow = none\nd = 1.0\nvariant = thm41\n"
+            "[diagnostics]\nrun = none\nwindow = none\nvariant = thm41\n"
             "t_star = none\npsi_literal = false\n"
             "[output]\ndir = out\n"
         )
-        assert config_hash(ExperimentConfig()) == "ea30a8c6ee82"
+        assert config_hash(ExperimentConfig()) == "44a675eee6c7"
 
     def test_hash_sensitive_to_values(self):
         a = parse_config(MINIMAL)

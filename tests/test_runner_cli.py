@@ -227,6 +227,14 @@ class TestRunExperiment:
         ):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_retired_d_changes_no_artifact(self, fast_summary, tmp_path):
+        out, _ = fast_summary
+        run_experiment(parse_config(FAST.replace("[output]", "d = 7.5\n[output]")), tmp_path)
+        names = sorted(path.name for path in out.iterdir())
+        assert names == sorted(path.name for path in tmp_path.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
 
 class TestCli:
     def test_simulate_exit_zero(self, tmp_path, capsys):
@@ -245,22 +253,28 @@ class TestCli:
         assert "power of two" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, message",
         [
-            ("L = 30", "L = nan"),
-            ("T = 0.12", "T = inf"),
-            ("amplitude = 0.05", "amplitude = 0.05\nwidth = 0"),
-            ("[output]", "window = 2,20\n[output]"),
-            ("[output]", "[dynamics]\nform = sqrt3\n[output]"),
+            ("L = 30", "L = nan", "L must be finite"),
+            ("T = 0.12", "T = inf", "T must be finite"),
+            ("amplitude = 0.05", "amplitude = 0.05\nwidth = 0", "width must be positive"),
+            ("[output]", "window = 2,20\n[output]", "window must satisfy"),
+            ("[output]", "[dynamics]\nform = sqrt3\n[output]", "diagnostic-only"),
+            # the retired d is still checked
+            ("[output]", "d = 0.5\n[output]", "diagnostics.d: d must exceed 1/2, got 0.5"),
+            ("[output]", "d = nan\n[output]", "diagnostics.d: d must be finite, got nan"),
+            ("[output]", "d = inf\n[output]", "diagnostics.d: d must be finite, got inf"),
         ],
-        ids=["L_nan", "T_inf", "width_zero", "window_outside", "form_sqrt3"],
+        ids=["L_nan", "T_inf", "width_zero", "window_outside", "form_sqrt3",
+             "d_half", "d_nan", "d_inf"],
     )
-    def test_bad_value_exit_two(self, tmp_path, capsys, old, new):
+    def test_bad_value_exit_two(self, tmp_path, capsys, old, new, message):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(FAST.replace(old, new))
         code = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
 
     def test_non_finite_stage_exit_three(self, tmp_path, capsys):
         # the square of a 1e200 pulse overflows in the first stage
@@ -722,7 +736,7 @@ class TestStages:
         _, traj = read_snapshots(tmp_path / "snapshots.bin")
         idx = int(np.argmin(np.abs(traj.times - 0.25)))
         assert payload["t"] == traj.times[idx] < traj.times[-1]
-        assert (payload["variant"], payload["d"]) == ("thm41", 1.0)
+        assert payload["variant"] == "thm41" and "d" not in payload
         # c1/c2 span the snapshots up to t_star; the whole run's series fails the check
         head = Trajectory(traj.grid, traj.times[: idx + 1], traj.values[: idx + 1])
         _, plus, _ = amplitude_series(head)
