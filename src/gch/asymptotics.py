@@ -36,7 +36,7 @@ import numpy as np
 
 from .grid import Field, derivative
 from .integrate import Trajectory
-from .rowpass import consume, one_pass, run_pass
+from .rowpass import consume, one_pass, run_pass, together
 
 __all__ = [
     "SourceVariant",
@@ -411,24 +411,29 @@ def extract_profile(
     """Assemble source, amplitudes, both tail ratios, and the log-rate fit (always on MEAN).
 
     One running pass up to t_index gives the amplitude series, whose last row is the
-    source h and whose last pair is the profile's.
+    source h and whose last pair is the profile's; for RMS, a second running integral
+    in the same pass gives the MEAN source of the fit.
     """
     variant = SourceVariant(variant)
     i = _resolve_index(traj, t_index)
-    amps, h = yield from _amplitudes(traj, i + 1, variant, psi_literal)
-    h = Field(traj.grid, h)
+    amplitudes = _amplitudes(traj, i + 1, variant, psi_literal)
+    if variant is SourceVariant.MEAN:
+        amps, h = yield from amplitudes
+        mean = h
+    else:
+        mean_sum = _running(traj, i + 1, lambda u, ux: _source_values(u, ux, SourceVariant.MEAN))
+        (amps, h), total = yield from together(amplitudes, mean_sum)
+        mean = _source(total, traj.times[i], SourceVariant.MEAN)
     amp_right, amp_left = map(float, amps[:, -1])
     return AsymptoticProfile(
         t=float(traj.times[t_index]),
-        h=h,
+        h=Field(traj.grid, h),
         amp_right=amp_right,
         amp_left=amp_left,
         window=(float(window[0]), float(window[1])),
         ratio_right=_tail_ratio(traj, t_index, window, 1.0, amp_right),
         ratio_left=_tail_ratio(traj, t_index, window, -1.0, amp_left),
         variant=variant,
-        log_fit=_log_remainder_rate(
-            h if variant is SourceVariant.MEAN else averaged_source(traj, t_index), window
-        ),
+        log_fit=_log_remainder_rate(Field(traj.grid, mean), window),
         series=(traj.times[MIN_SNAPSHOTS - 1 : i + 1].copy(), *amps),
     )

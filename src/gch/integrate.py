@@ -129,15 +129,16 @@ class Trajectory:
     def __post_init__(self):
         if np.ndim(self.times) != 1 or len(self.times) == 0:
             raise ValueError(f"times must be non-empty and 1-D, got shape {np.shape(self.times)}")
-        values = np.asarray(self.values, dtype=float).view()  # read-only: validated once
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        for name in ("times", "values"):  # read-only float arrays: validated once
+            array = np.asarray(getattr(self, name), dtype=float).view()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        times, values = self.times, self.values
         if values.shape != (len(self), self.grid.n):
             raise ValueError(f"values must be {(len(self), self.grid.n)}, not {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("snapshots contain non-finite samples")
         # a NaN or infinite time fails the strict increase or the finite end
-        times = self.times
         if times[0] != 0.0 or not (np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
             raise ValueError("times must be finite, start at 0 and increase strictly")
 

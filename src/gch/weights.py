@@ -78,7 +78,9 @@ def eval_weight(spec: WeightSpec, x):
     """Evaluate the weight; overflow is clamped to the HUGE sentinel and reported."""
     ax = np.abs(np.asarray(x, dtype=float))
     with np.errstate(divide="ignore"):
-        log_w = spec.a * ax**spec.b + spec.c * np.log1p(ax) + spec.d * np.log(np.log(np.e + ax))
+        # a = 0 drops the term: 0 |x|^b is NaN where |x|^b overflows, and at 0 for b < 0
+        power = spec.a * ax**spec.b if spec.a != 0 else 0.0
+        log_w = power + spec.c * np.log1p(ax) + spec.d * np.log(np.log(np.e + ax))
     clipped = log_w > _LOG_HUGE
     if np.any(clipped):
         warnings.warn(

@@ -408,6 +408,14 @@ class TestOnePass:
         amplitude_series(growing_gaussian, variant)
         assert len(fft_calls) <= 2 * len(growing_gaussian)
 
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_extract_profile_takes_one_rfft_per_row_block(
+        self, growing_gaussian, fft_calls, variant
+    ):
+        # RMS's log fit reads the MEAN source from the same pass, not from a second one
+        extract_profile(growing_gaussian, len(growing_gaussian) - 1, (3, 6), variant=variant)
+        assert fft_calls.count("rfft") == len(growing_gaussian.row_blocks())
+
     @pytest.mark.parametrize("variant, sources", [(SourceVariant.MEAN, 1), (SourceVariant.RMS, 2)])
     def test_extract_profile_fft_calls(self, growing_gaussian, fft_calls, variant, sources):
         extract_profile(growing_gaussian, len(growing_gaussian) - 1, (3, 6), variant=variant)

@@ -953,6 +953,13 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.values[0, 0] = 1.0
 
+    def test_times_are_read_only(self, traj, sech):
+        built = Trajectory(sech.grid, [0.0, 0.5], np.stack([sech.values, sech.values]))
+        assert isinstance(built.times, np.ndarray) and built.times.dtype == np.float64
+        for times in (traj.times, built.times):
+            with pytest.raises(ValueError):
+                times[1] = -1.0
+
     def test_block_is_read_only_but_the_callers_array_is_not(self, sech):
         block = np.stack([sech.values, 2.0 * sech.values])
         traj = dataclasses.replace(

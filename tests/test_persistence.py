@@ -90,6 +90,14 @@ class TestPersistenceLedger:
             bound[led.binding_index], rel=1e-12
         )
 
+    def test_zero_a_drops_the_power_term(self, run_T1):
+        # a = 0 makes (0, -1, 2, 0) the weight (1+|x|)^2; 0 |x|^{-1} was NaN at x = 0
+        same = persistence_ledger(run_T1, WeightSpec(0, -1, 2, 0), np.inf)
+        led = persistence_ledger(run_T1, WeightSpec(0, 0, 2, 0), np.inf)
+        assert not same.degenerate
+        assert same.W.tobytes() == led.W.tobytes()
+        assert (same.M, same.C_fit, same.N_used) == (led.M, led.C_fit, led.N_used)
+
     def test_default_truncation_level(self, run_T1):
         spec = WeightSpec(0, 0, 2, 0)
         led = persistence_ledger(run_T1, spec, np.inf)

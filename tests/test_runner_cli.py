@@ -441,6 +441,11 @@ class TestCli:
         assert f"domain_bound {float(bound):g} exceeds MAX_BOUND = 1e+17" in captured.err
         assert captured.out == ""
 
+    def test_zero_a_weight_is_one(self, capsys):
+        # 0 |x|^{1e308} overflowed to NaN; RuntimeWarnings are errors in this suite
+        assert main(["verify-weights", "--phi", "0,1e308,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_lp_norm"] == 1.0
+
     def test_window_without_a_node_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(FAST.replace("[output]", "window = 10.001,10.002\n[output]"))
