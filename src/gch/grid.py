@@ -15,6 +15,12 @@ import operator
 
 import numpy as np
 
+#: The sizes a grid may have, ascending: 2^a, 3 * 2^a and 5 * 2^a from 16 up, which the real
+#: FFT takes in radix-2, -3 and -5 passes.  7 * 2^a is left out: a spectral stage at 3584 took
+#: 66 us against 67 at 4096 and 50 at 3072, next to nothing below the power of two above it
+#: (medians, one CPU of a 2-core x86_64 host, BENCH_compute_ladder.json).
+GRID_SIZES = tuple(sorted(f << a for f in (1, 3, 5) for a in range(2, 60) if f << a >= 16))
+
 __all__ = [
     "Grid",
     "Field",
@@ -31,7 +37,10 @@ __all__ = [
 class Grid:
     """Uniform periodic mesh on [-L, L) with its Fourier operator table.
 
-    Nodes are x_j = -L + j*dx with dx = 2L/n and n a power of two.
+    Nodes are x_j = -L + j*dx with dx = 2L/n, and n is one of ``GRID_SIZES``:
+    2^a, 3*2^a or 5*2^a, at least 16.  A run's grid is a power of two
+    (``config`` requires it); the other sizes serve as compute grids of
+    :func:`gch.integrate.simulate`.
     ``k_rfft`` holds the one-sided wavenumbers k = (pi/L)*m, m = 0..n/2,
     used with real FFTs; the Nyquist mode m = n/2 is its own negative.
 
@@ -57,8 +66,8 @@ class Grid:
         if int(n) != n:
             raise ValueError(f"n must be an integer, got {n!r}")
         n = int(n)
-        if n < 16 or n & (n - 1):  # not a power of two
-            raise ValueError(f"n must be a power of two >= 16, got {n}")
+        if n not in GRID_SIZES:
+            raise ValueError(f"n must be a power of two, or 3 or 5 times one, >= 16, got {n}")
         half_width = float(half_width)
         if not np.isfinite(half_width) or half_width <= 0.0:
             raise ValueError(f"half_width must be positive and finite, got {half_width}")

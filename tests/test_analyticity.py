@@ -21,6 +21,7 @@ from gch import (
 )
 from gch.analyticity import (
     SKIP_MODES,
+    SPECTRUM_FLOOR,
     OperatorBoundReport,
     _fit_bands,
     _h1_ladder,
@@ -300,6 +301,31 @@ def test_longest_runs_of_a_block_are_those_of_its_rows():
     masks = np.array([mask for name, mask in _MASKS.items() if name.startswith("random_")])
     starts, lengths = _longest_run(masks)
     assert list(zip(starts, lengths)) == [_longest_run_loop(mask) for mask in masks]
+
+
+def _full_width_bands(grid, spec):
+    """The band search of ``_fit_bands`` over every mode of every row."""
+    usable = np.abs(spec) / grid.n > SPECTRUM_FLOOR
+    usable[..., :SKIP_MODES] = False
+    return _longest_run(usable)
+
+
+def test_bounded_band_search_is_the_full_width_search(grid1024):
+    n = grid1024.n
+    k = np.arange(n // 2 + 1)
+    # bands that end at modes 299, 149 and 427 of 512, so the bounded search stops short
+    spec = n * np.exp(-np.outer([0.1, 0.2, 0.07], k)).astype(complex)
+    spec[2, 150:170] = 0.0  # a dip: the second run, to the block's last usable mode, is longer
+    # rows with no usable mode: zero, and content only below SKIP_MODES
+    spec = np.vstack((spec, np.zeros(k.size), np.where(k < SKIP_MODES, n, 0.0)))
+    c, start, length = _fit_bands(grid1024, spec)
+    full_start, full_length = _full_width_bands(grid1024, spec)
+    assert start.tolist() == full_start.tolist() == [SKIP_MODES, SKIP_MODES, 170, 0, 0]
+    assert length.tolist() == full_length.tolist() == [296, 146, 258, 0, 0]
+    assert c.tobytes() == (np.abs(spec) / n).tobytes()
+    # a block in which no row has a usable mode
+    none = _fit_bands(grid1024, spec[3:])[1:]
+    assert [a.tolist() for a in none] == [[0, 0], [0, 0]]
 
 
 @pytest.fixture(scope="module")

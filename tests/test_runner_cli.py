@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -190,8 +191,11 @@ class TestRunExperiment:
         assert payload["no_blow_up"] is False
         assert not (tmp_path / "snapshots.bin").exists()
 
-    @pytest.mark.parametrize("n, T", [(1024, 0.12), (4096, 0.05)], ids=["m_is_n", "m_below_n"])
-    def test_form_residual_on_the_stepped_grid(self, tmp_path, n, T):
+    @pytest.mark.parametrize(
+        "n, T, m", [(1024, 0.12, 1024), (4096, 0.05, 1024), (4096, 0.12, 1280)],
+        ids=["m_is_n", "m_below_n", "m_not_dividing_n"],
+    )
+    def test_form_residual_on_the_stepped_grid(self, tmp_path, n, T, m):
         cfg = parse_config(
             FAST.replace("n = 1024", f"n = {n}").replace("T = 0.12", f"T = {T}")
             .replace("run = persistence,asymptotics,analyticity", "run =")
@@ -199,15 +203,22 @@ class TestRunExperiment:
         summary = run_experiment(cfg, out_dir=tmp_path)
         u0 = sample(Grid(cfg.n, cfg.L), lambda x: cfg.amplitude / np.cosh(x) ** 2)
         traj = simulate(u0, cfg.T, snapshot_stride=cfg.snapshot_stride)
-        m = int(traj.compute_n[-1])
-        final = Field(Grid(m, cfg.L), traj.values[-1][:: n // m])
+        assert traj.compute_n[-1] == m
+        # the final state on Grid(m, L): its n-grid spectrum cut to the m band
+        coarse = Grid(m, cfg.L)
+        cut = traj.grid.rfft(traj.values[-1])[: m // 2 + 1] * (m / n)
+        final = Field(coarse, coarse.irfft(cut))
         assert summary.headline["max_form_residual"] == max_form_residual(final)
+        # at the nodes both grids share, the cut state is the stepped one to roundoff:
+        # the modes cut off are under BAND_FLOOR
+        shared = math.gcd(m, n)
+        assert coarse.x[:: m // shared].tobytes() == traj.grid.x[:: n // shared].tobytes()
+        gap = np.abs(final.values[:: m // shared] - traj.values[-1][:: n // shared])
+        assert np.max(gap) <= 1e-15 * np.max(np.abs(traj.values[-1]))
         if m == n:
-            assert summary.headline["max_form_residual"] == max_form_residual(traj.final)
-        else:
-            assert m < n
-            # Grid(m, L)'s nodes are every (n/m)-th node of the n-grid
-            assert final.grid.x.tobytes() == traj.grid.x[:: n // m].tobytes()
+            # one rfft and irfft from the stepped state: the residual moves by roundoff only
+            direct = max_form_residual(traj.final)
+            assert abs(summary.headline["max_form_residual"] - direct) <= 1e-18
 
     def test_byte_stable_across_runs(self, tmp_path):
         cfg = parse_config(FAST)
@@ -550,6 +561,30 @@ class TestShowcaseConfig:
         assert np.isfinite(head["M"]) and np.isfinite(head["C_fit"])
         assert head["Phi"] > 0
         assert summary.exit_code == 0
+
+    def test_headline_obeys_the_scaling_symmetry(self, tmp_path):
+        # u -> 2 u(2 t) maps solutions to solutions and scales every float exactly, so the
+        # amplitude doubling as T halves doubles the sup norms, quadruples the quadratic
+        # moments and residual, and leaves the fitted constant as it was; a compute grid
+        # chosen differently at one amplitude would break these bit-for-bit laws.  sigma is
+        # left out: its fit reads an absolute spectrum floor
+        cfg_path = Path(__file__).parent.parent / "configs" / "showcase.cfg"
+        text = cfg_path.read_text(encoding="utf-8")
+        heads = []
+        for amplitude, T in ((0.25, 0.2), (0.5, 0.1), (1.0, 0.05)):
+            cfg = parse_config(
+                text.replace("amplitude = 0.05", f"amplitude = {amplitude}")
+                .replace("T = 0.25", f"T = {T}")
+            )
+            summary = run_experiment(cfg, out_dir=tmp_path / str(amplitude))
+            assert summary.exit_code == 0
+            heads.append(summary.headline)
+        for small, large in itertools.pairwise(heads):
+            for key in ("M", "boundary_max"):
+                assert large[key] == 2.0 * small[key], key
+            for key in ("Phi", "Psi", "max_form_residual"):
+                assert large[key] == 4.0 * small[key], key
+            assert large["C_fit"] == small["C_fit"]
 
 
 class TestCrossProcessStability:
