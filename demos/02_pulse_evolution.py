@@ -1,19 +1,19 @@
 """Evolve a small pulse and watch the bookkeeping the solver carries along.
 
-A 0.05 sech^2 pulse is integrated with classical RK4, each step kept or
-rejected by an embedded error estimate within the stability bound of its
-first stage, and only T landed on.  Snapshots run on a clock of 5 units
-of ``estimate_dt`` and are read off each step's cubic Hermite
-interpolant: on the benchmark's pulses they are within 1.0e-10 of max|u|
-of a run at an eighth of the clock, the step ends' own error, their radii
-within 3.9e-6, and drift in H^1 by up to 7.4e-12, where a step end keeps
-below 1e-12.  The trajectory
-records the boundary magnitude per snapshot (the box must stay
-effectively infinite) and the H^1 drift, which the flow conserves.
-An explicit ``dt`` follows the same rule: it caps every step, and its
-steps are neither checked nor rejected.
-Refining the step, or stepping the physical-space form_a right-hand side
-instead of the Fourier-space primitive form, leaves the final state
+A 0.05 sech^2 pulse is integrated by default with the flow's own Taylor
+series in time: each step sums 16 orders over the series' radius times
+BAND_FLOOR^(1/16), is halved where the compute grid's band stops holding
+its end, and only T is landed on.  Snapshots run on a clock of 5 units of
+``estimate_dt`` and are the step's series summed at their times: on the
+benchmark's pulses they match an RK4 run at an eighth of the clock to that
+run's own error, and drift in H^1 by under 4e-16.  The trajectory records
+the boundary magnitude per snapshot (the box must stay effectively
+infinite) and the H^1 drift, which the flow conserves.  An explicit ``dt``
+steps classical RK4 instead: it caps every step, its steps are neither
+checked nor cut, and a snapshot inside a step is read off the step's cubic
+Hermite interpolant.  Refining the RK4 step converges to the series'
+final state at order 4, and stepping the physical-space form_a right-hand
+side instead of the Fourier-space primitive form leaves the RK4 result
 unchanged to far below the integration error."""
 
 import numpy as np
@@ -26,9 +26,9 @@ u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
 print(f"snapshot clock: 5 x {estimate_dt(u0):.4g}")
 
 traj = simulate(u0, 0.5, snapshot_stride=5)
-print(f"starting step: {traj.dt_initial:.4g}")
-print(f"steps: {traj.n_steps} ({traj.n_rejected} rejected), snapshots: {len(traj)}, "
-      f"valid: {traj.valid}")
+print(f"first series step: {traj.dt_initial:.4g}")
+print(f"steps: {traj.n_steps} ({traj.n_rejected} cut where the band stopped holding), "
+      f"snapshots: {len(traj)}, valid: {traj.valid}")
 print(f"max boundary magnitude: {np.max(traj.boundary_magnitudes):.2e}")
 print(f"max H^1 drift:          {np.max(traj.h1_drift):.2e}")
 
@@ -37,9 +37,13 @@ for t, snap in zip(traj.times, traj.snapshots):
     j = np.argmin(np.abs(grid.x - 10.0))
     print(f"  {t:5.2f}   {lp_norm(snap, np.inf):.6f}   {snap.values[j]:+.3e}")
 
-# a stride past T / dt keeps only T: steps of dt, and the last lands on T
-half = simulate(u0, 0.5, snapshot_stride=10**6, dt=traj.dt_initial / 2)
-print(f"\nhalf-step rerun shift:      {lp_norm(half.final - traj.final, np.inf):.2e}")
+# a stride past T / dt keeps only T: RK4 steps of dt, and the last lands on T; a 4x
+# finer step moves RK4 4^4 times closer to the series
+print()
+for k in (8, 32):
+    rk4 = simulate(u0, 0.5, snapshot_stride=10**6, dt=traj.dt_initial / k)
+    print(f"RK4 at 1/{k} of the first series step, shift: "
+          f"{lp_norm(rk4.final - traj.final, np.inf):.2e}")
 # T / dt = 50, so the run takes 50 steps of 0.01, as the loop below does
 fixed = simulate(u0, 0.5, snapshot_stride=10**6, dt=0.01)
 other = u0

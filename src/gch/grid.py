@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+#: The operator table of a :class:`Grid`, built on the first read of any of its entries.
+_TABLE = ("x", "k_rfft", "k2", "helm", "ik_pow", "keep", "h1_weight")
+
+
 class Grid:
     """Uniform periodic mesh on [-L, L) with its Fourier operator table.
 
@@ -44,10 +48,12 @@ class Grid:
     ``k_rfft`` holds the one-sided wavenumbers k = (pi/L)*m, m = 0..n/2,
     used with real FFTs; the Nyquist mode m = n/2 is its own negative.
 
-    The operator table is the package's one spectral core, built once per
-    grid from ``k_rfft``: ``k2`` = k^2, ``helm`` = 1 + k^2 (the symbol of
-    1 - d_xx), ``ik_pow[order - 1]`` = (ik)^order for orders 1-3, the
-    2/3-rule ``keep`` mask |m| < n/3, and ``h1_weight``, the one-sided
+    The operator table is the package's one spectral core, built from
+    ``k_rfft`` once per grid, on the first read of any entry, so a compute
+    grid that only takes FFTs builds none: ``x``, ``k2`` = k^2, ``helm`` =
+    1 + k^2 (the symbol of 1 - d_xx), ``ik_pow[order - 1]`` = (ik)^order
+    for orders 1-3, the 2/3-rule ``keep`` mask |m| < n/3, and
+    ``h1_weight``, the one-sided
     Parseval weights of ||f||_{H^1}^2: 2 (1 + k^2) for interior modes, which
     stand for +-m, 1 for the mean and 1 for the Nyquist mode, which has no
     derivative part.  The ``*_hat`` helpers apply d_x^order,
@@ -58,9 +64,7 @@ class Grid:
     grid.
     """
 
-    __slots__ = (
-        "n", "half_width", "dx", "x", "k_rfft", "k2", "helm", "ik_pow", "keep", "h1_weight",
-    )
+    __slots__ = ("n", "half_width", "dx", *_TABLE)
 
     def __init__(self, n: int, half_width: float):
         if int(n) != n:
@@ -73,8 +77,14 @@ class Grid:
             raise ValueError(f"half_width must be positive and finite, got {half_width}")
         self.n, self.half_width = n, half_width
         self.dx = 2.0 * half_width / n
-        self.x = -half_width + self.dx * np.arange(n)
-        self.k_rfft = (np.pi / half_width) * np.arange(n // 2 + 1)
+
+    def __getattr__(self, name):
+        # reached only while a table's slot is unset: the first read builds the whole table
+        if name not in _TABLE:
+            raise AttributeError(f"'Grid' object has no attribute {name!r}")
+        n = self.n
+        self.x = -self.half_width + self.dx * np.arange(n)
+        self.k_rfft = (np.pi / self.half_width) * np.arange(n // 2 + 1)
         self.k2 = self.k_rfft**2
         self.helm = 1.0 + self.k2
         ik = 1j * self.k_rfft
@@ -84,13 +94,18 @@ class Grid:
         self.h1_weight[[0, -1]] = 1.0
         for arr in (self.x, self.k_rfft, self.k2, self.helm, self.keep, self.h1_weight, *ik_pow):
             arr.setflags(write=False)
+        return object.__getattribute__(self, name)
 
-    def rfft(self, values):
-        """One-sided FFT of real samples, row by row; with :meth:`irfft`, the only FFT calls."""
-        return np.fft.rfft(values)
+    def rfft(self, values, out=None):
+        """One-sided FFT of real samples, row by row, into ``out`` if given.
 
-    def irfft(self, spec):
-        return np.fft.irfft(spec, n=self.n)
+        With :meth:`irfft`, the package's only FFT calls.
+        """
+        return np.fft.rfft(values, out=out)
+
+    def irfft(self, spec, out=None):
+        """Samples on the grid of a one-sided spectrum, zero-padded to ``n/2 + 1`` modes."""
+        return np.fft.irfft(spec, n=self.n, out=out)
 
     @staticmethod
     def drop_nyquist(spec):

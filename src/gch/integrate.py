@@ -1,31 +1,41 @@
 """Deterministic explicit time stepping with snapshot recording.
 
-Classical four-stage Runge-Kutta under one step rule: every step is as
-long as accuracy allows, and only T is landed on.  Snapshots run on a
-fixed clock, whose unit is an explicit ``dt`` or, by default,
-:func:`estimate_dt` of the initial datum; one inside a step is read off
-the step's cubic Hermite interpolant at no extra stage.  An explicit
-``dt`` caps the step; by default an embedded error estimate, built from
-the next step's first stage, accepts or rejects each step against
-``STEP_TOL`` within the stage's stability bound (see :func:`simulate`).
+By default every step sums the flow's own Taylor series in time; an
+explicit ``dt`` steps classical four-stage Runge-Kutta instead.  Either way
+only T is landed on, and snapshots run on a fixed clock, whose unit is the
+explicit ``dt`` or, by default, :func:`estimate_dt` of the initial datum.
 No choice depends on anything but the inputs, so reruns are bit-identical.
 
 :func:`simulate` keeps the state in Fourier space, as the rfft ``uh`` of
-u, and evaluates each stage in the primitive form
+u, and writes the right side in the primitive form
 
-    k = post * rfft(irfft(pre * uh)**2),
+    u_t = post * rfft(w**2),    w = irfft(pre * uh),
     pre = keep * (2 - ik),    post = keep * (2ik + (ik)^2) / (1 + k^2),
 
-with the multipliers taken from the ``Grid`` operator table once per compute grid:
-one FFT pair per stage.  The operand (2 - d_x)u is truncated by ``pre``
-and the square by ``post``, which with a truncated operand is the exact
-2/3 rule (Orszag 1971), so every form of :mod:`gch.dynamics` defines the
-same semi-discretisation and the cheapest one drives the integrator.
-The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as
-the reference path; the spectral step writes the same update in place, bit
-for bit.
+with the multipliers taken from the ``Grid`` operator table once per compute grid.
+The operand (2 - d_x)u is truncated by ``pre`` and the square by ``post``,
+which with a truncated operand is the exact 2/3 rule (Orszag 1971), so every
+form of :mod:`gch.dynamics` defines the same semi-discretisation and the
+cheapest one drives the integrator.
 
-The stages run on a compute grid ``Grid(m, L)``, the smallest size
+The right side is quadratic in u and has no linear part, so the Taylor
+coefficients ``a_j`` of ``u(t + tau) = sum_j a_j tau^j`` follow from ``a_0 = uh``
+by Cauchy products, ``(j + 1) a_{j+1} = post * rfft(sum_{i <= j} w_i w_{j-i})``
+with ``w_j = irfft(pre * a_j)``, at one FFT pair per order: the classical
+Taylor-series method (Corliss & Chang, ACM TOMS 8:114, 1982; Jorba & Zou,
+Experiment. Math. 14:99, 2005), which the paper's analyticity in t makes
+converge.  A default step sums ``K = 16`` orders over ``rho BAND_FLOOR^(1/K)``,
+``rho`` the series' radius read off orders K/2 and K, so the first term left
+out is about ``BAND_FLOOR`` of the state; each snapshot inside it is the same
+sum at its own time.  On the long-horizon pulse (0.05 sech^2, n = 16384,
+L = 40, T = 1) this takes 6 steps where RK4 under an
+error estimate took 67, and its final state is within 1.5e-14 of max|u0| of
+an RK4 run at T/4000 (the RK4 default's was 9.6e-11).  The physical-space
+:func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the reference path;
+an explicit step writes the same update in place, bit for bit, and reads a
+snapshot inside a step off the step's cubic Hermite interpolant.
+
+Both steppers work on a compute grid ``Grid(m, L)``, the smallest size
 ``16 <= m <= n`` on the ladder ``2^a, 3 2^a, 5 2^a`` (``GRID_SIZES``)
 whose 2/3 band holds the spectrum: every coefficient at or above mode
 ``3m/10``, the top tenth of the kept band, is at most
@@ -33,18 +43,17 @@ whose 2/3 band holds the spectrum: every coefficient at or above mode
 ``exp(-sigma |k|)``, so the modes a step needs are set by the analyticity
 radius, not by ``n`` (Sulem, Sulem & Frisch, J. Comput. Phys. 50:138,
 1983, read the radius off the same edge); above the edge sits the
-roundoff plateau.  On the long-horizon pulse (n = 16384, T = 1) this rule
-steps at m = 1280-3072 where powers of two with the edge at ``2m/9`` took
-55 of the 67 steps at 4096; its snapshots stay within 8.4e-16 of max|u|
-of the full grid's.  The rule is re-checked from ``uh`` before every step
-and ``m`` only grows; the modes above the band are carried unchanged, so
-their largest magnitude is read once per ``m`` and each check reads only
-the band.  The state stays the rfft on ``n``: only its first ``m/2 + 1``
-modes are stepped, and every snapshot is taken on ``n``.  At a step end
-that is no snapshot the blow-up guard reads the Wiener bound
-``2 sum|uh[band]| / n``, which no sample on the compute grid exceeds, and
-takes the compute grid's irfft only when that bound passes half the
-guard, so it fires where one that read every step's samples would.
+roundoff plateau.  On the long-horizon pulse this rule steps at
+m = 1280-3072, and its snapshots stay within 3.8e-15 of max|u0| of those of
+a run held on the full grid.  The rule is checked at every step end and ``m`` only grows; the
+modes above the band are carried unchanged, so their largest magnitude
+and H^1 share are read once per ``m`` and each check reads only the band.
+The state stays the rfft on ``n``: only its first ``m/2 + 1`` modes are
+stepped, and every snapshot is taken on ``n``.  At a step end that is no
+snapshot the blow-up guard reads the Wiener bound ``2 sum|uh[band]| / n``,
+which no sample on the compute grid exceeds, and takes the compute grid's
+irfft only when that bound passes half the guard, so it fires where one
+that read every step's samples would.
 """
 
 from __future__ import annotations
@@ -77,26 +86,11 @@ __all__ = [
 
 #: The cap on :func:`estimate_dt`, the default snapshot clock's unit; it caps no step.
 DT_MAX = 1e-2
-#: RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2)
-#: (Hairer-Wanner, Solving ODEs II, IV.2).
-RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)
-#: Fraction of the RK4 limit a default step may use.  On a 0.05 sech^2
-#: pulse (n = 16384, L = 40, T = 1) with DT_MAX lifted, the max relative H^1
-#: drift was 7.9e-13 at 0.5, 8.6e-12 at 0.9 and 8.7e-3 at 1.5: instability
-#: sets in between 0.9 and 1.5, as the bound predicts, and 0.5 keeps a
-#: factor of ~2 in hand.
-STEP_SAFETY = 0.5
-#: The largest error estimate a default step may keep: (h/6) ||k4 - k5||_{H^1}
-#: relative to ||u0||_{H^1} (see :func:`simulate`).  sigma(T) reads the RK4
-#: error of the top modes, which grows like h^4, long before the H^1 drift
-#: does, so sigma(T) sets it: the largest value on a 1e-10 grid whose
-#: sigma(T) on the 0.05 sech^2 pulse (n = 16384, L = 40, T = 1, stride 32)
-#: stays within 5e-7 of a dt = 0.0025 run, with max drift <= 1e-11, the
-#: steps as long as accuracy allows.  It reads 4.8e-7 in 67 steps; 5e-10
-#: reads 5.9e-7 in 63 and 3e-10 3.6e-7 in 72 (BENCH_dense_output.json).
-STEP_TOL = 4e-10
-#: A default step rejected below STEP_FLOOR * T ends the run with a
-#: FloatingPointError: a stage that never meets the tolerance cannot spin.
+#: The order of the Taylor series in t that a default step sums (see :func:`simulate`): a
+#: power of two, so the step's K-th root commutes with power-of-two scaling of the data.
+K = 16
+#: A default step below STEP_FLOOR * T ends the run with a FloatingPointError: a
+#: series whose radius collapses cannot spin.
 STEP_FLOOR = 1e-12
 BLOWUP_FACTOR = 1e3
 #: A run is marked valid only while max(|u(-L)|, |u(L-dx)|) stays below this.
@@ -111,14 +105,24 @@ BAND_FLOOR = 1e-15
 ROW_BLOCK_BYTES = 2**18
 #: The most bytes the K x n snapshot block of :func:`simulate` may take.
 SNAPSHOT_BYTES = 2**30
-#: The most steps an explicit ``dt`` may ask for, ``T / dt``: at the 75 us a step
-#: takes at n = 16 (2-core x86_64 host), about 80 s of stepping.
+#: The most steps a run may take: an explicit ``dt`` that asks for more, ``T / dt``, is
+#: refused before the first stage (at the 75 us an RK4 step takes at n = 16 on a 2-core
+#: x86_64 host, about 80 s of stepping), and a default run that has kept this many
+#: steps short of T ends with a FloatingPointError.
 MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots as one read-only ``K x n`` block, plus run metadata."""
+    """Snapshots as one read-only ``K x n`` block, plus run metadata.
+
+    From :func:`simulate`: ``n_steps`` counts the steps kept.  By default
+    ``dt_initial`` and ``dt_final`` are the series' steps ``rho
+    BAND_FLOOR^(1/K)`` at the first and the last step, before any cut to land
+    on T or to keep the band, and ``n_rejected`` counts the steps cut short
+    where the compute grid's band stopped holding the spectrum; with an
+    explicit ``dt`` both steps are ``dt`` and no step is cut.
+    """
 
     grid: Grid
     times: np.ndarray
@@ -127,7 +131,7 @@ class Trajectory:
     dt_initial: float = np.nan
     dt_final: float = np.nan
     n_steps: int = 0
-    n_rejected: int = 0  # steps the error estimate sent back
+    n_rejected: int = 0  # steps cut short where the band stopped holding
     h1_drift: np.ndarray | None = None  # per snapshot
     compute_n: np.ndarray | None = None  # compute-grid size per snapshot
 
@@ -141,7 +145,8 @@ class Trajectory:
         times, values = self.times, self.values
         if values.shape != (len(self), self.grid.n):
             raise ValueError(f"values must be {(len(self), self.grid.n)}, not {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # the extremes are finite exactly when every sample is, with no K x n mask
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("snapshots contain non-finite samples")
         # a NaN or infinite time fails the strict increase or the finite end
         if times[0] != 0.0 or not (np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
@@ -225,24 +230,20 @@ def estimate_dt(u: Field) -> float:
 
 
 def _spectral_stage(uh, grid: Grid, pre, post):
-    """``(spectral_rhs(uh), w)`` with ``w = irfft(pre * uh)``, the squared operand.
-
-    Every stage :func:`simulate` takes is one call of this function.
-    """
+    """``post * rfft(irfft(pre * uh)**2)``: every RK4 stage :func:`simulate` takes is one call."""
     w = grid.irfft(pre * uh)
-    return post * grid.rfft(w * w), w
+    return post * grid.rfft(w * w)
 
 
 def spectral_rhs(uh, grid: Grid, pre, post):
     """u_t in Fourier space: ``post * rfft(irfft(pre * uh)**2)``, one FFT pair."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _spectral_stage(uh, grid, pre, post)[0]
+        return _spectral_stage(uh, grid, pre, post)
 
 
 def _stage(index: int, uh, ops):
-    """``(k, w)`` of :func:`_spectral_stage` on ``ops = (grid, pre, post)``, ``k`` checked."""
-    k, w = _spectral_stage(uh, *ops)
-    return _checked(index, k), w
+    """:func:`_spectral_stage` on ``ops = (grid, pre, post)``, checked."""
+    return _checked(index, _spectral_stage(uh, *ops))
 
 
 def _band_rk4(y, h: float, k1, ops):
@@ -253,13 +254,13 @@ def _band_rk4(y, h: float, k1, ops):
     """
     s = k1 * (0.5 * h)
     s += y
-    k2 = _stage(2, s, ops)[0]
+    k2 = _stage(2, s, ops)
     np.multiply(k2, 0.5 * h, out=s)
     s += y
-    k3 = _stage(3, s, ops)[0]
+    k3 = _stage(3, s, ops)
     np.multiply(k3, h, out=s)
     s += y
-    k4 = _stage(4, s, ops)[0]
+    k4 = _stage(4, s, ops)
     np.multiply(k2, 2.0, out=s)
     s += k1
     k3 *= 2.0
@@ -285,48 +286,135 @@ def _hermite(out, y0, y1, f0, f1, h: float, theta: float, scratch):
     return out
 
 
-def _starting_step(y, k1, ops, norm) -> float:
-    """The first default step: Hairer-Wanner's starting step (Solving ODEs I, II.4) in ``norm``.
+def _root(x: float, j: int) -> float:
+    """``x^(1/j)`` for a power of two ``j``, as repeated square roots.
 
-    ``d1 = ||k1|| / ||y||``, and ``d2 = ||f(y + h0 k1) - k1|| / (h0 ||y||)`` from
-    one Euler probe of ``h0 = 0.01 / d1``.  The step is ``STEP_TOL^(1/4) / max(d1,
-    sqrt(d2))``, not the textbook's ``(0.01 / max(d1, d2))^(1/(p+1))``, which
-    mixes 1/time with 1/time^2: it scales with the data as the flow does.
+    A square root commutes exactly with scaling by an even power of two, where ``x**(1/j)``
+    may round differently.
     """
-    size = norm(y)
-    rate = norm(k1) / size if size > 0.0 else 0.0
-    if rate == 0.0:
-        return np.inf
-    probe = 0.01 / rate
-    curvature = norm(_stage(1, y + probe * k1, ops)[0] - k1) / (probe * size)
-    return STEP_TOL**0.25 / max(rate, math.sqrt(curvature))
+    while j > 1:
+        x, j = math.sqrt(x), j // 2
+    return x
+
+
+def _square_norm(a) -> float:
+    return float(np.sum(a.real**2 + a.imag**2))
+
+
+def _series(y, ops, W, work, spec) -> float:
+    """Into ``W``: the samples ``w_j = irfft(pre a_j)`` of the flow's Taylor series at ``y``.
+
+    ``a_0 = y`` and ``(j + 1) a_{j+1} = post rfft(sum_{i <= j} w_i w_{j-i})`` for j < K:
+    the right side ``post rfft(w^2)`` is quadratic in u with no linear part, so its Taylor
+    coefficients in t are these Cauchy products, at one irfft and one rfft per order.  Every
+    ``a_j`` with j >= 1 vanishes from mode m/3 up, as ``post`` does, so only the kept band is
+    formed, in ``spec``; ``work`` holds the products.  Returns the series' radius
+    ``rho = min (||a_0|| / ||a_j||)^(1/j)`` over j = K/2 and K, in the band's l2 norm, or inf
+    when both orders vanish.  A non-finite order raises ``FloatingPointError`` naming it.
+    """
+    comp, pre, post = ops
+    kept = -(-comp.n // 3)  # the modes below m/3, where pre and post do not vanish
+    pre, post, band = pre[:kept], post[:kept], spec[:kept]
+    acc, term = work
+    comp.irfft(np.multiply(pre, y[:kept], out=band), out=W[0])
+    size, rho = _square_norm(y), np.inf
+    for j in range(K):
+        # the pairs w_i w_{j-i} with i < j - i twice, summed in i's order, and w_{j/2}^2
+        pairs = (j + 1) // 2
+        if pairs:
+            np.einsum("ij,ij->j", W[:pairs], W[j + 1 - pairs : j + 1][::-1], out=acc)
+            acc *= 2.0
+            if j % 2 == 0:
+                acc += np.square(W[j // 2], out=term)
+        else:
+            np.square(W[0], out=acc)
+        comp.rfft(acc, out=spec)
+        band *= post
+        band /= j + 1
+        if not np.isfinite(band).all():
+            raise FloatingPointError(f"non-finite series order {j + 1}")
+        if j + 1 in (K // 2, K):
+            order = _square_norm(band)
+            if order > 0.0:
+                rho = min(rho, _root(math.sqrt(size) / math.sqrt(order), j + 1))
+        band *= pre
+        comp.irfft(band, out=W[j + 1])
+    return rho
+
+
+def _sum(out, y, W, tau: float, ops, work, spec):
+    """Into ``out``: the series of :func:`_series` summed at ``tau``, on the band of ``y``.
+
+    The terms ``tau^j w_j``, j = 1 .. K, are summed in j's order into ``work[0]``, the
+    powers taken by repeated products, and one rfft on the compute grid turns the sum into
+    the kept modes, divided by ``pre``; ``a_0 = y`` is added as it is, so the modes from m/3
+    up are ``y``'s.
+    """
+    comp, pre, _ = ops
+    kept = -(-comp.n // 3)
+    q = np.einsum("j,jm->m", np.cumprod(np.full(K, tau)), W[1:], out=work[0])
+    band = comp.rfft(q, out=spec)[:kept]
+    band /= pre[:kept]
+    np.copyto(out, y)
+    out[:kept] += band
+    return out
 
 
 def _compute_grid(grid: Grid, uh, m: int):
-    """``(m, (Grid(m, L), pre, post), reach, tail)``: the compute grid ``m`` of ``uh`` on ``grid``.
+    """``(m, (Grid(m, L), pre, post), tail, carried)``: the compute grid ``m`` of ``uh``.
 
     The stages take the first ``m/2 + 1`` modes of an n-grid rfft, whose
     coefficients are ``n/m`` times those of the m-grid samples, so the
     factors ``m/n`` and ``n/m`` are folded into ``pre`` and ``post``: both
     are exact powers of two when ``m`` is one, and for ``m = 3 2^a`` or
-    ``5 2^a`` only ``n/m`` rounds.  ``Grid(m, L).k_rfft`` is the first
-    ``m/2 + 1`` wavenumbers of ``grid`` bit for bit.  ``reach`` is the
-    stability bound's numerator over
-    ``B = 2 max|pre| max|post|``, which the folded factors leave unchanged:
-    ``B`` is the compute grid's.  ``tail`` is max|uh| above the band, the
-    modes a step carries unchanged, so it is read once per grid.
+    ``5 2^a`` only ``n/m`` rounds.  They are built from the first ``m/2 + 1``
+    entries of ``grid``'s operator table, which are ``Grid(m, L)``'s bit for
+    bit, so the compute grid only takes FFTs and builds no table.  ``tail``
+    is max|uh| above the band and ``carried`` their share ``sum(h1_weight
+    |uh|^2)`` of the H^1 norm: a step carries these modes unchanged, so they
+    are read once per grid.
     """
     comp = grid if m == grid.n else Grid(m, grid.half_width)
-    ik = comp.ik_pow[0]
-    pre = np.where(comp.keep, 2.0 - ik, 0.0) * (m / grid.n)
-    post = np.where(comp.keep, (2.0 * ik + comp.ik_pow[1]) / comp.helm, 0.0) * (grid.n / m)
-    B = 2.0 * np.max(np.abs(pre)) * np.max(np.abs(post))
-    tail = float(np.max(np.abs(uh[m // 2 + 1 :]), initial=0.0))
-    return m, (comp, pre, post), float(STEP_SAFETY * RK4_IMAGINARY_LIMIT / B), tail
+    band = slice(0, m // 2 + 1)
+    ik, keep = grid.ik_pow[0][band], np.arange(m // 2 + 1) < m / 3.0
+    pre = np.where(keep, 2.0 - ik, 0.0) * (m / grid.n)
+    post = np.where(keep, (2.0 * ik + grid.ik_pow[1][band]) / grid.helm[band], 0.0) * (grid.n / m)
+    above = uh[m // 2 + 1 :]
+    tail = float(np.max(np.abs(above), initial=0.0))
+    return m, (comp, pre, post), tail, _h1_sum(grid, above, m // 2 + 1)
 
 
-def _held(grid: Grid, uh, compute, a):
-    """``compute`` while its 2/3 band holds ``uh``, else the smallest larger grid's value that does.
+def _h1_sum(grid: Grid, vh, start: int = 0) -> float:
+    """``sum(h1_weight |vh|^2)`` over the modes ``start ..`` of ``grid`` that ``vh`` holds."""
+    square = vh.real**2
+    square += vh.imag**2
+    square *= grid.h1_weight[start : start + vh.size]
+    return float(np.sum(square))
+
+
+def _tail_size(grid: Grid, a, m: int) -> int:
+    """The ladder size whose band the exponential tail of the magnitudes ``a`` would fill.
+
+    ``a`` is ``|uh|`` on the band of ``m``.  An analytic solution's coefficients decay like
+    ``exp(-sigma |k|)``, so the decay from the largest magnitude of modes [m/5, m/4) to that
+    of [m/4, 3m/10), each taken at its window's middle, is carried on to the mode where it
+    meets ``BAND_FLOOR * max a``; the answer is the smallest ``GRID_SIZES`` entry whose
+    3/10 of a size lies past that mode, at most ``n``, or ``m`` when the magnitudes do not
+    decay there or already sit under the floor.  It reads ratios of magnitudes only, so it
+    commutes exactly with power-of-two scaling.
+    """
+    lo, mid, hi = m // 5, m // 4, 3 * m // 10
+    first, second = (float(np.max(a[i:j], initial=0.0)) for i, j in ((lo, mid), (mid, hi)))
+    floor = BAND_FLOOR * float(np.max(a))
+    if second <= floor or not second < first:
+        return m
+    near, far = (lo + mid) // 2, (mid + hi) // 2
+    edge = far + (far - near) * math.log(floor / second) / math.log(second / first)
+    return min(GRID_SIZES[bisect.bisect_right(GRID_SIZES, int(10 * edge) // 3)], grid.n)
+
+
+def _held(grid: Grid, uh, compute, a) -> int:
+    """The size of ``compute`` while its 2/3 band holds ``uh``, else the smallest larger one.
 
     ``a`` is ``|uh|`` on the band of ``compute``'s ``m``: a step's magnitudes
     stand for ``uh``'s own band before the step is kept.  A size ``m`` holds
@@ -337,19 +425,18 @@ def _held(grid: Grid, uh, compute, a):
     band is read, unless a tail coefficient is above the floor: then every
     coefficient is, and the answer is the same either way.
     """
-    m, _, _, tail = compute
+    m, _, tail, _ = compute
     if m == grid.n:
-        return compute
+        return m
     floor = BAND_FLOOR * max(float(np.max(a)), tail)
     if tail > floor:
         a = np.concatenate((a, np.abs(uh[m // 2 + 1 :])))
     above = np.flatnonzero(a > floor)
     if not above.size:
-        return compute
+        return m
     # the first size with 3 size > 10 * last, the last mode above the floor
     size = GRID_SIZES[bisect.bisect_right(GRID_SIZES, 10 * int(above[-1]) // 3)]
-    grown = min(max(m, size), grid.n)
-    return compute if grown == m else _compute_grid(grid, uh, grown)
+    return min(max(m, size), grid.n)
 
 
 def _require_stride(stride) -> int:
@@ -366,62 +453,55 @@ def simulate(
 ) -> Trajectory:
     """Integrate from u0 to time T and record snapshots along the way.
 
-    The state is the rfft of u and each RK4 stage is one
-    :func:`_spectral_stage` call.  Each step is ``h = min(h_max, T - t)``,
-    and one that would leave less than ``1e-12 T`` lands on T instead: only
-    T is landed on.  Each step's first stage is the previous step's last.
+    The state is the rfft of u on the compute grid of the module docstring.
+    By default each step builds the series of :func:`_series` at the step's
+    start, 2K + 1 FFTs, and is ``h = rho BAND_FLOOR^(1/K)``, with ``rho =
+    min (||a_0|| / ||a_j||)^(1/j)`` over j = K/2 and K and each root taken by
+    repeated square roots, so the rule commutes exactly with the flow's
+    scaling ``u -> eps u(eps t)`` for a power-of-two ``eps``.  The step end
+    is the series summed at ``h`` (:func:`_sum`: a sum over the samples,
+    one rfft).  Where the band no longer holds that end, the step is halved
+    until it does, and the next step is taken on the grid that end fills,
+    its exponential tail read on to the floor (:func:`_tail_size`): no
+    series is thrown away, and a step never runs past the band its series
+    was built on.  An explicit ``dt`` is each RK4 step's
+    length instead, never checked or cut; one that asks for more than
+    ``MAX_STEPS`` steps, ``T / dt``, is refused with a :class:`ConfigError`
+    before the first stage, and each step's first stage is the previous
+    step's last.  Either way a step that would leave less than ``1e-12 T``
+    lands on T instead: only T is landed on.
 
     Snapshots run on a clock of ``snapshot_stride * unit``, ``unit`` being
     the explicit ``dt`` or else ``estimate_dt(u0)``: each snapshot time is
     the previous one plus the clock, and a tick within ``1e-12 T`` of T, or
     past it, is T.  A snapshot at ``s`` in a kept step ``(t, t + h]`` is the
-    step's cubic Hermite interpolant at ``theta = (s - t) / h`` from
-    ``y_n``, ``y_{n+1}``, ``k1 = f(y_n)`` and ``k5 = f(y_{n+1})`` (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6), on the stepped band with the
-    modes above it carried unchanged; at ``theta = 1`` it is ``y_{n+1}``
-    bit for bit.  Against a run that steps an eighth of the clock and ends
-    a step on every snapshot, the benchmark's workloads (0.05 sech^2
-    pulses, n = 4096 and 16384, L = 40, T = 0.25 and 1) at seeds 0-10 are
-    within 1.0e-10 of max|u|, their weighted norms W within 6.0e-10 and
-    their interior radii within 3.9e-6 (relative); tests hold them within
-    2e-10, 1e-9 and 1e-5.  On history's datum (67 steps for 103 snapshots)
-    an interpolated snapshot's H^1 drift reaches 7.2e-12, a step end's 1e-12.
+    step's series summed at ``s - t``, or with an explicit ``dt`` the step's
+    cubic Hermite interpolant at ``theta = (s - t) / h`` from ``y_n``,
+    ``y_{n+1}``, ``k1 = f(y_n)`` and ``k5 = f(y_{n+1})`` (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.6); both are the step's end bit for bit at
+    ``s = t + h``, and the modes above the band are carried unchanged.  On
+    the benchmark's workloads (0.05 sech^2 pulses, n = 4096 and 16384,
+    L = 40, T = 0.25 and 1) at seeds 0-10 the default snapshots are within
+    2.0e-11 of max|u| of an RK4 run that steps an eighth of the clock and
+    ends a step on every snapshot, that run's own error (5.4e-15 where its
+    steps are 0.0012), and the relative H^1 drift stays under 4e-16.
 
-    An explicit ``dt`` is ``h_max``, never checked or rejected; one that asks
-    for more than ``MAX_STEPS`` steps, ``T / dt``, is refused with a
-    :class:`ConfigError` before the first stage.  By default
-    ``h_max`` is set by accuracy within the stability bound: the stage's
-    Jacobian ``d -> post * rfft(2 w irfft(pre d))`` has spectral radius at
-    most ``B ||w||_inf``, ``B = 2 max|pre| max|post|`` over the kept modes
-    (Parseval), so no step exceeds
-    ``STEP_SAFETY * RK4_IMAGINARY_LIMIT / (B ||w||_inf)``, read off each
-    step's first stage.  The next step's first stage ``k5`` gives the
-    embedded third-order solution ``y + h (k1/6 + k2/3 + k3/3 + k5/6)`` and
-    the error estimate ``err = (h/6) ||k4 - k5||_{H^1} / ||u0||_{H^1}``
-    (ibid., II.4).  A step with ``err <= STEP_TOL`` is kept, and the next
-    ``h_max`` may be ``h min(5, 0.9 (STEP_TOL/err)^(1/4))``; otherwise the
-    step is taken again with ``h max(0.2, 0.9 (STEP_TOL/err)^(1/4))``, and
-    one rejected below ``STEP_FLOOR * T`` raises ``FloatingPointError``.
-    The first step tries :func:`_starting_step`.  ``dt_initial`` and
-    ``dt_final`` are the ``h_max`` of the first and last kept steps, and
-    ``n_rejected`` counts the steps taken again.
-
-    The stages run on the compute grid of the module docstring, re-chosen
-    after every step at no FFT cost; ``B`` is taken on it.  Each snapshot
-    takes one irfft on ``n``, into a ``K x n`` block of ``T / clock + 3``
-    rows allocated before the first step (refused past ``SNAPSHOT_BYTES``
-    with a :class:`ConfigError`).  Every tick but the last advances by the
-    clock less at most one rounding of T, which the budget holds under
-    ``2**-30`` of the clock, so the snapshots fill at most
-    ``T / clock + 2.01`` rows.  ``compute_n`` holds the ``m`` of each
-    snapshot's step, the first one's for ``u0``.
+    Each snapshot takes one irfft on ``n``, into a ``K x n`` block of ``T /
+    clock + 3`` rows allocated before the first step (refused past
+    ``SNAPSHOT_BYTES`` with a :class:`ConfigError`).  Every tick but the last
+    advances by the clock less at most one rounding of T, which the budget
+    holds under ``2**-30`` of the clock, so the snapshots fill at most ``T /
+    clock + 2.01`` rows.  ``compute_n`` holds the ``m`` of each snapshot's
+    step, the first one's for ``u0``; the Trajectory docstring says what
+    ``dt_initial``, ``dt_final`` and ``n_rejected`` hold.
 
     Aborts with :class:`BlowUpError` if the sup norm grows by more than a
     factor of 1000 over the initial datum: each snapshot reads its samples,
     each step end that is no snapshot the Wiener-bound guard of the module
-    docstring.  A non-finite stage raises ``FloatingPointError`` naming the
-    stage, the step's t and its number.  ``h1_drift`` holds
-    |H1(t) - H1(0)| / H1(0) per snapshot.
+    docstring.  A non-finite RK4 stage or series order, a default step below
+    ``STEP_FLOOR * T`` and a default run that has kept ``MAX_STEPS`` steps
+    short of T raise ``FloatingPointError``, naming the step's t and its
+    number.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0) per snapshot.
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
@@ -442,99 +522,140 @@ def simulate(
         raise ConfigError([f"T / dt = {T / unit:.3g} steps would exceed MAX_STEPS = {MAX_STEPS}"])
     initial_peak = lp_norm(u0, np.inf)
     guard = BLOWUP_FACTOR * initial_peak if initial_peak > 0.0 else np.inf
-    # sum(h1_weights * |uh|^2) is ||u||_{H^1}^2 as h1_norm takes it
-    h1_weights = grid.h1_weight * (grid.dx / grid.n)
 
-    def h1(vh) -> float:  # on vh's band
-        return float(np.sqrt(np.sum(h1_weights[: vh.size] * (vh.real**2 + vh.imag**2))))
+    def h1(band, carried: float) -> float:  # ||u||_{H^1} as h1_norm takes it
+        return math.sqrt((_h1_sum(grid, band) + carried) * grid.dx / n)
 
     uh = grid.rfft(u0.values)
     snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
-    # the compute grid (m, ops, reach, tail), rebound after a kept step; the first is sized
-    # from 16 up, reading every mode
-    compute = _held(grid, uh, _compute_grid(grid, uh, 16), np.abs(uh[:9]))
+    # the compute grid (m, ops, tail, carried), rebuilt when it grows; the first is sized from
+    # 16 up, reading every mode (the H^1 share of huge data may overflow, as h1_0 does below)
+    with np.errstate(over="ignore", invalid="ignore"):
+        compute = _compute_grid(grid, uh, 16)
+        compute = _compute_grid(grid, uh, _held(grid, uh, compute, np.abs(uh[:9])))
     times = np.empty(int(rows))
     values = np.empty((times.size, n))
     drift = np.empty(times.size)
     sizes = np.empty(times.size, dtype=int)
     times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, compute[0]
-    # overflow surfaces as the named non-finite stage, not as a warning
+    row = 1
+
+    def record(s: float, step: int, m: int, carried: float) -> None:
+        """The snapshot at ``s``: its band is in ``snap``, the modes above it are carried."""
+        nonlocal row
+        snap[m // 2 + 1 :] = uh[m // 2 + 1 :]
+        u = grid.irfft(snap, out=values[row])
+        peak = max(float(u.max()), -float(u.min()))  # max|u| with no temporary
+        if peak > guard:
+            raise BlowUpError(s, step, peak, guard)
+        gap = abs(h1(snap[: m // 2 + 1], carried) - h1_0)
+        times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
+        row += 1
+
+    def end_guard(t: float, step: int, a, comp: Grid) -> None:
+        """At a step end that is no snapshot: the Wiener bound ``2 sum|uh[band]| / n`` of the
+        band's magnitudes ``a``, and near the guard the compute grid's samples."""
+        if times[row - 1] != t:
+            peak = 2.0 * float(np.sum(a)) / n
+            if peak > 0.5 * guard:
+                peak = float(np.max(np.abs(comp.irfft(uh[: a.size] * (comp.n / n)))))
+            if peak > guard:
+                raise BlowUpError(t, step, peak, guard)
+
+    h_first = h_max = dt
+    t, s, step, cut = 0.0, tick(0.0), 0, 0
+    # overflow surfaces as the named non-finite stage or order, not as a warning
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            h1_0 = h1(uh)
-            h_max, dt_initial, t, s, row, step, rejected = dt, None, 0.0, tick(0.0), 1, 0, 0
-            m, ops = compute[:2]
-            k1, w = _stage(1, uh[: m // 2 + 1], ops)
-            proposal = np.inf if dt is not None else _starting_step(uh[: m // 2 + 1], k1, ops, h1)
-            while t < T:
-                m, ops, reach, _ = compute
-                band = slice(0, m // 2 + 1)
-                y = uh[band]
-                if dt is None:
-                    peak_w = float(np.max(np.abs(w)))
-                    h_max = min(reach / peak_w, proposal) if peak_w > 0.0 else proposal
-                # a step that would leave less than 1e-12 T lands on T instead
-                h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
-                y_next, k4 = _band_rk4(y, h, k1, ops)
-                a = np.abs(y_next)  # read by the compute-grid check and the guard
-                ahead_grid = _held(grid, uh, compute, a)
-                # the next step's first stage, on the grid it will be taken on
-                ahead = y_next
-                if ahead_grid is not compute:
-                    ahead = np.concatenate((y_next, uh[y.size : ahead_grid[0] // 2 + 1]))
-                k5, w5 = _stage(1, ahead, ahead_grid[1])
-                if dt is None:
-                    # the embedded third-order solution's error, on k4's band
-                    err = h / 6.0 * h1(k4 - k5[: k4.size]) / h1_0 if h1_0 > 0.0 else 0.0
-                    factor = min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25)) if err else 5.0
-                    proposal = h * factor
-                    if err > STEP_TOL:
-                        rejected += 1
-                        if proposal < STEP_FLOOR * T:
+            h1_0 = h1(uh[: compute[0] // 2 + 1], compute[3])
+            if dt is None:
+                W = None
+                while t < T:
+                    m, ops, _, carried = compute
+                    band = slice(0, m // 2 + 1)
+                    y = uh[band]
+                    if W is None:  # the compute grid's buffers: samples, products, spectra
+                        W, work = np.empty((K + 1, m)), np.empty((2, m))
+                        spec, end = np.empty((2, m // 2 + 1), dtype=complex)
+                    if step == MAX_STEPS:
+                        raise FloatingPointError(f"MAX_STEPS = {MAX_STEPS} steps end short of T")
+                    h_max = _series(y, ops, W, work, spec) * _root(BAND_FLOOR, K)
+                    h_first = h_max if h_first is None else h_first
+                    # a step that would leave less than 1e-12 T lands on T instead
+                    h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
+                    size = m
+                    while True:
+                        if h < STEP_FLOOR * T:
+                            raise FloatingPointError(
+                                f"series step {h:.3g} below {STEP_FLOOR * T:.3g}"
+                            )
+                        a = np.abs(_sum(end, y, W, h, ops, work, spec))
+                        held = _held(grid, uh, compute, a)
+                        if held == m:
                             break
-                        continue
-                if dt_initial is None:
-                    dt_initial = h_max
-                step += 1
-                # the snapshots in (t, t_next], interpolated (k4 is spent); theta = 1 at t_next
-                while s <= t_next:
-                    theta = (s - t) / (t_next - t)
-                    _hermite(snap[band], y, y_next, k1, k5[: y.size], h, theta, k4)
-                    snap[y.size :] = uh[y.size :]
-                    values[row] = grid.irfft(snap)
-                    peak = float(np.max(np.abs(values[row])))
-                    if peak > guard:
-                        raise BlowUpError(s, step, peak, guard)
-                    gap = abs(h1(snap) - h1_0)
-                    times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
-                    row, s = row + 1, tick(s)
-                k1, w, compute = k5, w5, ahead_grid
-                uh[: ahead.size] = ahead
-                t = t_next
-                if times[row - 1] != t:
-                    # the Wiener bound 2 sum|uh[band]| / n, and near the guard the compute
-                    # grid's samples
-                    peak = 2.0 * float(np.sum(a)) / n
-                    if peak > 0.5 * guard:
-                        peak = float(np.max(np.abs(ops[0].irfft(uh[band] * (m / n)))))
-                    if peak > guard:
-                        raise BlowUpError(t, step, peak, guard)
-    except FloatingPointError as exc:  # a non-finite stage: say where the run failed
+                        if size == m:
+                            # the band stops holding within the step: the next step is taken on
+                            # the grid the full step's end fills, its tail read on to the floor
+                            size = max(held, _tail_size(grid, a, m))
+                        # and this one ends where the band still holds
+                        h *= 0.5
+                        t_next = t + h
+                    cut += size != m
+                    step += 1
+                    while s <= t_next:
+                        if s == t_next:
+                            snap[band] = end
+                        else:
+                            _sum(snap[band], y, W, s - t, ops, work, spec)
+                        record(s, step, m, carried)
+                        s = tick(s)
+                    uh[band] = end
+                    t = t_next
+                    end_guard(t, step, a, ops[0])
+                    if size != m:  # the old buffers go before the grown grid's come
+                        W = work = spec = end = a = None
+                        compute = _compute_grid(grid, uh, size)
+                W = work = spec = end = None
+            else:
+                m, ops = compute[:2]
+                k1 = _stage(1, uh[: m // 2 + 1], ops)
+                while t < T:
+                    m, ops, _, carried = compute
+                    band = slice(0, m // 2 + 1)
+                    y = uh[band]
+                    # a step that would leave less than 1e-12 T lands on T instead
+                    h, t_next = (T - t, T) if t + dt >= T - 1e-12 * T else (dt, t + dt)
+                    y_next, k4 = _band_rk4(y, h, k1, ops)
+                    a = np.abs(y_next)  # read by the compute-grid check and the guard
+                    size = _held(grid, uh, compute, a)
+                    # the next step's first stage, on the grid it will be taken on
+                    ahead = y_next
+                    if size != m:
+                        compute = _compute_grid(grid, uh, size)
+                        ahead = np.concatenate((y_next, uh[y.size : size // 2 + 1]))
+                    k5 = _stage(1, ahead, compute[1])
+                    step += 1
+                    # the snapshots in (t, t_next], interpolated (k4 is spent); theta = 1 at t_next
+                    while s <= t_next:
+                        theta = (s - t) / (t_next - t)
+                        _hermite(snap[band], y, y_next, k1, k5[: y.size], h, theta, k4)
+                        record(s, step, m, carried)
+                        s = tick(s)
+                    k1 = k5
+                    uh[: ahead.size] = ahead
+                    t = t_next
+                    end_guard(t, step, a, ops[0])
+    except FloatingPointError as exc:  # a non-finite stage or order: say where the run failed
         raise FloatingPointError(f"{exc} at t = {t!r} (step {step + 1})") from None
-    if t < T:  # only a step rejected below the floor ends the loop early
-        raise FloatingPointError(
-            f"step rejected below {STEP_FLOOR * T:.3g} at t = {t!r}: error "
-            f"estimate {err:.3g} > STEP_TOL after {rejected} rejections"
-        )
 
     return Trajectory(
         grid=grid,
         times=times[:row],
         values=values[:row],
-        dt_initial=dt_initial,
+        dt_initial=h_first,
         dt_final=h_max,
         n_steps=step,
-        n_rejected=rejected,
+        n_rejected=cut,
         h1_drift=drift[:row],
         compute_n=sizes[:row],
     )
