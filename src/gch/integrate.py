@@ -483,7 +483,7 @@ def simulate(
     the benchmark's workloads (0.05 sech^2 pulses, n = 4096 and 16384,
     L = 40, T = 0.25 and 1) at seeds 0-10 the default snapshots are within
     2.0e-11 of max|u| of an RK4 run that steps an eighth of the clock and
-    ends a step on every snapshot, that run's own error (5.4e-15 where its
+    ends a step on every snapshot, that run's own error (5.6e-15 where its
     steps are 0.0012), and the relative H^1 drift stays under 4e-16.
 
     Each snapshot takes one irfft on ``n``, into a ``K x n`` block of ``T /
@@ -615,7 +615,7 @@ def simulate(
                     if size != m:  # the old buffers go before the grown grid's come
                         W = work = spec = end = a = None
                         compute = _compute_grid(grid, uh, size)
-                W = work = spec = end = None
+                W = work = spec = end = None  # gone before the trajectory checks its block
             else:
                 m, ops = compute[:2]
                 k1 = _stage(1, uh[: m // 2 + 1], ops)

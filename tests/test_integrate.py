@@ -40,8 +40,8 @@ from gch.config import MAX_N
 from gch.grid import GRID_SIZES
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import _fit_bands, _radius_fits, radius_estimate, radius_track
-from gch.integrate import BAND_FLOOR, DT_MAX, K, STEP_FLOOR, _compute_grid, _root, _series
-from gch.integrate import _held, _hermite, _spectral_stage, _sum, spectral_rhs
+from gch.integrate import BAND_FLOOR, DT_MAX, K, _compute_grid, _root, _series
+from gch.integrate import _held, _hermite, _spectral_stage, spectral_rhs
 from gch.persistence import persistence_ledger
 from gch.weights import WeightSpec
 from gch.rowpass import consume, run_pass, together
@@ -767,9 +767,9 @@ DENSE_WORKLOADS = {"showcase": (4096, 0.25, 1), "history": (4096, 1.0, 1), "long
 #: What a default snapshot of a DENSE_WORKLOADS run may be off by, against an RK4 run that
 #: steps an eighth of the clock and ends a step on every snapshot: u against max|u|, the
 #: weighted norms W and the interior radii, relative.  The largest values on those workloads
-#: at seeds 0-10: u 2.0e-11, W 6.4e-11, sigma 1.5e-7, all on long, whose reference steps are
+#: at seeds 0-10: u 2.0e-11, W 6.6e-11, sigma 1.5e-7, all on long, whose reference steps are
 #: 0.0098 and carry that error themselves; on showcase and history (reference steps of
-#: 0.0012) they read u 5.4e-15, W 1.7e-12, sigma 8.4e-9.  The Hermite snapshots of the RK4
+#: 0.0012) they read u 5.6e-15, W 1.3e-12, sigma 1.0e-8.  The Hermite snapshots of the RK4
 #: default were held to 2e-10, 1e-9 and 1e-5.
 DENSE_TOL = {"u": 4e-11, "W": 1.3e-10, "sigma": 3e-7}
 
