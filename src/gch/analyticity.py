@@ -70,17 +70,26 @@ def _spectral_h1_ladder(grid: Grid, spec: np.ndarray, k_top: int) -> np.ndarray:
     the relative noise floor are excluded: k-fold differentiation scales
     roundoff by k_max^k, which would otherwise swamp the genuine terms of
     an analytic field from k ~ 15 on and defeat truncation-convergence
-    checks.
+    checks.  Only the columns up to the node of numpy's pairwise sum after the
+    block's last mode above the floor are swept: the rest would add exact zeros.
     """
-    power = np.abs(spec / grid.n)
+    power = np.abs(spec)
+    power /= grid.n  # abs(spec / n) bit for bit, n being a power of two
     # modes at or below the row's floor count as zero; a zero row stays zero
-    power[power <= SPECTRUM_FLOOR * np.max(power, axis=-1, keepdims=True)] = 0.0
-    power = power**2 * grid.h1_weight * (2.0 * grid.half_width)
+    low = power <= SPECTRUM_FLOOR * np.max(power, axis=-1, keepdims=True)
+    live = np.flatnonzero(~np.logical_and.reduce(low.reshape(-1, low.shape[-1])))
+    # numpy sums a row of c > 128 columns as its first c//2 - (c//2) % 8 and the rest
+    c, last = spec.shape[-1], live[-1] if live.size else -1
+    while c > 128 and c // 2 - (c // 2) % 8 > last:
+        c = c // 2 - (c // 2) % 8
+    power[..., :c][low[..., :c]] = 0.0
+    power = power[..., :c] ** 2 * grid.h1_weight[:c] * (2.0 * grid.half_width)
     out = np.empty(spec.shape[:-1] + (k_top + 1,))
     out[..., 0] = np.sqrt(np.sum(power, axis=-1))
-    grid.drop_nyquist(power)
+    if c == spec.shape[-1]:
+        grid.drop_nyquist(power)
     for k in range(1, k_top + 1):
-        power *= grid.k2
+        power *= grid.k2[:c]
         out[..., k] = np.sqrt(np.sum(power, axis=-1))
     return out
 

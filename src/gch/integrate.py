@@ -27,13 +27,13 @@ Experiment. Math. 14:99, 2005), which the paper's analyticity in t makes
 converge.  A default step sums ``K = 16`` orders over ``rho BAND_FLOOR^(1/K)``,
 ``rho`` the series' radius read off orders K/2 and K, so the first term left
 out is about ``BAND_FLOOR`` of the state; each snapshot inside it is the same
-sum at its own time.  On the long-horizon pulse (0.05 sech^2, n = 16384,
-L = 40, T = 1) this takes 6 steps where RK4 under an
-error estimate took 67, and its final state is within 1.5e-14 of max|u0| of
-an RK4 run at T/4000 (the RK4 default's was 9.6e-11).  The physical-space
-:func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the reference path;
-an explicit step writes the same update in place, bit for bit, and reads a
-snapshot inside a step off the step's cubic Hermite interpolant.
+sum at its own time, taken from the coefficients with no FFT.  On the
+long-horizon pulse (0.05 sech^2, n = 16384, L = 40, T = 1) this takes 6 steps
+where RK4 under an error estimate took 67, and its final state is within
+1.5e-14 of max|u0| of an RK4 run at T/4000 (the RK4 default's was 9.6e-11).
+The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the
+reference path; an explicit step writes the same update in place, bit for bit,
+and reads a snapshot inside a step off the step's cubic Hermite interpolant.
 
 Both steppers work on a compute grid ``Grid(m, L)``, the smallest size
 ``16 <= m <= n`` on the ladder ``2^a, 3 2^a, 5 2^a`` (``GRID_SIZES``)
@@ -100,10 +100,10 @@ BOUNDARY_TOLERANCE = 1e-8
 #: of the rfft and well below the 1e-13 that ``radius_estimate`` reads.
 BAND_FLOOR = 1e-15
 #: Spectrum bytes per row block of a diagnostic pass (:mod:`gch.rowpass`).  Against per-snapshot
-#: work, a history run's (n = 4096, K = 104) peak RSS rose 2.3 MB with K x n temporaries and
-#: fell 0.7 MB in blocks; the one pass holds one block's spectrum, u_x and u_xx at a time.
+#: work, a history run's (n = 4096, 104 rows) peak RSS rose 2.3 MB with rows x n temporaries
+#: and fell 0.7 MB in blocks; the one pass holds one block's spectrum, u_x and u_xx at a time.
 ROW_BLOCK_BYTES = 2**18
-#: The most bytes the K x n snapshot block of :func:`simulate` may take.
+#: The most bytes the rows x n snapshot block of :func:`simulate` may take.
 SNAPSHOT_BYTES = 2**30
 #: The most steps a run may take: an explicit ``dt`` that asks for more, ``T / dt``, is
 #: refused before the first stage (at the 75 us an RK4 step takes at n = 16 on a 2-core
@@ -114,7 +114,7 @@ MAX_STEPS = 2**20
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots as one read-only ``K x n`` block, plus run metadata.
+    """Snapshots as one read-only ``rows x n`` block, plus run metadata.
 
     From :func:`simulate`: ``n_steps`` counts the steps kept.  By default
     ``dt_initial`` and ``dt_final`` are the series' steps ``rho
@@ -145,7 +145,7 @@ class Trajectory:
         times, values = self.times, self.values
         if values.shape != (len(self), self.grid.n):
             raise ValueError(f"values must be {(len(self), self.grid.n)}, not {values.shape}")
-        # the extremes are finite exactly when every sample is, with no K x n mask
+        # the extremes are finite exactly when every sample is, with no rows x n mask
         if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("snapshots contain non-finite samples")
         # a NaN or infinite time fails the strict increase or the finite end
@@ -301,19 +301,20 @@ def _square_norm(a) -> float:
     return float(np.sum(a.real**2 + a.imag**2))
 
 
-def _series(y, ops, W, work, spec) -> float:
-    """Into ``W``: the samples ``w_j = irfft(pre a_j)`` of the flow's Taylor series at ``y``.
+def _series(y, ops, W, A, work, spec) -> float:
+    """Into ``A``: the flow's Taylor coefficients ``a_1 .. a_K`` at ``y``, on the kept band.
 
-    ``a_0 = y`` and ``(j + 1) a_{j+1} = post rfft(sum_{i <= j} w_i w_{j-i})`` for j < K:
-    the right side ``post rfft(w^2)`` is quadratic in u with no linear part, so its Taylor
-    coefficients in t are these Cauchy products, at one irfft and one rfft per order.  Every
-    ``a_j`` with j >= 1 vanishes from mode m/3 up, as ``post`` does, so only the kept band is
-    formed, in ``spec``; ``work`` holds the products.  Returns the series' radius
-    ``rho = min (||a_0|| / ||a_j||)^(1/j)`` over j = K/2 and K, in the band's l2 norm, or inf
-    when both orders vanish.  A non-finite order raises ``FloatingPointError`` naming it.
+    ``a_0 = y`` and ``(j + 1) a_{j+1} = post rfft(sum_{i <= j} w_i w_{j-i})`` for j < K with
+    ``w_j = irfft(pre a_j)``, into ``W`` for j < K: the right side ``post rfft(w^2)`` is
+    quadratic in u with no linear part, so its Taylor coefficients in t are these Cauchy
+    products, at one irfft and one rfft per order.  Every ``a_j`` with j >= 1 vanishes from
+    mode m/3 up, as ``post`` does, so only the kept band is formed, through ``spec``;
+    ``work`` holds the products.  Returns the series' radius ``rho = min (||a_0|| /
+    ||a_j||)^(1/j)`` over j = K/2 and K, in the band's l2 norm, or inf when both orders
+    vanish.  A non-finite order raises ``FloatingPointError`` naming it.
     """
     comp, pre, post = ops
-    kept = -(-comp.n // 3)  # the modes below m/3, where pre and post do not vanish
+    kept = A.shape[1]  # the modes below m/3, where pre and post do not vanish
     pre, post, band = pre[:kept], post[:kept], spec[:kept]
     acc, term = work
     comp.irfft(np.multiply(pre, y[:kept], out=band), out=W[0])
@@ -329,34 +330,30 @@ def _series(y, ops, W, work, spec) -> float:
         else:
             np.square(W[0], out=acc)
         comp.rfft(acc, out=spec)
-        band *= post
-        band /= j + 1
-        if not np.isfinite(band).all():
+        a = np.multiply(band, post, out=A[j])
+        a /= j + 1
+        if not np.isfinite(a).all():
             raise FloatingPointError(f"non-finite series order {j + 1}")
         if j + 1 in (K // 2, K):
-            order = _square_norm(band)
+            order = _square_norm(a)
             if order > 0.0:
                 rho = min(rho, _root(math.sqrt(size) / math.sqrt(order), j + 1))
-        band *= pre
-        comp.irfft(band, out=W[j + 1])
+        if j + 1 < K:
+            comp.irfft(np.multiply(a, pre, out=band), out=W[j + 1])
     return rho
 
 
-def _sum(out, y, W, tau: float, ops, work, spec):
-    """Into ``out``: the series of :func:`_series` summed at ``tau``, on the band of ``y``.
+def _sum(out, y, A, tau: float):
+    """Into ``out``: ``y + sum_j tau^j a_j`` over the coefficients ``A`` of :func:`_series`.
 
-    The terms ``tau^j w_j``, j = 1 .. K, are summed in j's order into ``work[0]``, the
-    powers taken by repeated products, and one rfft on the compute grid turns the sum into
-    the kept modes, divided by ``pre``; ``a_0 = y`` is added as it is, so the modes from m/3
-    up are ``y``'s.
+    The powers ``tau^j`` are repeated products, and the sum over j one product of them
+    with ``A`` in numpy's own loop, taken alike for a step's end and each snapshot; the
+    modes from m/3 up are ``y``'s.  No FFT, and each term ``tau^j a_j`` scales by exactly
+    ``eps`` under the flow's power-of-two scaling.
     """
-    comp, pre, _ = ops
-    kept = -(-comp.n // 3)
-    q = np.einsum("j,jm->m", np.cumprod(np.full(K, tau)), W[1:], out=work[0])
-    band = comp.rfft(q, out=spec)[:kept]
-    band /= pre[:kept]
+    powers = np.cumprod(np.full(K, tau))
     np.copyto(out, y)
-    out[:kept] += band
+    out[: A.shape[1]] += np.einsum("j,jm->m", powers, A.view(float)).view(complex)
     return out
 
 
@@ -455,12 +452,12 @@ def simulate(
 
     The state is the rfft of u on the compute grid of the module docstring.
     By default each step builds the series of :func:`_series` at the step's
-    start, 2K + 1 FFTs, and is ``h = rho BAND_FLOOR^(1/K)``, with ``rho =
+    start, 2K FFTs, and is ``h = rho BAND_FLOOR^(1/K)``, with ``rho =
     min (||a_0|| / ||a_j||)^(1/j)`` over j = K/2 and K and each root taken by
     repeated square roots, so the rule commutes exactly with the flow's
     scaling ``u -> eps u(eps t)`` for a power-of-two ``eps``.  The step end
-    is the series summed at ``h`` (:func:`_sum`: a sum over the samples,
-    one rfft).  Where the band no longer holds that end, the step is halved
+    is the series summed at ``h`` (:func:`_sum`: from the coefficients, no
+    FFT).  Where the band no longer holds that end, the step is halved
     until it does, and the next step is taken on the grid that end fills,
     its exponential tail read on to the floor (:func:`_tail_size`): no
     series is thrown away, and a step never runs past the band its series
@@ -486,7 +483,7 @@ def simulate(
     ends a step on every snapshot, that run's own error (5.6e-15 where its
     steps are 0.0012), and the relative H^1 drift stays under 4e-16.
 
-    Each snapshot takes one irfft on ``n``, into a ``K x n`` block of ``T /
+    Each snapshot takes one irfft on ``n``, into a ``rows x n`` block of ``T /
     clock + 3`` rows allocated before the first step (refused past
     ``SNAPSHOT_BYTES`` with a :class:`ConfigError`).  Every tick but the last
     advances by the clock less at most one rounding of T, which the budget
@@ -527,7 +524,6 @@ def simulate(
         return math.sqrt((_h1_sum(grid, band) + carried) * grid.dx / n)
 
     uh = grid.rfft(u0.values)
-    snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
     # the compute grid (m, ops, tail, carried), rebuilt when it grows; the first is sized from
     # 16 up, reading every mode (the H^1 share of huge data may overflow, as h1_0 does below)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -540,10 +536,8 @@ def simulate(
     times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, compute[0]
     row = 1
 
-    def record(s: float, step: int, m: int, carried: float) -> None:
-        """The snapshot at ``s``: its band is in ``snap``, the modes above it are carried."""
+    def record(s: float, step: int, m: int, carried: float, snap) -> None:  # snap: u(s) on n
         nonlocal row
-        snap[m // 2 + 1 :] = uh[m // 2 + 1 :]
         u = grid.irfft(snap, out=values[row])
         peak = max(float(u.max()), -float(u.min()))  # max|u| with no temporary
         if peak > guard:
@@ -573,13 +567,14 @@ def simulate(
                 while t < T:
                     m, ops, _, carried = compute
                     band = slice(0, m // 2 + 1)
-                    y = uh[band]
-                    if W is None:  # the compute grid's buffers: samples, products, spectra
-                        W, work = np.empty((K + 1, m)), np.empty((2, m))
-                        spec, end = np.empty((2, m // 2 + 1), dtype=complex)
+                    if W is None:  # the compute grid's samples, coefficients, products, spectra
+                        W, work = np.empty((K, m)), np.empty((2, m))
+                        A = np.empty((K, -(-m // 3)), dtype=complex)
+                        spec, end, y = np.empty((3, m // 2 + 1), dtype=complex)
+                    y[:] = uh[band]  # the step's start, as uh's band takes each snapshot
                     if step == MAX_STEPS:
                         raise FloatingPointError(f"MAX_STEPS = {MAX_STEPS} steps end short of T")
-                    h_max = _series(y, ops, W, work, spec) * _root(BAND_FLOOR, K)
+                    h_max = _series(y, ops, W, A, work, spec) * _root(BAND_FLOOR, K)
                     h_first = h_max if h_first is None else h_first
                     # a step that would leave less than 1e-12 T lands on T instead
                     h, t_next = (T - t, T) if t + h_max >= T - 1e-12 * T else (h_max, t + h_max)
@@ -589,7 +584,7 @@ def simulate(
                             raise FloatingPointError(
                                 f"series step {h:.3g} below {STEP_FLOOR * T:.3g}"
                             )
-                        a = np.abs(_sum(end, y, W, h, ops, work, spec))
+                        a = np.abs(_sum(end, y, A, h))
                         held = _held(grid, uh, compute, a)
                         if held == m:
                             break
@@ -602,23 +597,21 @@ def simulate(
                         t_next = t + h
                     cut += size != m
                     step += 1
-                    while s <= t_next:
-                        if s == t_next:
-                            snap[band] = end
-                        else:
-                            _sum(snap[band], y, W, s - t, ops, work, spec)
-                        record(s, step, m, carried)
+                    while s <= t_next:  # at t_next the sum is the step's end bit for bit
+                        _sum(uh[band], y, A, s - t)
+                        record(s, step, m, carried, uh)
                         s = tick(s)
                     uh[band] = end
                     t = t_next
                     end_guard(t, step, a, ops[0])
                     if size != m:  # the old buffers go before the grown grid's come
-                        W = work = spec = end = a = None
+                        W = A = work = spec = end = y = a = None
                         compute = _compute_grid(grid, uh, size)
-                W = work = spec = end = None  # gone before the trajectory checks its block
+                W = A = work = spec = end = y = None  # gone before the block is checked
             else:
                 m, ops = compute[:2]
                 k1 = _stage(1, uh[: m // 2 + 1], ops)
+                snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
                 while t < T:
                     m, ops, _, carried = compute
                     band = slice(0, m // 2 + 1)
@@ -639,7 +632,8 @@ def simulate(
                     while s <= t_next:
                         theta = (s - t) / (t_next - t)
                         _hermite(snap[band], y, y_next, k1, k5[: y.size], h, theta, k4)
-                        record(s, step, m, carried)
+                        snap[band.stop :] = uh[band.stop :]
+                        record(s, step, m, carried, snap)
                         s = tick(s)
                     k1 = k5
                     uh[: ahead.size] = ahead
@@ -664,7 +658,7 @@ def simulate(
 _CHECKPOINT_MAGIC = b"GCH1"
 _SNAPSHOTS_MAGIC = b"GCHS"
 _HEADER = struct.Struct("<4sIdd")  # magic, n (uint32), L, t -- little-endian
-_SNAPSHOTS_COUNT = struct.Struct("<I12s")  # K (uint32), ASCII config hash
+_SNAPSHOTS_COUNT = struct.Struct("<I12s")  # rows (uint32), ASCII config hash
 
 
 def _write_dump(path, magic: bytes, grid: Grid, t: float, *parts) -> None:
@@ -690,10 +684,10 @@ def write_checkpoint(path, u: Field, t: float) -> None:
 
 
 def write_snapshots(path, traj: Trajectory, config_hash: str) -> None:
-    """Binary trajectory dump, the checkpoint layout extended to K snapshots.
+    """Binary trajectory dump, the checkpoint layout extended to a block of snapshot rows.
 
-    Magic "GCHS", uint32 n, float64 L, float64 t (the last time), uint32 K,
-    the 12 ASCII bytes of the config hash, K float64 times, then the K x n
+    Magic "GCHS", uint32 n, float64 L, float64 t (the last time), uint32 rows,
+    the 12 ASCII bytes of the config hash, rows float64 times, then the rows x n
     float64 samples row by row.  All fields little-endian.
     :func:`gch.runner.snapshots_to_csv` turns ``read_snapshots(path)[1]``
     into the ``t,x,u`` text of the trajectory.

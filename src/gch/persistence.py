@@ -86,8 +86,10 @@ def persistence_ledger(
 
     def add(rows, spec, d):
         for f in d[:3]:
-            sups[rows] += lp_norms(f, grid.dx, np.inf)
-            W[rows] += lp_norms(f * w_vals, grid.dx, p)
+            a = np.abs(f)
+            sups[rows] += np.max(a, axis=-1)
+            a *= w_vals  # |f| w is |f w| exactly, w being positive
+            W[rows] += lp_norms(a, grid.dx, p)
 
     yield from consume(add, 2, len(traj))
     M = float(np.max(sups))

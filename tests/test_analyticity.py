@@ -483,6 +483,50 @@ class TestBatchedRadiusFit:
             radius_estimate(fields[1])
 
 
+def _full_width_ladder(grid, spec, k_top):
+    """The oracle of ``_spectral_h1_ladder``: its H^1 ladders with every column swept."""
+    power = np.abs(spec / grid.n)
+    power[power <= SPECTRUM_FLOOR * np.max(power, axis=-1, keepdims=True)] = 0.0
+    power = power**2 * grid.h1_weight * (2.0 * grid.half_width)
+    out = np.empty(spec.shape[:-1] + (k_top + 1,))
+    out[..., 0] = np.sqrt(np.sum(power, axis=-1))
+    grid.drop_nyquist(power)
+    for k in range(1, k_top + 1):
+        power *= grid.k2
+        out[..., k] = np.sqrt(np.sum(power, axis=-1))
+    return out
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_ladder_is_the_full_width_ladder_bit_for_bit(n):
+    # numpy sums a row of c > 128 columns as its first c//2 - (c//2) % 8 and the rest, so
+    # columns past the node after a block's last mode above the floor add exact zeros and
+    # the ladder skips them.  Random blocks of 1-25 rows, zero rows among them, whose band
+    # ends anywhere, at every node of the sum and at the Nyquist mode: a numpy whose pairwise
+    # summation splits a row elsewhere fails here
+    from gch.analyticity import _spectral_h1_ladder
+
+    grid, width = Grid(n, 40.0), n // 2 + 1
+    nodes, c = [], width
+    while c > 128:
+        c = c // 2 - (c // 2) % 8
+        nodes.append(c)
+    edges = [width, width - 1] + [node + d for node in nodes for d in (-1, 0, 1, 2)]
+    rng = np.random.default_rng(n)
+    modes = np.arange(width)
+    for trial in range(120):
+        rows = int(rng.integers(1, 26))
+        ends = rng.integers(1, width + 1, rows) if trial % 2 else np.full(rows, rng.choice(edges))
+        # the last mode of each band stays above the floor
+        decay = np.exp(-rng.uniform(0.0, 25.0 / ends.max()) * modes)
+        spec = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+        spec *= decay * (modes < ends[:, None])
+        spec[rng.random(rows) < 0.2] = 0.0
+        k_top = int(rng.integers(1, 21))
+        ladder = _spectral_h1_ladder(grid, spec, k_top)
+        assert ladder.tobytes() == _full_width_ladder(grid, spec, k_top).tobytes(), (trial, ends)
+
+
 class TestMajorantTrack:
     @pytest.mark.parametrize("params", [MajorantParams(), MajorantParams(0.3, 20)])
     def test_track_is_the_per_snapshot_norm(self, run, params):

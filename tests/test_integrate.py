@@ -71,12 +71,10 @@ def _force_series(monkeypatch, rate=None, rho=None):
     with its own radius, or ``rho`` in its place."""
     import gch.integrate as integrate_mod
 
-    def series(y, ops, W, work, spec):
-        comp, pre, _ = ops
-        kept = -(-comp.n // 3)
-        comp.irfft(pre[:kept] * y[:kept], out=W[0])
+    def series(y, ops, W, A, work, spec):
+        previous = y[: A.shape[1]]
         for j in range(1, K + 1):
-            np.multiply(W[j - 1], rate / j, out=W[j])
+            previous = np.multiply(previous, rate / j, out=A[j - 1])
         if rho is not None:
             return rho
         return min(_root(math.factorial(j) / rate**j, j) for j in (K // 2, K))
@@ -186,7 +184,7 @@ class TestSimulate:
         "kwargs, t, step, peak",
         [
             ({"dt": 0.01, "snapshot_stride": 4}, 0.07, 7, 10.688451834612373),
-            ({"snapshot_stride": 4}, 0.0695520681017788, 16, 10.485953757255597),
+            ({"snapshot_stride": 4}, 0.0695520681017788, 16, 10.485953757255599),
         ],
         ids=["explicit_dt", "default_step"],
     )
@@ -389,8 +387,8 @@ def _spy_series(monkeypatch):
     seen = []
     original = integrate_mod._series
 
-    def spy(y, ops, W, work, spec):
-        rho = original(y, ops, W, work, spec)
+    def spy(y, ops, W, A, work, spec):
+        rho = original(y, ops, W, A, work, spec)
         seen.append((y.copy(), rho * _root(BAND_FLOOR, K)))
         return rho
 
@@ -407,9 +405,9 @@ def _spy_sums(monkeypatch):
     series = _spy_series(monkeypatch)
     original = integrate_mod._sum
 
-    def spy(out, y, W, tau, ops, work, spec):
+    def spy(out, y, A, tau):
         seen.append((len(series), tau))
-        return original(out, y, W, tau, ops, work, spec)
+        return original(out, y, A, tau)
 
     monkeypatch.setattr(integrate_mod, "_sum", spy)
     return series, seen
@@ -428,15 +426,40 @@ def _by_step(sums):
     return steps
 
 
+def _build_series(y, ops, samples=False):
+    """``(rho, A)`` of :func:`_series` at the band ``y`` on the compute grid ``ops``, and the
+    samples ``W`` of orders 0 .. K - 1 with ``samples``."""
+    comp = ops[0]
+    W, A = np.empty((K, comp.n)), np.empty((K, -(-comp.n // 3)), complex)
+    rho = _series(y, ops, W, A, np.empty((2, comp.n)), np.empty(comp.n // 2 + 1, complex))
+    return (rho, A, W) if samples else (rho, A)
+
+
+def _sample_sum(y, ops, A, tau):
+    """The oracle of ``_sum``: the series summed over its samples, as it was first taken.
+
+    ``sum_j tau^j w_j`` with ``w_j = irfft(pre a_j)``, j = 1 .. K, in j's order with the
+    powers taken by repeated products, then one rfft on the compute grid, divided by ``pre``
+    on the kept band; the modes from m/3 up are ``y``'s.
+    """
+    comp, pre, _ = ops
+    kept = A.shape[1]
+    q = np.einsum("j,jm->m", np.cumprod(np.full(K, tau)), comp.irfft(A * pre[:kept]))
+    out = y.copy()
+    out[:kept] += comp.rfft(q)[:kept] / pre[:kept]
+    return out
+
+
 def test_fft_pairs_per_step(fft_calls, monkeypatch):
-    # rfft(u0) and estimate_dt's derivative, 2K + 1 FFTs per series, one rfft per sum (a
-    # step's end, its halvings and each snapshot inside it) and one irfft per snapshot
+    # rfft(u0) and estimate_dt's derivative, 2K FFTs per series (no irfft of its last order)
+    # and one irfft per snapshot; a sum, at a step's end, a halving or a snapshot, takes none
     grid = Grid(1024, 40.0)
     u0 = sample(grid, lambda x: 0.05 / np.cosh(x) ** 2)
     series, sums = _spy_sums(monkeypatch)
     traj = simulate(u0, 0.25, snapshot_stride=5)
     assert traj.n_steps == len(series) > 0
-    assert len(fft_calls) == 3 + (2 * K + 1) * traj.n_steps + len(sums) + len(traj) - 1
+    assert len(sums) > traj.n_steps
+    assert len(fft_calls) == 3 + 2 * K * traj.n_steps + len(traj) - 1
 
 
 def _golden_pulse():
@@ -552,18 +575,19 @@ class TestStepRule:
         for (_, h_max), (trial, end, inside) in zip(series, steps):
             assert trial == (h_max if t + h_max < self.T else self.T - t)
             # only T and the band's cuts end a step: every other snapshot is summed inside one
-            assert all(0.0 < tau < end for tau in inside)
+            assert all(0.0 < tau < end for tau in inside[:-1])
+            assert 0.0 < inside[-1] < end or (t + end == self.T and inside[-1] == end)
             t += end
         assert t == pytest.approx(self.T, rel=1e-15)
-        assert sum(len(inside) for _, _, inside in steps) == len(traj) - 2
+        # every snapshot but u0 is a sum, the one at T included
+        assert sum(len(inside) for _, _, inside in steps) == len(traj) - 1
 
-    def test_step_count_pinned_by_fft_calls(self, fine, fft_calls, monkeypatch):
-        # rfft(u0) and estimate_dt's derivative, 2K + 1 FFTs per series, one rfft per sum
-        # and one irfft per snapshot; the guard takes no FFT at a step end that is no snapshot
-        _, sums = _spy_sums(monkeypatch)
+    def test_step_count_pinned_by_fft_calls(self, fine, fft_calls):
+        # rfft(u0) and estimate_dt's derivative, 2K FFTs per series and one irfft per
+        # snapshot; the guard takes no FFT at a step end that is no snapshot, a sum none
         traj = simulate(fine, self.T, self.STRIDE)
-        assert len(traj) - 1 == 13
-        assert len(fft_calls) == 3 + (2 * K + 1) * traj.n_steps + len(sums) + 13 == 164
+        assert (traj.n_steps, len(traj) - 1) == (4, 13)
+        assert len(fft_calls) == 3 + 2 * K * traj.n_steps + 13 == 144
 
     def test_explicit_step_count_pinned_by_fft_calls(self, fine, monkeypatch, fft_calls):
         # dt = 0.007 caps every step: 71 steps of 0.007 and a last one of what is
@@ -725,20 +749,17 @@ class TestAccuracy:
 
     def test_step_is_the_radius_times_the_tolerance_root(self, sech2_small, monkeypatch):
         # each series' step is rho BAND_FLOOR^(1/K), rho read off orders K/2 and K of the
-        # coefficients, here read back from the samples as rfft(w_j) / pre
+        # coefficients a_1 .. a_K the series holds
         series = _spy_series(monkeypatch)
         simulate(sech2_small, 1.0, snapshot_stride=10**6)
         grid = sech2_small.grid
         for y, h in series:
             m = 2 * (len(y) - 1)
-            comp, pre, post = _compute_grid(grid, np.zeros(grid.n // 2 + 1), m)[1]
-            W = np.empty((K + 1, m))
-            rho = _series(y, (comp, pre, post), W, np.empty((2, m)), np.empty(m // 2 + 1, complex))
+            ops = _compute_grid(grid, np.zeros(grid.n // 2 + 1), m)[1]
+            rho, A = _build_series(y, ops)
             assert h == rho * _root(BAND_FLOOR, K)
-            kept = -(-m // 3)
-            a = comp.rfft(W)[:, :kept] / pre[:kept]
             size = np.linalg.norm(y)
-            radius = min((size / np.linalg.norm(a[j])) ** (1.0 / j) for j in (K // 2, K))
+            radius = min((size / np.linalg.norm(A[j - 1])) ** (1.0 / j) for j in (K // 2, K))
             assert rho == pytest.approx(radius, rel=1e-12)
 
     def test_snapshot_block_is_written_once(self):
@@ -859,26 +880,20 @@ def test_scaling_symmetry(case):
 
 def test_series_is_odd_under_negation():
     # v(x, t) = -u(x, -t) solves the equation whenever u does, and the right side is even in
-    # u: a_j(-u0) = (-1)^(j + 1) a_j(u0) at every order, exactly, in the samples w_j and in the
-    # coefficients read back from them, and the radius is the same
+    # u: a_j(-u0) = (-1)^(j + 1) a_j(u0) at every order, exactly, in the samples w_j, j < K,
+    # and in the coefficients a_1 .. a_K, and the radius is the same
     grid = Grid(4096, 40.0)
     uh = grid.rfft(sample(grid, lambda x: 0.05 / np.cosh(x) ** 2).values)
     m = _held(grid, uh, _compute_grid(grid, uh, 16), np.abs(uh[:9]))
     assert m == 1280
     ops = _compute_grid(grid, uh, m)[1]
-    comp, pre, _ = ops
-    runs = []
-    for y in (uh[: m // 2 + 1], -uh[: m // 2 + 1]):
-        W = np.empty((K + 1, m))
-        runs.append((W, _series(y, ops, W, np.empty((2, m)), np.empty(m // 2 + 1, complex))))
-    (W, rho), (V, sigma) = runs
+    (rho, A, W), (sigma, B, V) = (
+        _build_series(y, ops, samples=True) for y in (uh[: m // 2 + 1], -uh[: m // 2 + 1])
+    )
     assert sigma == rho
-    kept = -(-m // 3)
-    for j in range(K + 1):
-        sign = (-1) ** (j + 1)
-        assert np.array_equal(V[j], sign * W[j]), j
-        a, b = (comp.rfft(X[j])[:kept] / pre[:kept] for X in (W, V))
-        assert np.array_equal(b, sign * a), j
+    for j in range(K):
+        assert np.array_equal(V[j], (-1) ** (j + 1) * W[j]), j
+        assert np.array_equal(B[j], (-1) ** j * A[j]), j + 1
 
 
 @pytest.mark.parametrize("pulse", [_showcase_pulse, _long_pulse], ids=["showcase", "long"])
@@ -890,6 +905,54 @@ def test_time_reversal_round_trip(pulse):
     there = simulate(u0, T, snapshot_stride=10**6).final
     back = simulate(-there, T, snapshot_stride=10**6).final
     assert lp_norm(back + u0, np.inf) <= 1e-13 * lp_norm(u0, np.inf)
+
+
+@pytest.mark.parametrize("pulse", [_showcase_pulse, _long_pulse], ids=["showcase", "long"])
+def test_coefficient_sum_matches_the_sample_sum(pulse, monkeypatch):
+    # every sum of a default run, a step's end, a halving or a snapshot, against the sum over
+    # the samples on the compute grid from the same coefficients, in the samples on n
+    # (measured 1.9e-17 and 1.1e-17 of max|u0|)
+    import gch.integrate as integrate_mod
+
+    u0, T = pulse()
+    grid, built, gaps = u0.grid, [], []
+    series, summed = integrate_mod._series, integrate_mod._sum
+
+    def spy_series(y, ops, W, A, work, spec):
+        built.append(ops)
+        return series(y, ops, W, A, work, spec)
+
+    def spy_sum(out, y, A, tau):
+        reference = _sample_sum(y, built[-1], A, tau)
+        summed(out, y, A, tau)
+        gaps.append(np.max(np.abs(grid.irfft(out - reference))))
+        return out
+
+    monkeypatch.setattr(integrate_mod, "_series", spy_series)
+    monkeypatch.setattr(integrate_mod, "_sum", spy_sum)
+    traj = simulate(u0, T, 1 if T < 1.0 else 32)
+    assert len(gaps) >= traj.n_steps + len(traj) - 1
+    assert max(gaps) <= 1e-15 * lp_norm(u0, np.inf)
+
+
+def test_a_steps_end_is_its_snapshot_at_t_next(monkeypatch):
+    # the end of a step and a snapshot at its t_next are the same sum at the same tau, bit
+    # for bit: here the last step, which lands on T
+    import gch.integrate as integrate_mod
+
+    original, seen = integrate_mod._sum, []
+
+    def spy(out, y, A, tau):
+        original(out, y, A, tau)
+        seen.append((tau, out.copy()))
+        return out
+
+    monkeypatch.setattr(integrate_mod, "_sum", spy)
+    u0, T = _long_pulse()
+    traj = simulate(u0, T, 10**6)
+    assert traj.times.tolist() == [0.0, T]
+    (h, end), (tau, snapshot) = seen[-2:]  # the last step's end, then the snapshot at T
+    assert tau == h and snapshot.tobytes() == end.tobytes()
 
 
 def _holds(y, m):
@@ -1004,12 +1067,12 @@ class TestComputeGrid:
     def test_every_step_holds_its_spectrum(self, fft_calls, monkeypatch):
         u0, T = _long_pulse()
         n = u0.grid.n
-        series, sums = _spy_sums(monkeypatch)
+        series = _spy_series(monkeypatch)
         traj = simulate(u0, T, 32)
-        # the rule reads uh: 3 FFTs per run, 2K + 1 per series, 1 per sum and 1 per snapshot
+        # the rule reads uh: 3 FFTs per run, 2K per series and 1 per snapshot
         assert len(series) == traj.n_steps
-        assert len(fft_calls) == 3 + (2 * K + 1) * traj.n_steps + len(sums) + len(traj) - 1
-        assert len(fft_calls) == 237  # the RK4 default took 556
+        assert len(fft_calls) == 3 + 2 * K * traj.n_steps + len(traj) - 1
+        assert len(fft_calls) == 208  # 237 with the sums over the samples, 556 by RK4
         sizes = traj.compute_n
         assert sizes.shape == (len(traj),)
         assert np.all(np.diff(sizes) >= 0)
