@@ -176,7 +176,7 @@ def _amplitude_pair(grid, h: np.ndarray, psi_literal: bool = False, held=(None, 
 
     e^{+-x} are ``held`` by a caller that keeps them across a row block; a None is taken
     with the row.  Both kept across a whole pass once cost history ~2 MB of peak RSS, and
-    across long's one-row blocks (n = 16384) 0.14 MB of tracemalloc peak, so neither does.
+    across long's one-row blocks (n = 16384) 0.14 MB of tracemalloc peak: one row takes both.
     """
     if not np.all(np.isfinite(h)):
         raise ValueError("source contains non-finite samples")

@@ -307,7 +307,7 @@ def _series(y, ops, W, A, work, spec) -> float:
     ``a_0 = y`` and ``(j + 1) a_{j+1} = post rfft(sum_{i <= j} w_i w_{j-i})`` for j < K with
     ``w_j = irfft(pre a_j)``, into ``W`` for j < K: the right side ``post rfft(w^2)`` is
     quadratic in u with no linear part, so its Taylor coefficients in t are these Cauchy
-    products, at one irfft and one rfft per order.  Every ``a_j`` with j >= 1 vanishes from
+    products, at one rfft per order and one irfft below K.  Every ``a_j`` with j >= 1 vanishes from
     mode m/3 up, as ``post`` does, so only the kept band is formed, through ``spec``;
     ``work`` holds the products.  Returns the series' radius ``rho = min (||a_0|| /
     ||a_j||)^(1/j)`` over j = K/2 and K, in the band's l2 norm, or inf when both orders

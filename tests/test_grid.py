@@ -79,7 +79,7 @@ class TestField:
 
 
 class TestBlocks:
-    """FFTs and spectral derivatives act row by row on a K x n block, bit for bit."""
+    """FFTs and spectral derivatives act row by row on a rows x n block, bit for bit."""
 
     def test_block_equals_its_rows(self, grid1024):
         grid = grid1024

@@ -648,7 +648,7 @@ def horizons(draw):
 
 
 class TestSnapshotAllocation:
-    """The K x n block is allocated from T / clock before the first step; the run stops on time.
+    """The rows x n block is allocated from T / clock before the first step; the run stops on time.
 
     The last snapshot is T: a clock tick within 1e-12 T of it is T itself.
     """
@@ -763,11 +763,12 @@ class TestAccuracy:
             assert rho == pytest.approx(radius, rel=1e-12)
 
     def test_snapshot_block_is_written_once(self):
-        # history's and long's configs: the K x n block is allocated before the first step and
-        # each landing row written into it, with no second copy of the block.  Beside it the
-        # run holds its spectrum, the series' K + 1 sample rows on the compute grid and their
-        # work arrays: measured 21.6 and 7.6 n-rows, where the RK4 default's stages took 26.2
-        # and 8.0 (history's bound held those stages; 122 when the rows were stacked)
+        # history's and long's configs: the rows x n block is allocated before the first step
+        # and each landing row written into it, with no second copy of the block.  Beside it
+        # the run holds its spectrum, the series' K sample rows and K coefficient bands on the
+        # compute grid and their work arrays: measured 28.6 and 8.6 n-rows (21.6 and 7.6 with
+        # K + 1 sample rows alone), where the RK4 default's stages took 26.2 and 8.0
+        # (history's bound held those stages; 122 when the rows were stacked)
         for workload, rows, bound in (("history", 104, 32), ("long", 14, 9)):
             n, T, stride = DENSE_WORKLOADS[workload]
             u0 = sample(Grid(n, 40.0), lambda x: 0.05 / np.cosh(x) ** 2)
@@ -778,9 +779,9 @@ class TestAccuracy:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            K, n = traj.values.shape
-            assert K == rows
-            assert peak <= (K + bound) * n * 8, workload
+            count, n = traj.values.shape
+            assert count == rows
+            assert peak <= (count + bound) * n * 8, workload
 
 
 # (n, T, snapshot_stride) of the benchmark's workloads, all on L = 40
@@ -1432,8 +1433,8 @@ def _small_trajectory(n=16, times=(0.0, 0.25, 0.5)):
 
 class TestSnapshotDump:
     def test_layout(self, tmp_path):
-        # GCHS header as GCH1 (t is the last time), uint32 K, 12-byte hash,
-        # K f64 times, then the K x n f64 samples row by row
+        # GCHS header as GCH1 (t is the last time), uint32 rows, 12-byte hash,
+        # rows f64 times, then the rows x n f64 samples row by row
         path = tmp_path / "snapshots.bin"
         traj = _small_trajectory()
         write_snapshots(path, traj, "c5aaa2da2f94")
