@@ -9,12 +9,12 @@ benchmark's pulses they match an RK4 run at an eighth of the clock to that
 run's own error, and drift in H^1 by under 4e-16.  The trajectory records
 the boundary magnitude per snapshot (the box must stay effectively
 infinite) and the H^1 drift, which the flow conserves.  An explicit ``dt``
-steps classical RK4 instead: it caps every step, its steps are neither
-checked nor cut, and a snapshot inside a step is read off the step's cubic
-Hermite interpolant.  Refining the RK4 step converges to the series'
-final state at order 4, and stepping the physical-space form_a right-hand
-side instead of the Fourier-space primitive form leaves the RK4 result
-unchanged to far below the integration error."""
+steps classical RK4 instead: every step is ``dt``, neither checked nor cut,
+until the last lands on T, and the snapshots are the state at every
+``snapshot_stride``-th step's end and at T.  Refining the RK4 step
+converges to the series' final state at order 4, and stepping the
+physical-space form_a right-hand side instead of the Fourier-space primitive
+form leaves the RK4 result unchanged to far below the integration error."""
 
 import numpy as np
 

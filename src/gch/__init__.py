@@ -1,9 +1,10 @@
 """Pseudospectral solver and diagnostics for a generalized Camassa-Holm equation.
 
 The evolution u_t - u_txx = d_x(2 + d_x)[(2 - d_x)u]^2 is integrated on a
-periodic box wide enough that decaying data never sees the seam, by
-classical RK4 on one semi-discretisation: the primitive nonlocal form with
-2/3-dealiased products, stepped in Fourier space.  The equivalent nonlocal
+periodic box wide enough that decaying data never sees the seam, by summing
+the flow's own Taylor series in time (classical RK4 with an explicit step)
+on one semi-discretisation: the primitive nonlocal form with 2/3-dealiased
+products, stepped in Fourier space.  The equivalent nonlocal
 rewritings of :mod:`gch.dynamics` agree with it to roundoff and serve as
 physical-space references.  The diagnostics layer measures what the analysis
 predicts: weighted norms grow at most exponentially, spatial decay of the

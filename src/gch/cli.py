@@ -2,8 +2,9 @@
 
 Subcommands: simulate, persistence, asymptotics, analyticity,
 verify-weights, selftest.  Exit codes: 0 success, 1 diagnostics failed,
-2 configuration error, 3 numerical abort (blow-up, a non-finite RK4
-stage or boundary violation).
+2 configuration error, 3 numerical abort (blow-up guard, a non-finite series
+order or RK4 stage, a default step below ``STEP_FLOOR * T``, a default run
+that has kept ``MAX_STEPS`` steps short of T, or boundary violation).
 """
 
 from __future__ import annotations

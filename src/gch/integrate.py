@@ -1,10 +1,10 @@
 """Deterministic explicit time stepping with snapshot recording.
 
-By default every step sums the flow's own Taylor series in time; an
-explicit ``dt`` steps classical four-stage Runge-Kutta instead.  Either way
-only T is landed on, and snapshots run on a fixed clock, whose unit is the
-explicit ``dt`` or, by default, :func:`estimate_dt` of the initial datum.
-No choice depends on anything but the inputs, so reruns are bit-identical.
+By default every step sums the flow's own Taylor series in time, only T is
+landed on, and snapshots run on a fixed clock of :func:`estimate_dt` units; an
+explicit ``dt`` steps classical four-stage Runge-Kutta instead and keeps every
+``snapshot_stride``-th step's end and T.  No choice depends on anything but
+the inputs, so reruns are bit-identical.
 
 :func:`simulate` keeps the state in Fourier space, as the rfft ``uh`` of
 u, and writes the right side in the primitive form
@@ -32,8 +32,7 @@ long-horizon pulse (0.05 sech^2, n = 16384, L = 40, T = 1) this takes 6 steps
 where RK4 under an error estimate took 67, and its final state is within
 1.5e-14 of max|u0| of an RK4 run at T/4000 (the RK4 default's was 9.6e-11).
 The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the
-reference path; an explicit step writes the same update in place, bit for bit,
-and reads a snapshot inside a step off the step's cubic Hermite interpolant.
+reference path; an explicit step writes the same update in place, bit for bit.
 
 Both steppers work on a compute grid ``Grid(m, L)``, the smallest size
 ``16 <= m <= n`` on the ladder ``2^a, 3 2^a, 5 2^a`` (``GRID_SIZES``)
@@ -246,12 +245,10 @@ def _stage(index: int, uh, ops):
     return _checked(index, _spectral_stage(uh, *ops))
 
 
-def _band_rk4(y, h: float, k1, ops):
-    """``(y_next, k4)``: the RK4 update of the band ``y`` from its checked first stage ``k1``.
-
-    The combinations are written in place, in the order of
-    :func:`rk4_step`'s expressions, so ``y_next`` is their result bit for bit.
-    """
+def _band_rk4(y, h: float, ops):
+    """The RK4 update of the band ``y`` by ``h``, its stages checked: the combinations are
+    written in place, in the order of :func:`rk4_step`'s expressions, so bit for bit theirs."""
+    k1 = _stage(1, y, ops)
     s = k1 * (0.5 * h)
     s += y
     k2 = _stage(2, s, ops)
@@ -268,22 +265,7 @@ def _band_rk4(y, h: float, k1, ops):
     s += k4
     s *= h / 6.0
     s += y
-    return s, k4
-
-
-def _hermite(out, y0, y1, f0, f1, h: float, theta: float, scratch):
-    """Into ``out``: the cubic Hermite interpolant at ``theta`` of a step of ``h`` from y0 to y1.
-
-    ``f0`` and ``f1`` are the slopes at its ends; ``scratch`` is overwritten, not allocated.
-    The weights of y1 - y0, f0 and f1 vanish at ``theta = 1``, where it is y1 bit for bit.
-    """
-    rest = 1.0 - theta
-    np.subtract(y1, y0, out=out)
-    out *= -rest * rest * (1.0 + 2.0 * theta)
-    out += y1
-    out += np.multiply(f0, theta * rest * rest * h, out=scratch)
-    out += np.multiply(f1, -theta * theta * rest * h, out=scratch)
-    return out
+    return s
 
 
 def _root(x: float, j: int) -> float:
@@ -461,22 +443,22 @@ def simulate(
     until it does, and the next step is taken on the grid that end fills,
     its exponential tail read on to the floor (:func:`_tail_size`): no
     series is thrown away, and a step never runs past the band its series
-    was built on.  An explicit ``dt`` is each RK4 step's
-    length instead, never checked or cut; one that asks for more than
-    ``MAX_STEPS`` steps, ``T / dt``, is refused with a :class:`ConfigError`
-    before the first stage, and each step's first stage is the previous
-    step's last.  Either way a step that would leave less than ``1e-12 T``
-    lands on T instead: only T is landed on.
+    was built on, and a step that would leave less than ``1e-12 T`` lands on
+    T instead.  An explicit ``dt`` is each RK4 step's length, never checked
+    or cut (past ``MAX_STEPS`` steps, ``T / dt``, a :class:`ConfigError`
+    before the first stage); t sums the steps, each addition rounding by at
+    most ``2^-53 T``, and a step lands on T where it would leave less than
+    ``1e-12 T`` or twice ``T / dt`` such roundings, so a run takes ``T / dt``
+    steps, rounded up.  Either way only T is landed on.
 
-    Snapshots run on a clock of ``snapshot_stride * unit``, ``unit`` being
-    the explicit ``dt`` or else ``estimate_dt(u0)``: each snapshot time is
-    the previous one plus the clock, and a tick within ``1e-12 T`` of T, or
-    past it, is T.  A snapshot at ``s`` in a kept step ``(t, t + h]`` is the
-    step's series summed at ``s - t``, or with an explicit ``dt`` the step's
-    cubic Hermite interpolant at ``theta = (s - t) / h`` from ``y_n``,
-    ``y_{n+1}``, ``k1 = f(y_n)`` and ``k5 = f(y_{n+1})`` (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.6); both are the step's end bit for bit at
-    ``s = t + h``, and the modes above the band are carried unchanged.  On
+    By default snapshots run on a clock of ``snapshot_stride *
+    estimate_dt(u0)``: each snapshot time is the previous one plus the
+    clock, and a tick within ``1e-12 T`` of T, or past it, is T.  A snapshot
+    at ``s`` in a kept step ``(t, t + h]`` is the step's series summed at
+    ``s - t``, the step's end bit for bit at ``s = t + h``, and the modes
+    above the band are carried unchanged.  With an explicit ``dt`` the
+    snapshots are the state at the end of every ``snapshot_stride``-th step
+    and at T, and the clock is ``snapshot_stride * dt``.  On
     the benchmark's workloads (0.05 sech^2 pulses, n = 4096 and 16384,
     L = 40, T = 0.25 and 1) at seeds 0-10 the default snapshots are within
     2.0e-11 of max|u| of an RK4 run that steps an eighth of the clock and
@@ -488,17 +470,19 @@ def simulate(
     ``SNAPSHOT_BYTES`` with a :class:`ConfigError`).  Every tick but the last
     advances by the clock less at most one rounding of T, which the budget
     holds under ``2**-30`` of the clock, so the snapshots fill at most ``T /
-    clock + 2.01`` rows.  ``compute_n`` holds the ``m`` of each snapshot's
-    step, the first one's for ``u0``; the Trajectory docstring says what
-    ``dt_initial``, ``dt_final`` and ``n_rejected`` hold.
+    clock + 2.01`` rows, an explicit run's at most ``T / clock + 2``.
+    ``compute_n`` holds the ``m`` of each snapshot's step, the first one's
+    for ``u0``; the Trajectory docstring says what ``dt_initial``,
+    ``dt_final`` and ``n_rejected`` hold.
 
     Aborts with :class:`BlowUpError` if the sup norm grows by more than a
-    factor of 1000 over the initial datum: each snapshot reads its samples,
-    each step end that is no snapshot the Wiener-bound guard of the module
-    docstring.  A non-finite RK4 stage or series order, a default step below
-    ``STEP_FLOOR * T`` and a default run that has kept ``MAX_STEPS`` steps
-    short of T raise ``FloatingPointError``, naming the step's t and its
-    number.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0) per snapshot.
+    factor of 1000 over the initial datum, or overflows: each snapshot reads
+    its samples, each step end that is no snapshot the Wiener-bound guard of
+    the module docstring.  A non-finite RK4 stage or series order, a default
+    step below ``STEP_FLOOR * T`` and a default run that has kept
+    ``MAX_STEPS`` steps short of T raise ``FloatingPointError``, naming the
+    step's t and its number.  ``h1_drift`` holds |H1(t) - H1(0)| / H1(0) per
+    snapshot.
     """
     T = _require_positive("T", T)
     stride = _require_stride(snapshot_stride)
@@ -536,13 +520,13 @@ def simulate(
     times[0], values[0], drift[0], sizes[0] = 0.0, u0.values, 0.0, compute[0]
     row = 1
 
-    def record(s: float, step: int, m: int, carried: float, snap) -> None:  # snap: u(s) on n
+    def record(s: float, step: int, m: int, carried: float) -> None:  # uh holds u(s)
         nonlocal row
-        u = grid.irfft(snap, out=values[row])
+        u = grid.irfft(uh, out=values[row])
         peak = max(float(u.max()), -float(u.min()))  # max|u| with no temporary
-        if peak > guard:
+        if not peak <= guard:  # a NaN peak, from a state that overflowed, fails it too
             raise BlowUpError(s, step, peak, guard)
-        gap = abs(h1(snap[: m // 2 + 1], carried) - h1_0)
+        gap = abs(h1(uh[: m // 2 + 1], carried) - h1_0)
         times[row], drift[row], sizes[row] = s, gap / h1_0 if h1_0 > 0.0 else gap, m
         row += 1
 
@@ -553,7 +537,7 @@ def simulate(
             peak = 2.0 * float(np.sum(a)) / n
             if peak > 0.5 * guard:
                 peak = float(np.max(np.abs(comp.irfft(uh[: a.size] * (comp.n / n)))))
-            if peak > guard:
+            if not peak <= guard:
                 raise BlowUpError(t, step, peak, guard)
 
     h_first = h_max = dt
@@ -599,7 +583,7 @@ def simulate(
                     step += 1
                     while s <= t_next:  # at t_next the sum is the step's end bit for bit
                         _sum(uh[band], y, A, s - t)
-                        record(s, step, m, carried, uh)
+                        record(s, step, m, carried)
                         s = tick(s)
                     uh[band] = end
                     t = t_next
@@ -609,36 +593,22 @@ def simulate(
                         compute = _compute_grid(grid, uh, size)
                 W = A = work = spec = end = y = None  # gone before the block is checked
             else:
-                m, ops = compute[:2]
-                k1 = _stage(1, uh[: m // 2 + 1], ops)
-                snap = np.empty_like(uh)  # every snapshot's coefficients, formed in place
+                # a step that would leave less than t's possible rounding lands on T instead
+                land = T - max(1e-12, T / dt * 2.0**-52) * T
                 while t < T:
                     m, ops, _, carried = compute
                     band = slice(0, m // 2 + 1)
-                    y = uh[band]
-                    # a step that would leave less than 1e-12 T lands on T instead
-                    h, t_next = (T - t, T) if t + dt >= T - 1e-12 * T else (dt, t + dt)
-                    y_next, k4 = _band_rk4(y, h, k1, ops)
-                    a = np.abs(y_next)  # read by the compute-grid check and the guard
+                    h, t_next = (T - t, T) if t + dt >= land else (dt, t + dt)
+                    uh[band] = _band_rk4(uh[band], h, ops)
+                    a = np.abs(uh[band])  # read by the compute-grid check and the guard
                     size = _held(grid, uh, compute, a)
-                    # the next step's first stage, on the grid it will be taken on
-                    ahead = y_next
-                    if size != m:
-                        compute = _compute_grid(grid, uh, size)
-                        ahead = np.concatenate((y_next, uh[y.size : size // 2 + 1]))
-                    k5 = _stage(1, ahead, compute[1])
                     step += 1
-                    # the snapshots in (t, t_next], interpolated (k4 is spent); theta = 1 at t_next
-                    while s <= t_next:
-                        theta = (s - t) / (t_next - t)
-                        _hermite(snap[band], y, y_next, k1, k5[: y.size], h, theta, k4)
-                        snap[band.stop :] = uh[band.stop :]
-                        record(s, step, m, carried, snap)
-                        s = tick(s)
-                    k1 = k5
-                    uh[: ahead.size] = ahead
+                    if step % stride == 0 or t_next == T:
+                        record(t_next, step, m, carried)
                     t = t_next
                     end_guard(t, step, a, ops[0])
+                    if size != m:
+                        compute = _compute_grid(grid, uh, size)
     except FloatingPointError as exc:  # a non-finite stage or order: say where the run failed
         raise FloatingPointError(f"{exc} at t = {t!r} (step {step + 1})") from None
 

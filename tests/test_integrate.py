@@ -41,7 +41,7 @@ from gch.grid import GRID_SIZES
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import _fit_bands, _radius_fits, radius_estimate, radius_track
 from gch.integrate import BAND_FLOOR, DT_MAX, K, _compute_grid, _root, _series
-from gch.integrate import _held, _hermite, _spectral_stage, spectral_rhs
+from gch.integrate import _held, _spectral_stage, spectral_rhs
 from gch.persistence import persistence_ledger
 from gch.weights import WeightSpec
 from gch.rowpass import consume, run_pass, together
@@ -238,6 +238,15 @@ class TestSimulate:
         with pytest.raises(FloatingPointError, match="non-finite RK4 stage 1"):
             simulate(u, 0.1, dt=0.01)
 
+    @pytest.mark.parametrize("T", [1e21, 2e21], ids=["snapshot", "step_end"])
+    def test_a_step_end_that_overflows_is_a_blow_up(self, T):
+        # an RK4 step of 1e21 whose stages stay finite but whose end overflows: the guard reads
+        # a NaN peak and fires at that step, at a snapshot (T) or at a step end that is none
+        u0 = sample(Grid(64, 10.0), lambda x: 1.0 / np.cosh(x) ** 2)
+        with pytest.raises(BlowUpError) as info:
+            simulate(u0, T, 10**6, dt=1e21)
+        assert (info.value.t, info.value.step) == (1e21, 1) and math.isnan(info.value.peak)
+
     @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_horizon(self, sech2_small, T):
         with pytest.raises(ValueError, match="T must be positive and finite"):
@@ -308,7 +317,7 @@ class TestSimulate:
             simulate(sech2_small, 1.0, snapshot_stride=10**12, dt=1e-12)
 
     def test_nonfinite_stage_names_the_time_and_the_step(self, sech2_small, monkeypatch):
-        # the 7th stage is step 2's third: steps take k2-k4 and the next step's k1
+        # the 7th stage is step 2's third: each step takes its four stages
         calls = itertools.count(1)
         _force(monkeypatch, lambda uh, grid: uh * (np.nan if next(calls) == 7 else 1.0))
         with pytest.raises(FloatingPointError) as err:
@@ -470,21 +479,6 @@ def _showcase_pulse():
     return sample(Grid(4096, 40.0), lambda x: 0.05 / np.cosh(x) ** 2), 0.25
 
 
-def _spy_thetas(monkeypatch):
-    """The ``theta`` at which ``simulate`` reads each snapshot off its RK4 step's interpolant."""
-    import gch.integrate as integrate_mod
-
-    seen = []
-    original = integrate_mod._hermite
-
-    def spy(out, y0, y1, f0, f1, h, theta, scratch):
-        seen.append(theta)
-        return original(out, y0, y1, f0, f1, h, theta, scratch)
-
-    monkeypatch.setattr(integrate_mod, "_hermite", spy)
-    return seen
-
-
 def _spy_steps(monkeypatch):
     """The ``(band, h)`` of every RK4 step ``simulate`` takes."""
     import gch.integrate as integrate_mod
@@ -492,9 +486,9 @@ def _spy_steps(monkeypatch):
     seen = []
     original = integrate_mod._band_rk4
 
-    def spy(y, h, k1, stage):
+    def spy(y, h, ops):
         seen.append((y.copy(), h))
-        return original(y, h, k1, stage)
+        return original(y, h, ops)
 
     monkeypatch.setattr(integrate_mod, "_band_rk4", spy)
     return seen
@@ -521,7 +515,7 @@ class TestStepRule:
         assert np.max(np.abs(a.values - b.values)) <= 1e-10 * np.max(np.abs(b.values))
 
     # (n, L, T, dt) and the sha256 of the values and times of the stride-1 run, as recorded
-    # when every step landed on its snapshot: a snapshot at theta = 1 is the step's end.
+    # when a step's snapshot was read off its interpolant at theta = 1, the step's end.
     # 50_steps steps on m = 1280-2048; stepped on powers of two only (m = 2048-4096) its
     # values were within 5.5e-16 of max|u| of these
     @pytest.mark.parametrize("n, L, T, dt, values, times", [
@@ -535,12 +529,42 @@ class TestStepRule:
          "5ce2eda68d14dce4ca4f26c9d7477e2912efcea8e033491219b8da4dd23dcf2d",
          "d053e7305d7a4207a6ae7471509104f6ad6ea090f2c0b34b2ee1afa171790b61"),
     ], ids=["25_steps", "50_steps", "128_steps"])
-    def test_explicit_stride_one_runs_are_unchanged(self, monkeypatch, n, L, T, dt, values, times):
-        thetas = _spy_thetas(monkeypatch)
+    def test_explicit_stride_one_runs_are_unchanged(self, n, L, T, dt, values, times):
         traj = simulate(sample(Grid(n, L), lambda x: 0.05 / np.cosh(x) ** 2), T, 1, dt=dt)
-        assert thetas == [1.0] * (len(traj) - 1) == [1.0] * traj.n_steps
+        assert len(traj) - 1 == traj.n_steps
         assert hashlib.sha256(traj.values.tobytes()).hexdigest() == values
         assert hashlib.sha256(traj.times.tobytes()).hexdigest() == times
+
+    @pytest.fixture(scope="class")
+    def every_step(self):
+        """The 50-step run of the 50_steps pin, which steps on m = 1280-2048."""
+        u0 = sample(Grid(4096, 40.0), lambda x: 0.05 / np.cosh(x) ** 2)
+        traj = simulate(u0, 0.5, 1, dt=0.01)
+        assert traj.n_steps == 50 and len(set(traj.compute_n.tolist())) > 1
+        return u0, traj
+
+    @pytest.mark.parametrize("stride", [3, 4, 7])
+    def test_explicit_stride_keeps_every_stride_th_step(self, every_step, stride):
+        # a stride-k run keeps rows [::k] of the stride-1 run and T, bit for bit; 50 steps
+        # are no multiple of k, so T is a row of its own
+        u0, every = every_step
+        kept = simulate(u0, 0.5, stride, dt=0.01)
+        rows = [*range(0, every.n_steps, stride), every.n_steps]
+        assert every.n_steps % stride != 0 and len(kept) == len(rows)
+        for name in ("times", "values", "h1_drift", "compute_n"):
+            assert getattr(kept, name).tobytes() == getattr(every, name)[rows].tobytes(), name
+        assert (kept.n_steps, kept.n_rejected) == (every.n_steps, 0)
+
+    def test_a_long_explicit_run_takes_T_over_dt_steps(self, monkeypatch):
+        # t gathers about 1e-12 T of rounding over 37669 additions of dt = T / 37669, more
+        # than a landing tolerance of 1e-12 T absorbs (it leaves a 37670th step of 3.9e-8 dt).
+        # The stages are zero, so only the clock runs
+        _force(monkeypatch, lambda uh, grid: 0.0 * uh)
+        dt = 1.0 / 37669
+        traj = simulate(sample(Grid(16, 4.0), lambda x: 0.01 / np.cosh(x) ** 2), 1.0, 1, dt=dt)
+        assert traj.n_steps == len(traj) - 1 == 37669
+        assert traj.times[-1] == 1.0
+        np.testing.assert_allclose(np.diff(traj.times), dt, rtol=1e-6, atol=0.0)
 
     # 0.5 dx = 5/2048 < DT_MAX / 2, so the snapshot interval is 8 clock units (0.039); a
     # series step spans several of them
@@ -591,13 +615,12 @@ class TestStepRule:
 
     def test_explicit_step_count_pinned_by_fft_calls(self, fine, monkeypatch, fft_calls):
         # dt = 0.007 caps every step: 71 steps of 0.007 and a last one of what is
-        # left, 0.003, which lands on T.  rfft(u0), the first stage, four stages per
-        # step (the last step's fourth is the first stage of no step) and the irfft
-        # per snapshot
+        # left, 0.003, which lands on T.  rfft(u0), four stages per step and the irfft
+        # per snapshot, at every 8th step's end and at T
         seen = _spy_steps(monkeypatch)
         traj = simulate(fine, self.T, self.STRIDE, dt=0.007)
         assert (traj.n_steps, traj.n_rejected, len(traj) - 1) == (72, 0, 9)
-        assert len(fft_calls) == 1 + 2 + 8 * 72 + 9 == 588
+        assert len(fft_calls) == 1 + 8 * 72 + 9 == 586
         h = np.array([step for _, step in seen])
         assert np.all(h[:71] == 0.007)
         np.testing.assert_allclose(h[71], 0.003, rtol=1e-12, atol=0.0)
@@ -630,6 +653,15 @@ def _ticks(T, clock):
     return rows
 
 
+def _explicit_rows(T, dt, stride):
+    """``(rows, steps)`` of an explicit run: a step that would leave less than 1e-12 T, or than
+    twice T / dt roundings of 2^-53 T, lands on T; u0, every stride-th step's end and T."""
+    land, t, steps = T - max(1e-12, T / dt * 2.0**-52) * T, 0.0, 0
+    while t < T:
+        t, steps = (t + dt if t + dt < land else T), steps + 1
+    return 2 + (steps - 1) // stride, steps
+
+
 @st.composite
 def horizons(draw):
     """``(T, unit, stride, explicit)``: T within 3 ulps of whole clocks, a sliver off them, or any."""
@@ -650,7 +682,8 @@ def horizons(draw):
 class TestSnapshotAllocation:
     """The rows x n block is allocated from T / clock before the first step; the run stops on time.
 
-    The last snapshot is T: a clock tick within 1e-12 T of it is T itself.
+    The last snapshot is T: a clock tick within 1e-12 T of it is T itself, and an explicit
+    run's rows are step ends.
     """
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -665,7 +698,11 @@ class TestSnapshotAllocation:
         with mock.patch.object(integrate_mod, "estimate_dt", lambda u: unit):
             traj = simulate(u0, T, stride, dt=unit if explicit else None)
         allocated = traj.values.base.shape[0]
-        assert (len(traj), traj.times[-1]) == (_ticks(T, stride * unit), T)
+        if explicit:
+            assert (len(traj), traj.n_steps) == _explicit_rows(T, unit, stride)
+        else:
+            assert len(traj) == _ticks(T, stride * unit)
+        assert traj.times[-1] == T
         assert len(traj) < allocated <= len(traj) + 2
         assert traj.h1_drift.shape == traj.compute_n.shape == (len(traj),)
 
@@ -791,32 +828,13 @@ DENSE_WORKLOADS = {"showcase": (4096, 0.25, 1), "history": (4096, 1.0, 1), "long
 #: weighted norms W and the interior radii, relative.  The largest values on those workloads
 #: at seeds 0-10: u 2.0e-11, W 6.6e-11, sigma 1.5e-7, all on long, whose reference steps are
 #: 0.0098 and carry that error themselves; on showcase and history (reference steps of
-#: 0.0012) they read u 5.6e-15, W 1.3e-12, sigma 1.0e-8.  The Hermite snapshots of the RK4
-#: default were held to 2e-10, 1e-9 and 1e-5.
+#: 0.0012) they read u 5.6e-15, W 1.3e-12, sigma 1.0e-8.  The snapshots of the RK4 default,
+#: interpolated inside its steps, were held to 2e-10, 1e-9 and 1e-5.
 DENSE_TOL = {"u": 4e-11, "W": 1.3e-10, "sigma": 3e-7}
 
 
 class TestDenseOutput:
-    """A snapshot inside a step is the step's series summed at its time, or with an explicit
-    ``dt`` the step's cubic Hermite interpolant."""
-
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(st.integers(1, 40), st.floats(1e-3, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    def test_interpolant_is_exact_on_cubics_and_is_y1_at_one(self, size, h, theta, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(4))
-
-        def y(t):
-            return a + t * (b + t * (c + t * d))
-
-        def slope(t):
-            return b + t * (2.0 * c + 3.0 * t * d)
-
-        out, scratch = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        _hermite(out, y(0.0), y(h), slope(0.0), slope(h), h, theta, scratch)
-        np.testing.assert_allclose(out, y(theta * h), rtol=0.0, atol=1e-13)
-        _hermite(out, y(0.0), y(h), slope(0.0), slope(h), h, 1.0, scratch)
-        assert out.tobytes() == y(h).tobytes()
+    """A default snapshot inside a step is the step's series summed at its time."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("workload", DENSE_WORKLOADS)
@@ -863,8 +881,8 @@ def _pulse_runs():
 def test_scaling_symmetry(case):
     # u -> eps u(eps t) maps solutions to solutions; a power-of-two eps scales every
     # float exactly: the series' coefficient a_j by eps^(j + 1), its radius by 1 / eps
-    # (its roots are square roots), the interpolant's weights depend on theta only, and
-    # the clock is scaled too (speed >= 1, unit below DT_MAX)
+    # (its roots are square roots), an RK4 step's stages by eps^2, and the clock is
+    # scaled too (speed >= 1, unit below DT_MAX)
     amplitude, eps, T, stride, dt = case
     grid = Grid(256, 10.0)
     u0 = sample(grid, lambda x: amplitude / np.cosh(x) ** 2)
