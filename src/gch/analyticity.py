@@ -12,7 +12,7 @@ all inequalities are checked in their truncated form.
 The spatial analyticity radius is read off the Fourier side (Sulem, Sulem & Frisch,
 J. Comput. Phys. 50:138, 1983): a strip-analytic field's coefficients decay like
 exp(-sigma |k|), so the least-squares slope of -log|c_k| against |k| over the resolved
-band tracks the strip half-width sigma; a trajectory is fitted one row block at a time.
+band tracks the strip half-width sigma; a trajectory is fitted one chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrate
 from .grid import Field, Grid
 from .integrate import Trajectory
 from .rowpass import consume, one_pass
@@ -31,6 +32,7 @@ __all__ = [
     "RadiusFit",
     "RadiusSeries",
     "OperatorBoundReport",
+    "analyticity_track",
     "majorant_norm",
     "majorant_norm_argmax",
     "majorant_track",
@@ -61,41 +63,64 @@ class MajorantParams:
             raise ValueError(f"truncation order must lie in [1, 30], got {self.k_max}")
 
 
-def _spectral_h1_ladder(grid: Grid, spec: np.ndarray, k_top: int) -> np.ndarray:
-    """||d^k f||_{H^1}, k = 0..k_top, by Parseval, for each row of ``spec`` (rffts on ``grid``).
+def _node(width: int, last: int) -> int:
+    """The fewest leading columns of a ``width``-column row that hold column ``last`` and on
+    which numpy's pairwise sum splits as it does on the whole row: it sums c > 128 columns as
+    its first c//2 - (c//2) % 8 and the rest, so zeros past such a node add exact zeros."""
+    c = width
+    while c > 128 and c // 2 - (c // 2) % 8 > last:
+        c = c // 2 - (c // 2) % 8
+    return c
+
+
+def _magnitudes(grid: Grid, spec: np.ndarray):
+    """``(c, width)``: ``|spec| / n`` of each row of ``spec`` (rffts on ``grid``) up to the last
+    mode of any row above either floor, SPECTRUM_FLOOR or the row's own ``SPECTRUM_FLOOR * max``
+    of :func:`_spectral_h1_ladder`, and the :func:`_node` after that mode.
+
+    Past that mode no mode is usable to a fit and every mode is zero to a ladder, so both read
+    ``c``, or ``c`` padded with zeros, as they would the whole rows; the ladder sums ``width``
+    columns, or any later node's.  ``c`` is a copy, so the whole rows are freed.
+    """
+    c = np.abs(spec)
+    c /= grid.n  # abs(spec) / n bit for bit, n being a power of two
+    # a NaN row maximum keeps every mode, as the ladder's floor masks none of a NaN row
+    floor = SPECTRUM_FLOOR * np.minimum(np.max(c, axis=-1, keepdims=True), 1.0)
+    live = np.flatnonzero(~np.logical_and.reduce((c <= floor).reshape(-1, c.shape[-1])))
+    last = live[-1] if live.size else 0  # a row of zeros keeps its first mode
+    return c[..., : last + 1].copy(), _node(c.shape[-1], last)
+
+
+def _spectral_h1_ladder(grid: Grid, c: np.ndarray, width: int, k_top: int) -> np.ndarray:
+    """||d^k f||_{H^1}, k = 0..k_top, by Parseval, for each row of :func:`_magnitudes` ``c``
+    padded with zeros to ``width`` columns.
 
     The Nyquist mode is dropped from every derivative, matching repeated
     application of the odd-order spectral derivative, so at k = 0 it keeps
-    only its L^2 part, as in :func:`gch.grid.h1_norm`.  Modes below
-    the relative noise floor are excluded: k-fold differentiation scales
-    roundoff by k_max^k, which would otherwise swamp the genuine terms of
-    an analytic field from k ~ 15 on and defeat truncation-convergence
-    checks.  Only the columns up to the node of numpy's pairwise sum after the
-    block's last mode above the floor are swept: the rest would add exact zeros.
+    only its L^2 part, as in :func:`gch.grid.h1_norm`; it is summed only
+    where ``width`` is n/2 + 1.  Modes below the relative noise floor are
+    excluded: k-fold differentiation scales roundoff by k_max^k, which would
+    otherwise swamp the genuine terms of an analytic field from k ~ 15 on and
+    defeat truncation-convergence checks.
     """
-    power = np.abs(spec)
-    power /= grid.n  # abs(spec / n) bit for bit, n being a power of two
+    power = np.zeros(c.shape[:-1] + (width,))
+    live = np.square(c, out=power[..., : c.shape[-1]])
     # modes at or below the row's floor count as zero; a zero row stays zero
-    low = power <= SPECTRUM_FLOOR * np.max(power, axis=-1, keepdims=True)
-    live = np.flatnonzero(~np.logical_and.reduce(low.reshape(-1, low.shape[-1])))
-    # numpy sums a row of c > 128 columns as its first c//2 - (c//2) % 8 and the rest
-    c, last = spec.shape[-1], live[-1] if live.size else -1
-    while c > 128 and c // 2 - (c // 2) % 8 > last:
-        c = c // 2 - (c // 2) % 8
-    power[..., :c][low[..., :c]] = 0.0
-    power = power[..., :c] ** 2 * grid.h1_weight[:c] * (2.0 * grid.half_width)
-    out = np.empty(spec.shape[:-1] + (k_top + 1,))
+    np.copyto(live, 0.0, where=c <= SPECTRUM_FLOOR * np.max(c, axis=-1, keepdims=True))
+    power *= grid.h1_weight[:width]
+    power *= 2.0 * grid.half_width
+    out = np.empty(c.shape[:-1] + (k_top + 1,))
     out[..., 0] = np.sqrt(np.sum(power, axis=-1))
-    if c == spec.shape[-1]:
+    if width == grid.n // 2 + 1:
         grid.drop_nyquist(power)
     for k in range(1, k_top + 1):
-        power *= grid.k2[:c]
+        power *= grid.k2[:width]
         out[..., k] = np.sqrt(np.sum(power, axis=-1))
     return out
 
 
 def _h1_ladder(f: Field, k_top: int) -> np.ndarray:
-    return _spectral_h1_ladder(f.grid, f.grid.rfft(f.values), k_top)
+    return _spectral_h1_ladder(f.grid, *_magnitudes(f.grid, f.grid.rfft(f.values)), k_top)
 
 
 #: k! for every order a :class:`MajorantParams` admits.
@@ -181,7 +206,8 @@ def _operator_ladders(grid: Grid, values) -> np.ndarray:
     one batched rfft; a ladder's prefix equals the shorter ladder bit for bit.
     """
     rows = np.stack((values, grid.p2(values), values**2), axis=-2)
-    return _spectral_h1_ladder(grid, grid.rfft(rows), max(_BOUND_ORDER + 1, _BOUND_ORDER_DOUBLED))
+    c, width = _magnitudes(grid, grid.rfft(rows))
+    return _spectral_h1_ladder(grid, c, width, max(_BOUND_ORDER + 1, _BOUND_ORDER_DOUBLED))
 
 
 def _operator_maxima(ladders: np.ndarray, pairs) -> np.ndarray:
@@ -238,8 +264,8 @@ def radius_estimate(f: Field) -> RadiusFit:
     fit; values above RESIDUAL_FLAG mark a spectrum decaying faster than
     any exponential, for which sigma is only a lower bound.
     """
-    bands = _fit_bands(f.grid, f.grid.rfft(f.values)[None])
-    (sigma,), (residual,) = _radius_fits(f.grid.k_rfft, *bands, strict=True)
+    c, _ = _magnitudes(f.grid, f.grid.rfft(f.values)[None])
+    (sigma,), (residual,) = _radius_fits(f.grid.k_rfft, c, *_fit_bands(c), strict=True)
     return RadiusFit(float(sigma), float(residual), bool(residual > RESIDUAL_FLAG))
 
 
@@ -255,23 +281,23 @@ def _longest_run(mask: np.ndarray):
     return np.argmax(run, axis=-1) - length, length
 
 
-def _fit_bands(grid: Grid, spec: np.ndarray):
-    """``(c, start, length)`` of each row of ``spec`` (rffts on ``grid``): ``|spec| / n`` and its
-    first longest run of modes above SPECTRUM_FLOOR, the lowest SKIP_MODES excluded.
+def _fit_bands(c: np.ndarray):
+    """``(start, length)`` of each row of :func:`_magnitudes` ``c``: its first longest run of
+    modes above SPECTRUM_FLOOR, the lowest SKIP_MODES excluded.
 
-    The run search reads only the modes up to the block's last usable one: past it every row is
-    False, which moves no run.  The bands of the benchmark's pulses hold 217-526 of 2049 modes.
+    The run search reads only the modes up to the last usable one of any row: past it every row
+    is False, which moves no run.  The bands of the benchmark's pulses hold 217-526 of 2049 modes.
     """
-    c = np.abs(spec) / grid.n
     usable = c > SPECTRUM_FLOOR
     usable[..., :SKIP_MODES] = False
     seen = np.flatnonzero(usable.reshape(-1, usable.shape[-1]).any(axis=0))
-    return (c, *_longest_run(usable[..., : seen[-1] + 1 if seen.size else 0]))
+    return _longest_run(usable[..., : seen[-1] + 1 if seen.size else 0])
 
 
 def _radius_fits(k: np.ndarray, c: np.ndarray, start, length, strict: bool = False):
-    """:func:`radius_estimate`'s sigma and residual per row from its :func:`_fit_bands`, ``k`` the
-    wavenumbers; NaN where a band has under 10 modes, a ``ValueError`` for row 0 if ``strict``.
+    """:func:`radius_estimate`'s sigma and residual per row of magnitudes ``c`` from its
+    :func:`_fit_bands`, ``k`` the wavenumbers; NaN where a band has under 10 modes, a
+    ``ValueError`` for row 0 if ``strict``.
 
     Each centred sum reads its own row's band alone (``np.add.reduceat`` over the bands laid end
     to end), so a row's fit does not depend on the block it came in.
@@ -307,32 +333,59 @@ class RadiusSeries:
 
 
 @one_pass
+def analyticity_track(traj: Trajectory, params: MajorantParams = MajorantParams()):
+    """:func:`radius_track`'s series and :func:`majorant_track`'s two arrays, in one pass.
+
+    Each row block's :func:`_magnitudes` are held until the next block's would take the held
+    rows, padded with zeros to the widest node, past half ROW_BLOCK_BYTES (one full-width
+    block's magnitudes); the bands, the fits and the ladders then run once on that chunk.  The
+    padding moves no bit: each block's ladder stops at a node of numpy's pairwise sum, and the
+    widest is n/2 + 1, with its Nyquist mode, only where some block's is.
+    """
+    grid, size = traj.grid, len(traj)
+    sigma, residual = np.full(size, np.nan), np.full(size, np.nan)
+    norm, argmax = np.empty(size), np.empty(size, dtype=np.intp)
+    held, done = [], 0  # each held block's (c, width), and the rows fitted before them
+
+    def fit():
+        nonlocal done
+        chunk = np.zeros((sum(len(c) for c, _ in held), max(c.shape[-1] for c, _ in held)))
+        row = 0
+        for c, _ in held:
+            chunk[row : row + len(c), : c.shape[-1]] = c
+            row += len(c)
+        rows, width = slice(done, done + row), max(w for _, w in held)
+        held.clear()
+        done = rows.stop
+        # strict on row 0, which must admit an estimate
+        bands = _fit_bands(chunk)
+        sigma[rows], residual[rows] = _radius_fits(grid.k_rfft, chunk, *bands, rows.start == 0)
+        terms = _majorant_terms(_spectral_h1_ladder(grid, chunk, width, params.k_max), params.s)
+        norm[rows], argmax[rows] = np.max(terms, axis=-1), np.argmax(terms, axis=-1)
+
+    def add(rows, spec, d):
+        c, width = _magnitudes(grid, spec)
+        padded = (sum(len(h) for h, _ in held) + len(c)) * max([width] + [w for _, w in held])
+        if held and 8 * padded > integrate.ROW_BLOCK_BYTES // 2:
+            fit()
+        held.append((c, width))
+
+    yield from consume(add, 0, size)
+    if held:
+        fit()
+    return RadiusSeries(traj.times, sigma, residual, valid=~np.isnan(sigma)), norm, argmax
+
+
 def radius_track(traj: Trajectory) -> RadiusSeries:
     """Radius estimate per snapshot, in one pass; failures invalidate single entries.
 
     The initial snapshot must admit an estimate (analytic initial data);
     later failures are recorded as invalid entries rather than aborting the
-    series.  Its ``consumer`` finds the bands and fits every row of a row block at once.
+    series.  The series of :func:`analyticity_track`, which fits a chunk of rows at once.
     """
-    sigma, residual = np.full(len(traj), np.nan), np.full(len(traj), np.nan)
-
-    def add(rows, spec, d):
-        bands = _fit_bands(traj.grid, spec)
-        # strict on row 0, which must admit an estimate
-        sigma[rows], residual[rows] = _radius_fits(traj.grid.k_rfft, *bands, rows.start == 0)
-
-    yield from consume(add, 0, len(traj))
-    return RadiusSeries(traj.times, sigma, residual, valid=~np.isnan(sigma))
+    return analyticity_track(traj)[0]
 
 
-@one_pass
 def majorant_track(traj: Trajectory, params: MajorantParams = MajorantParams()):
     """:func:`majorant_norm_argmax` of every snapshot, as two arrays, in one pass."""
-    norm, argmax = np.empty(len(traj)), np.empty(len(traj), dtype=np.intp)
-
-    def add(rows, spec, d):
-        terms = _majorant_terms(_spectral_h1_ladder(traj.grid, spec, params.k_max), params.s)
-        norm[rows], argmax[rows] = np.max(terms, axis=-1), np.argmax(terms, axis=-1)
-
-    yield from consume(add, 0, len(traj))
-    return norm, argmax
+    return analyticity_track(traj, params)[1:]

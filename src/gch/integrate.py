@@ -453,7 +453,8 @@ def simulate(
 
     By default snapshots run on a clock of ``snapshot_stride *
     estimate_dt(u0)``: each snapshot time is the previous one plus the
-    clock, and a tick within ``1e-12 T`` of T, or past it, is T.  A snapshot
+    clock, and a tick within ``max(1e-12, (T / clock) 2^-52) T`` of T, the
+    rounding the sum may gather, or past it, is T.  A snapshot
     at ``s`` in a kept step ``(t, t + h]`` is the step's series summed at
     ``s - t``, the step's end bit for bit at ``s = t + h``, and the modes
     above the band are carried unchanged.  With an explicit ``dt`` the
@@ -490,8 +491,15 @@ def simulate(
     # a stride past T / unit keeps only T; the product could overflow a float
     clock = stride * unit if stride < T / unit else np.inf
 
+    def landing(unit: float) -> float:
+        # T / unit additions of unit round by up to (T / unit) 2^-53 T: a clock tick or an
+        # explicit step that would leave less than twice that, or than 1e-12 T, lands on T
+        return T - max(1e-12, T / unit * 2.0**-52) * T
+
+    land_tick = landing(clock)
+
     def tick(s: float) -> float:  # the snapshot time after s: a clock tick, or T, then none
-        return np.inf if s == T else s + clock if s + clock < T - 1e-12 * T else T
+        return np.inf if s == T else s + clock if s + clock < land_tick else T
 
     grid = u0.grid
     n = grid.n
@@ -593,8 +601,7 @@ def simulate(
                         compute = _compute_grid(grid, uh, size)
                 W = A = work = spec = end = y = None  # gone before the block is checked
             else:
-                # a step that would leave less than t's possible rounding lands on T instead
-                land = T - max(1e-12, T / dt * 2.0**-52) * T
+                land = landing(dt)
                 while t < T:
                     m, ops, _, carried = compute
                     band = slice(0, m // 2 + 1)

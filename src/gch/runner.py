@@ -191,8 +191,7 @@ def _asymptotics(traj, cfg, payload):
 
 def _analyticity(traj, cfg, payload):
     params = MajorantParams()
-    radius, majorant = analyticity.radius_track.consumer, analyticity.majorant_track.consumer
-    series, (_, argmax) = yield from together(radius(traj), majorant(traj, params))
+    series, _, argmax = yield from analyticity.analyticity_track.consumer(traj, params)
     valid = series.valid
     payload.update(
         degenerate=False, sigma0=float(series.sigma[0]),

@@ -23,14 +23,17 @@ from gch.analyticity import (
     SKIP_MODES,
     SPECTRUM_FLOOR,
     OperatorBoundReport,
+    RadiusFit,
     _fit_bands,
     _h1_ladder,
     _longest_run,
+    _magnitudes,
     _majorant_terms,
     _operator_bounds,
     _operator_ladders,
     _operator_maxima,
     _radius_fits,
+    analyticity_track,
     majorant_track,
 )
 from gch.helmholtz import p2_apply
@@ -318,19 +321,28 @@ def test_bounded_band_search_is_the_full_width_search(grid1024):
     spec[2, 150:170] = 0.0  # a dip: the second run, to the block's last usable mode, is longer
     # rows with no usable mode: zero, and content only below SKIP_MODES
     spec = np.vstack((spec, np.zeros(k.size), np.where(k < SKIP_MODES, n, 0.0)))
-    c, start, length = _fit_bands(grid1024, spec)
+    c, width = _magnitudes(grid1024, spec)
+    start, length = _fit_bands(c)
     full_start, full_length = _full_width_bands(grid1024, spec)
     assert start.tolist() == full_start.tolist() == [SKIP_MODES, SKIP_MODES, 170, 0, 0]
     assert length.tolist() == full_length.tolist() == [296, 146, 258, 0, 0]
-    assert c.tobytes() == (np.abs(spec) / n).tobytes()
+    # the magnitudes stop at mode 427, and the node of numpy's pairwise sum after it is 513
+    assert c.tobytes() == (np.abs(spec) / n)[:, :428].tobytes() and width == 513
     # a block in which no row has a usable mode
-    none = _fit_bands(grid1024, spec[3:])[1:]
+    none = _fit_bands(_magnitudes(grid1024, spec[3:])[0])
     assert [a.tolist() for a in none] == [[0, 0], [0, 0]]
 
 
 @pytest.fixture(scope="module")
 def run(grid1024):
     u0 = sample(grid1024, lambda x: 0.05 / np.cosh(x) ** 2)
+    return simulate(u0, 0.25, snapshot_stride=2)
+
+
+@pytest.fixture(scope="module")
+def fine_run():
+    """``run`` on n = 2048: its magnitudes stop at the node 512 of 1025 modes."""
+    u0 = sample(Grid(2048, 40.0), lambda x: 0.05 / np.cosh(x) ** 2)
     return simulate(u0, 0.25, snapshot_stride=2)
 
 
@@ -365,12 +377,13 @@ class TestRadiusTrack:
         with pytest.raises(ValueError, match="too narrow"):
             radius_track(traj)
 
-    def test_one_estimate_per_snapshot(self, run, monkeypatch):
+    def test_one_estimate_per_snapshot(self, fine_run, monkeypatch):
         import gch.analyticity as analyticity_mod
         import gch.integrate as integrate_mod
 
-        # three rows per block, so the run spans several blocks
-        monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", 3 * 16 * (run.grid.n // 2 + 1))
+        # three rows per block, and the magnitudes stop at 512 of 1025 modes, so a chunk
+        # holds two blocks: 6 rows of 512 columns fill half of 3 full-width rows' spectrum
+        monkeypatch.setattr(integrate_mod, "ROW_BLOCK_BYTES", 3 * 16 * 1025)
         polyfits, fits = [], []
         true_polyfit, true_fits = np.polyfit, analyticity_mod._radius_fits
 
@@ -384,10 +397,10 @@ class TestRadiusTrack:
 
         monkeypatch.setattr(np, "polyfit", counted_polyfit)
         monkeypatch.setattr(analyticity_mod, "_radius_fits", counted_fits)
-        series = radius_track(run)
+        series = radius_track(fine_run)
         assert polyfits == []
-        assert fits == [r.stop - r.start for r in run.row_blocks()]
-        assert len(run.row_blocks()) > 1 and sum(fits) == len(series) == len(run)
+        assert [r.stop - r.start for r in fine_run.row_blocks()] == [3, 3, 3, 3, 2]
+        assert fits == [6, 6, 2] and len(series) == len(fine_run) == 14
 
     def test_track_is_the_per_snapshot_estimate(self, run):
         series = radius_track(run)
@@ -444,7 +457,8 @@ class TestBatchedRadiusFit:
     def test_agrees_with_polyfit_on_showcase_snapshots(self):
         g = Grid(4096, 40.0)
         run = simulate(sample(g, lambda x: 0.05 / np.cosh(x) ** 2), 0.25, snapshot_stride=1)
-        c, start, length = _fit_bands(g, g.rfft(run.values))
+        c, _ = _magnitudes(g, g.rfft(run.values))
+        start, length = _fit_bands(c)
         sigma, residual = _radius_fits(g.k_rfft, c, start, length)
         oracle = np.array([_polyfit_oracle(g.k_rfft, *band) for band in zip(c, start, length)])
         np.testing.assert_allclose(sigma, oracle[:, 0], rtol=1e-12, atol=0.0)
@@ -497,34 +511,52 @@ def _full_width_ladder(grid, spec, k_top):
     return out
 
 
+def _pad(c, width):
+    """``c`` padded with zero columns to ``width``."""
+    return np.pad(c, [(0, 0)] * (c.ndim - 1) + [(0, width - c.shape[-1])])
+
+
 @pytest.mark.parametrize("n", [1024, 4096, 16384])
 def test_ladder_is_the_full_width_ladder_bit_for_bit(n):
     # numpy sums a row of c > 128 columns as its first c//2 - (c//2) % 8 and the rest, so
     # columns past the node after a block's last mode above the floor add exact zeros and
-    # the ladder skips them.  Random blocks of 1-25 rows, zero rows among them, whose band
-    # ends anywhere, at every node of the sum and at the Nyquist mode: a numpy whose pairwise
-    # summation splits a row elsewhere fails here
+    # the magnitudes stop there; padded with zeros to any later node, as a chunk pads them,
+    # they give the same ladder and bands.  Random blocks of 1-25 rows, zero rows among them,
+    # whose band ends anywhere, at every node of the sum and at the Nyquist mode, and whose
+    # scale puts either floor above the other: a numpy whose pairwise summation splits a row
+    # elsewhere fails here
     from gch.analyticity import _spectral_h1_ladder
 
     grid, width = Grid(n, 40.0), n // 2 + 1
-    nodes, c = [], width
+    nodes, c = [width], width
     while c > 128:
         c = c // 2 - (c // 2) % 8
         nodes.append(c)
-    edges = [width, width - 1] + [node + d for node in nodes for d in (-1, 0, 1, 2)]
+    edges = [width, width - 1] + [node + d for node in nodes[1:] for d in (-1, 0, 1, 2)]
     rng = np.random.default_rng(n)
     modes = np.arange(width)
+    widths = set()
     for trial in range(120):
         rows = int(rng.integers(1, 26))
         ends = rng.integers(1, width + 1, rows) if trial % 2 else np.full(rows, rng.choice(edges))
         # the last mode of each band stays above the floor
         decay = np.exp(-rng.uniform(0.0, 25.0 / ends.max()) * modes)
         spec = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
-        spec *= decay * (modes < ends[:, None])
+        spec *= decay * (modes < ends[:, None]) * n * 10.0 ** rng.uniform(-14.0, 3.0)
         spec[rng.random(rows) < 0.2] = 0.0
         k_top = int(rng.integers(1, 21))
-        ladder = _spectral_h1_ladder(grid, spec, k_top)
-        assert ladder.tobytes() == _full_width_ladder(grid, spec, k_top).tobytes(), (trial, ends)
+        full = _full_width_ladder(grid, spec, k_top).tobytes()
+        bands = [a.tolist() for a in _full_width_bands(grid, spec)]
+        c, cut = _magnitudes(grid, spec)
+        widths.add(cut)
+        for node in nodes[: nodes.index(cut) + 1]:
+            padded = _pad(c, node)
+            for ladder in (_spectral_h1_ladder(grid, c, node, k_top),
+                           _spectral_h1_ladder(grid, padded, node, k_top)):
+                assert ladder.tobytes() == full, (trial, ends, node)
+            assert [a.tolist() for a in _fit_bands(padded)] == bands, (trial, ends, node)
+        assert [a.tolist() for a in _fit_bands(c)] == bands, (trial, ends)
+    assert widths == set(nodes)
 
 
 class TestMajorantTrack:
@@ -540,7 +572,97 @@ class TestMajorantTrack:
 
         # a zero row keeps its zeros: its floor masks nothing
         spec = run.grid.rfft(np.vstack([run.values, np.zeros_like(run.values[:1])]))
-        block = _spectral_h1_ladder(run.grid, spec, 14)
-        rows = np.stack([_spectral_h1_ladder(run.grid, row, 14) for row in spec])
+        block = _spectral_h1_ladder(run.grid, *_magnitudes(run.grid, spec), 14)
+        rows = np.stack([_spectral_h1_ladder(run.grid, *_magnitudes(run.grid, row), 14)
+                         for row in spec])
         assert np.array_equal(block, rows)
         assert np.all(block[-1] == 0.0)
+
+
+def _per_snapshot(traj, params):
+    """sigma, residual, norm and argmax of each snapshot alone, by ``radius_estimate`` (NaN where
+    it finds too few modes) and ``majorant_norm_argmax``."""
+    out = []
+    for u in traj.snapshots:
+        try:
+            fit = radius_estimate(u)
+        except ValueError:
+            fit = RadiusFit(np.nan, np.nan, False)
+        out.append((fit.sigma, fit.residual, *majorant_norm_argmax(u, params)))
+    return [np.array(col) for col in zip(*out)]
+
+
+def _pulses(grid, widths):
+    return [sample(grid, lambda x, w=w: 0.05 / np.cosh(x / w) ** 2) for w in widths]
+
+
+class TestAnalyticityTrack:
+    """The one consumer fits chunks of rows, bit for bit each snapshot's own estimates."""
+
+    @staticmethod
+    def _chunks(traj, monkeypatch, rows_per_block, params=MajorantParams()):
+        """The ``(rows, width)`` of each chunk the track fits, after checking every output."""
+        import gch.analyticity as analyticity_mod
+        import gch.integrate as integrate_mod
+
+        monkeypatch.setattr(
+            integrate_mod, "ROW_BLOCK_BYTES", rows_per_block * 16 * (traj.grid.n // 2 + 1)
+        )
+        shapes, true_ladder = [], analyticity_mod._spectral_h1_ladder
+
+        def spied(grid, c, width, k_top):
+            shapes.append((len(c), width))
+            return true_ladder(grid, c, width, k_top)
+
+        monkeypatch.setattr(analyticity_mod, "_spectral_h1_ladder", spied)
+        series, norm, argmax = analyticity_track(traj, params)
+        chunks = list(shapes)
+        sigma, residual, norm_alone, argmax_alone = _per_snapshot(traj, params)
+        assert series.sigma.tobytes() == sigma.tobytes()
+        assert series.residual.tobytes() == residual.tobytes()
+        assert norm.tobytes() == norm_alone.tobytes()
+        assert argmax.tolist() == argmax_alone.tolist()
+        assert sum(rows for rows, _ in chunks) == len(traj)
+        return chunks
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    @pytest.mark.parametrize("params", [MajorantParams(), MajorantParams(0.3, 20)])
+    def test_a_chunk_spans_several_blocks(self, fine_run, monkeypatch, rows_per_block, params):
+        chunks = self._chunks(fine_run, monkeypatch, rows_per_block, params)
+        # 2 x rows_per_block rows of 512 columns fill half of rows_per_block full-width rows
+        assert chunks == [(2 * rows_per_block, 512)] * (14 // (2 * rows_per_block)) + (
+            [(14 % (2 * rows_per_block), 512)] if 14 % (2 * rows_per_block) else []
+        )
+
+    def test_a_widening_band_is_padded_with_zeros(self, monkeypatch):
+        # pulses ever narrower, so each row's band is wider: the magnitudes stop at 128, 256,
+        # 256, 512 and 1025 of 1025 modes, and the first chunk pads its first row to 256
+        grid = Grid(2048, 40.0)
+        fields = _pulses(grid, (3.0, 2.0, 1.4, 0.8, 0.4))
+        widths = [_magnitudes(grid, grid.rfft(u.values))[1] for u in fields]
+        assert widths == [128, 256, 256, 512, 1025]
+        traj = Trajectory.from_snapshots(np.arange(5.0), fields)
+        assert self._chunks(traj, monkeypatch, 1) == [(3, 256), (1, 512), (1, 1025)]
+
+    def test_a_zero_row(self, monkeypatch):
+        grid = Grid(2048, 40.0)
+        zero = Field(grid, np.zeros(grid.n))
+        (pulse,) = _pulses(grid, (2.0,))
+        traj = Trajectory.from_snapshots(np.arange(4.0), [pulse, zero, pulse, zero])
+        # the zero rows' magnitudes stop at 128 modes, and are padded to 256
+        assert self._chunks(traj, monkeypatch, 1) == [(4, 256)]
+        series, norm, argmax = analyticity_track(traj)
+        assert series.valid.tolist() == [True, False, True, False]
+        assert norm[1] == norm[3] == 0.0 and argmax[1] == argmax[3] == 0
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    def test_a_band_that_reaches_nyquist_keeps_its_nyquist_mode(self, monkeypatch, rows_per_block):
+        # the middle row carries a Nyquist wave: its block's magnitudes are n/2 + 1 wide, and
+        # the ladder drops the Nyquist mode from its derivatives there alone
+        grid = Grid(2048, 40.0)
+        pulses = _pulses(grid, (2.0, 1.4, 1.2, 1.6))
+        wave = Field(grid, pulses[1].values + 0.01 * (-1.0) ** np.arange(grid.n))
+        traj = Trajectory.from_snapshots(np.arange(5.0), pulses[:2] + [wave] + pulses[2:])
+        chunks = self._chunks(traj, monkeypatch, rows_per_block)
+        assert (rows_per_block, 1025) in chunks
+        assert all(width == 256 for _, width in chunks if width != 1025)

@@ -566,6 +566,19 @@ class TestStepRule:
         assert traj.times[-1] == 1.0
         np.testing.assert_allclose(np.diff(traj.times), dt, rtol=1e-6, atol=0.0)
 
+    def test_a_long_default_run_takes_T_over_clock_ticks(self, monkeypatch):
+        # the snapshot clock's running sum gathers about 1e-12 T of rounding over 37669 ticks
+        # of T / 37669: a landing tolerance of 1e-12 T left a last row 3.9e-8 clock after the
+        # one before.  The series' steps are far longer than the clock, so only the clock runs
+        import gch.integrate as integrate_mod
+
+        clock = 1.0 / 37669
+        monkeypatch.setattr(integrate_mod, "estimate_dt", lambda u: clock)
+        traj = simulate(sample(Grid(16, 4.0), lambda x: 0.01 / np.cosh(x) ** 2), 1.0, 1)
+        assert len(traj) - 1 == 37669
+        assert traj.times[-1] == 1.0
+        np.testing.assert_allclose(np.diff(traj.times), clock, rtol=1e-6, atol=0.0)
+
     # 0.5 dx = 5/2048 < DT_MAX / 2, so the snapshot interval is 8 clock units (0.039); a
     # series step spans several of them
     STRIDE, T = 8, 0.5
@@ -645,10 +658,11 @@ class TestStepRule:
 
 
 def _ticks(T, clock):
-    """The rows of a run on ``clock``: u0, each tick short of ``T - 1e-12 T``, and T."""
-    s, rows = 0.0, 1
+    """The rows of a run on ``clock``: u0, each tick short of ``T - max(1e-12, (T / clock)
+    2^-52) T``, and T."""
+    land, s, rows = T - max(1e-12, T / clock * 2.0**-52) * T, 0.0, 1
     while s < T:
-        s = s + clock if s + clock < T - 1e-12 * T else T
+        s = s + clock if s + clock < land else T
         rows += 1
     return rows
 
@@ -682,8 +696,8 @@ def horizons(draw):
 class TestSnapshotAllocation:
     """The rows x n block is allocated from T / clock before the first step; the run stops on time.
 
-    The last snapshot is T: a clock tick within 1e-12 T of it is T itself, and an explicit
-    run's rows are step ends.
+    The last snapshot is T: a clock tick within ``max(1e-12, (T / clock) 2^-52) T`` of it is T
+    itself, and an explicit run's rows are step ends.
     """
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -858,8 +872,8 @@ class TestDenseOutput:
         # sigma is fitted on the reference's band: a coefficient within the two runs' gap of
         # SPECTRUM_FLOOR may cross it and lengthen or shorten the band by one mode (under the
         # RK4 default: history seed 5, t = 0.254), which moves that one estimate by 5.5e-4
-        c, start, length = _fit_bands(traj.grid, traj.grid.rfft(traj.values))
-        c_ref, start_ref, length_ref = _fit_bands(fine.grid, fine.grid.rfft(fine.values))
+        c, c_ref = (np.abs(run.grid.rfft(run.values)) / run.grid.n for run in (traj, fine))
+        (start, length), (start_ref, length_ref) = _fit_bands(c), _fit_bands(c_ref)
         assert np.all(start == start_ref) and np.all(np.abs(length - length_ref) <= 1)
         sigma = _radius_fits(traj.grid.k_rfft, c, start_ref, length_ref)[0]
         reference = radius_track(fine).sigma
