@@ -100,7 +100,8 @@ BOUNDARY_TOLERANCE = 1e-8
 BAND_FLOOR = 1e-15
 #: Spectrum bytes per row block of a diagnostic pass (:mod:`gch.rowpass`).  Against per-snapshot
 #: work, a history run's (n = 4096, 104 rows) peak RSS rose 2.3 MB with rows x n temporaries
-#: and fell 0.7 MB in blocks; the one pass holds one block's spectrum, u_x and u_xx at a time.
+#: and fell 0.7 MB in blocks; the one pass holds one block's spectrum, u_x and u_xx at a time,
+#: and the analyticity stage at most half of it in held band magnitudes.
 ROW_BLOCK_BYTES = 2**18
 #: The most bytes the rows x n snapshot block of :func:`simulate` may take.
 SNAPSHOT_BYTES = 2**30
@@ -491,10 +492,10 @@ def simulate(
     # a stride past T / unit keeps only T; the product could overflow a float
     clock = stride * unit if stride < T / unit else np.inf
 
-    def landing(unit: float) -> float:
-        # T / unit additions of unit round by up to (T / unit) 2^-53 T: a clock tick or an
+    def landing(step: float) -> float:
+        # T / step additions of step round by up to (T / step) 2^-53 T: a clock tick or an
         # explicit step that would leave less than twice that, or than 1e-12 T, lands on T
-        return T - max(1e-12, T / unit * 2.0**-52) * T
+        return T - max(1e-12, T / step * 2.0**-52) * T
 
     land_tick = landing(clock)
 

@@ -616,7 +616,7 @@ class TestAnalyticityTrack:
 
         monkeypatch.setattr(analyticity_mod, "_spectral_h1_ladder", spied)
         series, norm, argmax = analyticity_track(traj, params)
-        chunks = list(shapes)
+        chunks = list(shapes)  # the per-snapshot norms below go through the spy too
         sigma, residual, norm_alone, argmax_alone = _per_snapshot(traj, params)
         assert series.sigma.tobytes() == sigma.tobytes()
         assert series.residual.tobytes() == residual.tobytes()
@@ -630,9 +630,8 @@ class TestAnalyticityTrack:
     def test_a_chunk_spans_several_blocks(self, fine_run, monkeypatch, rows_per_block, params):
         chunks = self._chunks(fine_run, monkeypatch, rows_per_block, params)
         # 2 x rows_per_block rows of 512 columns fill half of rows_per_block full-width rows
-        assert chunks == [(2 * rows_per_block, 512)] * (14 // (2 * rows_per_block)) + (
-            [(14 % (2 * rows_per_block), 512)] if 14 % (2 * rows_per_block) else []
-        )
+        rows = 2 * rows_per_block
+        assert chunks == [(min(rows, 14 - i), 512) for i in range(0, 14, rows)]
 
     def test_a_widening_band_is_padded_with_zeros(self, monkeypatch):
         # pulses ever narrower, so each row's band is wider: the magnitudes stop at 128, 256,
