@@ -24,19 +24,30 @@ so it is kept as a diagnostic only and never offered for simulation.
 
 All quadratic products are dealiased with the 2/3 rule, using the keep-mask
 |mode| < n/3 and the d_x, G* and G_x* multipliers of the ``Grid`` operator
-table.  Within one evaluation each product operand is truncated once and
-each product's output once; with truncated operands that single output
-truncation is the exact 2/3 rule (Orszag 1971), so products of truncated
-fields are exact truncations of the true products and the algebraic
-equivalences hold on the grid.  :func:`gch.integrate.simulate` steps that
-one semi-discretisation in Fourier space; the forms here are its
-physical-space references and a run's residual check.  A form evaluates
-rows: one field, or a ``(rows, n)`` block with each row's values bit for bit.
+table.  Each product operand is truncated once and each product's output
+once; with truncated operands that single output truncation is the exact
+2/3 rule (Orszag 1971), so products of truncated fields are exact
+truncations of the true products and the algebraic equivalences hold on
+the grid.  :func:`gch.integrate.simulate` steps that one semi-discretisation
+in Fourier space; the forms here are its physical-space references and a
+run's residual check.  A form evaluates rows: one field, or a ``(rows, n)``
+block with each row's values bit for bit.
+
+The forms read their shared operands from one :class:`_Operands` memo per
+block: u's rfft and u_x on construction, and on first read the truncated u
+and u_x, the products u u_x, u_x^2 and u^2, and d_x(2 u_x^2 + 6 u^2).
+:func:`rhs` builds a memo for its one form, so a single form costs what it
+did alone (11, 17, 15 and 27 FFTs for PRIMITIVE, FORM_A, FORM_B and
+MOMENTUM); :func:`max_form_residuals` and :func:`form_residual` pass one memo
+to every form they evaluate, so the four simulation forms take 50 FFTs, not
+70.  Each operand is formed by the same operations whichever form reads it
+first, so every form's values are bit for bit those of a fresh memo.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
@@ -74,8 +85,8 @@ SIMULATION_FORMS = (RhsForm.PRIMITIVE, RhsForm.FORM_A, RhsForm.FORM_B, RhsForm.M
 def _trunc(grid: Grid, vals, spec=None):
     """2/3-rule truncation of ``vals``; ``spec`` is its rfft when already known.
 
-    Within one RHS evaluation each product operand goes through here once
-    and :func:`_prod` truncates only the product.
+    Each product operand goes through here once per :class:`_Operands` memo
+    or form, and :func:`_prod` truncates only the product.
     """
     # overflow surfaces as the named non-finite error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -97,12 +108,55 @@ def _check(vals, name):
     return vals
 
 
-def _momentum_tendency(grid: Grid, v, v_hat, ux, m, m_hat):
-    """m_t from u, u_x and m, given the rffts of u and of m."""
+class _Operands:
+    """The operands the forms share on the samples ``v`` of one block, each formed once.
+
+    ``v`` is checked, and its rfft ``v_hat`` and derivative ``ux`` taken, on
+    construction, as every form reads them; the rest are formed on first
+    read.  A non-finite operand raises as it is formed, naming its term.
+    """
+
+    def __init__(self, grid: Grid, v):
+        self.grid = grid
+        self.v = _check(v, "u")
+        self.v_hat = grid.rfft(self.v)
+        self.ux = _check(grid.irfft(grid.diff_hat(self.v_hat)), "u_x")
+
+    @cached_property
+    def vt(self):
+        """u, truncated."""
+        return _trunc(self.grid, self.v, self.v_hat)
+
+    @cached_property
+    def uxt(self):
+        """u_x, truncated."""
+        return _trunc(self.grid, self.ux)
+
+    @cached_property
+    def uux(self):
+        return _prod(self.grid, self.vt, self.uxt, "u*u_x")
+
+    @cached_property
+    def ux2(self):
+        return _prod(self.grid, self.uxt, self.uxt, "u_x^2")
+
+    @cached_property
+    def u2(self):
+        return _prod(self.grid, self.vt, self.vt, "u^2")
+
+    @cached_property
+    def flux(self):
+        """d_x(2 u_x^2 + 6 u^2)."""
+        return self.grid.diff(2.0 * self.ux2 + 6.0 * self.u2)
+
+
+def _momentum_tendency(w: _Operands, m, m_hat):
+    """m_t from the operands of u and from m, given the rfft of m."""
+    grid = w.grid
     mx = _check(grid.irfft(grid.diff_hat(m_hat)), "m_x")
-    vt, mt = _trunc(grid, v, v_hat), _trunc(grid, m, m_hat)
-    uxt, mxt = _trunc(grid, ux), _trunc(grid, mx)
-    s = _trunc(grid, v + ux)
+    vt, mt = w.vt, _trunc(grid, m, m_hat)
+    uxt, mxt = w.uxt, _trunc(grid, mx)
+    s = _trunc(grid, w.v + w.ux)
     m_t = (
         2.0 * _prod(grid, mt, mt, "m^2")
         + 8.0 * _prod(grid, uxt, mt, "u_x*m")
@@ -114,58 +168,49 @@ def _momentum_tendency(grid: Grid, v, v_hat, ux, m, m_hat):
     return _check(m_t, "m_t")
 
 
-def _rhs_rows(grid: Grid, v, form: RhsForm):
-    """Time derivative of each row of the samples ``v``, one field or a ``(rows, n)`` block."""
+def _rhs_rows(w: _Operands, form: RhsForm):
+    """Time derivative of each row of the memo's samples, one field or a ``(rows, n)`` block."""
     form = RhsForm(form)
-    v = _check(v, "u")
-    v_hat = grid.rfft(v)
-    ux = _check(grid.irfft(grid.diff_hat(v_hat)), "u_x")
+    grid = w.grid
 
     if form is RhsForm.PRIMITIVE:
-        a = _trunc(grid, 2.0 * v - ux)
+        a = _trunc(grid, 2.0 * w.v - w.ux)
         sq_hat = grid.rfft(_prod(grid, a, a, "(2u-u_x)^2"))
         out = grid.g_star(
             2.0 * grid.irfft(grid.diff_hat(sq_hat)) + grid.irfft(grid.diff_hat(sq_hat, 2))
         )
     elif form is RhsForm.MOMENTUM:
-        m = _check(grid.irfft(v_hat * grid.helm), "m")
-        out = grid.g_star(_momentum_tendency(grid, v, v_hat, ux, m, grid.rfft(m)))
-    else:
-        vt, uxt = _trunc(grid, v, v_hat), _trunc(grid, ux)
-        uux = _prod(grid, vt, uxt, "u*u_x")
-        ux2 = _prod(grid, uxt, uxt, "u_x^2")
-        u2 = _prod(grid, vt, vt, "u^2")
-        if form is RhsForm.FORM_A:
-            out = 4.0 * uux + grid.g_star(grid.diff(2.0 * ux2 + 6.0 * u2) + grid.diff(ux2, 2))
-        elif form is RhsForm.FORM_B:
-            out = 4.0 * uux - ux2 + grid.g_star(grid.diff(2.0 * ux2 + 6.0 * u2) + ux2)
-        else:  # SQRT3
-            q = _trunc(grid, _SQRT2 * ux + _SQRT6 * v)
-            q2 = _prod(grid, q, q, "(sqrt2*u_x+sqrt6*u)^2")
-            out = (
-                4.0 * uux
-                - ux2
-                + _SQRT3 * u2
-                - grid.g_star(ux2 - _SQRT3 * u2)
-                + grid.p2(q2)
-            )
+        m = _check(grid.irfft(w.v_hat * grid.helm), "m")
+        out = grid.g_star(_momentum_tendency(w, m, grid.rfft(m)))
+    elif form is RhsForm.FORM_A:
+        out = 4.0 * w.uux + grid.g_star(w.flux + grid.diff(w.ux2, 2))
+    elif form is RhsForm.FORM_B:
+        out = 4.0 * w.uux - w.ux2 + grid.g_star(w.flux + w.ux2)
+    else:  # SQRT3
+        # the shared products are formed before q^2, so an overflow in them is named first
+        uux, ux2, u2 = w.uux, w.ux2, w.u2
+        q = _trunc(grid, _SQRT2 * w.ux + _SQRT6 * w.v)
+        q2 = _prod(grid, q, q, "(sqrt2*u_x+sqrt6*u)^2")
+        out = 4.0 * uux - ux2 + _SQRT3 * u2 - grid.g_star(ux2 - _SQRT3 * u2) + grid.p2(q2)
 
     return _check(out, f"rhs[{form.value}]")
 
 
 def rhs(u: Field, form: RhsForm) -> Field:
     """Evaluate the time derivative of u for the selected formulation."""
-    return Field(u.grid, _rhs_rows(u.grid, u.values, form))
+    return Field(u.grid, _rhs_rows(_Operands(u.grid, u.values), form))
 
 
 def form_residual(u: Field, f1: RhsForm, f2: RhsForm) -> float:
     """Sup-norm distance between two formulations evaluated on the same field."""
-    return lp_norm(rhs(u, f1) - rhs(u, f2), np.inf)
+    w = _Operands(u.grid, u.values)
+    return lp_norm(Field(u.grid, _rhs_rows(w, f1) - _rhs_rows(w, f2)), np.inf)
 
 
 def max_form_residuals(grid: Grid, v):
     """:func:`max_form_residual` of each row of ``v``, each form evaluated once on the block."""
-    outs = [_rhs_rows(grid, v, form) for form in SIMULATION_FORMS]
+    w = _Operands(grid, v)
+    outs = [_rhs_rows(w, form) for form in SIMULATION_FORMS]
     pairs = [np.max(np.abs(a - b), axis=-1) for i, a in enumerate(outs) for b in outs[i + 1 :]]
     return np.max(pairs, axis=0)
 
@@ -184,10 +229,8 @@ def momentum_rhs(m: Field) -> Field:
     grid = m.grid
     mv = _check(m.values, "m")
     m_hat = grid.rfft(mv)
-    uv = _check(grid.irfft(grid.g_star_hat(m_hat)), "u")
-    u_hat = grid.rfft(uv)
-    ux = _check(grid.irfft(grid.diff_hat(u_hat)), "u_x")
-    return Field(grid, _momentum_tendency(grid, uv, u_hat, ux, mv, m_hat))
+    w = _Operands(grid, grid.irfft(grid.g_star_hat(m_hat)))
+    return Field(grid, _momentum_tendency(w, mv, m_hat))
 
 
 def sqrt3_residual_field(u: Field, convolve=None) -> Field:

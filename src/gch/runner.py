@@ -404,7 +404,10 @@ def selftest() -> SelftestReport:
     formulations (plus the quadrature-confirmed sqrt3 discrepancy), the
     integrator order, the weighted convolution inequality, and the
     scale-of-spaces operator bounds; the residual matrix and the operator
-    bounds each take their field family as one block, bit for bit.
+    bounds each take their field family as one block, bit for bit.  The
+    residual matrix's four forms, and the sqrt3 check's two, each read one
+    memo of their shared operands (:class:`gch.dynamics._Operands`): 50
+    FFTs for the block, where the forms alone take 70.
     """
     entries: list = []
     for check in (

@@ -75,12 +75,21 @@ class WeightSpec:
 
 
 def eval_weight(spec: WeightSpec, x):
-    """Evaluate the weight; overflow is clamped to the HUGE sentinel and reported."""
+    """Evaluate the weight; overflow is clamped to the HUGE sentinel and reported.
+
+    A zero parameter drops its term, so the weight (0, 0, 0, 0) is 1
+    everywhere, and a zero c or d does not turn |x| = inf into NaN: the
+    other terms decide there, and an infinite log-weight clamps to HUGE.
+    """
     ax = np.abs(np.asarray(x, dtype=float))
     with np.errstate(divide="ignore"):
-        # a = 0 drops the term: 0 |x|^b is NaN where |x|^b overflows, and at 0 for b < 0
-        power = spec.a * ax**spec.b if spec.a != 0 else 0.0
-        log_w = power + spec.c * np.log1p(ax) + spec.d * np.log(np.log(np.e + ax))
+        # a zero term is skipped, not added: 0 |x|^b is NaN where |x|^b overflows, and at 0
+        # for b < 0, and 0 log(...) is NaN at |x| = inf
+        log_w = spec.a * ax**spec.b if spec.a != 0 else np.zeros_like(ax)
+        if spec.c != 0:
+            log_w = log_w + spec.c * np.log1p(ax)
+        if spec.d != 0:
+            log_w = log_w + spec.d * np.log(np.log(np.e + ax))
     clipped = log_w > _LOG_HUGE
     if np.any(clipped):
         warnings.warn(
@@ -143,17 +152,20 @@ def _young_slacks(grid: Grid, f1, f2, phi, v, ps, C0: float) -> np.ndarray:
 
     ``phi`` and ``v`` are weight tables on the grid nodes; the result has
     one row per p and one column per pair.  The convolutions are taken
-    once, in one batched FFT pass, and shared by every p.
+    once, in one batched FFT pass, and they and the weighted blocks are
+    shared by every p.
     """
     conv = grid.irfft(grid.rfft(f1) * grid.rfft(f2)) * grid.dx
     # the array origin sits at x = -L, so the circular convolution comes
     # back shifted by half a period
     conv = np.roll(conv, -(grid.n // 2), axis=-1)
     l1_f1_v = lp_norms(f1 * v, grid.dx, 1.0)
+    conv *= phi  # in place: a weighted copy held through the loop would add a block to the peak
+    f2_phi = f2 * phi
     out = []
     for p in ps:
-        lhs = lp_norms(conv * phi, grid.dx, p)
-        rhs = C0 * l1_f1_v * lp_norms(f2 * phi, grid.dx, p)
+        lhs = lp_norms(conv, grid.dx, p)
+        rhs = C0 * l1_f1_v * lp_norms(f2_phi, grid.dx, p)
         out.append(rhs - lhs)
     return np.array(out)
 

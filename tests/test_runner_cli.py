@@ -915,10 +915,10 @@ class TestSelftestFaultInjection:
 
         true_rows = dynamics_mod._rhs_rows
 
-        def corrupted(grid, v, form):
-            out = true_rows(grid, v, form)
+        def corrupted(w, form):
+            out = true_rows(w, form)
             if RhsForm(form) is RhsForm.FORM_B:
-                out = out + 2.0 * grid.diff(v) ** 2
+                out = out + 2.0 * w.grid.diff(w.v) ** 2
             return out
 
         monkeypatch.setattr(dynamics_mod, "_rhs_rows", corrupted)
@@ -998,7 +998,8 @@ class TestSelftestWork:
         entries = []
         runner_mod._selftest_forms(entries)
         assert entries[0][1] is True
-        assert passes == [((5, 1024), 70)]  # 11 + 17 + 15 + 27 per form, once for all rows
+        # 11 + 17 + 15 + 27 per form alone, once for all rows; one memo shares 20 of them
+        assert passes == [((5, 1024), 50)]
 
     def test_young_sweep_takes_one_fft_pass(self, fft_calls):
         from gch.runner import _selftest_young

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,63 @@ class TestEvalWeight:
             val = eval_weight(WeightSpec(10, 1, 0, 0), 1000.0)
         assert val >= 1e300
         assert np.isfinite(val)
+
+
+def _full_formula(spec, x):
+    """Every term of log w added, a = 0 excepted, then the clamp: what ``eval_weight`` gives on finite x."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore"):
+        power = spec.a * ax**spec.b if spec.a != 0 else 0.0
+        log_w = power + spec.c * np.log1p(ax) + spec.d * np.log(np.log(np.e + ax))
+    clipped = log_w > np.log(HUGE)
+    return np.where(clipped, HUGE, np.exp(np.where(clipped, 0.0, log_w)))
+
+
+class TestZeroTerms:
+    SPECS = [
+        WeightSpec(0, 0, 1, 0), WeightSpec(0, 0, -2, 0), WeightSpec(0.5, 1, 0.5, 0),
+        WeightSpec(0, 0, 0, 1), WeightSpec(0, 0, 0, -1.5), WeightSpec(0.5, 1, 0, 1),
+        WeightSpec(0.5, 1, 0, 0), WeightSpec(-0.3, 2, 0, 0), WeightSpec(0.2, 0.5, 0, 0),
+        WeightSpec(0, 0, 0, 0), WeightSpec(0.5, 1, 0.5, 1),
+    ]
+    XS = np.concatenate((np.linspace(-60.0, 60.0, 4001), [0.0, -0.0, 5e-324, 1e-300, 1e10, -1e150]))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_a_zero_term_is_the_full_formula_on_finite_x(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a > 0 clamps at 1e10 and 1e150
+            assert eval_weight(spec, self.XS).tobytes() == _full_formula(spec, self.XS).tobytes()
+        for x in (-3.5, 0.0, 7.0):
+            assert repr(eval_weight(spec, x)) == repr(float(_full_formula(spec, x)))
+
+    def test_the_all_zero_weight_keeps_its_shape(self, grid1024):
+        ones = eval_weight(WeightSpec(0, 0, 0, 0), grid1024.x)
+        assert ones.shape == (grid1024.n,)
+        assert np.array_equal(weight_on_grid(WeightSpec(0, 0, 0, 0), grid1024), np.ones(grid1024.n))
+        assert eval_weight(WeightSpec(0, 0, 0, 0), np.zeros((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (WeightSpec(0, 0, 1, 0), HUGE), (WeightSpec(0, 0, 0, 1), HUGE),
+            (WeightSpec(0, 0, -1, 0), 0.0), (WeightSpec(0, 0, 0, -1), 0.0),
+        ],
+        ids=str,
+    )
+    def test_a_zero_term_leaves_infinite_x_to_the_others(self, spec, expected):
+        # the full formula's 0 * inf made these NaN
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_full_formula(spec, np.inf))
+        if expected == HUGE:
+            with pytest.warns(RuntimeWarning, match="clamped"):
+                out = eval_weight(spec, np.array([-np.inf, 1.0, np.inf]))
+        else:
+            out = eval_weight(spec, np.array([-np.inf, 1.0, np.inf]))
+        assert out[0] == out[2] == expected
+        assert out[1] == float(_full_formula(spec, 1.0))
+
+    def test_the_all_zero_weight_is_one_at_infinity(self):
+        assert eval_weight(WeightSpec(0, 0, 0, 0), np.inf) == 1.0
 
 
 class TestTruncateWeight:
