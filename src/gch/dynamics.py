@@ -36,12 +36,13 @@ block with each row's values bit for bit.
 The forms read their shared operands from one :class:`_Operands` memo per
 block: u's rfft and u_x on construction, and on first read the truncated u
 and u_x, the products u u_x, u_x^2 and u^2, and d_x(2 u_x^2 + 6 u^2).
-:func:`rhs` builds a memo for its one form, so a single form costs what it
-did alone (11, 17, 15 and 27 FFTs for PRIMITIVE, FORM_A, FORM_B and
-MOMENTUM); :func:`max_form_residuals` and :func:`form_residual` pass one memo
-to every form they evaluate, so the four simulation forms take 50 FFTs, not
-70.  Each operand is formed by the same operations whichever form reads it
-first, so every form's values are bit for bit those of a fresh memo.
+:func:`rhs` builds a memo for its one form, which forms only what that form
+reads (11, 17, 15 and 27 FFTs for PRIMITIVE, FORM_A, FORM_B and MOMENTUM);
+:func:`max_form_residuals` and :func:`form_residual` pass one memo to every
+form they evaluate, so the four simulation forms take 50 FFTs where they
+take 70 alone.  Each operand is formed by the same operations whichever
+form reads it first, so every form's values are bit for bit those of a
+fresh memo.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from gch import (
     sqrt3_residual_field,
 )
 from gch.dynamics import SIMULATION_FORMS, RhsForm, _Operands, _rhs_rows, max_form_residuals
+from gch.dynamics import _SQRT2, _SQRT3, _SQRT6, _prod, _trunc
 from gch.fields import smooth_field_family
 
 ALL_PAIRS = [
@@ -127,8 +128,6 @@ def _memo_samples(grid, shape):
 
 def _reference_rows(grid, v, form):
     """Each form on its own operands, in the order of operations the memo must keep."""
-    from gch.dynamics import _SQRT2, _SQRT3, _SQRT6, _prod, _trunc
-
     v_hat = grid.rfft(v)
     ux = grid.irfft(grid.diff_hat(v_hat))
     vt, uxt = _trunc(grid, v, v_hat), _trunc(grid, ux)

@@ -46,7 +46,10 @@ class TestEvalWeight:
 
 
 def _full_formula(spec, x):
-    """Every term of log w added, a = 0 excepted, then the clamp: what ``eval_weight`` gives on finite x."""
+    """Every term of log w added, a = 0 excepted, then the clamp.
+
+    ``eval_weight`` must give these values, bit for bit, on finite x.
+    """
     ax = np.abs(np.asarray(x, dtype=float))
     with np.errstate(divide="ignore"):
         power = spec.a * ax**spec.b if spec.a != 0 else 0.0
