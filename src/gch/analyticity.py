@@ -35,7 +35,6 @@ __all__ = [
     "analyticity_track",
     "majorant_norm",
     "majorant_norm_argmax",
-    "majorant_track",
     "operator_bound_report",
     "radius_estimate",
     "radius_track",
@@ -80,15 +79,16 @@ def _magnitudes(grid: Grid, spec: np.ndarray):
 
     Past that mode no mode is usable to a fit and every mode is zero to a ladder, so both read
     ``c``, or ``c`` padded with zeros, as they would the whole rows; the ladder sums ``width``
-    columns, or any later node's.  ``c`` is a copy, so the whole rows are freed.
+    columns, or any later node's.  The floors are compared with ``|spec|`` times n, the same
+    test where n is a power of two, and only the kept columns are divided; ``c`` is a new
+    array, so the whole rows are freed.
     """
-    c = np.abs(spec)
-    c /= grid.n  # abs(spec) / n bit for bit, n being a power of two
+    a, n = np.abs(spec), grid.n
     # a NaN row maximum keeps every mode, as the ladder's floor masks none of a NaN row
-    floor = SPECTRUM_FLOOR * np.minimum(np.max(c, axis=-1, keepdims=True), 1.0)
-    live = np.flatnonzero(~np.logical_and.reduce((c <= floor).reshape(-1, c.shape[-1])))
+    floor = SPECTRUM_FLOOR * np.minimum(np.max(a, axis=-1, keepdims=True) / n, 1.0) * n
+    live = np.flatnonzero(~np.logical_and.reduce((a <= floor).reshape(-1, a.shape[-1])))
     last = live[-1] if live.size else 0  # a row of zeros keeps its first mode
-    return c[..., : last + 1].copy(), _node(c.shape[-1], last)
+    return a[..., : last + 1] / n, _node(a.shape[-1], last)
 
 
 def _spectral_h1_ladder(grid: Grid, c: np.ndarray, width: int, k_top: int) -> np.ndarray:
@@ -334,7 +334,8 @@ class RadiusSeries:
 
 @one_pass
 def analyticity_track(traj: Trajectory, params: MajorantParams = MajorantParams()):
-    """:func:`radius_track`'s series and :func:`majorant_track`'s two arrays, in one pass.
+    """:func:`radius_track`'s series and :func:`majorant_norm_argmax` of every snapshot as two
+    arrays, in one pass.
 
     Each row block's :func:`_magnitudes` are held until the next block's would take the held
     rows, padded with zeros to the widest node, past half ROW_BLOCK_BYTES (one full-width
@@ -384,8 +385,3 @@ def radius_track(traj: Trajectory) -> RadiusSeries:
     series.  The series of :func:`analyticity_track`, which fits a chunk of rows at once.
     """
     return analyticity_track(traj)[0]
-
-
-def majorant_track(traj: Trajectory, params: MajorantParams = MajorantParams()):
-    """:func:`majorant_norm_argmax` of every snapshot, as two arrays, in one pass."""
-    return analyticity_track(traj, params)[1:]

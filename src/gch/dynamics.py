@@ -83,24 +83,25 @@ class RhsForm(enum.Enum):
 SIMULATION_FORMS = (RhsForm.PRIMITIVE, RhsForm.FORM_A, RhsForm.FORM_B, RhsForm.MOMENTUM)
 
 
+#: Each public evaluation runs under this one context, so an overflow anywhere in it surfaces
+#: as the named non-finite term (:func:`_check`), not as a warning.
+_named_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 def _trunc(grid: Grid, vals, spec=None):
     """2/3-rule truncation of ``vals``; ``spec`` is its rfft when already known.
 
     Each product operand goes through here once per :class:`_Operands` memo
     or form, and :func:`_prod` truncates only the product.
     """
-    # overflow surfaces as the named non-finite error, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec is None:
-            spec = grid.rfft(vals)
-        return grid.irfft(grid.truncate_hat(spec))
+    if spec is None:
+        spec = grid.rfft(vals)
+    return grid.irfft(grid.truncate_hat(spec))
 
 
 def _prod(grid: Grid, a, b, name):
     """Product of two operands already passed through :func:`_trunc`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _trunc(grid, a * b)
-    return _check(out, name)
+    return _check(_trunc(grid, a * b), name)
 
 
 def _check(vals, name):
@@ -197,17 +198,20 @@ def _rhs_rows(w: _Operands, form: RhsForm):
     return _check(out, f"rhs[{form.value}]")
 
 
+@_named_overflow
 def rhs(u: Field, form: RhsForm) -> Field:
     """Evaluate the time derivative of u for the selected formulation."""
     return Field(u.grid, _rhs_rows(_Operands(u.grid, u.values), form))
 
 
+@_named_overflow
 def form_residual(u: Field, f1: RhsForm, f2: RhsForm) -> float:
     """Sup-norm distance between two formulations evaluated on the same field."""
     w = _Operands(u.grid, u.values)
     return lp_norm(Field(u.grid, _rhs_rows(w, f1) - _rhs_rows(w, f2)), np.inf)
 
 
+@_named_overflow
 def max_form_residuals(grid: Grid, v):
     """:func:`max_form_residual` of each row of ``v``, each form evaluated once on the block."""
     w = _Operands(grid, v)
@@ -221,6 +225,7 @@ def max_form_residual(u: Field) -> float:
     return float(max_form_residuals(u.grid, u.values))
 
 
+@_named_overflow
 def momentum_rhs(m: Field) -> Field:
     """Time derivative of the momentum density m = u - u_xx.
 

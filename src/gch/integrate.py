@@ -31,8 +31,8 @@ sum at its own time, taken from the coefficients with no FFT.  On the
 long-horizon pulse (0.05 sech^2, n = 16384, L = 40, T = 1) this takes 6 steps
 where RK4 under an error estimate took 67, and its final state is within
 1.5e-14 of max|u0| of an RK4 run at T/4000 (the RK4 default's was 9.6e-11).
-The physical-space :func:`rk4_step` with :func:`gch.dynamics.rhs` stays as the
-reference path; an explicit step writes the same update in place, bit for bit.
+An explicit step is :func:`rk4_step` on the compute grid's band, the same RK4
+that steps a ``Field`` with :func:`gch.dynamics.rhs` as the physical-space reference.
 
 Both steppers work on a compute grid ``Grid(m, L)``, the smallest size
 ``16 <= m <= n`` on the ladder ``2^a, 3 2^a, 5 2^a`` (``GRID_SIZES``)
@@ -75,7 +75,6 @@ __all__ = [
     "rk4_step",
     "estimate_dt",
     "simulate",
-    "spectral_rhs",
     "write_checkpoint",
     "read_checkpoint",
     "write_snapshots",
@@ -208,8 +207,8 @@ def _checked(index: int, k):
     return k
 
 
-def rk4_step(u: Field, dt: float, deriv) -> Field:
-    """One classical RK4 update; raises on a non-finite stage."""
+def rk4_step(u, dt: float, deriv):
+    """One classical RK4 update of a Field or a spectral band; raises on a non-finite stage."""
     dt = _require_positive("dt", dt)
     k1 = _checked(1, deriv(u))
     k2 = _checked(2, deriv(u + (0.5 * dt) * k1))
@@ -233,40 +232,6 @@ def _spectral_stage(uh, grid: Grid, pre, post):
     """``post * rfft(irfft(pre * uh)**2)``: every RK4 stage :func:`simulate` takes is one call."""
     w = grid.irfft(pre * uh)
     return post * grid.rfft(w * w)
-
-
-def spectral_rhs(uh, grid: Grid, pre, post):
-    """u_t in Fourier space: ``post * rfft(irfft(pre * uh)**2)``, one FFT pair."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _spectral_stage(uh, grid, pre, post)
-
-
-def _stage(index: int, uh, ops):
-    """:func:`_spectral_stage` on ``ops = (grid, pre, post)``, checked."""
-    return _checked(index, _spectral_stage(uh, *ops))
-
-
-def _band_rk4(y, h: float, ops):
-    """The RK4 update of the band ``y`` by ``h``, its stages checked: the combinations are
-    written in place, in the order of :func:`rk4_step`'s expressions, so bit for bit theirs."""
-    k1 = _stage(1, y, ops)
-    s = k1 * (0.5 * h)
-    s += y
-    k2 = _stage(2, s, ops)
-    np.multiply(k2, 0.5 * h, out=s)
-    s += y
-    k3 = _stage(3, s, ops)
-    np.multiply(k3, h, out=s)
-    s += y
-    k4 = _stage(4, s, ops)
-    np.multiply(k2, 2.0, out=s)
-    s += k1
-    k3 *= 2.0
-    s += k3
-    s += k4
-    s *= h / 6.0
-    s += y
-    return s
 
 
 def _root(x: float, j: int) -> float:
@@ -603,11 +568,15 @@ def simulate(
                 W = A = work = spec = end = y = None  # gone before the block is checked
             else:
                 land = landing(dt)
+
+                def stage(v):  # looks _spectral_stage up on each call, on the current grid
+                    return _spectral_stage(v, *ops)
+
                 while t < T:
                     m, ops, _, carried = compute
                     band = slice(0, m // 2 + 1)
                     h, t_next = (T - t, T) if t + dt >= land else (dt, t + dt)
-                    uh[band] = _band_rk4(uh[band], h, ops)
+                    uh[band] = rk4_step(uh[band], h, stage)
                     a = np.abs(uh[band])  # read by the compute-grid check and the guard
                     size = _held(grid, uh, compute, a)
                     step += 1

@@ -34,7 +34,6 @@ from gch.analyticity import (
     _operator_maxima,
     _radius_fits,
     analyticity_track,
-    majorant_track,
 )
 from gch.helmholtz import p2_apply
 from gch.fields import smooth_field_family
@@ -562,7 +561,7 @@ def test_ladder_is_the_full_width_ladder_bit_for_bit(n):
 class TestMajorantTrack:
     @pytest.mark.parametrize("params", [MajorantParams(), MajorantParams(0.3, 20)])
     def test_track_is_the_per_snapshot_norm(self, run, params):
-        norm, argmax = majorant_track(run, params)
+        norm, argmax = analyticity_track(run, params)[1:]
         pairs = [majorant_norm_argmax(u, params) for u in run.snapshots]
         assert np.array_equal(norm, [v for v, _ in pairs])
         assert np.array_equal(argmax, [k for _, k in pairs])

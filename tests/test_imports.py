@@ -119,3 +119,34 @@ def _unused_imports(path: Path) -> list:
                          ids=lambda p: p.stem)
 def test_no_unused_import(path):
     assert _unused_imports(path) == []
+
+
+def _fft_lines(source: str) -> list:
+    """Lines of ``source`` that reach numpy's FFT module: ``np.fft``/``numpy.fft`` or its import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "fft" and isinstance(node.value, ast.Name) and node.value.id in (
+                "np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.fft") or node.module == "numpy" and any(
+                a.name == "fft" for a in node.names)
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_grid_takes_ffts():
+    # the spectral core: every FFT goes through Grid.rfft and Grid.irfft, the two calls the
+    # FFT counts of the tests and the benchmark read
+    for snippet in ("np.fft.rfft(x)", "import numpy.fft", "from numpy import fft",
+                    "from numpy.fft import irfft"):
+        assert _fft_lines(snippet) == [1], snippet
+    assert _fft_lines("x.fft(y)\nfft = 1") == []
+    uses = {p.name: _fft_lines(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, lines in uses.items() if lines} == {"grid.py"}
+    assert len(uses["grid.py"]) == 2  # Grid.rfft and Grid.irfft

@@ -41,7 +41,7 @@ from gch.grid import GRID_SIZES
 from gch.dynamics import SIMULATION_FORMS, RhsForm
 from gch.analyticity import _fit_bands, _radius_fits, radius_estimate, radius_track
 from gch.integrate import BAND_FLOOR, DT_MAX, K, _compute_grid, _root, _series
-from gch.integrate import _held, _spectral_stage, spectral_rhs
+from gch.integrate import _held, _spectral_stage
 from gch.persistence import persistence_ledger
 from gch.weights import WeightSpec
 from gch.rowpass import consume, run_pass, together
@@ -377,14 +377,42 @@ def test_spectral_matches_physical_rk4(form):
         assert gap <= 1e-15, (step, gap)
 
 
+# (n, amplitude, T, dt, snapshot_stride) of explicit runs of amplitude / cosh(x)^2 on L = 40,
+# and the sha256 over their times, values, h1_drift and compute_n: the selftest's order-check
+# run and one at a quarter of its dt, CI's explicit showcase run, a run whose compute grid
+# grows 1280 -> 4096, and a large pulse on a fine step
+EXPLICIT_RUNS = {
+    "selftest": ((1024, 0.05, 0.8, 0.1, 10**6),
+                 "8452112e3eb7722f7faf743a643fecdb2cd17e0a4b5ad68cbce3ccaba675b1b8"),
+    "selftest_dt_025": ((1024, 0.05, 0.8, 0.025, 10**6),
+                        "dba19c6e7b77b12d46806f3c7dd35a70c8036e143c038a1c02b9bd4be865725b"),
+    "showcase": ((4096, 0.05, 0.25, 0.002, 4),
+                 "06498c2c928c08d776935dd50522b2f31dba0a582658a3979b8661a6aab79995"),
+    "growing": ((4096, 0.2, 1.0, 0.01, 10),
+                "6dfd85092a9271e203679a31c157fa4753e5ab00109450c7b9049c316dc40823"),
+    "large": ((4096, 0.5, 0.3, 5e-4, 100),
+              "1d13ddbdad989bdb69188ff925e9ee06377378cad9b7e8b1b5c0991a3b34b5eb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPLICIT_RUNS))
+def test_explicit_runs_are_pinned(case):
+    (n, amplitude, T, dt, stride), expected = EXPLICIT_RUNS[case]
+    traj = simulate(sample(Grid(n, 40.0), lambda x: amplitude / np.cosh(x) ** 2), T, stride, dt=dt)
+    digest = hashlib.sha256()
+    for part in (traj.times, traj.values, traj.h1_drift, traj.compute_n):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == expected
+    if case == "growing":
+        assert (traj.compute_n[0], traj.compute_n[-1]) == (1280, 4096)
+
+
 @pytest.mark.parametrize("amplitude", [0.05, 1.0])
-def test_spectral_rhs_is_the_stage_and_the_primitive_form(amplitude):
+def test_spectral_stage_is_the_primitive_form(amplitude):
     grid = Grid(1024, 40.0)
     u = sample(grid, lambda x: amplitude / np.cosh(x) ** 2)
     uh = grid.rfft(u.values)
-    comp, pre, post = _compute_grid(grid, uh, 1024)[1]
-    k = spectral_rhs(uh, grid, pre, post)
-    assert np.array_equal(k, _spectral_stage(uh, comp, pre, post))
+    k = _spectral_stage(uh, *_compute_grid(grid, uh, 1024)[1])
     reference = grid.rfft(rhs(u, "primitive").values)
     assert np.max(np.abs(k - reference)) <= 1e-14 * np.max(np.abs(reference))
 
@@ -484,13 +512,13 @@ def _spy_steps(monkeypatch):
     import gch.integrate as integrate_mod
 
     seen = []
-    original = integrate_mod._band_rk4
+    original = integrate_mod.rk4_step
 
-    def spy(y, h, ops):
+    def spy(y, h, deriv):
         seen.append((y.copy(), h))
-        return original(y, h, ops)
+        return original(y, h, deriv)
 
-    monkeypatch.setattr(integrate_mod, "_band_rk4", spy)
+    monkeypatch.setattr(integrate_mod, "rk4_step", spy)
     return seen
 
 
